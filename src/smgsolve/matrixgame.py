@@ -2,8 +2,8 @@
 
 The maximizing player's problem
 
-    max v   subject to   sum_i A[i, j] x_i >= v  for every column j,
-                         x in the probability simplex
+    max v   subject to   sum_i A[i, j] x_i - s_j = v  for every column j,
+                         s >= 0,  x in the probability simplex
 
 is solved as a standard-form LP by a dense two-phase primal simplex, with
 Bland's rule as the anti-cycling fallback.  Every pivoting rule is
@@ -11,8 +11,16 @@ deterministic, so when the optimal face is not a single point the returned
 strategy is still reproducible across runs.  The free game value is split as
 ``v = v_plus - v_minus``, and the matrix is pre-normalized by its largest
 magnitude so the absolute pivot tolerance is meaningful at any payoff scale.
-The minimizing player's problem is the same LP applied to ``-A.T``; solving
-both sides independently gives a duality-gap certificate for free.
+Once the simplex has found an optimal basis, that basis's primal point and
+dual prices are solved afresh from the original rows, so a forced pivot on
+a tiny coefficient does not leave its amplified rounding in the result.
+
+One LP serves both players.  The reduced cost of the surplus ``s_j`` at the
+optimal basis is the dual price of column ``j``'s constraint, and the duals
+of the row player's program are the column player's optimal mixture; they
+are clipped at zero and normalized.  The solution carries the exploitability
+``max(A y) - min(x A)`` of the pair, which bounds how far either strategy is
+from optimal.
 
 Single-row and single-column games are solved by direct scan, which avoids
 degenerate simplex bases.
@@ -32,7 +40,13 @@ class MatrixGameError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class MatrixGameSolution:
-    """Game value, a mixed saddle point, and the primal/dual agreement gap."""
+    """Game value, a mixed saddle point, and its exploitability.
+
+    ``duality_gap`` (``dualityGap`` in the CLI's output) is the
+    exploitability ``max(A y) - min(x A)``: what the two players together
+    could gain by switching to best pure responses.  It is zero exactly at a
+    saddle point, and the game value lies within it of ``value``.
+    """
 
     value: float
     row_strategy: np.ndarray
@@ -44,13 +58,33 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     # reimpose an exact unit column so reduced costs of basics are exactly 0
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
 
 
-def _bland(tableau: np.ndarray, basis: list[int], objective_floor: float | None = None) -> None:
+def _leaving_row(tableau: np.ndarray, basis: np.ndarray, enter: int, anti_cycling: bool) -> int:
+    """Minimum-ratio row for the entering column, with deterministic ties.
+
+    Among rows at exactly the minimum ratio, normal pivoting takes the
+    largest pivot coefficient, then the lowest basis index; anti-cycling
+    takes the lowest basis index alone.
+    """
+    coef = tableau[:-1, enter]
+    eligible = (coef > PIVOT_TOL).nonzero()[0]
+    if eligible.size == 0:
+        raise MatrixGameError("linear program is unbounded")
+    ratios = tableau[eligible, -1] / coef[eligible]
+    tied = eligible[ratios == ratios.min()]
+    if tied.size == 1:
+        return int(tied[0])
+    if not anti_cycling:
+        tied = tied[coef[tied] == coef[tied].max()]
+    return int(tied[basis[tied].argmin()])
+
+
+def _bland(tableau: np.ndarray, basis: np.ndarray, objective_floor: float | None = None) -> None:
     """Run the simplex to optimality on a feasible tableau (objective row last).
 
     Normal pivoting: most negative reduced cost enters (ties at the lowest
@@ -67,7 +101,6 @@ def _bland(tableau: np.ndarray, basis: list[int], objective_floor: float | None 
     nonnegative by construction and apparent progress below the floor is
     rounding noise, not improvement.
     """
-    n_rows = tableau.shape[0] - 1
     stall_limit = 100 + 10 * (tableau.shape[0] + tableau.shape[1])
     hard_limit = 100 * stall_limit
     for pivots in range(hard_limit):
@@ -76,36 +109,15 @@ def _bland(tableau: np.ndarray, basis: list[int], objective_floor: float | None 
         reduced = tableau[-1, :-1]
         anti_cycling = pivots >= stall_limit
         if anti_cycling:
-            enter = -1
-            for j in range(reduced.shape[0]):
-                if reduced[j] < -PIVOT_TOL:
-                    enter = j
-                    break
+            improving = (reduced < -PIVOT_TOL).nonzero()[0]
+            if improving.size == 0:
+                return
+            enter = int(improving[0])
         else:
-            enter = int(np.argmin(reduced))
+            enter = int(reduced.argmin())
             if reduced[enter] >= -PIVOT_TOL:
-                enter = -1
-        if enter < 0:
-            return
-        leave = -1
-        best = np.inf
-        for i in range(n_rows):
-            coef = tableau[i, enter]
-            if coef > PIVOT_TOL:
-                ratio = tableau[i, -1] / coef
-                if leave < 0 or ratio < best:
-                    best, leave = ratio, i
-                elif ratio == best:
-                    if anti_cycling:
-                        better = basis[i] < basis[leave]
-                    else:
-                        better = coef > tableau[leave, enter] or (
-                            coef == tableau[leave, enter] and basis[i] < basis[leave]
-                        )
-                    if better:
-                        leave = i
-        if leave < 0:
-            raise MatrixGameError("linear program is unbounded")
+                return
+        leave = _leaving_row(tableau, basis, enter, anti_cycling)
         _pivot(tableau, leave, enter)
         basis[leave] = enter
     raise MatrixGameError("simplex failed to terminate")
@@ -113,21 +125,22 @@ def _bland(tableau: np.ndarray, basis: list[int], objective_floor: float | None 
 
 def _solve_standard_lp(
     c: np.ndarray, eq: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Minimize ``c @ z`` subject to ``eq @ z == rhs``, ``z >= 0``.
 
     Requires ``rhs >= 0`` (callers arrange signs).  Returns the optimal
-    vector and objective value.
+    vector, the objective value and the final reduced costs ``c - eq.T @ p``,
+    where ``p`` are the optimal dual prices of the equality rows.
     """
     n_rows, n_cols = eq.shape
     tab = np.zeros((n_rows + 1, n_cols + n_rows + 1))
     tab[:n_rows, :n_cols] = eq
     tab[:n_rows, n_cols : n_cols + n_rows] = np.eye(n_rows)
     tab[:n_rows, -1] = rhs
-    basis = list(range(n_cols, n_cols + n_rows))
-    tab[-1, n_cols : n_cols + n_rows] = 1.0
-    for i in range(n_rows):
-        tab[-1] -= tab[i]
+    basis = np.arange(n_cols, n_cols + n_rows)
+    # phase-1 objective: the artificials' sum, priced out (their columns become 0)
+    tab[-1, :n_cols] = -eq.sum(axis=0)
+    tab[-1, -1] = -rhs.sum()
     scale = max(1.0, float(np.max(np.abs(eq))), float(np.max(np.abs(rhs))))
     _bland(tab, basis, objective_floor=_FEAS_TOL * scale)
     if -tab[-1, -1] > _FEAS_TOL * scale:
@@ -135,39 +148,44 @@ def _solve_standard_lp(
     np.clip(tab[:n_rows, -1], 0.0, None, out=tab[:n_rows, -1])
 
     # pivot any artificial still basic (at value 0) onto a real column
-    keep_rows = []
-    for i in range(n_rows):
-        if basis[i] >= n_cols:
-            piv = next(
-                (j for j in range(n_cols) if abs(tab[i, j]) > PIVOT_TOL), None
-            )
-            if piv is None:
-                continue  # redundant zero row
-            _pivot(tab, i, piv)
-            basis[i] = piv
-        keep_rows.append(i)
+    keep = np.ones(n_rows, dtype=bool)
+    for i in np.flatnonzero(basis >= n_cols):
+        nonzero = np.flatnonzero(np.abs(tab[i, :n_cols]) > PIVOT_TOL)
+        if nonzero.size == 0:
+            keep[i] = False  # redundant zero row
+            continue
+        _pivot(tab, i, int(nonzero[0]))
+        basis[i] = nonzero[0]
 
-    phase2 = np.zeros((len(keep_rows) + 1, n_cols + 1))
-    phase2[:-1, :n_cols] = tab[keep_rows, :n_cols]
-    phase2[:-1, -1] = tab[keep_rows, -1]
-    basis2 = [basis[i] for i in keep_rows]
+    rows = np.flatnonzero(keep)
+    phase2 = np.zeros((rows.size + 1, n_cols + 1))
+    phase2[:-1, :n_cols] = tab[rows, :n_cols]
+    phase2[:-1, -1] = tab[rows, -1]
+    basis2 = basis[rows]
     phase2[-1, :n_cols] = c
-    for r in range(len(basis2)):
+    # basic columns are exact unit vectors, so rows with a zero cost change nothing
+    for r in np.flatnonzero(c[basis2]):
         phase2[-1] -= phase2[-1, basis2[r]] * phase2[r]
     _bland(phase2, basis2)
 
+    # Every pivot adds rounding to the tableau, and a forced pivot on a tiny
+    # coefficient multiplies it; so solve the final basis from the original rows.
+    basic = eq[rows][:, basis2]
     z = np.zeros(n_cols)
-    for r, var in enumerate(basis2):
-        z[var] = phase2[r, -1]
-    return z, float(-phase2[-1, -1])
+    z[basis2] = np.linalg.solve(basic, rhs[rows])
+    reduced = c - np.linalg.solve(basic.T, c[basis2]) @ eq[rows]
+    reduced[basis2] = 0.0  # zero by definition; keeps the dual's support exact
+    return z, float(c @ z), reduced
 
 
-def _maximin(payoff: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and optimal mixture for the row player of ``payoff``.
+def _maximin(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value and optimal mixtures of both players of ``payoff``, from one LP.
 
     The matrix is normalized by its largest magnitude first, so the absolute
     pivot tolerance means the same thing whatever the payoff scale; optimal
     strategies are unchanged by positive scaling and the value scales back.
+    The column player's mixture is the dual of the row player's program: the
+    reduced cost of each surplus is its column constraint's dual price.
     """
     m, l = payoff.shape
     norm = float(np.max(np.abs(payoff)))
@@ -175,20 +193,21 @@ def _maximin(payoff: np.ndarray) -> tuple[float, np.ndarray]:
     n_vars = m + 2 + l  # x_1..x_m, v_plus, v_minus, one surplus per column
     eq = np.zeros((l + 1, n_vars))
     rhs = np.zeros(l + 1)
-    for j in range(l):
-        eq[j, :m] = scaled[:, j]
-        eq[j, m] = -1.0
-        eq[j, m + 1] = 1.0
-        eq[j, m + 2 + j] = -1.0
+    eq[:l, :m] = scaled.T
+    eq[:l, m] = -1.0
+    eq[:l, m + 1] = 1.0
+    eq[:l, m + 2 :] = -np.eye(l)
     eq[l, :m] = 1.0
     rhs[l] = 1.0
     c = np.zeros(n_vars)
     c[m] = -1.0
     c[m + 1] = 1.0
-    z, objective = _solve_standard_lp(c, eq, rhs)
-    strategy = np.maximum(z[:m], 0.0)
-    strategy /= strategy.sum()
-    return -objective * (norm if norm > 0.0 else 1.0), strategy
+    z, objective, reduced = _solve_standard_lp(c, eq, rhs)
+    row = np.maximum(z[:m], 0.0)
+    row /= row.sum()
+    col = np.maximum(reduced[m + 2 :], 0.0)
+    col /= col.sum()
+    return -objective * (norm if norm > 0.0 else 1.0), row, col
 
 
 def _point_mass(size: int, index: int) -> np.ndarray:
@@ -197,12 +216,22 @@ def _point_mass(size: int, index: int) -> np.ndarray:
     return e
 
 
+def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: np.ndarray):
+    """``max(A y) - min(x A)``, clipped at 0: the pair's total best-response gain.
+
+    Takes one game or a stack of equally shaped games along leading axes.
+    """
+    best_row = np.einsum("...ij,...j->...i", payoff, col_strategy).max(axis=-1)
+    best_col = np.einsum("...i,...ij->...j", row_strategy, payoff).min(axis=-1)
+    return np.maximum(best_row - best_col, 0.0)
+
+
 def solve_matrix_game(payoff) -> MatrixGameSolution:
     """Solve the zero-sum game with the row player maximizing ``payoff``.
 
-    Both players' programs are solved; their optima agree up to rounding and
-    the difference is reported as ``duality_gap``.  Raises ``ValueError`` for
-    empty or non-finite matrices.
+    One LP gives the row player's strategy and, through its duals, the
+    column player's; their exploitability is reported as ``duality_gap``.
+    Raises ``ValueError`` for empty or non-finite matrices.
     """
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -226,14 +255,9 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
             col_strategy=_point_mass(l, j),
             duality_gap=0.0,
         )
-    v_row, x = _maximin(a)
-    v_col_neg, y = _maximin(-a.T)
-    v_col = -v_col_neg
+    value, x, y = _maximin(a)
     return MatrixGameSolution(
-        value=v_row,
-        row_strategy=x,
-        col_strategy=y,
-        duality_gap=abs(v_row - v_col),
+        value=value, row_strategy=x, col_strategy=y, duality_gap=float(exploitability(a, x, y))
     )
 
 

@@ -161,8 +161,12 @@ class GameModel:
         return tuple(self.weight[x] for x in self.states)
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _positive_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0.0
+    return _finite_number(value) and value > 0.0
 
 
 def validate_model(m: GameModel) -> list[str]:
@@ -190,8 +194,8 @@ def validate_model(m: GameModel) -> list[str]:
         w = m.weight.get(x)
         if w is None:
             out.append(f"weight missing for state {x!r}")
-        elif not (isinstance(w, (int, float)) and w >= 1.0):
-            out.append(f"weight must be >= 1: state {x!r} has {w!r}")
+        elif not (_finite_number(w) and w >= 1.0):
+            out.append(f"weight must be >= 1 and finite: state {x!r} has {w!r}")
     if structural:  # per-triple checks need well-formed action sets
         return out
 
@@ -224,17 +228,23 @@ def validate_model(m: GameModel) -> list[str]:
             continue
         alpha = m.discount[t]
         if not _positive_number(alpha):
-            out.append(f"discount must be positive: triple {t!r} has {alpha!r}")
-        if not isinstance(m.payoff[t], (int, float)) or isinstance(m.payoff[t], bool):
-            out.append(f"payoff must be a real number: triple {t!r}")
+            out.append(f"discount must be positive and finite: triple {t!r} has {alpha!r}")
+        if not _finite_number(m.payoff[t]):
+            out.append(f"payoff must be a finite real number: triple {t!r} has {m.payoff[t]!r}")
         out.extend(_sojourn_violations(m.sojourn[t], alpha, t))
         row = m.transition[t]
         if len(row) != n:
             out.append(f"transition row must have {n} entries: triple {t!r} has {len(row)}")
             continue
-        if any(p < 0.0 for p in row):
+        try:
+            total = math.fsum(row)
+        except (OverflowError, ValueError):  # raised for inf - inf and on overflow
+            total = math.nan
+        if not math.isfinite(total):
+            out.append(f"transition probabilities must be finite: triple {t!r}")
+            continue
+        if min(row) < 0.0:
             out.append(f"transition probabilities must be nonnegative: triple {t!r}")
-        total = math.fsum(row)
         if abs(total - 1.0) > TRANSITION_SUM_TOL:
             out.append(f"transition row must sum to 1 (got {total!r}): triple {t!r}")
     return out
@@ -243,19 +253,19 @@ def validate_model(m: GameModel) -> list[str]:
 def _sojourn_violations(law: SojournLaw, alpha, triple: Triple) -> list[str]:
     if isinstance(law, Exponential):
         if not _positive_number(law.rate):
-            return [f"exponential rate must be positive: triple {triple!r}"]
+            return [f"exponential rate must be positive and finite: triple {triple!r}"]
     elif isinstance(law, Uniform):
         if not _positive_number(law.upper):
-            return [f"uniform upper bound must be positive: triple {triple!r}"]
+            return [f"uniform upper bound must be positive and finite: triple {triple!r}"]
     elif isinstance(law, Deterministic):
         if not _positive_number(law.duration):
-            return [f"deterministic duration must be positive: triple {triple!r}"]
+            return [f"deterministic duration must be positive and finite: triple {triple!r}"]
     elif isinstance(law, DirectWeights):
         out = []
         if not (isinstance(law.lam, (int, float)) and 0.0 < law.lam < 1.0):
             out.append(f"direct-weight lam must lie in (0, 1): triple {triple!r}")
-        if not (isinstance(law.d, (int, float)) and law.d >= 0.0):
-            out.append(f"direct-weight d must be nonnegative: triple {triple!r}")
+        if not (_finite_number(law.d) and law.d >= 0.0):
+            out.append(f"direct-weight d must be finite and nonnegative: triple {triple!r}")
         if not out and _positive_number(alpha):
             implied = (1.0 - law.lam) / alpha
             if abs(law.d - implied) > DIRECT_WEIGHT_REL_TOL * max(1.0, abs(implied)):

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discounting import discounted_kernel_row
-from .matrixgame import solve_matrix_game
+from .matrixgame import exploitability, solve_matrix_game
 from .model import GameModel
 
 SIMPLEX_TOL = 1e-10
+# a warm-started state's pair must be this exact, relative to max(1, max|C|)
+WARM_START_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,18 +108,85 @@ class ShapleyOperator:
         u = self._value_vector(values)
         return self.base[state_index] + self.cont[state_index] @ u
 
-    def apply(self, values) -> tuple[np.ndarray, StationaryStrategyPair]:
-        """One operator application: per-state game values and saddle pair."""
+    def apply(
+        self, values, previous: StationaryStrategyPair | None = None
+    ) -> tuple[np.ndarray, StationaryStrategyPair]:
+        """One operator application: per-state game values and saddle pair.
+
+        Without ``previous`` every state's game is solved by the simplex of
+        :func:`solve_matrix_game`; that is the reference path.  With
+        ``previous`` (the pair of the last application) each state whose
+        previous supports are square, of size ``k``, first solves both
+        players' equalizer systems on that ``k x k`` submatrix; states are
+        grouped by ``k`` and matrix shape, and each group is one stacked
+        ``np.linalg.solve``.
+        A state keeps that result only when both strategies are ``>= 0`` and
+        their exploitability ``max(C y) - min(x C)`` is at most
+        ``WARM_START_TOL * max(1, max|C|)``.  Every other state, and every
+        state of a group whose stack is singular, goes to the simplex.
+        """
         u = self._value_vector(values)
+        matrices = [self.base[xi] + self.cont[xi] @ u for xi in range(self.n)]
         out = np.empty(self.n)
-        f: dict[str, np.ndarray] = {}
-        g: dict[str, np.ndarray] = {}
+        rows: list[np.ndarray | None] = [None] * self.n
+        cols: list[np.ndarray | None] = [None] * self.n
+        pending = range(self.n)
+        if previous is not None:
+            pending = self._warm_start(matrices, previous, out, rows, cols)
+        for xi in pending:
+            sol = solve_matrix_game(matrices[xi])
+            out[xi], rows[xi], cols[xi] = sol.value, sol.row_strategy, sol.col_strategy
+        states = self.model.states
+        return out, StationaryStrategyPair(f=dict(zip(states, rows)), g=dict(zip(states, cols)))
+
+    def _warm_start(self, matrices, previous, out, rows, cols) -> list[int]:
+        """Fill the states the previous supports solve; return the others."""
+        groups: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        rest: list[int] = []
         for xi, x in enumerate(self.model.states):
-            sol = solve_matrix_game(self.base[xi] + self.cont[xi] @ u)
-            out[xi] = sol.value
-            f[x] = sol.row_strategy
-            g[x] = sol.col_strategy
-        return out, StationaryStrategyPair(f=f, g=g)
+            c = matrices[xi]
+            fv, gv = previous.f.get(x), previous.g.get(x)
+            if fv is None or gv is None or fv.shape != (c.shape[0],) or gv.shape != (c.shape[1],):
+                rest.append(xi)
+                continue
+            rs, cs = fv.nonzero()[0], gv.nonzero()[0]
+            if rs.size == cs.size:
+                groups.setdefault((rs.size, *c.shape), []).append((xi, rs, cs))
+            else:
+                rest.append(xi)
+        for (k, n_rows, n_cols), members in groups.items():
+            size = len(members)
+            idx = np.array([xi for xi, _, _ in members])
+            c = np.stack([matrices[xi] for xi in idx])
+            rs = np.stack([r for _, r, _ in members])
+            cs = np.stack([r for _, _, r in members])
+            at = np.arange(size)[:, None]
+            sub = c[at[:, :, None], rs[:, :, None], cs[:, None, :]]
+            # unknowns (x_S, v) and (y_T, v): x C[S, T] = v, C[S, T] y = v, each mixture sums to 1
+            system = np.zeros((2, size, k + 1, k + 1))
+            system[0, :, :k, :k] = sub.transpose(0, 2, 1)
+            system[1, :, :k, :k] = sub
+            system[:, :, :k, k] = -1.0
+            system[:, :, k, :k] = 1.0
+            rhs = np.zeros((2, size, k + 1, 1))
+            rhs[:, :, k] = 1.0
+            try:
+                solved = np.linalg.solve(system, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                rest.extend(idx.tolist())
+                continue
+            x = np.zeros((size, n_rows))
+            x[at, rs] = solved[0, :, :k]
+            y = np.zeros((size, n_cols))
+            y[at, cs] = solved[1, :, :k]
+            tol = WARM_START_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+            # NaN from a near-singular system fails every comparison
+            ok = (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0) & (exploitability(c, x, y) <= tol)
+            for n in ok.nonzero()[0]:
+                xi = idx[n]
+                out[xi], rows[xi], cols[xi] = solved[0, n, k], x[n], y[n]
+            rest.extend(idx[~ok].tolist())
+        return sorted(rest)
 
 
 def build_payoff_matrix(m: GameModel, values, state: str) -> np.ndarray:
@@ -156,8 +225,12 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     with partial pivoting plus one refinement step), so the result is an
     iteration-free oracle with residual below 1e-10 in the weighted sup-norm.
     """
-    op = ShapleyOperator(m)
-    vecs = _pair_arrays(m, pair)
+    return _evaluate_with(ShapleyOperator(m), pair)
+
+
+def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndarray:
+    """:func:`evaluate_stationary_pair` on an operator already built."""
+    vecs = _pair_arrays(op.model, pair)
     n = op.n
     moved = np.zeros((n, n))
     rewards = np.zeros(n)

@@ -15,12 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import (
-    ShapleyOperator,
-    StationaryStrategyPair,
-    evaluate_stationary_pair,
-    omega_norm,
-)
+from .shapley import ShapleyOperator, StationaryStrategyPair, _evaluate_with, omega_norm
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -124,7 +119,7 @@ def value_iterate(
                 f"no convergence within {max_iter} applications "
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
-        updated, pair = op.apply(current)
+        updated, pair = op.apply(current, pair)
         trace.append(omega_norm(updated - current, op.weights))
         values.append(tuple(float(v) for v in updated))
         current = updated
@@ -173,8 +168,8 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     response of each player against the pair's own value.  A positive
     violation means some deviation gains more than ``tol``.
     """
-    values = evaluate_stationary_pair(m, report.equilibrium)
     op = ShapleyOperator(m)
+    values = _evaluate_with(op, report.equilibrium)
     per_state: dict[str, float] = {}
     for xi, x in enumerate(m.states):
         c = op.payoff_matrix(values, xi)

@@ -1,14 +1,15 @@
 """Command-line interface: subcommands, artifacts, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from smgsolve import evaluate_stationary_pair, load_model, value_iterate
+from smgsolve import ModelValidationError, evaluate_stationary_pair, load_model, value_iterate
 from smgsolve.cli import RunConfig, config_from_args, main, run
 
-from conftest import INVESTMENT_DOC, MODELS_DIR
+from conftest import INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC
 
 INVESTMENT = str(MODELS_DIR / "investment.json")
 
@@ -195,6 +196,34 @@ def test_invalid_model_document_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(RunConfig(command="check", model=str(bad))) == 2
     assert "sum to 1" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "base, mutate, culprit",
+    [
+        (SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=INF),
+         "('only', 'stay', 'stay')"),
+        (INVESTMENT_DOC, lambda d: d["triples"][5].update(reward=NAN), "('2', 'a21', 'b22')"),
+        (SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(rate=INF),
+         "('only', 'stay', 'stay')"),
+        (INVESTMENT_DOC, lambda d: d["triples"][9]["transition"].update({"1": NAN}),
+         "('3', 'a31', 'b32')"),
+        (INVESTMENT_DOC, lambda d: d["weight"].update({"2": INF}), "state '2'"),
+    ],
+    ids=["alpha-infinity", "reward-nan", "rate-infinity", "transition-nan", "weight-infinity"],
+)
+def test_non_finite_numbers_exit_2_naming_the_culprit(tmp_path, capsys, base, mutate, culprit):
+    doc = json.loads(json.dumps(base))
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # json writes the NaN and Infinity literals it also reads
+    with pytest.raises(ModelValidationError, match=re.escape(culprit)):
+        load_model(path.read_text())
+    assert run(RunConfig(command="solve", model=str(path), report_out=str(tmp_path / "r.json"))) == 2
+    assert culprit in capsys.readouterr().err
 
 
 def test_main_parses_argv(tmp_path, model_file):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smgsolve import (
+    ShapleyOperator,
     StationaryStrategyPair,
     apply_shapley_operator,
     apply_strategy_operator,
@@ -17,6 +18,7 @@ from smgsolve import (
     omega_norm,
     solve_matrix_game,
     value_iterate,
+    verify_saddle_point,
 )
 
 from conftest import INVESTMENT_VALUES, random_model, random_pair
@@ -195,3 +197,63 @@ def test_minimax_equals_maximin_at_every_state(investment_model):
         maximin = solve_matrix_game(c).value
         minimax = -solve_matrix_game(-c.T).value
         assert maximin == pytest.approx(minimax, abs=1e-9)
+
+
+@pytest.fixture()
+def simplex_calls(monkeypatch):
+    """Count the per-state games ``ShapleyOperator.apply`` hands to the simplex."""
+    import smgsolve.shapley as shapley
+
+    calls = []
+    solve = shapley.solve_matrix_game
+    monkeypatch.setattr(shapley, "solve_matrix_game", lambda c: calls.append(c) or solve(c))
+    return calls
+
+
+def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
+    rng = np.random.default_rng(53)
+    states = warm_solved = 0
+    for _ in range(30):
+        m = random_model(rng, max_actions=5)
+        op = ShapleyOperator(m)
+        _, guess = op.apply(rng.normal(size=m.n_states) * 20.0)
+        u = rng.normal(size=m.n_states) * 20.0
+        cold, _ = op.apply(u)
+        simplex_calls.clear()
+        warm, pair = op.apply(u, guess)
+        states += m.n_states
+        warm_solved += m.n_states - len(simplex_calls)
+        for xi, x in enumerate(m.states):
+            c = op.payoff_matrix(u, xi)
+            scale = max(1.0, float(np.max(np.abs(c))))
+            assert warm[xi] == pytest.approx(cold[xi], abs=1e-9 * scale)
+            ok, violation = verify_saddle_point(c, pair.f[x], pair.g[x], 1e-9 * scale)
+            assert ok, violation
+    assert 0 < warm_solved < states  # both the equalizer and the simplex ran
+
+
+@pytest.mark.parametrize("duplicated", ["rows", "columns"])
+def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_calls):
+    # every triple shares its law and successor, so equal rewards give equal rows or columns of C
+    rewards = {"rows": [[3.0, -1.0], [3.0, -1.0]], "columns": [[3.0, 3.0], [-1.0, -1.0]]}[duplicated]
+    doc = {
+        "states": ["s"],
+        "actions1": {"s": ["a1", "a2"]},
+        "actions2": {"s": ["b1", "b2"]},
+        "triples": [
+            {"state": "s", "a": a, "b": b, "alpha": 1.0, "reward": rewards[i][j],
+             "sojourn": {"kind": "exponential", "rate": 2.0}, "transition": {"s": 1.0}}
+            for i, a in enumerate(("a1", "a2"))
+            for j, b in enumerate(("b1", "b2"))
+        ],
+    }
+    op = ShapleyOperator(load_model(json.dumps(doc)))
+    guess = StationaryStrategyPair(f={"s": np.array([0.5, 0.5])}, g={"s": np.array([0.5, 0.5])})
+    u = np.array([1.5])
+    cold, cold_pair = op.apply(u)
+    simplex_calls.clear()
+    warm, pair = op.apply(u, guess)
+    assert len(simplex_calls) == 1
+    np.testing.assert_array_equal(warm, cold)
+    np.testing.assert_array_equal(pair.f["s"], cold_pair.f["s"])
+    np.testing.assert_array_equal(pair.g["s"], cold_pair.g["s"])

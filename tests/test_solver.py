@@ -16,6 +16,7 @@ from smgsolve import (
     check_assumptions,
     iteration_bound,
     load_model,
+    omega_norm,
     solve_matrix_game,
     strategy_tables,
     trace_csv,
@@ -114,6 +115,34 @@ def test_observed_iterations_within_bound_on_random_models():
         assert report.iterations <= report.n_epsilon_bound
         # every converged report admits no profitable one-shot deviation
         assert certify_solution(m, report, tol=2.0 * report.epsilon_nash).passed
+
+
+def _cold_solve(m, epsilon):
+    """Value iteration from 0 with every application cold (the simplex reference path)."""
+    op = ShapleyOperator(m)
+    current = np.zeros(op.n)
+    applications = 0
+    while True:
+        updated, _ = op.apply(current)
+        applications += 1
+        if omega_norm(updated - current, op.weights) < epsilon:
+            return applications, updated
+        current = updated
+
+
+def test_warm_start_keeps_the_application_count(investment_model):
+    models = [(investment_model, check_assumptions(investment_model))]
+    rng = np.random.default_rng(113)  # the random models of acceptance criterion 10
+    while len(models) < 21:
+        m = random_model(rng, unit_weight=bool(rng.integers(0, 2)))
+        cert = check_assumptions(m)
+        if cert.passed:
+            models.append((m, cert))
+    for m, cert in models:
+        report = value_iterate(m, 1e-6, certificate=cert)
+        applications, values = _cold_solve(m, 1e-6)
+        assert len(report.error_trace) == applications
+        assert omega_norm(report.epsilon_value - values, m.weight_vector()) <= 1e-10
 
 
 def test_final_strategies_match_the_equalization_oracle(investment_model):
