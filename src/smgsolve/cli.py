@@ -73,6 +73,13 @@ def _read(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_model(config: RunConfig) -> tuple[GameModel, str]:
     if not config.model:
         raise _InputError("a model path is required")
@@ -100,10 +107,7 @@ def _initial_values(config: RunConfig, m: GameModel) -> np.ndarray | None:
         return np.full(m.n_states, float(config.v0))
     except ValueError:
         pass
-    try:
-        table = json.loads(_read(config.v0))
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"v0 file is not valid JSON: {exc}") from exc
+    table = _parse_json(_read(config.v0), "v0 file")
     try:
         if isinstance(table, dict):
             missing = [x for x in m.states if x not in table]
@@ -120,10 +124,7 @@ def _initial_values(config: RunConfig, m: GameModel) -> np.ndarray | None:
 def _load_pair(config: RunConfig, m: GameModel) -> StationaryStrategyPair:
     if not config.strategies_in:
         raise _InputError("a strategies file is required")
-    try:
-        table = json.loads(_read(config.strategies_in))
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"strategies file is not valid JSON: {exc}") from exc
+    table = _parse_json(_read(config.strategies_in), "strategies file")
     if not isinstance(table, dict):
         raise _InputError("strategies file must be an object keyed by state")
     f, g = {}, {}
@@ -183,7 +184,7 @@ def _cmd_eval(config: RunConfig) -> int:
     pair = _load_pair(config, m)
     try:
         values = evaluate_stationary_pair(m, pair)
-    except ValueError as exc:
+    except ArithmeticError as exc:  # a continuation factor of 1 makes the system singular
         raise _InputError(str(exc)) from exc
     payload = {"values": {x: float(v) for x, v in zip(m.states, values)}}
     _emit(_artifact(config, digest, payload), config.out)
@@ -222,10 +223,7 @@ def _cmd_game(config: RunConfig) -> int:
     text = config.matrix
     if not text.lstrip().startswith("["):
         text = _read(text)
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"matrix is not valid JSON: {exc}") from exc
+    rows = _parse_json(text, "matrix")
     numeric = (
         isinstance(rows, list)
         and rows
@@ -236,10 +234,7 @@ def _cmd_game(config: RunConfig) -> int:
     )
     if not numeric:
         raise _InputError("matrix must be a JSON array of arrays of numbers")
-    try:
-        sol = solve_matrix_game(rows)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    sol = solve_matrix_game(rows)
     ok, violation = verify_saddle_point(
         rows, sol.row_strategy, sol.col_strategy, tol=1e-9 * max(1.0, abs(sol.value))
     )
@@ -269,10 +264,7 @@ def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     try:
         return _COMMANDS[config.command](config)
-    except (_InputError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (_InputError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -9,28 +9,17 @@ value recursion needs is two scalars:
   (the integral of ``exp(-alpha t)`` against ``H(dt)``).
 
 Integration by parts ties them together: ``d == (1 - lam) / alpha``.  All
-supported laws have closed forms, so the coefficients are exact and cheap;
-numerical quadrature appears only in the test suite as an independent check.
+supported laws have closed forms, each kept with its law class in
+:mod:`smgsolve.model` (``continuation``), so the coefficients are exact and
+cheap; numerical quadrature appears only in the test suite as an independent
+check.  A model's coefficients are computed once, into its triple table.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Deterministic,
-    DirectWeights,
-    Exponential,
-    GameModel,
-    SojournLaw,
-    Triple,
-    Uniform,
-)
-
-# Below this value of alpha*upper the uniform closed form (1 - e^-z)/z is
-# replaced by its Taylor expansion; the truncation error is below 1 ulp there.
-_UNIFORM_SERIES_CUTOFF = 1e-8
+from .model import GameModel, SojournLaw, Triple
 
 
 @dataclass(frozen=True)
@@ -44,24 +33,13 @@ class DiscountedCoefficients:
 def continuation_weight(law: SojournLaw, alpha: float) -> float:
     """Expected discount accrued over one sojourn, in (0, 1).
 
-    Closed forms: ``rate/(alpha+rate)`` for exponential, ``(1-e^-z)/z`` with
-    ``z = alpha*upper`` for uniform, ``e^(-alpha*duration)`` for
-    deterministic.  Direct weights pass through unchanged.
+    The closed form is the law's own ``continuation``: ``rate/(alpha+rate)``
+    for exponential, ``(1-e^-z)/z`` with ``z = alpha*upper`` for uniform,
+    ``e^(-alpha*duration)`` for deterministic; direct weights pass through.
     """
     if alpha <= 0.0:
         raise ValueError(f"discount rate must be positive, got {alpha!r}")
-    if isinstance(law, Exponential):
-        return law.rate / (alpha + law.rate)
-    if isinstance(law, Uniform):
-        z = alpha * law.upper
-        if z < _UNIFORM_SERIES_CUTOFF:
-            return 1.0 - z / 2.0 + z * z / 6.0
-        return -math.expm1(-z) / z
-    if isinstance(law, Deterministic):
-        return math.exp(-alpha * law.duration)
-    if isinstance(law, DirectWeights):
-        return law.lam
-    raise TypeError(f"unsupported sojourn law {law!r}")
+    return law.continuation(alpha)
 
 
 def reward_weight(law: SojournLaw, alpha: float) -> float:
@@ -83,8 +61,11 @@ def discounted_kernel_row(
     and sum to ``lam``.  Raises ``KeyError`` for a triple the model does not
     contain.
     """
-    if triple not in m.discount:
+    t = m.table
+    i = t.where.get(triple)
+    if i is None:
         raise KeyError(f"unknown triple {triple!r}")
-    c = coefficients(m.sojourn[triple], m.discount[triple])
-    row = c.lam * np.asarray(m.transition[triple], dtype=float)
-    return c.d, c.lam, row
+    lo, hi = t.indptr[i], t.indptr[i + 1]
+    row = np.zeros(t.n_states)
+    row[t.succ[lo:hi]] = t.lam[i] * t.prob[lo:hi]
+    return float(t.d[i]), float(t.lam[i]), row

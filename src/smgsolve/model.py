@@ -31,16 +31,26 @@ The serialized form is a single JSON object::
 
 Sojourn kinds and their parameters: ``exponential`` (``rate``), ``uniform``
 (``upper``), ``deterministic`` (``duration``), ``direct`` (``d``, ``lam``).
+Each kind is one law class, the one home of its serializer, parameter
+checks, closed-form continuation factor, cdf and holding-time draw.  The
+other layers read a model through its cached :class:`TripleTable`.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import ClassVar
+
+import numpy as np
 
 Triple = tuple[str, str, str]
 
 TRANSITION_SUM_TOL = 1e-12
 DIRECT_WEIGHT_REL_TOL = 1e-9
+# Below this value of alpha*upper the uniform closed form (1 - e^-z)/z is
+# replaced by its Taylor expansion; the truncation error is below 1 ulp there.
+_UNIFORM_SERIES_CUTOFF = 1e-8
 
 
 class ModelError(Exception):
@@ -55,47 +65,91 @@ class ModelValidationError(ModelError):
     """A structurally well-formed model violates an invariant."""
 
 
+class NotSamplableError(ValueError):
+    """The model carries direct-weight laws, which have no distribution to draw."""
+
+
+class _Law:
+    """One JSON sojourn kind: serializer, checks, closed forms, holding-time draw."""
+
+    kind: ClassVar[str]
+    label: ClassVar[str]  # the parameter as validation messages name it
+
+    @property
+    def param(self) -> float:  # the first field, the one TripleTable stores
+        return next(iter(vars(self).values()))
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, **vars(self)}
+
+    def violations(self, alpha, triple: Triple) -> list[str]:
+        if _positive_number(self.param):
+            return []
+        return [f"{self.kind} {self.label} must be positive and finite: triple {triple!r}"]
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Law):
     """Exponential holding time with the given rate (events per unit time)."""
 
     rate: float
+    kind: ClassVar[str] = "exponential"
+    label: ClassVar[str] = "rate"
+
+    def continuation(self, alpha: float) -> float:
+        return self.rate / (alpha + self.rate)
 
     def cdf(self, t: float) -> float:
         return -math.expm1(-self.rate * t) if t > 0.0 else 0.0
 
-    def mean(self) -> float:
-        return 1.0 / self.rate
+    @staticmethod
+    def holding_time(u, rate):
+        return -np.log1p(-u) / rate
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Law):
     """Holding time uniformly distributed on [0, upper]."""
 
     upper: float
+    kind: ClassVar[str] = "uniform"
+    label: ClassVar[str] = "upper bound"
+
+    def continuation(self, alpha: float) -> float:
+        z = alpha * self.upper
+        if z < _UNIFORM_SERIES_CUTOFF:
+            return 1.0 - z / 2.0 + z * z / 6.0
+        return -math.expm1(-z) / z
 
     def cdf(self, t: float) -> float:
         return min(max(t / self.upper, 0.0), 1.0)
 
-    def mean(self) -> float:
-        return 0.5 * self.upper
+    @staticmethod
+    def holding_time(u, upper):
+        return u * upper
 
 
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(_Law):
     """Holding time fixed at `duration`."""
 
     duration: float
+    kind: ClassVar[str] = "deterministic"
+    label: ClassVar[str] = "duration"
+
+    def continuation(self, alpha: float) -> float:
+        return math.exp(-alpha * self.duration)
 
     def cdf(self, t: float) -> float:
         return 1.0 if t >= self.duration else 0.0
 
-    def mean(self) -> float:
-        return self.duration
+    @staticmethod
+    def holding_time(u, duration):
+        return duration
 
 
 @dataclass(frozen=True)
-class DirectWeights:
+class DirectWeights(_Law):
     """Pre-integrated discount coefficients for an arbitrary holding-time law.
 
     ``d`` is the expected discounted sojourn duration and ``lam`` the expected
@@ -109,16 +163,83 @@ class DirectWeights:
 
     d: float
     lam: float
+    kind: ClassVar[str] = "direct"
+
+    def continuation(self, alpha: float) -> float:
+        return self.lam
+
+    def violations(self, alpha, triple: Triple) -> list[str]:
+        out = []
+        if not (isinstance(self.lam, (int, float)) and 0.0 < self.lam < 1.0):
+            out.append(f"direct-weight lam must lie in (0, 1): triple {triple!r}")
+        if not (_finite_number(self.d) and self.d >= 0.0):
+            out.append(f"direct-weight d must be finite and nonnegative: triple {triple!r}")
+        if not out and _positive_number(alpha):
+            implied = (1.0 - self.lam) / alpha
+            if abs(self.d - implied) > DIRECT_WEIGHT_REL_TOL * max(1.0, abs(implied)):
+                out.append(
+                    f"direct weights inconsistent with discount rate "
+                    f"(d={self.d!r}, expected {implied!r}): triple {triple!r}"
+                )
+        return out
+
+    @staticmethod
+    def holding_time(u, param):
+        raise NotSamplableError("direct weights carry no holding-time law to sample")
 
 
 SojournLaw = Exponential | Uniform | Deterministic | DirectWeights
 
-_SOJOURN_KINDS = {
-    "exponential": (Exponential, ("rate",)),
-    "uniform": (Uniform, ("upper",)),
-    "deterministic": (Deterministic, ("duration",)),
-    "direct": (DirectWeights, ("d", "lam")),
-}
+# laws with a holding-time distribution, then the rest; a law's position in
+# LAWS is its kind code in TripleTable.kind
+ANALYTIC_LAWS = (Exponential, Uniform, Deterministic)
+LAWS = (*ANALYTIC_LAWS, DirectWeights)
+_KINDS = {law.kind: law for law in LAWS}
+
+
+class TripleTable:
+    """Every admissible triple of a model as flat arrays, in declaration order.
+
+    Row ``i`` is triple ``labels[i]`` (``where`` inverts that).  State ``x``
+    owns rows ``offset[x]:offset[x + 1]``, ``rows[x]`` by ``cols[x]`` of
+    them, player 1's action major.  ``kind`` indexes :data:`LAWS`.  Row
+    ``i``'s successors are ``succ[indptr[i]:indptr[i + 1]]`` (nonzeros only,
+    in state order) with probabilities ``prob`` at the same positions.
+    """
+
+    def __init__(self, m: "GameModel"):
+        self.labels = tuple(m.triples())
+        self.where = {t: i for i, t in enumerate(self.labels)}
+        self.n_states = m.n_states
+        self.rows = np.array([len(m.actions1[x]) for x in m.states])
+        self.cols = np.array([len(m.actions2[x]) for x in m.states])
+        self.offset = np.concatenate(([0], np.cumsum(self.rows * self.cols)))
+        self.state = np.repeat(np.arange(m.n_states), self.rows * self.cols)
+        self.alpha = np.array([m.discount[t] for t in self.labels])
+        self.reward = np.array([m.payoff[t] for t in self.labels])
+        laws = [m.sojourn[t] for t in self.labels]
+        self.kind = np.array([LAWS.index(type(law)) for law in laws], dtype=np.int8)
+        self.param = np.array([law.param for law in laws])
+        self.lam = np.array([law.continuation(a) for law, a in zip(laws, self.alpha.tolist())])
+        self.d = (1.0 - self.lam) / self.alpha
+        nnz, succ, prob = [], [], []
+        # state by state, so that no dense (triples x states) array is ever built
+        for lo, hi in zip(self.offset[:-1].tolist(), self.offset[1:].tolist()):
+            block = np.array([m.transition[t] for t in self.labels[lo:hi]])
+            r, c = block.nonzero()
+            nnz.append(np.bincount(r, minlength=hi - lo))
+            succ.append(c)
+            prob.append(block[r, c])
+        self.indptr = np.concatenate(([0], np.cumsum(np.concatenate(nnz))))
+        self.succ = np.concatenate(succ)
+        self.prob = np.concatenate(prob)
+
+    def dense_transitions(self) -> np.ndarray:
+        """Transition rows as a ``(triples, states)`` array."""
+        nz_row = np.repeat(np.arange(len(self.labels)), np.diff(self.indptr))
+        out = np.zeros((len(self.labels), self.n_states))
+        out[nz_row, self.succ] = self.prob
+        return out
 
 
 @dataclass(frozen=True)
@@ -127,7 +248,8 @@ class GameModel:
 
     ``transition`` vectors are dense and aligned with ``states``; all maps are
     keyed by ``(state, action1, action2)`` triples.  Instances are not mutated
-    after validation and are safe to share across threads.
+    after validation and are safe to share across threads; ``table`` and the
+    state index are cached on first use and take no part in ``==``.
     """
 
     states: tuple[str, ...]
@@ -143,10 +265,19 @@ class GameModel:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def table(self) -> TripleTable:
+        """The per-triple arrays the operator, certificate and sampler read."""
+        return TripleTable(self)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.states)}
+
     def state_index(self, state: str) -> int:
         try:
-            return self.states.index(state)
-        except ValueError:
+            return self._index[state]
+        except KeyError:
             raise KeyError(f"unknown state {state!r}") from None
 
     def triples(self):
@@ -160,9 +291,18 @@ class GameModel:
         """Weights aligned with the state ordering."""
         return tuple(self.weight[x] for x in self.states)
 
+    def payoff_bound(self) -> float:
+        """The smallest ``M`` with ``|reward| <= M * omega(x)`` at every triple."""
+        t = self.table
+        return float(np.max(np.abs(t.reward) / np.asarray(self.weight_vector())[t.state]))
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return _number(value) and math.isfinite(value)
 
 
 def _positive_number(value) -> bool:
@@ -201,28 +341,20 @@ def validate_model(m: GameModel) -> list[str]:
 
     expected = list(m.triples())
     expected_set = set(expected)
-    for name, table in (
-        ("discount", m.discount),
-        ("payoff", m.payoff),
-        ("sojourn", m.sojourn),
-        ("transition", m.transition),
-    ):
+    tables = {
+        "discount": m.discount,
+        "payoff": m.payoff,
+        "sojourn": m.sojourn,
+        "transition": m.transition,
+    }
+    for name, table in tables.items():
         extra = set(table) - expected_set
         if extra:
             out.append(f"{name} has entries for inadmissible triples: {sorted(extra)!r}")
 
     n = m.n_states
     for t in expected:
-        missing = [
-            name
-            for name, table in (
-                ("discount", m.discount),
-                ("payoff", m.payoff),
-                ("sojourn", m.sojourn),
-                ("transition", m.transition),
-            )
-            if t not in table
-        ]
+        missing = [name for name, table in tables.items() if t not in table]
         if missing:
             out.append(f"triple {t!r} missing entries: {', '.join(missing)}")
             continue
@@ -231,7 +363,11 @@ def validate_model(m: GameModel) -> list[str]:
             out.append(f"discount must be positive and finite: triple {t!r} has {alpha!r}")
         if not _finite_number(m.payoff[t]):
             out.append(f"payoff must be a finite real number: triple {t!r} has {m.payoff[t]!r}")
-        out.extend(_sojourn_violations(m.sojourn[t], alpha, t))
+        law = m.sojourn[t]
+        if type(law) in LAWS:
+            out.extend(law.violations(alpha, t))
+        else:
+            out.append(f"unsupported sojourn law {law!r}: triple {t!r}")
         row = m.transition[t]
         if len(row) != n:
             out.append(f"transition row must have {n} entries: triple {t!r} has {len(row)}")
@@ -250,35 +386,6 @@ def validate_model(m: GameModel) -> list[str]:
     return out
 
 
-def _sojourn_violations(law: SojournLaw, alpha, triple: Triple) -> list[str]:
-    if isinstance(law, Exponential):
-        if not _positive_number(law.rate):
-            return [f"exponential rate must be positive and finite: triple {triple!r}"]
-    elif isinstance(law, Uniform):
-        if not _positive_number(law.upper):
-            return [f"uniform upper bound must be positive and finite: triple {triple!r}"]
-    elif isinstance(law, Deterministic):
-        if not _positive_number(law.duration):
-            return [f"deterministic duration must be positive and finite: triple {triple!r}"]
-    elif isinstance(law, DirectWeights):
-        out = []
-        if not (isinstance(law.lam, (int, float)) and 0.0 < law.lam < 1.0):
-            out.append(f"direct-weight lam must lie in (0, 1): triple {triple!r}")
-        if not (_finite_number(law.d) and law.d >= 0.0):
-            out.append(f"direct-weight d must be finite and nonnegative: triple {triple!r}")
-        if not out and _positive_number(alpha):
-            implied = (1.0 - law.lam) / alpha
-            if abs(law.d - implied) > DIRECT_WEIGHT_REL_TOL * max(1.0, abs(implied)):
-                out.append(
-                    f"direct weights inconsistent with discount rate "
-                    f"(d={law.d!r}, expected {implied!r}): triple {triple!r}"
-                )
-        return out
-    else:
-        return [f"unsupported sojourn law {law!r}: triple {triple!r}"]
-    return []
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ModelFormatError(message)
@@ -288,18 +395,16 @@ def _parse_sojourn(obj, triple: Triple) -> SojournLaw:
     _require(isinstance(obj, dict), f"sojourn must be an object: triple {triple!r}")
     kind = obj.get("kind")
     _require(
-        kind in _SOJOURN_KINDS,
-        f"sojourn kind must be one of {sorted(_SOJOURN_KINDS)}: triple {triple!r}",
+        kind in _KINDS,
+        f"sojourn kind must be one of {sorted(_KINDS)}: triple {triple!r}",
     )
-    cls, params = _SOJOURN_KINDS[kind]
+    cls = _KINDS[kind]
+    params = [f.name for f in fields(cls)]
     values = []
     for p in params:
         _require(p in obj, f"sojourn {kind!r} needs parameter {p!r}: triple {triple!r}")
         v = obj[p]
-        _require(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"sojourn parameter {p!r} must be a number: triple {triple!r}",
-        )
+        _require(_number(v), f"sojourn parameter {p!r} must be a number: triple {triple!r}")
         values.append(float(v))
     extra = set(obj) - {"kind", *params}
     _require(not extra, f"sojourn {kind!r} has unknown parameters {sorted(extra)}: triple {triple!r}")
@@ -342,6 +447,7 @@ def load_model(text: str) -> GameModel:
         "'states' must be a nonempty array of strings",
     )
     states: tuple[str, ...] = tuple(raw_states)
+    index = {x: i for i, x in enumerate(states)}
     actions1 = _parse_actions(doc, "actions1", states)
     actions2 = _parse_actions(doc, "actions2", states)
 
@@ -351,10 +457,7 @@ def load_model(text: str) -> GameModel:
         _require(isinstance(table, dict), "'weight' must be an object mapping state to number")
         for x, w in table.items():
             _require(x in weight, f"'weight' lists unknown state {x!r}")
-            _require(
-                isinstance(w, (int, float)) and not isinstance(w, bool),
-                f"weight for state {x!r} must be a number",
-            )
+            _require(_number(w), f"weight for state {x!r} must be a number")
             weight[x] = float(w)
 
     raw_triples = doc.get("triples")
@@ -373,10 +476,7 @@ def load_model(text: str) -> GameModel:
         _require(t[2] in actions2[t[0]], f"triple {t!r} names unknown action for player 2")
         _require(t not in discount, f"duplicate triple {t!r}")
         for k in ("alpha", "reward"):
-            _require(
-                isinstance(entry.get(k), (int, float)) and not isinstance(entry.get(k), bool),
-                f"triple {t!r} needs numeric field {k!r}",
-            )
+            _require(_number(entry.get(k)), f"triple {t!r} needs numeric field {k!r}")
         discount[t] = float(entry["alpha"])
         payoff[t] = float(entry["reward"])
         sojourn[t] = _parse_sojourn(entry.get("sojourn"), t)
@@ -384,12 +484,11 @@ def load_model(text: str) -> GameModel:
         _require(isinstance(trans, dict), f"triple {t!r} needs a 'transition' object")
         row = [0.0] * len(states)
         for y, p in trans.items():
-            _require(y in weight, f"transition for triple {t!r} names unknown state {y!r}")
+            _require(y in index, f"transition for triple {t!r} names unknown state {y!r}")
             _require(
-                isinstance(p, (int, float)) and not isinstance(p, bool),
-                f"transition probability for triple {t!r} -> {y!r} must be a number",
+                _number(p), f"transition probability for triple {t!r} -> {y!r} must be a number"
             )
-            row[states.index(y)] = float(p)
+            row[index[y]] = float(p)
         transition[t] = tuple(row)
 
     model = GameModel(
@@ -406,18 +505,6 @@ def load_model(text: str) -> GameModel:
     if violations:
         raise ModelValidationError(violations[0])
     return model
-
-
-def _sojourn_to_obj(law: SojournLaw) -> dict:
-    if isinstance(law, Exponential):
-        return {"kind": "exponential", "rate": law.rate}
-    if isinstance(law, Uniform):
-        return {"kind": "uniform", "upper": law.upper}
-    if isinstance(law, Deterministic):
-        return {"kind": "deterministic", "duration": law.duration}
-    if isinstance(law, DirectWeights):
-        return {"kind": "direct", "d": law.d, "lam": law.lam}
-    raise TypeError(f"unsupported sojourn law {law!r}")
 
 
 def serialize(m: GameModel) -> str:
@@ -438,7 +525,7 @@ def serialize(m: GameModel) -> str:
                 "b": b,
                 "alpha": m.discount[t],
                 "reward": m.payoff[t],
-                "sojourn": _sojourn_to_obj(m.sojourn[t]),
+                "sojourn": m.sojourn[t].to_obj(),
                 "transition": {y: p for y, p in zip(m.states, row) if p != 0.0},
             }
         )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discounting import discounted_kernel_row
 from .matrixgame import exploitability, solve_matrix_game
 from .model import GameModel
 
@@ -69,32 +68,26 @@ def _pair_arrays(m: GameModel, pair: StationaryStrategyPair):
 
 
 class ShapleyOperator:
-    """Value-update operator with cached per-triple coefficient rows.
+    """Value-update operator with cached per-state coefficient arrays.
 
-    The reward part ``r * d`` and continuation tensor ``lam * p`` never change
-    across applications; only the dot product with the current value vector
-    does, so repeated applications amount to one small matmul and one matrix
-    game per state.
+    The reward part ``r * d`` and continuation tensor ``lam * p``, dense per
+    state and built from the model's triple table, never change across
+    applications; only the dot product with the current value vector does,
+    so repeated applications amount to one small matmul and one matrix game
+    per state.
     """
 
     def __init__(self, m: GameModel):
+        t = m.table
         self.model = m
         self.n = m.n_states
         self.weights = np.asarray(m.weight_vector(), dtype=float)
-        self.base: list[np.ndarray] = []  # per state: (m_x, l_x) of r*d
-        self.cont: list[np.ndarray] = []  # per state: (m_x, l_x, n) of lam*p
-        for x in m.states:
-            acts1, acts2 = m.actions1[x], m.actions2[x]
-            base = np.zeros((len(acts1), len(acts2)))
-            cont = np.zeros((len(acts1), len(acts2), self.n))
-            for i, a in enumerate(acts1):
-                for j, b in enumerate(acts2):
-                    t = (x, a, b)
-                    d, _, row = discounted_kernel_row(m, t)
-                    base[i, j] = m.payoff[t] * d
-                    cont[i, j] = row
-            self.base.append(base)
-            self.cont.append(cont)
+        base = t.reward * t.d
+        cont = t.dense_transitions()
+        cont *= t.lam[:, None]
+        spans = list(zip(t.offset[:-1], t.offset[1:], t.rows, t.cols))
+        self.base = [base[lo:hi].reshape(k1, k2) for lo, hi, k1, k2 in spans]  # r*d
+        self.cont = [cont[lo:hi].reshape(k1, k2, self.n) for lo, hi, k1, k2 in spans]  # lam*p
 
     def _value_vector(self, values) -> np.ndarray:
         u = np.asarray(values, dtype=float)
@@ -209,8 +202,7 @@ def apply_strategy_operator(m: GameModel, pair: StationaryStrategyPair, values) 
     vecs = _pair_arrays(m, pair)
     u = np.asarray(values, dtype=float)
     out = np.empty(op.n)
-    for xi in range(op.n):
-        fv, gv = vecs[xi]
+    for xi, (fv, gv) in enumerate(vecs):
         out[xi] = fv @ op.payoff_matrix(u, xi) @ gv
     return out
 
@@ -234,8 +226,7 @@ def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndar
     n = op.n
     moved = np.zeros((n, n))
     rewards = np.zeros(n)
-    for xi in range(n):
-        fv, gv = vecs[xi]
+    for xi, (fv, gv) in enumerate(vecs):
         rewards[xi] = fv @ op.base[xi] @ gv
         moved[xi] = np.einsum("i,ijk,j->k", fv, op.cont[xi], gv)
     system = np.eye(n) - moved
@@ -243,7 +234,10 @@ def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndar
         values = np.linalg.solve(system, rewards)
         values += np.linalg.solve(system, rewards - system @ values)
     except np.linalg.LinAlgError as exc:
+        t = op.model.table
+        worst = int(np.argmax(t.lam))
         raise ArithmeticError(
-            "stationary-pair system is singular; some continuation factor is not below 1"
+            "stationary-pair system is singular; some continuation factor is not below 1 "
+            f"(largest: {float(t.lam[worst])!r} at triple {t.labels[worst]!r})"
         ) from exc
     return values

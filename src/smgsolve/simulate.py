@@ -8,9 +8,10 @@ reward integrates in closed form, so each sojourn contributes
 
 to the realized payoff, where ``D`` is the discount accumulated before the
 sojourn; no within-sojourn discretization is involved.  A trajectory is
-truncated once ``D`` falls below a floor, and the discarded tail is bounded
-by ``M * omega_max * D / alpha0`` (``M`` the weighted payoff bound), which is
-reported alongside every estimate.
+truncated once ``D`` falls below a floor, or after ``MAX_SOJOURNS``
+sojourns, and the discarded tail is bounded by ``M * omega_max * D / alpha0``
+(``M`` the weighted payoff bound), which is reported alongside every
+estimate.
 
 Randomness is organized as one independent stream per trajectory, derived
 from ``(seed, trajectory_index)``, with a fixed draw order of four uniforms
@@ -24,24 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Deterministic,
-    DirectWeights,
-    Exponential,
-    GameModel,
-    SojournLaw,
-    Uniform,
-)
+from .model import ANALYTIC_LAWS, GameModel, NotSamplableError, SojournLaw
 from .shapley import StationaryStrategyPair, _pair_arrays
 
 DEFAULT_DISCOUNT_FLOOR = 1e-8
+# per-trajectory cap on sojourns, a multiple of _BLOCK_STEPS
+MAX_SOJOURNS = 16_384
 _BLOCK_STEPS = 64
 _BATCH = 16384
-_KIND_EXPONENTIAL, _KIND_UNIFORM, _KIND_DETERMINISTIC = 0, 1, 2
-
-
-class NotSamplableError(ValueError):
-    """The model carries direct-weight laws, which have no distribution to draw."""
 
 
 @dataclass(frozen=True)
@@ -66,78 +57,46 @@ def sample_sojourn(law: SojournLaw, rng: np.random.Generator) -> float:
     Consumes exactly one uniform for every law, including the deterministic
     one, so stream positions do not depend on which laws a trajectory visits.
     """
-    u = rng.random()
-    if isinstance(law, Exponential):
-        return -math.log1p(-u) / law.rate
-    if isinstance(law, Uniform):
-        return u * law.upper
-    if isinstance(law, Deterministic):
-        return law.duration
-    raise NotSamplableError(f"sojourn law {law!r} cannot be sampled")
+    return float(law.holding_time(rng.random(), law.param))
 
 
 class _Sampler:
-    """Flat per-triple tables for fast trajectory stepping."""
+    """The model's triple table plus the cumulative rows trajectories step through."""
 
-    def __init__(self, m: GameModel, pair: StationaryStrategyPair):
-        n = m.n_states
+    def __init__(self, m: GameModel, pair: StationaryStrategyPair, floor: float):
+        if not 0.0 < floor < 1.0:
+            raise ValueError(f"discount floor must lie in (0, 1), got {floor!r}")
+        self.floor = floor
+        t = m.table
         vecs = _pair_arrays(m, pair)
-        sizes1 = [len(m.actions1[x]) for x in m.states]
-        sizes2 = [len(m.actions2[x]) for x in m.states]
-        self.f_cum = np.ones((n, max(sizes1)))
-        self.g_cum = np.ones((n, max(sizes2)))
-        for xi in range(n):
-            fv, gv = vecs[xi]
-            self.f_cum[xi, : sizes1[xi]] = _cumulative(fv)
-            self.g_cum[xi, : sizes2[xi]] = _cumulative(gv)
-        self.cols = np.asarray(sizes2)
-        offsets, count = [], 0
-        for xi in range(n):
-            offsets.append(count)
-            count += sizes1[xi] * sizes2[xi]
-        self.offset = np.asarray(offsets)
-        self.alpha = np.empty(count)
-        self.reward = np.empty(count)
-        self.kind = np.empty(count, dtype=np.int8)
-        self.param = np.empty(count)
-        self.p_cum = np.empty((count, n))
-        for xi, x in enumerate(m.states):
-            for i, a in enumerate(m.actions1[x]):
-                for j, b in enumerate(m.actions2[x]):
-                    t = (x, a, b)
-                    tid = offsets[xi] + i * sizes2[xi] + j
-                    law = m.sojourn[t]
-                    if isinstance(law, Exponential):
-                        self.kind[tid], self.param[tid] = _KIND_EXPONENTIAL, law.rate
-                    elif isinstance(law, Uniform):
-                        self.kind[tid], self.param[tid] = _KIND_UNIFORM, law.upper
-                    elif isinstance(law, Deterministic):
-                        self.kind[tid], self.param[tid] = _KIND_DETERMINISTIC, law.duration
-                    else:
-                        raise NotSamplableError(
-                            f"triple {t!r} carries direct weights; simulation unavailable"
-                        )
-                    self.alpha[tid] = m.discount[t]
-                    self.reward[tid] = m.payoff[t]
-                    self.p_cum[tid] = _cumulative(np.asarray(m.transition[t]))
+        direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
+        if direct.size:
+            raise NotSamplableError(
+                f"triple {t.labels[direct[0]]!r} carries direct weights; simulation unavailable"
+            )
+        self.f_cum = np.ones((m.n_states, t.rows.max()))
+        self.g_cum = np.ones((m.n_states, t.cols.max()))
+        for xi, (fv, gv) in enumerate(vecs):  # each row's last entry stays 1.0
+            self.f_cum[xi, : fv.size - 1] = np.cumsum(fv[:-1])
+            self.g_cum[xi, : gv.size - 1] = np.cumsum(gv[:-1])
+        self.table = t
+        self.p_cum = t.dense_transitions()
+        np.cumsum(self.p_cum, axis=1, out=self.p_cum)
+        self.p_cum[:, -1] = 1.0  # guard the draws against rounding in the row sums
         omega = np.asarray(m.weight_vector())
-        payoff_bound = max(abs(m.payoff[t]) / m.weight[t[0]] for t in m.triples())
-        self.tail_coef = payoff_bound * float(omega.max()) / float(self.alpha.min())
+        self.tail_coef = m.payoff_bound() * float(omega.max()) / float(t.alpha.min())
 
 
-def _cumulative(probs: np.ndarray) -> np.ndarray:
-    c = np.cumsum(probs)
-    c[-1] = 1.0  # guard searchsorted against rounding in the row sum
-    return c
-
-
-def _run_batch(sampler: _Sampler, streams: list, x0: int, floor: float):
+def _run_batch(sampler: _Sampler, streams: list, x0: int):
     """Drive all streams to truncation; returns (payoffs, tail_bounds).
 
     Uniforms are pulled from each stream in blocks; trajectory ``i`` consumes
     slots ``[4k, 4k+4)`` of its own stream at sojourn ``k``, identically
-    however many trajectories run together.
+    however many trajectories run together.  A trajectory stops when its
+    discount falls below the sampler's floor or after ``MAX_SOJOURNS``
+    sojourns, and its tail bound is ``tail_coef`` times that discount.
     """
+    t = sampler.table
     total = len(streams)
     payoffs = np.empty(total)
     tails = np.empty(total)
@@ -145,7 +104,9 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int, floor: float):
     state = np.full(total, x0)
     discount = np.ones(total)
     acc = np.zeros(total)
-    while ids.size:
+    for _ in range(MAX_SOJOURNS // _BLOCK_STEPS):
+        if not ids.size:
+            break
         width = ids.size
         block = np.empty((width, 4 * _BLOCK_STEPS))
         for i in range(width):
@@ -155,21 +116,19 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int, floor: float):
             u = block[:, 4 * pos : 4 * pos + 4]
             a = (sampler.f_cum[state] <= u[:, 0, None]).sum(axis=1)
             b = (sampler.g_cum[state] <= u[:, 1, None]).sum(axis=1)
-            tid = sampler.offset[state] + a * sampler.cols[state] + b
-            par = sampler.param[tid]
-            kind = sampler.kind[tid]
-            tau = np.where(
-                kind == _KIND_EXPONENTIAL,
-                -np.log1p(-u[:, 2]) / par,
-                np.where(kind == _KIND_UNIFORM, u[:, 2] * par, par),
-            )
-            rate = sampler.alpha[tid]
+            tid = t.offset[state] + a * t.cols[state] + b
+            par = t.param[tid]
+            kind = t.kind[tid]
+            tau = par
+            for code, law in enumerate(ANALYTIC_LAWS):
+                tau = np.where(kind == code, law.holding_time(u[:, 2], par), tau)
+            rate = t.alpha[tid]
             step = np.exp(-rate * tau)
-            acc_now = discount * sampler.reward[tid] * (1.0 - step) / rate
+            acc_now = discount * t.reward[tid] * (1.0 - step) / rate
             acc += np.where(alive, acc_now, 0.0)
             discount = np.where(alive, discount * step, discount)
             state = (sampler.p_cum[tid] <= u[:, 3, None]).sum(axis=1)
-            done = alive & (discount < floor)
+            done = alive & (discount < sampler.floor)
             if done.any():
                 payoffs[ids[done]] = acc[done]
                 tails[ids[done]] = sampler.tail_coef * discount[done]
@@ -182,6 +141,8 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int, floor: float):
         discount = discount[keep]
         acc = acc[keep]
         streams = [streams[i] for i in keep]
+    payoffs[ids] = acc  # trajectories still running at the sojourn cap
+    tails[ids] = sampler.tail_coef * discount
     return payoffs, tails
 
 
@@ -193,10 +154,8 @@ def simulate_trajectory(
     discount_floor: float = DEFAULT_DISCOUNT_FLOOR,
 ) -> tuple[float, float]:
     """One realized discounted payoff from ``x0`` plus its truncation bound."""
-    if not 0.0 < discount_floor < 1.0:
-        raise ValueError(f"discount floor must lie in (0, 1), got {discount_floor!r}")
-    sampler = _Sampler(m, pair)
-    payoffs, tails = _run_batch(sampler, [rng], m.state_index(x0), discount_floor)
+    sampler = _Sampler(m, pair, discount_floor)
+    payoffs, tails = _run_batch(sampler, [rng], m.state_index(x0))
     return float(payoffs[0]), float(tails[0])
 
 
@@ -215,18 +174,14 @@ def estimate_value(
     """
     if trajectories < 2:
         raise ValueError(f"need at least 2 trajectories, got {trajectories!r}")
-    if not 0.0 < discount_floor < 1.0:
-        raise ValueError(f"discount floor must lie in (0, 1), got {discount_floor!r}")
-    sampler = _Sampler(m, pair)
+    sampler = _Sampler(m, pair, discount_floor)
     x0i = m.state_index(x0)
     payoffs = np.empty(trajectories)
     tails = np.empty(trajectories)
     for start in range(0, trajectories, _BATCH):
         stop = min(start + _BATCH, trajectories)
         streams = [trajectory_rng(seed, i) for i in range(start, stop)]
-        payoffs[start:stop], tails[start:stop] = _run_batch(
-            sampler, streams, x0i, discount_floor
-        )
+        payoffs[start:stop], tails[start:stop] = _run_batch(sampler, streams, x0i)
     return MCEstimate(
         mean=float(payoffs.mean()),
         std_error=float(payoffs.std(ddof=1) / math.sqrt(trajectories)),

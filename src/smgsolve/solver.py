@@ -74,6 +74,22 @@ def _nash_radius(epsilon: float, rate: float) -> float:
     return epsilon / (1.0 - rate) if rate < 1.0 else float("inf")
 
 
+def _first_application(m: GameModel, epsilon: float, v0, certificate):
+    """Check the inputs, then return ``(cert, op, T(v0), pair, ||T(v0) - v0||)``."""
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    cert = certificate if certificate is not None else check_assumptions(m)
+    if not cert.passed:
+        failed = [name for name, c in cert.checks.items() if not c.passed]
+        raise CertificateError(f"model certificate failed: {', '.join(failed)}")
+    op = ShapleyOperator(m)
+    start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
+    if start.shape != (op.n,):
+        raise ValueError(f"v0 must have length {op.n}")
+    updated, pair = op.apply(start)
+    return cert, op, updated, pair, omega_norm(updated - start, op.weights)
+
+
 def value_iterate(
     m: GameModel,
     epsilon: float,
@@ -89,23 +105,7 @@ def value_iterate(
     Raises :class:`CertificateError` when the model's certificate fails and
     :class:`ConvergenceError` when the cap is hit first.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    cert = certificate if certificate is not None else check_assumptions(m)
-    if not cert.passed:
-        failed = [name for name, c in cert.checks.items() if not c.passed]
-        raise CertificateError(f"model certificate failed: {', '.join(failed)}")
-
-    op = ShapleyOperator(m)
-    if v0 is None:
-        current = np.zeros(op.n)
-    else:
-        current = np.asarray(v0, dtype=float).copy()
-        if current.shape != (op.n,):
-            raise ValueError(f"v0 must have length {op.n}")
-
-    updated, pair = op.apply(current)
-    delta = omega_norm(updated - current, op.weights)
+    cert, op, updated, pair, delta = _first_application(m, epsilon, v0, certificate)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
         max_iter = max(1, min(10 * max(bound, 1), MAX_ITER_CAP))
@@ -150,15 +150,8 @@ def iteration_bound(
     1e-14), else ``1 + floor(log(epsilon / delta0) / log(eta_gamma))``
     clamped at zero, with ``delta0`` the first residual norm.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    cert = certificate if certificate is not None else check_assumptions(m)
-    if not cert.passed:
-        raise CertificateError("model certificate failed")
-    op = ShapleyOperator(m)
-    start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
-    updated, _ = op.apply(start)
-    return _bound_from(omega_norm(updated - start, op.weights), epsilon, cert.eta_gamma)
+    cert, _, _, _, delta = _first_application(m, epsilon, v0, certificate)
+    return _bound_from(delta, epsilon, cert.eta_gamma)
 
 
 def certify_solution(m: GameModel, report: SolveReport, tol: float) -> CertificationResult:

@@ -21,11 +21,12 @@ only for direct-weight triples, whose holding-time law is unavailable).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .discounting import continuation_weight
-from .model import Deterministic, DirectWeights, Exponential, GameModel, Uniform
+import numpy as np
+
+from .model import LAWS, Deterministic, Exponential, GameModel, SojournLaw, Uniform
 
 _GRID_POINTS = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,6 +35,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # (CLI flag --paper-params): every exponential rate below 100, every finite
 # support above 0.1, delta fixed at 0.1, discount floor 0.25.
 PRESET_BOUNDS = {"rate_bound": 100.0, "support_floor": 0.1, "delta": 0.1, "alpha0": 0.25}
+
+_EXP, _UNI, _DET = (LAWS.index(law) for law in (Exponential, Uniform, Deterministic))
+_BOUNDED = {_EXP: "exponential rate", _UNI: "uniform support", _DET: "deterministic duration"}
 
 
 @dataclass(frozen=True)
@@ -63,20 +67,7 @@ class AssumptionCertificate:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "delta": self.delta,
-            "alpha0": self.alpha0,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "eta_gamma": self.eta_gamma,
-            "lambda_max": self.lambda_max,
-            "checks": {
-                name: {"passed": c.passed, "witness": c.witness}
-                for name, c in self.checks.items()
-            },
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 class DriftResult(NamedTuple):
@@ -100,8 +91,21 @@ def compute_gamma(theta: float, delta: float, alpha0: float) -> float:
     return 1.0 - delta + delta * math.exp(-alpha0 * theta)
 
 
-def _analytic_laws(m: GameModel):
-    return [m.sojourn[t] for t in m.triples() if not isinstance(m.sojourn[t], DirectWeights)]
+def _steepest(m: GameModel) -> list[tuple[int, SojournLaw]]:
+    """``(row, law)`` of the triples whose laws reach ``max H(theta)`` at every ``theta``.
+
+    ``H(theta)`` rises with an exponential rate and falls with a uniform
+    bound or a deterministic duration, so the first triple with the largest
+    rate, the smallest bound or the smallest duration stands for its kind.
+    """
+    t = m.table
+    out = []
+    for code, pick in ((_EXP, np.argmax), (_UNI, np.argmin), (_DET, np.argmin)):
+        rows = np.flatnonzero(t.kind == code)
+        if rows.size:
+            i = int(rows[pick(t.param[rows])])
+            out.append((i, LAWS[code](float(t.param[i]))))
+    return out
 
 
 def find_regularity_params(m: GameModel) -> tuple[float, float]:
@@ -112,26 +116,24 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     ``delta(theta) = 1 - max_triples H(theta)``; a coarse grid brackets the
     optimum and golden-section refines it.  ``theta_hi`` is the smallest
     finite support (uniform upper bound or deterministic duration) when one
-    exists, else ``10 / min_rate``.  Direct-weight triples carry no
+    exists, else ``10 / min_rate``; so four extremes of the model decide the
+    search (see :func:`_steepest`).  Direct-weight triples carry no
     holding-time law and are excluded; raises ``ValueError`` when no triple
     has one.
     """
-    laws = _analytic_laws(m)
+    laws = [law for _, law in _steepest(m)]
     if not laws:
         raise ValueError("no analytic sojourn law to search; model is all direct weights")
-    alpha0 = min(m.discount.values())
+    t = m.table
+    alpha0 = float(t.alpha.min())
     if alpha0 <= 0.0:
         raise ValueError("discount rates must be positive")
 
-    finite_supports = [
-        law.upper if isinstance(law, Uniform) else law.duration
-        for law in laws
-        if isinstance(law, (Uniform, Deterministic))
-    ]
-    if finite_supports:
-        theta_hi = min(finite_supports)
+    supports = t.param[(t.kind == _UNI) | (t.kind == _DET)]
+    if supports.size:
+        theta_hi = float(supports.min())
     else:
-        theta_hi = 10.0 / min(law.rate for law in laws if isinstance(law, Exponential))
+        theta_hi = 10.0 / float(t.param[t.kind == _EXP].min())
 
     def gamma_at(theta: float) -> float:
         delta = 1.0 - max(law.cdf(theta) for law in laws)
@@ -188,20 +190,20 @@ def regularity_from_bounds(
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if rate_bound <= 0.0 or support_floor <= 0.0:
         raise ValueError("law bounds must be positive")
-    if alpha0 <= 0.0 or alpha0 > min(m.discount.values()):
+    if alpha0 <= 0.0 or alpha0 > m.table.alpha.min():
         raise ValueError(
             f"alpha0 must be a positive lower bound on the discount rates, got {alpha0!r}"
         )
-    for t in m.triples():
-        law = m.sojourn[t]
-        if isinstance(law, Exponential) and law.rate >= rate_bound:
-            raise ValueError(f"exponential rate {law.rate!r} at {t!r} exceeds bound {rate_bound!r}")
-        if isinstance(law, Uniform) and law.upper <= support_floor:
-            raise ValueError(f"uniform support {law.upper!r} at {t!r} below floor {support_floor!r}")
-        if isinstance(law, Deterministic) and law.duration <= support_floor:
-            raise ValueError(
-                f"deterministic duration {law.duration!r} at {t!r} below floor {support_floor!r}"
-            )
+    t = m.table
+    fast = (t.kind == _EXP) & (t.param >= rate_bound)
+    short = ((t.kind == _UNI) | (t.kind == _DET)) & (t.param <= support_floor)
+    bad = np.flatnonzero(fast | short)
+    if bad.size:
+        i = bad[0]
+        limit = f"exceeds bound {rate_bound!r}" if fast[i] else f"below floor {support_floor!r}"
+        raise ValueError(
+            f"{_BOUNDED[int(t.kind[i])]} {float(t.param[i])!r} at {t.labels[i]!r} {limit}"
+        )
     theta = min((1.0 - delta) * support_floor, math.log(1.0 / delta) / rate_bound)
     return theta, delta, alpha0
 
@@ -215,24 +217,20 @@ def check_drift(m: GameModel, gamma: float) -> DriftResult:
     ``(1 + gamma) / (2 gamma)`` so the product ``eta * gamma = (1 + gamma)/2``
     stays strictly below 1; with nonconstant weights ``eta = eta_min``.
     """
-    w = m.weight
-    eta_min = max(
-        sum(wy * p for wy, p in zip((w[y] for y in m.states), m.transition[t]))
-        / w[t[0]]
-        for t in m.triples()
-    )
-    unit = all(w[x] == 1.0 for x in m.states)
+    t = m.table
+    w = np.asarray(m.weight_vector())
+    # add each row's terms left to right in state order, as a plain sum does;
+    # a pairwise sum would move the last bits of eta_min
+    terms = w[t.succ] * t.prob
+    nnz = np.diff(t.indptr)
+    moved = np.zeros(len(nnz))
+    for k in range(int(nnz.max())):
+        at = np.flatnonzero(nnz > k)
+        moved[at] += terms[t.indptr[at] + k]
+    eta_min = float(np.max(moved / w[t.state]))
+    unit = bool(np.all(w == 1.0))
     eta = max(eta_min, (1.0 + gamma) / (2.0 * gamma)) if unit else eta_min
     return DriftResult(eta_min=eta_min, eta=eta, passed=eta * gamma < 1.0)
-
-
-def _lambda_max(m: GameModel) -> tuple[float, tuple]:
-    worst, where = -1.0, None
-    for t in m.triples():
-        lam = continuation_weight(m.sojourn[t], m.discount[t])
-        if lam > worst:
-            worst, where = lam, t
-    return worst, where
 
 
 def check_assumptions(
@@ -244,12 +242,13 @@ def check_assumptions(
     searching (the values are still verified against the model).  Failures
     are recorded in the certificate rather than raised.
     """
+    t = m.table
     checks: dict[str, AssumptionCheck] = {}
-    alpha_min = min(m.discount.values())
+    alpha_min = float(t.alpha.min())
     checks["discount_floor"] = AssumptionCheck(
         passed=alpha_min > 0.0, witness=f"min discount rate {alpha_min!r}"
     )
-    bound = max(abs(m.payoff[t]) / m.weight[t[0]] for t in m.triples())
+    bound = m.payoff_bound()
     checks["payoff_bound"] = AssumptionCheck(
         passed=True, witness=f"|payoff| <= {bound!r} * weight"
     )
@@ -263,7 +262,8 @@ def check_assumptions(
         nan = float("nan")
         return AssumptionCertificate(nan, nan, nan, nan, nan, nan, nan, checks, False)
 
-    lam_max, lam_arg = _lambda_max(m)
+    worst = int(np.argmax(t.lam))
+    lam_max, lam_arg = float(t.lam[worst]), t.labels[worst]
     if regularity is not None:
         theta, delta, alpha0 = regularity
         problem = _regularity_violation(m, theta, delta, alpha0)
@@ -271,7 +271,7 @@ def check_assumptions(
             passed=problem is None,
             witness=problem or f"supplied horizon {theta!r}, escape probability {delta!r}",
         )
-    elif _analytic_laws(m):
+    elif _steepest(m):
         theta, delta = find_regularity_params(m)
         alpha0 = alpha_min
         checks["regularity"] = AssumptionCheck(
@@ -328,13 +328,10 @@ def _regularity_violation(m: GameModel, theta: float, delta: float, alpha0: floa
     """First reason the supplied constants fail on this model, or None."""
     if theta <= 0.0 or not 0.0 < delta < 1.0:
         return f"invalid constants theta={theta!r}, delta={delta!r}"
-    if alpha0 <= 0.0 or alpha0 > min(m.discount.values()):
+    if alpha0 <= 0.0 or alpha0 > m.table.alpha.min():
         return f"alpha0 {alpha0!r} is not a lower bound on the discount rates"
-    for t in m.triples():
-        law = m.sojourn[t]
-        if isinstance(law, DirectWeights):
-            continue
+    for i, law in _steepest(m):
         h = law.cdf(theta)
         if h > 1.0 - delta + 1e-12:
-            return f"H(theta) = {h!r} > 1 - delta at {t!r}"
+            return f"H(theta) = {h!r} > 1 - delta at {m.table.labels[i]!r}"
     return None

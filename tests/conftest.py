@@ -55,6 +55,25 @@ SINGLE_STATE_DOC = {
     ],
 }
 
+# Two states, one triple of each sojourn kind (the direct weights satisfy
+# d == (1 - lam) / alpha).
+MIXED_LAWS_DOC = {
+    "states": ["x", "y"],
+    "actions1": {"x": ["a1", "a2"], "y": ["a1"]},
+    "actions2": {"x": ["b1"], "y": ["b1", "b2"]},
+    "triples": [
+        {"state": "x", "a": "a1", "b": "b1", "alpha": 0.9, "reward": 3.0,
+         "sojourn": {"kind": "exponential", "rate": 2.0}, "transition": {"x": 0.25, "y": 0.75}},
+        {"state": "x", "a": "a2", "b": "b1", "alpha": 1.2, "reward": -1.0,
+         "sojourn": {"kind": "uniform", "upper": 0.8}, "transition": {"y": 1.0}},
+        {"state": "y", "a": "a1", "b": "b1", "alpha": 0.6, "reward": 2.0,
+         "sojourn": {"kind": "deterministic", "duration": 0.5}, "transition": {"x": 0.5, "y": 0.5}},
+        {"state": "y", "a": "a1", "b": "b2", "alpha": 0.75, "reward": 5.0,
+         "sojourn": {"kind": "direct", "d": 0.5333333333333333, "lam": 0.6},
+         "transition": {"x": 1.0}},
+    ],
+}
+
 # Reference solution of the investment game (the value vector at the 1e-4
 # stop; the reference strategy attribution is player-swapped, see
 # test_acceptance).

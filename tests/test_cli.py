@@ -226,6 +226,19 @@ def test_non_finite_numbers_exit_2_naming_the_culprit(tmp_path, capsys, base, mu
     assert culprit in capsys.readouterr().err
 
 
+def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_path, capsys):
+    doc = json.loads(json.dumps(SINGLE_STATE_DOC))
+    doc["triples"][0]["alpha"] = 1e-20  # rate / (alpha + rate) rounds to exactly 1
+    doc["triples"][0]["sojourn"] = {"kind": "exponential", "rate": 1.0}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"only": {"f": {"stay": 1.0}, "g": {"stay": 1.0}}}))
+    config = RunConfig(command="eval", model=str(model), strategies_in=str(pair))
+    assert run(config) == 2
+    assert "('only', 'stay', 'stay')" in capsys.readouterr().err
+
+
 def test_main_parses_argv(tmp_path, model_file):
     out = tmp_path / "cert.json"
     assert main(["check", model_file, "--paper-params", "--out", str(out)]) == 0

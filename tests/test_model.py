@@ -16,7 +16,7 @@ from smgsolve import (
     validate_model,
 )
 
-from conftest import INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC, random_model
+from conftest import INVESTMENT_DOC, MIXED_LAWS_DOC, MODELS_DIR, SINGLE_STATE_DOC, random_model
 
 
 def test_single_state_document_loads(single_state_model):
@@ -124,10 +124,13 @@ def test_duplicate_state_labels_rejected():
 
 
 def test_round_trip_preserves_everything(investment_model):
-    again = load_model(serialize(investment_model))
-    assert again == investment_model
-    assert again.states == investment_model.states
-    assert again.actions1 == investment_model.actions1
+    mixed = load_model(json.dumps(MIXED_LAWS_DOC))  # one triple of each sojourn kind
+    for m in (investment_model, mixed):
+        again = load_model(serialize(m))
+        assert again == m
+        assert again.states == m.states
+        assert again.actions1 == m.actions1
+        assert again.sojourn == m.sojourn
 
 
 def test_round_trip_random_models():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from smgsolve import (
     DirectWeights,
     Exponential,
     NotSamplableError,
+    StationaryStrategyPair,
     Uniform,
     check_equilibrium_deviation,
     continuation_weight,
@@ -94,6 +96,26 @@ def test_zero_payoff_model_realizes_zero():
     pair = value_iterate(m, 1e-8).equilibrium
     payoff, tail = simulate_trajectory(m, pair, "s", trajectory_rng(0, 0))
     assert payoff == 0.0 and tail == 0.0
+
+
+def test_sojourn_cap_ends_trajectories_whose_discount_never_decays():
+    # alpha * tau underflows to 0, so the discount stays 1 at every sojourn
+    alpha = 1e-200
+    doc = {
+        "states": ["s"],
+        "actions1": {"s": ["a"]},
+        "actions2": {"s": ["b"]},
+        "triples": [
+            {"state": "s", "a": "a", "b": "b", "alpha": alpha, "reward": 1.0,
+             "sojourn": {"kind": "deterministic", "duration": 1e-200}, "transition": {"s": 1.0}}
+        ],
+    }
+    m = load_model(json.dumps(doc))
+    pair = StationaryStrategyPair(f={"s": np.ones(1)}, g={"s": np.ones(1)})
+    started = time.perf_counter()
+    est = estimate_value(m, pair, "s", trajectories=2, seed=0)
+    assert time.perf_counter() - started < 10.0
+    assert est.truncation_bound >= 1.0 / alpha
 
 
 def test_serial_and_batched_runs_are_identical(investment_model):

@@ -17,7 +17,7 @@ from smgsolve import (
     regularity_from_bounds,
 )
 
-from conftest import random_model
+from conftest import MIXED_LAWS_DOC, random_model
 
 
 def one_triple_model(sojourn: dict, alpha: float = 1.0, weight: dict | None = None,
@@ -161,6 +161,34 @@ def test_certificate_investment(investment_model):
     assert set(cert.checks) == {
         "regularity", "discount_floor", "payoff_bound", "drift", "compactness", "coefficient_bound",
     }
+
+
+EXPONENTIAL_ONLY_DOC = {
+    **MIXED_LAWS_DOC,
+    "weight": {"x": 1.0, "y": 1.001},
+    "triples": [
+        {**entry, "sojourn": {"kind": "exponential", "rate": rate}}
+        for entry, rate in zip(MIXED_LAWS_DOC["triples"], (2.0, 5.0, 0.5, 1.5))
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, pinned",
+    [
+        # the search horizon is 10 / min_rate; eta is eta_min under the weights
+        (EXPONENTIAL_ONLY_DOC,
+         (0.18888113223527037, 0.388910646922622, 0.9583310041870219, 1.001, 0.8064516129032258)),
+        (MIXED_LAWS_DOC,
+         (0.4372737563300117, 0.4170506871465314, 0.903757537158274, 1.0532457317835189,
+          0.7408182206817179)),
+    ],
+    ids=["exponential-only", "all-four-kinds"],
+)
+def test_certificate_constants_are_pinned(doc, pinned):
+    cert = check_assumptions(load_model(json.dumps(doc)))
+    assert cert.passed
+    assert (cert.theta, cert.delta, cert.gamma, cert.eta, cert.lambda_max) == pinned
 
 
 def test_certificate_single_state(single_state_model):
