@@ -66,6 +66,6 @@ def discounted_kernel_row(
     if i is None:
         raise KeyError(f"unknown triple {triple!r}")
     lo, hi = t.indptr[i], t.indptr[i + 1]
-    row = np.zeros(t.n_states)
+    row = np.zeros(m.n_states)
     row[t.succ[lo:hi]] = t.lam[i] * t.prob[lo:hi]
     return float(t.d[i]), float(t.lam[i]), row

@@ -32,13 +32,17 @@ The serialized form is a single JSON object::
 Sojourn kinds and their parameters: ``exponential`` (``rate``), ``uniform``
 (``upper``), ``deterministic`` (``duration``), ``direct`` (``d``, ``lam``).
 Each kind is one law class, the one home of its serializer, parameter
-checks, closed-form continuation factor, cdf and holding-time draw.  The
-other layers read a model through its cached :class:`TripleTable`.
+checks, closed-form continuation factor, cdf and holding-time draw.
+
+The loader writes each document triple straight into its row of the
+model's :class:`TripleTable`, with the transition kept as its nonzeros, and
+every other layer reads the model through that table; no structure with
+one entry per pair of states is built.
 """
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -194,51 +198,64 @@ SojournLaw = Exponential | Uniform | Deterministic | DirectWeights
 # LAWS is its kind code in TripleTable.kind
 ANALYTIC_LAWS = (Exponential, Uniform, Deterministic)
 LAWS = (*ANALYTIC_LAWS, DirectWeights)
-_KINDS = {law.kind: law for law in LAWS}
+_KINDS = {law.kind: code for code, law in enumerate(LAWS)}
 
 
 class TripleTable:
-    """Every admissible triple of a model as flat arrays, in declaration order.
+    """A model's per-triple data as flat arrays, in declaration order.
 
-    Row ``i`` is triple ``labels[i]`` (``where`` inverts that).  State ``x``
-    owns rows ``offset[x]:offset[x + 1]``, ``rows[x]`` by ``cols[x]`` of
-    them, player 1's action major.  ``kind`` indexes :data:`LAWS`.  Row
-    ``i``'s successors are ``succ[indptr[i]:indptr[i + 1]]`` (nonzeros only,
-    in state order) with probabilities ``prob`` at the same positions.
+    This is the only store of per-triple data; memory is O(triples +
+    nonzeros).  Row ``i`` is triple ``labels[i]`` (``where`` inverts that).
+    State ``x`` owns rows ``offset[x]:offset[x + 1]``, ``rows[x]`` by
+    ``cols[x]`` of them, player 1's action major, so ``(x, a_i, b_j)`` is
+    row ``offset[x] + i * cols[x] + j``.  ``kind`` indexes :data:`LAWS`, or
+    is -1 for a triple the document left out; ``param`` is the law's first
+    parameter, and :meth:`law` rebuilds the law object (direct weights keep
+    ``d`` in ``param`` and their ``lam`` in ``lam``).  :func:`load_model`
+    fills ``lam`` and ``d`` of the other laws once the model is valid.
+    Row ``i``'s successors are ``succ[indptr[i]:indptr[i + 1]]`` (nonzeros
+    only, in state order) with probabilities ``prob`` at the same positions.
     """
 
-    def __init__(self, m: "GameModel"):
-        self.labels = tuple(m.triples())
+    def __init__(self, states, actions1, actions2):
+        """The rows of every admissible triple, all of them still empty."""
+        self.labels = tuple((x, a, b) for x in states for a in actions1[x] for b in actions2[x])
         self.where = {t: i for i, t in enumerate(self.labels)}
-        self.n_states = m.n_states
-        self.rows = np.array([len(m.actions1[x]) for x in m.states])
-        self.cols = np.array([len(m.actions2[x]) for x in m.states])
+        self.rows = np.array([len(actions1[x]) for x in states])
+        self.cols = np.array([len(actions2[x]) for x in states])
         self.offset = np.concatenate(([0], np.cumsum(self.rows * self.cols)))
-        self.state = np.repeat(np.arange(m.n_states), self.rows * self.cols)
-        self.alpha = np.array([m.discount[t] for t in self.labels])
-        self.reward = np.array([m.payoff[t] for t in self.labels])
-        laws = [m.sojourn[t] for t in self.labels]
-        self.kind = np.array([LAWS.index(type(law)) for law in laws], dtype=np.int8)
-        self.param = np.array([law.param for law in laws])
-        self.lam = np.array([law.continuation(a) for law, a in zip(laws, self.alpha.tolist())])
-        self.d = (1.0 - self.lam) / self.alpha
-        nnz, succ, prob = [], [], []
-        # state by state, so that no dense (triples x states) array is ever built
-        for lo, hi in zip(self.offset[:-1].tolist(), self.offset[1:].tolist()):
-            block = np.array([m.transition[t] for t in self.labels[lo:hi]])
-            r, c = block.nonzero()
-            nnz.append(np.bincount(r, minlength=hi - lo))
-            succ.append(c)
-            prob.append(block[r, c])
-        self.indptr = np.concatenate(([0], np.cumsum(np.concatenate(nnz))))
-        self.succ = np.concatenate(succ)
-        self.prob = np.concatenate(prob)
+        self.state = np.repeat(np.arange(len(states)), self.rows * self.cols)
+        size = len(self.labels)
+        self.alpha, self.reward, self.param, self.lam, self.d = np.full((5, size), np.nan)
+        self.kind = np.full(size, -1, dtype=np.int8)
+        self.indptr = np.zeros(size + 1, dtype=np.intp)
+        self.succ = np.zeros(0, dtype=np.intp)
+        self.prob = np.zeros(0)
 
-    def dense_transitions(self) -> np.ndarray:
-        """Transition rows as a ``(triples, states)`` array."""
-        nz_row = np.repeat(np.arange(len(self.labels)), np.diff(self.indptr))
-        out = np.zeros((len(self.labels), self.n_states))
-        out[nz_row, self.succ] = self.prob
+    def __eq__(self, other):
+        if not isinstance(other, TripleTable):
+            return NotImplemented
+        return self.labels == other.labels and all(
+            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
+            for c in ("alpha", "reward", "kind", "param", "lam", "d", "indptr", "succ", "prob")
+        )
+
+    def law(self, i: int) -> SojournLaw:
+        """Row ``i``'s sojourn law: its ``param``, and for direct weights its ``lam``."""
+        cls = LAWS[self.kind[i]]
+        return cls(*(float(self.param[i]), float(self.lam[i]))[: len(cls.__match_args__)])
+
+    def row_cumsum(self, values: np.ndarray) -> np.ndarray:
+        """Running sums of per-nonzero ``values`` within each row, in state order.
+
+        Each row is added left to right, as a plain ``sum`` or ``np.cumsum``
+        over the dense row adds it (a pairwise sum would move last bits).
+        """
+        out = np.array(values, dtype=float)
+        nnz = np.diff(self.indptr)
+        for k in range(1, int(nnz.max(initial=0))):
+            at = self.indptr[:-1][nnz > k] + k
+            out[at] += out[at - 1]
         return out
 
 
@@ -246,29 +263,20 @@ class TripleTable:
 class GameModel:
     """Immutable finite zero-sum semi-Markov game.
 
-    ``transition`` vectors are dense and aligned with ``states``; all maps are
-    keyed by ``(state, action1, action2)`` triples.  Instances are not mutated
-    after validation and are safe to share across threads; ``table`` and the
-    state index are cached on first use and take no part in ``==``.
+    Per-triple data lives only in ``table``.  Instances are not mutated
+    after validation and are safe to share across threads; the state index
+    is cached on first use and takes no part in ``==``.
     """
 
     states: tuple[str, ...]
     actions1: dict[str, tuple[str, ...]]
     actions2: dict[str, tuple[str, ...]]
-    discount: dict[Triple, float]
-    payoff: dict[Triple, float]
-    sojourn: dict[Triple, SojournLaw]
-    transition: dict[Triple, tuple[float, ...]]
     weight: dict[str, float]
+    table: TripleTable
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def table(self) -> TripleTable:
-        """The per-triple arrays the operator, certificate and sampler read."""
-        return TripleTable(self)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -282,10 +290,7 @@ class GameModel:
 
     def triples(self):
         """All admissible (state, a, b) triples in declaration order."""
-        for x in self.states:
-            for a in self.actions1[x]:
-                for b in self.actions2[x]:
-                    yield (x, a, b)
+        return iter(self.table.labels)
 
     def weight_vector(self) -> tuple[float, ...]:
         """Weights aligned with the state ordering."""
@@ -339,50 +344,30 @@ def validate_model(m: GameModel) -> list[str]:
     if structural:  # per-triple checks need well-formed action sets
         return out
 
-    expected = list(m.triples())
-    expected_set = set(expected)
-    tables = {
-        "discount": m.discount,
-        "payoff": m.payoff,
-        "sojourn": m.sojourn,
-        "transition": m.transition,
-    }
-    for name, table in tables.items():
-        extra = set(table) - expected_set
-        if extra:
-            out.append(f"{name} has entries for inadmissible triples: {sorted(extra)!r}")
-
-    n = m.n_states
-    for t in expected:
-        missing = [name for name, table in tables.items() if t not in table]
-        if missing:
-            out.append(f"triple {t!r} missing entries: {', '.join(missing)}")
+    t = m.table
+    alpha, reward = t.alpha.tolist(), t.reward.tolist()
+    prob, ptr = t.prob.tolist(), t.indptr.tolist()
+    for i, triple in enumerate(t.labels):
+        if t.kind[i] < 0:
+            out.append(f"triple {triple!r} missing entries: discount, payoff, sojourn, transition")
             continue
-        alpha = m.discount[t]
-        if not _positive_number(alpha):
-            out.append(f"discount must be positive and finite: triple {t!r} has {alpha!r}")
-        if not _finite_number(m.payoff[t]):
-            out.append(f"payoff must be a finite real number: triple {t!r} has {m.payoff[t]!r}")
-        law = m.sojourn[t]
-        if type(law) in LAWS:
-            out.extend(law.violations(alpha, t))
-        else:
-            out.append(f"unsupported sojourn law {law!r}: triple {t!r}")
-        row = m.transition[t]
-        if len(row) != n:
-            out.append(f"transition row must have {n} entries: triple {t!r} has {len(row)}")
-            continue
+        if not _positive_number(alpha[i]):
+            out.append(f"discount must be positive and finite: triple {triple!r} has {alpha[i]!r}")
+        if not _finite_number(reward[i]):
+            out.append(f"payoff must be a finite real number: triple {triple!r} has {reward[i]!r}")
+        out.extend(t.law(i).violations(alpha[i], triple))
+        row = prob[ptr[i] : ptr[i + 1]]
         try:
             total = math.fsum(row)
         except (OverflowError, ValueError):  # raised for inf - inf and on overflow
             total = math.nan
         if not math.isfinite(total):
-            out.append(f"transition probabilities must be finite: triple {t!r}")
+            out.append(f"transition probabilities must be finite: triple {triple!r}")
             continue
-        if min(row) < 0.0:
-            out.append(f"transition probabilities must be nonnegative: triple {t!r}")
+        if row and min(row) < 0.0:
+            out.append(f"transition probabilities must be nonnegative: triple {triple!r}")
         if abs(total - 1.0) > TRANSITION_SUM_TOL:
-            out.append(f"transition row must sum to 1 (got {total!r}): triple {t!r}")
+            out.append(f"transition row must sum to 1 (got {total!r}): triple {triple!r}")
     return out
 
 
@@ -391,15 +376,16 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _parse_sojourn(obj, triple: Triple) -> SojournLaw:
+def _parse_sojourn(obj, triple: Triple) -> tuple[int, list[float]]:
+    """The law's kind code and its parameters in field order."""
     _require(isinstance(obj, dict), f"sojourn must be an object: triple {triple!r}")
     kind = obj.get("kind")
     _require(
         kind in _KINDS,
         f"sojourn kind must be one of {sorted(_KINDS)}: triple {triple!r}",
     )
-    cls = _KINDS[kind]
-    params = [f.name for f in fields(cls)]
+    code = _KINDS[kind]
+    params = LAWS[code].__match_args__  # the field names, in order
     values = []
     for p in params:
         _require(p in obj, f"sojourn {kind!r} needs parameter {p!r}: triple {triple!r}")
@@ -408,7 +394,7 @@ def _parse_sojourn(obj, triple: Triple) -> SojournLaw:
         values.append(float(v))
     extra = set(obj) - {"kind", *params}
     _require(not extra, f"sojourn {kind!r} has unknown parameters {sorted(extra)}: triple {triple!r}")
-    return cls(*values)
+    return code, values
 
 
 def _parse_actions(doc, key: str, states: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
@@ -453,19 +439,17 @@ def load_model(text: str) -> GameModel:
 
     weight = {x: 1.0 for x in states}
     if "weight" in doc:
-        table = doc["weight"]
-        _require(isinstance(table, dict), "'weight' must be an object mapping state to number")
-        for x, w in table.items():
+        given = doc["weight"]
+        _require(isinstance(given, dict), "'weight' must be an object mapping state to number")
+        for x, w in given.items():
             _require(x in weight, f"'weight' lists unknown state {x!r}")
             _require(_number(w), f"weight for state {x!r} must be a number")
             weight[x] = float(w)
 
     raw_triples = doc.get("triples")
     _require(isinstance(raw_triples, list), "'triples' must be an array")
-    discount: dict[Triple, float] = {}
-    payoff: dict[Triple, float] = {}
-    sojourn: dict[Triple, SojournLaw] = {}
-    transition: dict[Triple, tuple[float, ...]] = {}
+    table = TripleTable(states, actions1, actions2)
+    nz_row, nz_succ, nz_prob = [], [], []  # transition nonzeros, in document order
     for entry in raw_triples:
         _require(isinstance(entry, dict), "each triple entry must be an object")
         for k in ("state", "a", "b"):
@@ -474,36 +458,37 @@ def load_model(text: str) -> GameModel:
         _require(t[0] in weight, f"triple {t!r} names unknown state")
         _require(t[1] in actions1[t[0]], f"triple {t!r} names unknown action for player 1")
         _require(t[2] in actions2[t[0]], f"triple {t!r} names unknown action for player 2")
-        _require(t not in discount, f"duplicate triple {t!r}")
+        i = table.where[t]  # documents may list triples in any order
+        _require(table.kind[i] < 0, f"duplicate triple {t!r}")
         for k in ("alpha", "reward"):
             _require(_number(entry.get(k)), f"triple {t!r} needs numeric field {k!r}")
-        discount[t] = float(entry["alpha"])
-        payoff[t] = float(entry["reward"])
-        sojourn[t] = _parse_sojourn(entry.get("sojourn"), t)
+        table.alpha[i] = float(entry["alpha"])
+        table.reward[i] = float(entry["reward"])
+        table.kind[i], params = _parse_sojourn(entry.get("sojourn"), t)
+        table.param[i], table.lam[i] = (*params, math.nan)[:2]  # direct weights: (d, lam)
         trans = entry.get("transition")
         _require(isinstance(trans, dict), f"triple {t!r} needs a 'transition' object")
-        row = [0.0] * len(states)
         for y, p in trans.items():
             _require(y in index, f"transition for triple {t!r} names unknown state {y!r}")
             _require(
                 _number(p), f"transition probability for triple {t!r} -> {y!r} must be a number"
             )
-            row[index[y]] = float(p)
-        transition[t] = tuple(row)
+            if p != 0:
+                nz_row.append(i)
+                nz_succ.append(index[y])
+                nz_prob.append(float(p))
+    row, succ = np.array(nz_row, dtype=np.intp), np.array(nz_succ, dtype=np.intp)
+    order = np.lexsort((succ, row))  # by triple, then by successor state
+    table.indptr[1:] = np.cumsum(np.bincount(row, minlength=len(table.labels)))
+    table.succ, table.prob = succ[order], np.array(nz_prob)[order]
 
-    model = GameModel(
-        states=states,
-        actions1=actions1,
-        actions2=actions2,
-        discount=discount,
-        payoff=payoff,
-        sojourn=sojourn,
-        transition=transition,
-        weight=weight,
-    )
+    model = GameModel(states, actions1, actions2, weight, table)
     violations = validate_model(model)
     if violations:
         raise ModelValidationError(violations[0])
+    # only a valid law and rate give a finite continuation factor
+    table.lam = np.array([table.law(i).continuation(a) for i, a in enumerate(table.alpha.tolist())])
+    table.d = (1.0 - table.lam) / table.alpha
     return model
 
 
@@ -514,21 +499,22 @@ def serialize(m: GameModel) -> str:
     transition probabilities; ``load_model(serialize(m))`` reconstructs an
     equal model.
     """
-    triples = []
-    for t in m.triples():
-        x, a, b = t
-        row = m.transition[t]
-        triples.append(
-            {
-                "state": x,
-                "a": a,
-                "b": b,
-                "alpha": m.discount[t],
-                "reward": m.payoff[t],
-                "sojourn": m.sojourn[t].to_obj(),
-                "transition": {y: p for y, p in zip(m.states, row) if p != 0.0},
-            }
-        )
+    t = m.table
+    alpha, reward = t.alpha.tolist(), t.reward.tolist()
+    prob, ptr = t.prob.tolist(), t.indptr.tolist()
+    succ = [m.states[y] for y in t.succ.tolist()]
+    triples = [
+        {
+            "state": x,
+            "a": a,
+            "b": b,
+            "alpha": alpha[i],
+            "reward": reward[i],
+            "sojourn": t.law(i).to_obj(),
+            "transition": dict(zip(succ[ptr[i] : ptr[i + 1]], prob[ptr[i] : ptr[i + 1]])),
+        }
+        for i, (x, a, b) in enumerate(t.labels)
+    ]
     doc = {
         "states": list(m.states),
         "actions1": {x: list(m.actions1[x]) for x in m.states},

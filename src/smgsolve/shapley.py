@@ -10,9 +10,9 @@ to the vector of matrix-game values of ``C(u, x)`` over states; its fixed
 point is the game value, and the per-state saddle strategies at the fixed
 point form an optimal stationary pair.
 
-Per-state assembly and game solves are independent within one application,
-so they could run concurrently; the sequential loop here writes disjoint
-outputs and is equivalent.
+All states' matrices are assembled at once from the model's triple table;
+the per-state game solves are independent within one application, so they
+could run concurrently, and the sequential loop here writes disjoint outputs.
 """
 
 from dataclasses import dataclass
@@ -68,13 +68,13 @@ def _pair_arrays(m: GameModel, pair: StationaryStrategyPair):
 
 
 class ShapleyOperator:
-    """Value-update operator with cached per-state coefficient arrays.
+    """Value-update operator over the model's triple table.
 
-    The reward part ``r * d`` and continuation tensor ``lam * p``, dense per
-    state and built from the model's triple table, never change across
-    applications; only the dot product with the current value vector does,
-    so repeated applications amount to one small matmul and one matrix game
-    per state.
+    It keeps, per triple, the reward part ``r * d`` and, per transition
+    nonzero, the continuation weight ``lam * p``; neither changes across
+    applications.  One application gathers ``u`` at the successors, sums
+    each triple's nonzeros with one ``np.add.reduceat``, slices the result
+    into the per-state matrices and solves one matrix game per state.
     """
 
     def __init__(self, m: GameModel):
@@ -82,12 +82,13 @@ class ShapleyOperator:
         self.model = m
         self.n = m.n_states
         self.weights = np.asarray(m.weight_vector(), dtype=float)
-        base = t.reward * t.d
-        cont = t.dense_transitions()
-        cont *= t.lam[:, None]
-        spans = list(zip(t.offset[:-1], t.offset[1:], t.rows, t.cols))
-        self.base = [base[lo:hi].reshape(k1, k2) for lo, hi, k1, k2 in spans]  # r*d
-        self.cont = [cont[lo:hi].reshape(k1, k2, self.n) for lo, hi, k1, k2 in spans]  # lam*p
+        self.base = t.reward * t.d  # r*d per triple
+        # the triple (row) of each transition nonzero
+        self.nz_triple = np.repeat(np.arange(len(t.labels)), np.diff(t.indptr))
+        self.lam_prob = t.lam[self.nz_triple] * t.prob  # lam*p per nonzero
+        self.succ = t.succ
+        self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
+        self.spans = list(zip(t.offset[:-1], t.offset[1:], t.rows, t.cols))
 
     def _value_vector(self, values) -> np.ndarray:
         u = np.asarray(values, dtype=float)
@@ -97,9 +98,11 @@ class ShapleyOperator:
             raise ValueError("value vector must be finite")
         return u
 
-    def payoff_matrix(self, values, state_index: int) -> np.ndarray:
+    def matrices(self, values) -> list[np.ndarray]:
+        """Every state's matrix ``C(u, x)``, in state order."""
         u = self._value_vector(values)
-        return self.base[state_index] + self.cont[state_index] @ u
+        flat = self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
+        return [flat[lo:hi].reshape(k1, k2) for lo, hi, k1, k2 in self.spans]
 
     def apply(
         self, values, previous: StationaryStrategyPair | None = None
@@ -118,8 +121,7 @@ class ShapleyOperator:
         ``WARM_START_TOL * max(1, max|C|)``.  Every other state, and every
         state of a group whose stack is singular, goes to the simplex.
         """
-        u = self._value_vector(values)
-        matrices = [self.base[xi] + self.cont[xi] @ u for xi in range(self.n)]
+        matrices = self.matrices(values)
         out = np.empty(self.n)
         rows: list[np.ndarray | None] = [None] * self.n
         cols: list[np.ndarray | None] = [None] * self.n
@@ -184,7 +186,8 @@ class ShapleyOperator:
 
 def build_payoff_matrix(m: GameModel, values, state: str) -> np.ndarray:
     """The matrix ``C(u, x)`` for one state (rows: player 1's actions)."""
-    return ShapleyOperator(m).payoff_matrix(values, m.state_index(state))
+    xi = m.state_index(state)
+    return ShapleyOperator(m).matrices(values)[xi]
 
 
 def apply_shapley_operator(m: GameModel, values):
@@ -198,13 +201,9 @@ def apply_shapley_operator(m: GameModel, values):
 
 def apply_strategy_operator(m: GameModel, pair: StationaryStrategyPair, values) -> np.ndarray:
     """Expected one-sojourn update under a fixed pair: ``f(x) C(u, x) g(x)``."""
-    op = ShapleyOperator(m)
     vecs = _pair_arrays(m, pair)
-    u = np.asarray(values, dtype=float)
-    out = np.empty(op.n)
-    for xi, (fv, gv) in enumerate(vecs):
-        out[xi] = fv @ op.payoff_matrix(u, xi) @ gv
-    return out
+    matrices = ShapleyOperator(m).matrices(values)
+    return np.array([fv @ c @ gv for (fv, gv), c in zip(vecs, matrices)])
 
 
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:
@@ -222,19 +221,18 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
 
 def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndarray:
     """:func:`evaluate_stationary_pair` on an operator already built."""
-    vecs = _pair_arrays(op.model, pair)
+    t = op.model.table
     n = op.n
-    moved = np.zeros((n, n))
-    rewards = np.zeros(n)
-    for xi, (fv, gv) in enumerate(vecs):
-        rewards[xi] = fv @ op.base[xi] @ gv
-        moved[xi] = np.einsum("i,ijk,j->k", fv, op.cont[xi], gv)
-    system = np.eye(n) - moved
+    # the probability that the pair plays each triple of its state
+    mass = np.concatenate([np.outer(fv, gv).ravel() for fv, gv in _pair_arrays(op.model, pair)])
+    rewards = np.bincount(t.state, weights=mass * op.base, minlength=n)
+    nz = op.nz_triple
+    moved = np.bincount(t.state[nz] * n + op.succ, weights=mass[nz] * op.lam_prob, minlength=n * n)
+    system = np.eye(n) - moved.reshape(n, n)
     try:
         values = np.linalg.solve(system, rewards)
         values += np.linalg.solve(system, rewards - system @ values)
     except np.linalg.LinAlgError as exc:
-        t = op.model.table
         worst = int(np.argmax(t.lam))
         raise ArithmeticError(
             "stationary-pair system is singular; some continuation factor is not below 1 "

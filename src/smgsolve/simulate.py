@@ -61,7 +61,11 @@ def sample_sojourn(law: SojournLaw, rng: np.random.Generator) -> float:
 
 
 class _Sampler:
-    """The model's triple table plus the cumulative rows trajectories step through."""
+    """The model's triple table plus the cumulative sums trajectories draw from.
+
+    ``f_cum``/``g_cum`` are each state's cumulative strategy rows and
+    ``cum`` each transition row's running sums over its nonzeros.
+    """
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair, floor: float):
         if not 0.0 < floor < 1.0:
@@ -80,11 +84,26 @@ class _Sampler:
             self.f_cum[xi, : fv.size - 1] = np.cumsum(fv[:-1])
             self.g_cum[xi, : gv.size - 1] = np.cumsum(gv[:-1])
         self.table = t
-        self.p_cum = t.dense_transitions()
-        np.cumsum(self.p_cum, axis=1, out=self.p_cum)
-        self.p_cum[:, -1] = 1.0  # guard the draws against rounding in the row sums
+        self.cum = t.row_cumsum(t.prob)
+        self.depth = int(np.diff(t.indptr).max() - 1).bit_length()  # binary-search steps
         omega = np.asarray(m.weight_vector())
         self.tail_coef = m.payoff_bound() * float(omega.max()) / float(t.alpha.min())
+
+    def successor(self, tid: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each row ``tid``'s first successor whose running sum exceeds ``u``.
+
+        Adding a zero changes no float sum, so this is the state a search of
+        the dense row's cumulative sums finds.  ``lo`` never passes the row's
+        last successor, which the search returns when rounding leaves the
+        row's total at or below ``u``.
+        """
+        lo, hi = self.table.indptr[tid], self.table.indptr[tid + 1] - 1
+        for _ in range(self.depth):
+            mid = (lo + hi) // 2
+            right = self.cum[mid] <= u
+            lo = np.where(right, np.minimum(mid + 1, hi), lo)
+            hi = np.where(right, hi, mid)
+        return self.table.succ[lo]
 
 
 def _run_batch(sampler: _Sampler, streams: list, x0: int):
@@ -104,11 +123,12 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int):
     state = np.full(total, x0)
     discount = np.ones(total)
     acc = np.zeros(total)
+    buffer = np.empty((total, 4 * _BLOCK_STEPS))  # refilled in place, block after block
     for _ in range(MAX_SOJOURNS // _BLOCK_STEPS):
         if not ids.size:
             break
         width = ids.size
-        block = np.empty((width, 4 * _BLOCK_STEPS))
+        block = buffer[:width]
         for i in range(width):
             block[i] = streams[i].random(4 * _BLOCK_STEPS)
         alive = np.ones(width, dtype=bool)
@@ -127,7 +147,7 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int):
             acc_now = discount * t.reward[tid] * (1.0 - step) / rate
             acc += np.where(alive, acc_now, 0.0)
             discount = np.where(alive, discount * step, discount)
-            state = (sampler.p_cum[tid] <= u[:, 3, None]).sum(axis=1)
+            state = sampler.successor(tid, u[:, 3])
             done = alive & (discount < sampler.floor)
             if done.any():
                 payoffs[ids[done]] = acc[done]

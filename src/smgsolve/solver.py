@@ -76,8 +76,8 @@ def _nash_radius(epsilon: float, rate: float) -> float:
 
 def _first_application(m: GameModel, epsilon: float, v0, certificate):
     """Check the inputs, then return ``(cert, op, T(v0), pair, ||T(v0) - v0||)``."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < math.inf:  # also rejects NaN
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     cert = certificate if certificate is not None else check_assumptions(m)
     if not cert.passed:
         failed = [name for name, c in cert.checks.items() if not c.passed]
@@ -164,8 +164,7 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     op = ShapleyOperator(m)
     values = _evaluate_with(op, report.equilibrium)
     per_state: dict[str, float] = {}
-    for xi, x in enumerate(m.states):
-        c = op.payoff_matrix(values, xi)
+    for xi, (x, c) in enumerate(zip(m.states, op.matrices(values))):
         fv = np.asarray(report.equilibrium.f[x], dtype=float)
         gv = np.asarray(report.equilibrium.g[x], dtype=float)
         gain_row = float(np.max(c @ gv)) - values[xi]

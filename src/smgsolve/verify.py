@@ -219,14 +219,7 @@ def check_drift(m: GameModel, gamma: float) -> DriftResult:
     """
     t = m.table
     w = np.asarray(m.weight_vector())
-    # add each row's terms left to right in state order, as a plain sum does;
-    # a pairwise sum would move the last bits of eta_min
-    terms = w[t.succ] * t.prob
-    nnz = np.diff(t.indptr)
-    moved = np.zeros(len(nnz))
-    for k in range(int(nnz.max())):
-        at = np.flatnonzero(nnz > k)
-        moved[at] += terms[t.indptr[at] + k]
+    moved = t.row_cumsum(w[t.succ] * t.prob)[t.indptr[1:] - 1]
     eta_min = float(np.max(moved / w[t.state]))
     unit = bool(np.all(w == 1.0))
     eta = max(eta_min, (1.0 + gamma) / (2.0 * gamma)) if unit else eta_min

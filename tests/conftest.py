@@ -90,6 +90,30 @@ def single_state_model() -> GameModel:
     return load_model(json.dumps(SINGLE_STATE_DOC))
 
 
+def law_of(m: GameModel, triple):
+    """The sojourn law of one triple, read from the model's table."""
+    return m.table.law(m.table.where[triple])
+
+
+def alpha_of(m: GameModel, triple) -> float:
+    """The discount rate of one triple, read from the model's table."""
+    return float(m.table.alpha[m.table.where[triple]])
+
+
+def reward_of(m: GameModel, triple) -> float:
+    """The reward rate of one triple, read from the model's table."""
+    return float(m.table.reward[m.table.where[triple]])
+
+
+def transition_of(m: GameModel, triple) -> tuple[float, ...]:
+    """The transition row of one triple as a dense tuple aligned with ``states``."""
+    t = m.table
+    i = t.where[triple]
+    row = np.zeros(m.n_states)
+    row[t.succ[t.indptr[i] : t.indptr[i + 1]]] = t.prob[t.indptr[i] : t.indptr[i + 1]]
+    return tuple(row.tolist())
+
+
 def random_model(
     rng: np.random.Generator,
     max_states: int = 5,
@@ -137,6 +161,39 @@ def random_model(
     if not unit_weight:
         doc["weight"] = {x: float(rng.uniform(1.0, 1.002)) for x in states}
     return load_model(json.dumps(doc))
+
+
+def sparse_doc(n_states: int, seed: int = 0, successors: int = 2) -> dict:
+    """A fixed-seed model document: 2x2 actions, ``successors`` states per triple.
+
+    Sojourn laws cycle through the three analytic kinds, so the document can
+    be certified, solved and simulated.
+    """
+    rng = np.random.default_rng(seed)
+    states = [f"s{i}" for i in range(n_states)]
+    laws = (
+        ("exponential", "rate", 2.0), ("uniform", "upper", 1.0), ("deterministic", "duration", 0.5)
+    )
+    triples = []
+    for x in range(n_states):
+        for a in range(2):
+            for b in range(2):
+                kind, param, scale = laws[len(triples) % 3]
+                succ = rng.choice(n_states, size=successors, replace=False)
+                p = rng.dirichlet(np.ones(successors))
+                triples.append({
+                    "state": states[x], "a": f"a{a}", "b": f"b{b}",
+                    "alpha": float(rng.uniform(0.5, 2.0)),
+                    "reward": float(rng.uniform(-10.0, 10.0)),
+                    "sojourn": {"kind": kind, param: scale * float(rng.uniform(0.5, 1.5))},
+                    "transition": {states[y]: float(q) for y, q in zip(succ, p)},
+                })
+    return {
+        "states": states,
+        "actions1": {x: ["a0", "a1"] for x in states},
+        "actions2": {x: ["b0", "b1"] for x in states},
+        "triples": triples,
+    }
 
 
 def random_pair(rng: np.random.Generator, m: GameModel) -> StationaryStrategyPair:

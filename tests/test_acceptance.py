@@ -32,7 +32,9 @@ from smgsolve.cli import RunConfig, run
 from conftest import (
     INVESTMENT_DOC,
     INVESTMENT_VALUES,
+    alpha_of,
     random_model,
+    reward_of,
     solve_2x2_by_equalizing,
 )
 from test_discounting import quad_continuation, quad_reward_weight
@@ -179,7 +181,7 @@ def test_criterion_06_single_state_closed_form():
         doc = _random_single_state_doc(rng, kinds[i % 4])
         m = load_model(json.dumps(doc))
         t = ("s", "a", "b")
-        expected = m.payoff[t] / m.discount[t]
+        expected = reward_of(m, t) / alpha_of(m, t)
         report = value_iterate(m, 1e-12)
         worst = max(worst, abs(float(report.epsilon_value[0]) - expected))
     ok = worst <= 1e-9

@@ -160,6 +160,10 @@ def test_game_from_file(tmp_path, capsys):
         RunConfig(command="game", matrix="[[1, oops]]"),
         RunConfig(command="solve", model=INVESTMENT, epsilon=-1.0),
         RunConfig(command="simulate", model=INVESTMENT, state="1", trajectories=1),
+        RunConfig(command="solve", model=INVESTMENT, epsilon=float("inf")),
+        RunConfig(command="solve", model=INVESTMENT, epsilon=float("nan")),
+        RunConfig(command="simulate", model=INVESTMENT, state="1", epsilon=float("inf")),
+        RunConfig(command="simulate", model=INVESTMENT, state="1", epsilon=float("nan")),
     ],
 )
 def test_input_errors_exit_2(config, capsys):

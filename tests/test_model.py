@@ -16,7 +16,17 @@ from smgsolve import (
     validate_model,
 )
 
-from conftest import INVESTMENT_DOC, MIXED_LAWS_DOC, MODELS_DIR, SINGLE_STATE_DOC, random_model
+from conftest import (
+    INVESTMENT_DOC,
+    MIXED_LAWS_DOC,
+    MODELS_DIR,
+    SINGLE_STATE_DOC,
+    alpha_of,
+    law_of,
+    random_model,
+    reward_of,
+    transition_of,
+)
 
 
 def test_single_state_document_loads(single_state_model):
@@ -24,10 +34,10 @@ def test_single_state_document_loads(single_state_model):
     assert m.states == ("only",)
     assert m.actions1["only"] == ("stay",)
     t = ("only", "stay", "stay")
-    assert m.discount[t] == 0.5
-    assert m.payoff[t] == 2.0
-    assert m.sojourn[t] == Exponential(rate=1.5)
-    assert m.transition[t] == (1.0,)
+    assert alpha_of(m, t) == 0.5
+    assert reward_of(m, t) == 2.0
+    assert law_of(m, t) == Exponential(rate=1.5)
+    assert transition_of(m, t) == (1.0,)
     assert m.weight["only"] == 1.0
     assert list(m.triples()) == [t]
 
@@ -39,9 +49,9 @@ def test_investment_document_loads(investment_model):
     for x in m.states:
         assert len(m.actions1[x]) == 2
         assert len(m.actions2[x]) == 2
-    assert m.sojourn[("3", "a31", "b31")] == Uniform(upper=0.34)
-    assert m.discount[("1", "a11", "b12")] == 0.96
-    assert m.transition[("2", "a22", "b22")] == (0.3, 0.0, 0.7)
+    assert law_of(m, ("3", "a31", "b31")) == Uniform(upper=0.34)
+    assert alpha_of(m, ("1", "a11", "b12")) == 0.96
+    assert transition_of(m, ("2", "a22", "b22")) == (0.3, 0.0, 0.7)
 
 
 def test_bundled_model_files_match_reference_documents():
@@ -130,7 +140,7 @@ def test_round_trip_preserves_everything(investment_model):
         assert again == m
         assert again.states == m.states
         assert again.actions1 == m.actions1
-        assert again.sojourn == m.sojourn
+        assert [law_of(again, t) for t in again.triples()] == [law_of(m, t) for t in m.triples()]
 
 
 def test_round_trip_random_models():
@@ -154,15 +164,13 @@ def test_unknown_state_lookup_raises(single_state_model):
 
 
 def test_validate_collects_violations_without_raising(single_state_model):
+    from copy import deepcopy
     from dataclasses import replace
 
-    t = ("only", "stay", "stay")
-    broken = replace(
-        single_state_model,
-        discount={t: 0.0},
-        weight={"only": 0.5},
-        transition={t: (0.9,)},
-    )
+    table = deepcopy(single_state_model.table)
+    table.alpha[0] = 0.0  # the one triple ("only", "stay", "stay")
+    table.prob[0] = 0.9
+    broken = replace(single_state_model, weight={"only": 0.5}, table=table)
     violations = validate_model(broken)
     assert len(violations) == 3
     assert any("weight must be >= 1" in v for v in violations)

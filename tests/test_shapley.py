@@ -21,7 +21,7 @@ from smgsolve import (
     verify_saddle_point,
 )
 
-from conftest import INVESTMENT_VALUES, random_model, random_pair
+from conftest import INVESTMENT_VALUES, alpha_of, law_of, random_model, random_pair
 
 
 def pure_pair(m):
@@ -179,7 +179,7 @@ def test_constant_shift_bounds_with_unit_weights():
     rng = np.random.default_rng(31)
     for _ in range(20):
         m = random_model(rng, unit_weight=True)
-        lams = [continuation_weight(m.sojourn[t], m.discount[t]) for t in m.triples()]
+        lams = [continuation_weight(law_of(m, t), alpha_of(m, t)) for t in m.triples()]
         lam_min, lam_max = min(lams), max(lams)
         u = rng.normal(size=m.n_states) * 5.0
         c = float(rng.uniform(0.0, 4.0))
@@ -223,8 +223,7 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
         warm, pair = op.apply(u, guess)
         states += m.n_states
         warm_solved += m.n_states - len(simplex_calls)
-        for xi, x in enumerate(m.states):
-            c = op.payoff_matrix(u, xi)
+        for xi, (x, c) in enumerate(zip(m.states, op.matrices(u))):
             scale = max(1.0, float(np.max(np.abs(c))))
             assert warm[xi] == pytest.approx(cold[xi], abs=1e-9 * scale)
             ok, violation = verify_saddle_point(c, pair.f[x], pair.g[x], 1e-9 * scale)

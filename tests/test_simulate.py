@@ -26,7 +26,9 @@ from smgsolve import (
     value_iterate,
 )
 
-from conftest import random_model, random_pair
+from smgsolve.simulate import _Sampler
+
+from conftest import alpha_of, law_of, random_model, random_pair, sparse_doc, transition_of
 
 
 def test_deterministic_sojourn_is_constant():
@@ -68,6 +70,63 @@ def test_direct_weights_not_samplable(single_state_model):
         simulate_trajectory(m, pair, "s", rng)
     with pytest.raises(NotSamplableError):
         estimate_value(m, pair, "s", trajectories=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "states, row, drawn",
+    [
+        (["x", "y", "w", "z"], {"x": 0.7, "y": 0.2, "w": 0.1}, "w"),
+        (["z", "y", "w", "x"], {"y": 0.7, "w": 0.2, "x": 0.1}, "x"),  # x's row is the last
+    ],
+)
+def test_a_zero_probability_successor_is_never_drawn(states, row, drawn):
+    # from x the row's running sums end at 0.9999999999999999, below 1; a
+    # uniform above that must still land on the row's last nonzero, never at
+    # z and never in the next triple's row
+    u = np.nextafter(1.0, 0.0)
+    assert math.fsum([0.7, 0.2, 0.1]) == 1.0 and 0.7 + 0.2 + 0.1 == u
+
+    class ConstantStream:
+        def random(self, n):
+            return np.full(n, u)
+
+    rows = {"x": row, "y": {"y": 1.0}, "w": {"w": 1.0}, "z": {"z": 1.0}}
+    doc = {
+        "states": states,
+        "actions1": {s: ["a"] for s in states},
+        "actions2": {s: ["b"] for s in states},
+        "triples": [
+            {"state": s, "a": "a", "b": "b", "alpha": 1.0, "reward": 100.0 if s == "z" else 0.0,
+             "sojourn": {"kind": "deterministic", "duration": 0.1}, "transition": rows[s]}
+            for s in states
+        ],
+    }
+    m = load_model(json.dumps(doc))
+    one = np.ones(1)
+    pair = StationaryStrategyPair(f={s: one for s in states}, g={s: one for s in states})
+    sampler = _Sampler(m, pair, floor=1e-8)
+    tid = np.array([m.table.where[("x", "a", "b")]])
+    assert sampler.successor(tid, np.array([u])).tolist() == [m.state_index(drawn)]
+    payoff, _ = simulate_trajectory(m, pair, "x", ConstantStream())
+    assert payoff == 0.0  # the second sojourn at z would have earned 100 * (1 - e^-0.1) * e^-0.1
+
+
+def test_successor_draws_match_a_search_of_the_dense_cumulative_rows():
+    # reference: np.cumsum over each dense row, then the count of entries <= u;
+    # at or above a row's total the draw is the row's last nonzero
+    m = load_model(json.dumps(sparse_doc(60, seed=5, successors=11)))  # 4 search steps
+    rng = np.random.default_rng(8)
+    sampler = _Sampler(m, random_pair(rng, m), floor=1e-8)
+    rows = np.array([transition_of(m, t) for t in m.triples()])
+    dense = np.cumsum(rows, axis=1)
+    last = np.array([np.flatnonzero(row)[-1] for row in rows])
+    tid = rng.integers(0, len(dense), size=20_000)
+    u = rng.random(20_000)
+    u[::2] = dense[tid[::2], rng.integers(0, m.n_states, size=10_000)]  # ties with a running sum
+    u[1::8] = dense[tid[1::8], -1]  # the row's total
+    u[3::8] = np.nextafter(dense[tid[3::8], -1], 2.0)  # just above it
+    expected = np.where(u < dense[tid, -1], (dense[tid] <= u[:, None]).sum(axis=1), last[tid])
+    np.testing.assert_array_equal(sampler.successor(tid, u), expected)
 
 
 def test_single_state_trajectory_telescopes(single_state_model):
@@ -168,7 +227,7 @@ def test_residual_discount_decays_at_least_geometrically(investment_model):
     # worst-case per-sojourn factor
     pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
     lam_max = max(
-        continuation_weight(investment_model.sojourn[t], investment_model.discount[t])
+        continuation_weight(law_of(investment_model, t), alpha_of(investment_model, t))
         for t in investment_model.triples()
     )
     steps = 15
@@ -185,11 +244,11 @@ def test_residual_discount_decays_at_least_geometrically(investment_model):
             a = acts1[np.searchsorted(np.cumsum(pair.f[x]), u[0], side="right")]
             b = acts2[np.searchsorted(np.cumsum(pair.g[x]), u[1], side="right")]
             t = (x, a, b)
-            law = investment_model.sojourn[t]
+            law = law_of(investment_model, t)
             tau = -math.log1p(-u[2]) / law.rate if isinstance(law, Exponential) else u[2] * law.upper
-            d *= math.exp(-investment_model.discount[t] * tau)
+            d *= math.exp(-alpha_of(investment_model, t) * tau)
             x = investment_model.states[
-                np.searchsorted(np.cumsum(investment_model.transition[t]), u[3], side="right")
+                np.searchsorted(np.cumsum(transition_of(investment_model, t)), u[3], side="right")
             ]
         discounts[i] = d
     se = discounts.std(ddof=1) / math.sqrt(n_traj)

@@ -152,9 +152,9 @@ def test_final_strategies_match_the_equalization_oracle(investment_model):
 
     report = value_iterate(investment_model, 1e-4, v0=np.ones(3))
     previous = np.array(report.value_trace[-2])
-    op = ShapleyOperator(investment_model)
+    matrices = ShapleyOperator(investment_model).matrices(previous)
     for xi, x in enumerate(investment_model.states):
-        v, fv, gv = solve_2x2_by_equalizing(op.payoff_matrix(previous, xi))
+        v, fv, gv = solve_2x2_by_equalizing(matrices[xi])
         assert report.epsilon_value[xi] == pytest.approx(v, abs=1e-9)
         np.testing.assert_allclose(report.equilibrium.f[x], fv, atol=1e-9)
         np.testing.assert_allclose(report.equilibrium.g[x], gv, atol=1e-9)
@@ -177,8 +177,9 @@ def test_per_state_results_do_not_depend_on_sweep_order(investment_model):
     op = ShapleyOperator(investment_model)
     u = np.array([3.0, -2.0, 0.25])
     updated, pair = op.apply(u)
+    matrices = op.matrices(u)
     for xi in reversed(range(investment_model.n_states)):
-        sol = solve_matrix_game(op.payoff_matrix(u, xi))
+        sol = solve_matrix_game(matrices[xi])
         assert sol.value == updated[xi]
         x = investment_model.states[xi]
         np.testing.assert_array_equal(sol.row_strategy, pair.f[x])
@@ -274,3 +275,11 @@ def test_invalid_epsilon_rejected(single_state_model):
         value_iterate(single_state_model, 0.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         iteration_bound(single_state_model, -1.0)
+
+
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+def test_non_finite_epsilon_rejected(single_state_model, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        value_iterate(single_state_model, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        iteration_bound(single_state_model, epsilon)

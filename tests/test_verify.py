@@ -17,7 +17,7 @@ from smgsolve import (
     regularity_from_bounds,
 )
 
-from conftest import MIXED_LAWS_DOC, random_model
+from conftest import MIXED_LAWS_DOC, alpha_of, law_of, random_model
 
 
 def one_triple_model(sojourn: dict, alpha: float = 1.0, weight: dict | None = None,
@@ -115,7 +115,7 @@ def test_regularity_search_deterministic_only_caps_delta():
     assert theta == pytest.approx(0.8, rel=1e-3)
     assert 0.0 < delta < 1.0
     gamma = compute_gamma(theta, delta, 1.25)
-    lam = continuation_weight(m.sojourn[("s0", "a", "b")], 1.25)
+    lam = continuation_weight(law_of(m, ("s0", "a", "b")), 1.25)
     assert lam <= gamma < 1.0
 
 
@@ -239,7 +239,7 @@ def test_lambda_below_gamma_by_enumeration_on_random_models():
             continue
         done += 1
         for t in m.triples():
-            assert continuation_weight(m.sojourn[t], m.discount[t]) <= cert.gamma + 1e-12
+            assert continuation_weight(law_of(m, t), alpha_of(m, t)) <= cert.gamma + 1e-12
 
 
 def test_weighted_row_bound_at_every_triple():
