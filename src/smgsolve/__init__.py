@@ -7,13 +7,6 @@ results by exact stationary-pair evaluation and Monte Carlo simulation of the
 continuous-time discounted payoff.
 """
 
-from .discounting import (
-    DiscountedCoefficients,
-    coefficients,
-    continuation_weight,
-    discounted_kernel_row,
-    reward_weight,
-)
 from .matrixgame import (
     MatrixGameError,
     MatrixGameSolution,
@@ -37,9 +30,7 @@ from .model import (
 from .shapley import (
     ShapleyOperator,
     StationaryStrategyPair,
-    apply_shapley_operator,
-    apply_strategy_operator,
-    build_payoff_matrix,
+    discounted_kernel_row,
     evaluate_stationary_pair,
     omega_norm,
 )
@@ -49,7 +40,6 @@ from .simulate import (
     check_equilibrium_deviation,
     estimate_value,
     pure_deviations,
-    sample_sojourn,
     simulate_trajectory,
     trajectory_rng,
 )
@@ -59,7 +49,6 @@ from .solver import (
     ConvergenceError,
     SolveReport,
     certify_solution,
-    iteration_bound,
     strategy_tables,
     trace_csv,
     value_iterate,
@@ -85,7 +74,6 @@ __all__ = [
     "ConvergenceError",
     "Deterministic",
     "DirectWeights",
-    "DiscountedCoefficients",
     "DriftResult",
     "Exponential",
     "GameModel",
@@ -101,27 +89,19 @@ __all__ = [
     "SolveReport",
     "StationaryStrategyPair",
     "Uniform",
-    "apply_shapley_operator",
-    "apply_strategy_operator",
-    "build_payoff_matrix",
     "certify_solution",
     "check_assumptions",
     "check_drift",
     "check_equilibrium_deviation",
-    "coefficients",
     "compute_gamma",
-    "continuation_weight",
     "discounted_kernel_row",
     "estimate_value",
     "evaluate_stationary_pair",
     "find_regularity_params",
-    "iteration_bound",
     "load_model",
     "omega_norm",
     "pure_deviations",
     "regularity_from_bounds",
-    "reward_weight",
-    "sample_sojourn",
     "serialize",
     "simulate_trajectory",
     "solve_matrix_game",

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrixgame import solve_matrix_game, verify_saddle_point
-from .model import GameModel, ModelError, load_model
+from .model import GameModel, ModelError, _number, load_model
 from .shapley import StationaryStrategyPair, evaluate_stationary_pair
 from .simulate import estimate_value
 from .solver import (
@@ -224,16 +224,13 @@ def _cmd_game(config: RunConfig) -> int:
     if not text.lstrip().startswith("["):
         text = _read(text)
     rows = _parse_json(text, "matrix")
-    numeric = (
-        isinstance(rows, list)
-        and rows
-        and all(
-            isinstance(r, list) and all(isinstance(v, (int, float)) for v in r)
-            for r in rows
-        )
-    )
-    if not numeric:
-        raise _InputError("matrix must be a JSON array of arrays of numbers")
+    if not (isinstance(rows, list) and rows):
+        raise _InputError("matrix must be a nonempty JSON array of arrays of numbers")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and row and all(_number(v) for v in row)):
+            raise _InputError(f"matrix row {i} is not a nonempty array of numbers: {json.dumps(row)}")
+        if len(row) != len(rows[0]):
+            raise _InputError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
     sol = solve_matrix_game(rows)
     ok, violation = verify_saddle_point(
         rows, sol.row_strategy, sol.col_strategy, tol=1e-9 * max(1.0, abs(sol.value))

@@ -422,7 +422,9 @@ def load_model(text: str) -> GameModel:
     well-formed documents that break an invariant.
     """
     try:
-        doc = json.loads(text)
+        # an integer too large for a float parses as an infinity, which
+        # validation rejects naming its triple or state
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model document is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "model document must be a JSON object")

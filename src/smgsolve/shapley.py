@@ -1,4 +1,18 @@
-"""Per-state payoff matrices and the minimax value-update operator.
+"""Discount coefficients, payoff matrices and the minimax value-update operator.
+
+For a holding-time law ``H`` and discount rate ``alpha``, everything the
+value recursion needs is two scalars:
+
+* ``d``, the expected discounted duration of one sojourn
+  (the integral of ``exp(-alpha t) (1 - H(t))`` over ``t >= 0``), and
+* ``lam``, the expected discount accrued over one full sojourn
+  (the integral of ``exp(-alpha t)`` against ``H(dt)``).
+
+Integration by parts ties them together: ``d == (1 - lam) / alpha``.  All
+supported laws have closed forms, each kept with its law class in
+:mod:`smgsolve.model` (``continuation``), so the coefficients are exact and
+cheap; numerical quadrature appears only in the test suite as an independent
+check.  A model's coefficients are computed once, into its triple table.
 
 For a value estimate ``u`` the matrix ``C(u, x)`` has entries
 
@@ -20,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixgame import exploitability, solve_matrix_game
-from .model import GameModel
+from .model import GameModel, Triple
 
 SIMPLEX_TOL = 1e-10
 # a warm-started state's pair must be this exact, relative to max(1, max|C|)
@@ -65,6 +79,25 @@ def _pair_arrays(m: GameModel, pair: StationaryStrategyPair):
         gv = _checked_distribution(pair.g[x], len(m.actions2[x]), f"g[{x!r}]")
         out.append((fv, gv))
     return out
+
+
+def discounted_kernel_row(
+    m: GameModel, triple: Triple
+) -> tuple[float, float, np.ndarray]:
+    """Coefficients and the continuation-weighted transition row of a triple.
+
+    Returns ``(d, lam, lam * p(.|x,a,b))``; the row's entries are nonnegative
+    and sum to ``lam``.  Raises ``KeyError`` for a triple the model does not
+    contain.
+    """
+    t = m.table
+    i = t.where.get(triple)
+    if i is None:
+        raise KeyError(f"unknown triple {triple!r}")
+    lo, hi = t.indptr[i], t.indptr[i + 1]
+    row = np.zeros(m.n_states)
+    row[t.succ[lo:hi]] = t.lam[i] * t.prob[lo:hi]
+    return float(t.d[i]), float(t.lam[i]), row
 
 
 class ShapleyOperator:
@@ -182,28 +215,6 @@ class ShapleyOperator:
                 out[xi], rows[xi], cols[xi] = solved[0, n, k], x[n], y[n]
             rest.extend(idx[~ok].tolist())
         return sorted(rest)
-
-
-def build_payoff_matrix(m: GameModel, values, state: str) -> np.ndarray:
-    """The matrix ``C(u, x)`` for one state (rows: player 1's actions)."""
-    xi = m.state_index(state)
-    return ShapleyOperator(m).matrices(values)[xi]
-
-
-def apply_shapley_operator(m: GameModel, values):
-    """Apply the value-update operator once.
-
-    Returns ``(updated_values, pair)`` where ``pair`` holds each state's
-    saddle-point strategies for the matrices ``C(values, x)``.
-    """
-    return ShapleyOperator(m).apply(values)
-
-
-def apply_strategy_operator(m: GameModel, pair: StationaryStrategyPair, values) -> np.ndarray:
-    """Expected one-sojourn update under a fixed pair: ``f(x) C(u, x) g(x)``."""
-    vecs = _pair_arrays(m, pair)
-    matrices = ShapleyOperator(m).matrices(values)
-    return np.array([fv @ c @ gv for (fv, gv), c in zip(vecs, matrices)])
 
 
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:

@@ -8,7 +8,7 @@ reward integrates in closed form, so each sojourn contributes
 
 to the realized payoff, where ``D`` is the discount accumulated before the
 sojourn; no within-sojourn discretization is involved.  A trajectory is
-truncated once ``D`` falls below a floor, or after ``MAX_SOJOURNS``
+truncated once ``D`` falls below ``DISCOUNT_FLOOR``, or after ``MAX_SOJOURNS``
 sojourns, and the discarded tail is bounded by ``M * omega_max * D / alpha0``
 (``M`` the weighted payoff bound), which is reported alongside every
 estimate.
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ANALYTIC_LAWS, GameModel, NotSamplableError, SojournLaw
+from .model import ANALYTIC_LAWS, GameModel, NotSamplableError
 from .shapley import StationaryStrategyPair, _pair_arrays
 
-DEFAULT_DISCOUNT_FLOOR = 1e-8
+DISCOUNT_FLOOR = 1e-8
 # per-trajectory cap on sojourns, a multiple of _BLOCK_STEPS
 MAX_SOJOURNS = 16_384
 _BLOCK_STEPS = 64
@@ -51,15 +51,6 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def sample_sojourn(law: SojournLaw, rng: np.random.Generator) -> float:
-    """One holding-time draw.
-
-    Consumes exactly one uniform for every law, including the deterministic
-    one, so stream positions do not depend on which laws a trajectory visits.
-    """
-    return float(law.holding_time(rng.random(), law.param))
-
-
 class _Sampler:
     """The model's triple table plus the cumulative sums trajectories draw from.
 
@@ -67,10 +58,7 @@ class _Sampler:
     ``cum`` each transition row's running sums over its nonzeros.
     """
 
-    def __init__(self, m: GameModel, pair: StationaryStrategyPair, floor: float):
-        if not 0.0 < floor < 1.0:
-            raise ValueError(f"discount floor must lie in (0, 1), got {floor!r}")
-        self.floor = floor
+    def __init__(self, m: GameModel, pair: StationaryStrategyPair):
         t = m.table
         vecs = _pair_arrays(m, pair)
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
@@ -112,7 +100,7 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int):
     Uniforms are pulled from each stream in blocks; trajectory ``i`` consumes
     slots ``[4k, 4k+4)`` of its own stream at sojourn ``k``, identically
     however many trajectories run together.  A trajectory stops when its
-    discount falls below the sampler's floor or after ``MAX_SOJOURNS``
+    discount falls below ``DISCOUNT_FLOOR`` or after ``MAX_SOJOURNS``
     sojourns, and its tail bound is ``tail_coef`` times that discount.
     """
     t = sampler.table
@@ -148,7 +136,7 @@ def _run_batch(sampler: _Sampler, streams: list, x0: int):
             acc += np.where(alive, acc_now, 0.0)
             discount = np.where(alive, discount * step, discount)
             state = sampler.successor(tid, u[:, 3])
-            done = alive & (discount < sampler.floor)
+            done = alive & (discount < DISCOUNT_FLOOR)
             if done.any():
                 payoffs[ids[done]] = acc[done]
                 tails[ids[done]] = sampler.tail_coef * discount[done]
@@ -171,10 +159,9 @@ def simulate_trajectory(
     pair: StationaryStrategyPair,
     x0: str,
     rng: np.random.Generator,
-    discount_floor: float = DEFAULT_DISCOUNT_FLOOR,
 ) -> tuple[float, float]:
     """One realized discounted payoff from ``x0`` plus its truncation bound."""
-    sampler = _Sampler(m, pair, discount_floor)
+    sampler = _Sampler(m, pair)
     payoffs, tails = _run_batch(sampler, [rng], m.state_index(x0))
     return float(payoffs[0]), float(tails[0])
 
@@ -185,7 +172,6 @@ def estimate_value(
     x0: str,
     trajectories: int,
     seed: int,
-    discount_floor: float = DEFAULT_DISCOUNT_FLOOR,
 ) -> MCEstimate:
     """Estimate the expected discounted payoff from ``x0`` under ``pair``.
 
@@ -194,7 +180,7 @@ def estimate_value(
     """
     if trajectories < 2:
         raise ValueError(f"need at least 2 trajectories, got {trajectories!r}")
-    sampler = _Sampler(m, pair, discount_floor)
+    sampler = _Sampler(m, pair)
     x0i = m.state_index(x0)
     payoffs = np.empty(trajectories)
     tails = np.empty(trajectories)
@@ -250,7 +236,6 @@ def check_equilibrium_deviation(
     deviations: list[tuple[int, str, str]],
     trajectories: int,
     seed: int,
-    discount_floor: float = DEFAULT_DISCOUNT_FLOOR,
 ) -> list[DeviationRow]:
     """Estimate each pure deviation's payoff against the baseline pair.
 
@@ -265,9 +250,9 @@ def check_equilibrium_deviation(
         if player not in (1, 2):
             raise ValueError(f"player must be 1 or 2, got {player!r}")
         if x not in baselines:
-            baselines[x] = estimate_value(m, pair, x, trajectories, seed, discount_floor)
+            baselines[x] = estimate_value(m, pair, x, trajectories, seed)
         changed = _override(m, pair, player, x, action)
-        est = estimate_value(m, changed, x, trajectories, seed, discount_floor)
+        est = estimate_value(m, changed, x, trajectories, seed)
         rows.append(
             DeviationRow(
                 deviation=(player, x, action),

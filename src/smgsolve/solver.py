@@ -5,7 +5,7 @@ by less than the threshold ``epsilon`` in the weighted sup-norm.  Because the
 operator contracts with modulus ``eta_gamma`` from the model's certificate,
 stopping at threshold ``epsilon`` leaves the returned pair within
 ``epsilon / (1 - eta_gamma)`` of the true game value, and the number of
-applications needed is bounded a priori by ``iteration_bound``.
+applications needed is bounded a priori (``SolveReport.n_epsilon_bound``).
 """
 
 import math
@@ -42,7 +42,10 @@ class SolveReport:
     diagnostic using the largest continuation factor as the per-step rate,
     meaningful when all state weights are 1 and not backed by the
     certificate.  ``value_trace`` records the iterate after each application
-    (one row per ``error_trace`` entry).
+    (one row per ``error_trace`` entry).  ``n_epsilon_bound`` is the a-priori
+    bound on the stopping index: zero when the first residual ``delta0`` is
+    below 1e-14, else ``1 + floor(log(epsilon / delta0) / log(eta_gamma))``
+    clamped at zero.
     """
 
     epsilon_value: np.ndarray
@@ -74,22 +77,6 @@ def _nash_radius(epsilon: float, rate: float) -> float:
     return epsilon / (1.0 - rate) if rate < 1.0 else float("inf")
 
 
-def _first_application(m: GameModel, epsilon: float, v0, certificate):
-    """Check the inputs, then return ``(cert, op, T(v0), pair, ||T(v0) - v0||)``."""
-    if not 0.0 < epsilon < math.inf:  # also rejects NaN
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    cert = certificate if certificate is not None else check_assumptions(m)
-    if not cert.passed:
-        failed = [name for name, c in cert.checks.items() if not c.passed]
-        raise CertificateError(f"model certificate failed: {', '.join(failed)}")
-    op = ShapleyOperator(m)
-    start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
-    if start.shape != (op.n,):
-        raise ValueError(f"v0 must have length {op.n}")
-    updated, pair = op.apply(start)
-    return cert, op, updated, pair, omega_norm(updated - start, op.weights)
-
-
 def value_iterate(
     m: GameModel,
     epsilon: float,
@@ -105,10 +92,23 @@ def value_iterate(
     Raises :class:`CertificateError` when the model's certificate fails and
     :class:`ConvergenceError` when the cap is hit first.
     """
-    cert, op, updated, pair, delta = _first_application(m, epsilon, v0, certificate)
+    if not 0.0 < epsilon < math.inf:  # also rejects NaN
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    cert = certificate if certificate is not None else check_assumptions(m)
+    if not cert.passed:
+        failed = [name for name, c in cert.checks.items() if not c.passed]
+        raise CertificateError(f"model certificate failed: {', '.join(failed)}")
+    op = ShapleyOperator(m)
+    start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
+    if start.shape != (op.n,):
+        raise ValueError(f"v0 must have length {op.n}")
+    updated, pair = op.apply(start)
+    delta = omega_norm(updated - start, op.weights)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
-        max_iter = max(1, min(10 * max(bound, 1), MAX_ITER_CAP))
+        max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
 
     trace = [delta]
     values = [tuple(float(v) for v in updated)]
@@ -136,22 +136,6 @@ def value_iterate(
         certificate=cert,
         n_epsilon_bound=bound,
     )
-
-
-def iteration_bound(
-    m: GameModel,
-    epsilon: float,
-    v0=None,
-    certificate: AssumptionCertificate | None = None,
-) -> int:
-    """A-priori bound on the stopping index for the given start vector.
-
-    Zero when the start vector is already fixed (first residual below
-    1e-14), else ``1 + floor(log(epsilon / delta0) / log(eta_gamma))``
-    clamped at zero, with ``delta0`` the first residual norm.
-    """
-    cert, _, _, _, delta = _first_application(m, epsilon, v0, certificate)
-    return _bound_from(delta, epsilon, cert.eta_gamma)
 
 
 def certify_solution(m: GameModel, report: SolveReport, tol: float) -> CertificationResult:

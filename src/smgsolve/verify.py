@@ -34,7 +34,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Preset a-priori law bounds for the reproduction mode of the certificate
 # (CLI flag --paper-params): every exponential rate below 100, every finite
 # support above 0.1, delta fixed at 0.1, discount floor 0.25.
-PRESET_BOUNDS = {"rate_bound": 100.0, "support_floor": 0.1, "delta": 0.1, "alpha0": 0.25}
+RATE_BOUND, SUPPORT_FLOOR, PRESET_DELTA, PRESET_ALPHA0 = 100.0, 0.1, 0.1, 0.25
 
 _EXP, _UNI, _DET = (LAWS.index(law) for law in (Exponential, Uniform, Deterministic))
 _BOUNDED = {_EXP: "exponential rate", _UNI: "uniform support", _DET: "deterministic duration"}
@@ -170,42 +170,33 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     return theta, min(delta, 1.0 - 1e-12)
 
 
-def regularity_from_bounds(
-    m: GameModel,
-    rate_bound: float = PRESET_BOUNDS["rate_bound"],
-    support_floor: float = PRESET_BOUNDS["support_floor"],
-    delta: float = PRESET_BOUNDS["delta"],
-    alpha0: float = PRESET_BOUNDS["alpha0"],
-) -> tuple[float, float, float]:
-    """Regularity constants derived from a-priori law bounds.
+def regularity_from_bounds(m: GameModel) -> tuple[float, float, float]:
+    """Regularity constants ``(theta, delta, alpha0)`` from the preset law bounds.
 
-    With every exponential rate below ``rate_bound`` and every finite support
-    above ``support_floor``, the horizon
-    ``theta = min((1 - delta) * support_floor, ln(1/delta) / rate_bound)``
-    leaves every sojourn unfinished with probability at least ``delta``.
-    The bounds are checked against the model; raises ``ValueError`` when
-    they do not hold.
+    With every exponential rate below ``RATE_BOUND`` and every finite support
+    above ``SUPPORT_FLOOR``, the horizon
+    ``theta = min((1 - delta) * SUPPORT_FLOOR, ln(1/delta) / RATE_BOUND)``
+    leaves every sojourn unfinished with probability at least
+    ``delta = PRESET_DELTA``.  The bounds, and ``PRESET_ALPHA0`` as a floor
+    on the discount rates, are checked against the model; raises
+    ``ValueError`` when they do not hold.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if rate_bound <= 0.0 or support_floor <= 0.0:
-        raise ValueError("law bounds must be positive")
-    if alpha0 <= 0.0 or alpha0 > m.table.alpha.min():
-        raise ValueError(
-            f"alpha0 must be a positive lower bound on the discount rates, got {alpha0!r}"
-        )
     t = m.table
-    fast = (t.kind == _EXP) & (t.param >= rate_bound)
-    short = ((t.kind == _UNI) | (t.kind == _DET)) & (t.param <= support_floor)
+    if PRESET_ALPHA0 > t.alpha.min():
+        raise ValueError(
+            f"alpha0 must be a positive lower bound on the discount rates, got {PRESET_ALPHA0!r}"
+        )
+    fast = (t.kind == _EXP) & (t.param >= RATE_BOUND)
+    short = ((t.kind == _UNI) | (t.kind == _DET)) & (t.param <= SUPPORT_FLOOR)
     bad = np.flatnonzero(fast | short)
     if bad.size:
         i = bad[0]
-        limit = f"exceeds bound {rate_bound!r}" if fast[i] else f"below floor {support_floor!r}"
+        limit = f"exceeds bound {RATE_BOUND!r}" if fast[i] else f"below floor {SUPPORT_FLOOR!r}"
         raise ValueError(
             f"{_BOUNDED[int(t.kind[i])]} {float(t.param[i])!r} at {t.labels[i]!r} {limit}"
         )
-    theta = min((1.0 - delta) * support_floor, math.log(1.0 / delta) / rate_bound)
-    return theta, delta, alpha0
+    theta = min((1.0 - PRESET_DELTA) * SUPPORT_FLOOR, math.log(1.0 / PRESET_DELTA) / RATE_BOUND)
+    return theta, PRESET_DELTA, PRESET_ALPHA0
 
 
 def check_drift(m: GameModel, gamma: float) -> DriftResult:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smgsolve import GameModel, StationaryStrategyPair, load_model
+from smgsolve import GameModel, StationaryStrategyPair, discounted_kernel_row, load_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -112,6 +112,21 @@ def transition_of(m: GameModel, triple) -> tuple[float, ...]:
     row = np.zeros(m.n_states)
     row[t.succ[t.indptr[i] : t.indptr[i + 1]]] = t.prob[t.indptr[i] : t.indptr[i + 1]]
     return tuple(row.tolist())
+
+
+def kernel_coefficients(law, alpha: float) -> tuple[float, float]:
+    """``(d, lam)`` of ``law`` at discount rate ``alpha``, as a loaded model stores them."""
+    doc = {
+        "states": ["s"],
+        "actions1": {"s": ["a"]},
+        "actions2": {"s": ["b"]},
+        "triples": [
+            {"state": "s", "a": "a", "b": "b", "alpha": alpha, "reward": 0.0,
+             "sojourn": law.to_obj(), "transition": {"s": 1.0}}
+        ],
+    }
+    d, lam, _ = discounted_kernel_row(load_model(json.dumps(doc)), ("s", "a", "b"))
+    return d, lam
 
 
 def random_model(

@@ -14,11 +14,10 @@ from smgsolve import (
     Deterministic,
     DirectWeights,
     Exponential,
+    ShapleyOperator,
     Uniform,
-    apply_shapley_operator,
     certify_solution,
     check_assumptions,
-    coefficients,
     estimate_value,
     evaluate_stationary_pair,
     load_model,
@@ -33,6 +32,7 @@ from conftest import (
     INVESTMENT_DOC,
     INVESTMENT_VALUES,
     alpha_of,
+    kernel_coefficients,
     random_model,
     reward_of,
     solve_2x2_by_equalizing,
@@ -134,8 +134,9 @@ def test_criterion_05_contraction_suite():
         w = m.weight_vector()
         u = rng.normal(size=m.n_states) * 10.0
         v = rng.normal(size=m.n_states) * 10.0
-        tu, _ = apply_shapley_operator(m, u)
-        tv, _ = apply_shapley_operator(m, v)
+        op = ShapleyOperator(m)
+        tu, _ = op.apply(u)
+        tv, _ = op.apply(v)
         lhs = omega_norm(tu - tv, w)
         rhs = cert.eta_gamma * omega_norm(u - v, w)
         if lhs > rhs + 1e-12 * max(1.0, rhs):
@@ -205,16 +206,16 @@ def test_criterion_07_coefficient_identity_and_quadrature():
         else:
             lam = float(rng.uniform(0.05, 0.95))
             law = DirectWeights(d=(1.0 - lam) / alpha, lam=lam)
-        c = coefficients(law, alpha)
+        d, lam = kernel_coefficients(law, alpha)  # as the solver reads them
         worst_identity = max(
             worst_identity,
-            abs(c.d - (1.0 - c.lam) / alpha) / max(1.0, abs(c.d)),
+            abs(d - (1.0 - lam) / alpha) / max(1.0, abs(d)),
         )
         if not isinstance(law, DirectWeights):
             worst_quad = max(
                 worst_quad,
-                abs(c.lam - quad_continuation(law, alpha)),
-                abs(c.d - quad_reward_weight(law, alpha)),
+                abs(lam - quad_continuation(law, alpha)),
+                abs(d - quad_reward_weight(law, alpha)),
             )
     ok = worst_identity <= 1e-12 and worst_quad <= 1e-9
     _line(7, ok, f"1000 draws: identity residual {worst_identity:.2e}, "

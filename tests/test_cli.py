@@ -164,6 +164,9 @@ def test_game_from_file(tmp_path, capsys):
         RunConfig(command="solve", model=INVESTMENT, epsilon=float("nan")),
         RunConfig(command="simulate", model=INVESTMENT, state="1", epsilon=float("inf")),
         RunConfig(command="simulate", model=INVESTMENT, state="1", epsilon=float("nan")),
+        RunConfig(command="solve", model=str(MODELS_DIR / "single_state.json"), v0="4",
+                  max_iter=0),  # one application would already stop here
+        RunConfig(command="solve", model=INVESTMENT, max_iter=-1),
     ],
 )
 def test_input_errors_exit_2(config, capsys):
@@ -203,6 +206,7 @@ def test_invalid_model_document_exits_2(tmp_path, capsys):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # a JSON integer too large for a float
 
 
 @pytest.mark.parametrize(
@@ -216,18 +220,44 @@ NAN, INF = float("nan"), float("inf")
         (INVESTMENT_DOC, lambda d: d["triples"][9]["transition"].update({"1": NAN}),
          "('3', 'a31', 'b32')"),
         (INVESTMENT_DOC, lambda d: d["weight"].update({"2": INF}), "state '2'"),
+        (SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=HUGE),
+         "('only', 'stay', 'stay')"),
+        (INVESTMENT_DOC, lambda d: d["triples"][5].update(reward=-HUGE), "('2', 'a21', 'b22')"),
+        (SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(rate=HUGE),
+         "('only', 'stay', 'stay')"),
+        (INVESTMENT_DOC, lambda d: d["triples"][9]["transition"].update({"1": HUGE}),
+         "('3', 'a31', 'b32')"),
+        (INVESTMENT_DOC, lambda d: d["weight"].update({"2": HUGE}), "state '2'"),
     ],
-    ids=["alpha-infinity", "reward-nan", "rate-infinity", "transition-nan", "weight-infinity"],
+    ids=[
+        "alpha-infinity", "reward-nan", "rate-infinity", "transition-nan", "weight-infinity",
+        "alpha-huge-int", "reward-huge-int", "rate-huge-int", "transition-huge-int",
+        "weight-huge-int",
+    ],
 )
 def test_non_finite_numbers_exit_2_naming_the_culprit(tmp_path, capsys, base, mutate, culprit):
     doc = json.loads(json.dumps(base))
     mutate(doc)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))  # json writes the NaN and Infinity literals it also reads
+    path.write_text(json.dumps(doc))  # json writes NaN, Infinity and huge integers as it reads them
     with pytest.raises(ModelValidationError, match=re.escape(culprit)):
         load_model(path.read_text())
     assert run(RunConfig(command="solve", model=str(path), report_out=str(tmp_path / "r.json"))) == 2
     assert culprit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("[[1, 2], [3]]", "matrix row 1 has 1 entries, row 0 has 2"),
+        ("[[true, false], [false, true]]", "matrix row 0 is not a nonempty array of numbers"),
+        ("[[1, 2], [3, null]]", "matrix row 1 is not a nonempty array of numbers"),
+    ],
+    ids=["ragged", "booleans", "null"],
+)
+def test_game_rejects_a_matrix_that_is_not_rectangular_numbers(matrix, message, capsys):
+    assert run(RunConfig(command="game", matrix=matrix)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_path, capsys):

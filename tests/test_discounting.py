@@ -13,11 +13,10 @@ from smgsolve import (
     DirectWeights,
     Exponential,
     Uniform,
-    coefficients,
-    continuation_weight,
     discounted_kernel_row,
-    reward_weight,
 )
+
+from conftest import kernel_coefficients
 
 RATES = st.floats(min_value=0.05, max_value=50.0)
 ALPHAS = st.floats(min_value=0.05, max_value=5.0)
@@ -57,21 +56,21 @@ def _span(law):
 
 
 def test_exponential_closed_form_matches_stated_values():
-    lam = continuation_weight(Exponential(rate=20.0), 0.98)
+    lam = Exponential(rate=20.0).continuation(0.98)
     assert lam == pytest.approx(20.0 / 20.98, abs=1e-15)
     assert lam == pytest.approx(0.953289, abs=5e-7)
     assert lam == pytest.approx(quad_continuation(Exponential(20.0), 0.98), abs=1e-9)
-    d = reward_weight(Exponential(rate=20.0), 0.98)
+    d, _ = kernel_coefficients(Exponential(rate=20.0), 0.98)
     assert d == pytest.approx(1.0 / 20.98, abs=1e-15)
     assert d == pytest.approx(0.047664, abs=5e-7)
 
 
 def test_uniform_closed_form_matches_quadrature():
     law = Uniform(upper=0.34)
-    lam = continuation_weight(law, 0.86)
+    lam = law.continuation(0.86)
     assert lam == pytest.approx(0.8670660, abs=5e-8)  # frozen from the quadrature oracle
     assert lam == pytest.approx(quad_continuation(law, 0.86), abs=1e-9)
-    d = reward_weight(law, 0.86)
+    d, _ = kernel_coefficients(law, 0.86)
     assert d == pytest.approx(0.1545744, abs=5e-8)  # frozen from the quadrature oracle
     assert d == pytest.approx(quad_reward_weight(law, 0.86), abs=1e-9)
     # matches the alternative rendering (alpha*beta - 1 + e^{-alpha*beta}) / (alpha^2 beta)
@@ -81,14 +80,14 @@ def test_uniform_closed_form_matches_quadrature():
 
 def test_direct_weights_pass_through():
     law = DirectWeights(d=0.5, lam=0.75)
-    assert continuation_weight(law, 0.5) == 0.75
-    assert reward_weight(law, 0.5) == pytest.approx(0.5, rel=1e-15)
+    assert law.continuation(0.5) == 0.75
+    assert kernel_coefficients(law, 0.5)[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_deterministic_long_duration_limit():
     # alpha*tau = 20 pushes lam to ~2e-9, so d -> 1/alpha
     alpha = 0.25
-    d = reward_weight(Deterministic(duration=80.0), alpha)
+    d, _ = kernel_coefficients(Deterministic(duration=80.0), alpha)
     assert d == pytest.approx(1.0 / alpha, abs=1e-8)
 
 
@@ -96,29 +95,31 @@ def test_uniform_small_argument_series_branch():
     # z = alpha*upper = 1e-10 exercises the expansion; the dropped z^3/24 term
     # sits far below one ulp there
     alpha, upper = 1e-5, 1e-5
-    lam = continuation_weight(Uniform(upper=upper), alpha)
+    lam = Uniform(upper=upper).continuation(alpha)
     z = alpha * upper
     assert lam == pytest.approx(1.0 - z / 2.0 + z * z / 6.0, abs=1e-16)
     assert 0.0 < lam < 1.0
-    assert reward_weight(Uniform(upper=upper), alpha) == pytest.approx((1.0 - lam) / alpha, rel=1e-12)
+    assert kernel_coefficients(Uniform(upper=upper), alpha)[0] == pytest.approx(
+        (1.0 - lam) / alpha, rel=1e-12
+    )
 
 
 @given(alpha=ALPHAS, rate=RATES)
 @settings(max_examples=150, deadline=None)
 def test_identity_and_quadrature_exponential(alpha, rate):
     law = Exponential(rate=rate)
-    c = coefficients(law, alpha)
-    assert abs(c.d - (1.0 - c.lam) / alpha) <= 1e-12 * max(1.0, abs(c.d))
-    assert c.lam == pytest.approx(rate / (alpha + rate), rel=1e-14)
-    assert 0.0 < c.lam < 1.0
+    d, lam = kernel_coefficients(law, alpha)
+    assert abs(d - (1.0 - lam) / alpha) <= 1e-12 * max(1.0, abs(d))
+    assert lam == pytest.approx(rate / (alpha + rate), rel=1e-14)
+    assert 0.0 < lam < 1.0
 
 
 @given(alpha=ALPHAS, upper=SPANS)
 @settings(max_examples=150, deadline=None)
 def test_identity_uniform(alpha, upper):
-    c = coefficients(Uniform(upper=upper), alpha)
-    assert abs(c.d - (1.0 - c.lam) / alpha) <= 1e-12 * max(1.0, abs(c.d))
-    assert 0.0 < c.lam < 1.0
+    d, lam = kernel_coefficients(Uniform(upper=upper), alpha)
+    assert abs(d - (1.0 - lam) / alpha) <= 1e-12 * max(1.0, abs(d))
+    assert 0.0 < lam < 1.0
 
 
 @given(alpha=ALPHAS, lo=ALPHAS, span=SPANS)
@@ -126,7 +127,7 @@ def test_identity_uniform(alpha, upper):
 def test_continuation_strictly_decreasing_in_alpha(alpha, lo, span):
     bigger = alpha + max(lo, 0.1)
     for law in (Exponential(rate=span * 10.0), Uniform(upper=span), Deterministic(duration=span)):
-        assert continuation_weight(law, bigger) < continuation_weight(law, alpha)
+        assert law.continuation(bigger) < law.continuation(alpha)
 
 
 def test_quadrature_agreement_random_draws():
@@ -138,15 +139,9 @@ def test_quadrature_agreement_random_draws():
             Uniform(upper=rng.uniform(0.01, 5.0)),
             Deterministic(duration=rng.uniform(0.01, 5.0)),
         ][rng.integers(0, 3)]
-        lam = continuation_weight(law, alpha)
-        d = reward_weight(law, alpha)
+        d, lam = kernel_coefficients(law, alpha)
         assert lam == pytest.approx(quad_continuation(law, alpha), abs=1e-9)
         assert d == pytest.approx(quad_reward_weight(law, alpha), abs=1e-9)
-
-
-def test_nonpositive_alpha_rejected():
-    with pytest.raises(ValueError, match="must be positive"):
-        continuation_weight(Exponential(rate=1.0), 0.0)
 
 
 def test_kernel_row_investment_benefit_state(investment_model):

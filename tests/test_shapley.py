@@ -8,11 +8,7 @@ import pytest
 from smgsolve import (
     ShapleyOperator,
     StationaryStrategyPair,
-    apply_shapley_operator,
-    apply_strategy_operator,
-    build_payoff_matrix,
     check_assumptions,
-    continuation_weight,
     evaluate_stationary_pair,
     load_model,
     omega_norm,
@@ -31,29 +27,38 @@ def pure_pair(m):
     )
 
 
+def strategy_update(m, pair, values) -> np.ndarray:
+    """Expected one-sojourn update under a fixed pair: ``f(x) C(u, x) g(x)`` per state."""
+    matrices = ShapleyOperator(m).matrices(values)
+    return np.array([pair.f[x] @ c @ pair.g[x] for x, c in zip(m.states, matrices)])
+
+
 def test_payoff_matrix_single_state(single_state_model):
     # d = 0.5, lam = 0.75 for alpha=0.5, rate=1.5
-    np.testing.assert_allclose(build_payoff_matrix(single_state_model, [0.0], "only"), [[1.0]])
-    np.testing.assert_allclose(build_payoff_matrix(single_state_model, [4.0], "only"), [[4.0]])
+    op = ShapleyOperator(single_state_model)
+    np.testing.assert_allclose(op.matrices([0.0])[0], [[1.0]])
+    np.testing.assert_allclose(op.matrices([4.0])[0], [[4.0]])
 
 
 def test_payoff_matrix_investment_entry(investment_model):
-    c = build_payoff_matrix(investment_model, [1.0, 1.0, 1.0], "1")
+    c = ShapleyOperator(investment_model).matrices([1.0, 1.0, 1.0])[0]  # state "1"
     assert c[0, 0] == pytest.approx(60.0 / 20.98, rel=1e-12)
     assert c[0, 0] == pytest.approx(2.85987, abs=5e-6)
 
 
 def test_payoff_matrix_unknown_state(investment_model):
+    matrices = ShapleyOperator(investment_model).matrices([0.0, 0.0, 0.0])
     with pytest.raises(KeyError, match="unknown state"):
-        build_payoff_matrix(investment_model, [0.0, 0.0, 0.0], "4")
+        matrices[investment_model.state_index("4")]
 
 
 def test_operator_single_state_values(single_state_model):
-    updated, pair = apply_shapley_operator(single_state_model, [0.0])
+    op = ShapleyOperator(single_state_model)
+    updated, pair = op.apply([0.0])
     np.testing.assert_allclose(updated, [1.0])
     np.testing.assert_allclose(pair.f["only"], [1.0])
     # the exact fixed point r/alpha = 4 maps to itself
-    updated, _ = apply_shapley_operator(single_state_model, [4.0])
+    updated, _ = op.apply([4.0])
     np.testing.assert_allclose(updated, [4.0])
 
 
@@ -61,9 +66,9 @@ def test_operator_matches_per_state_games(investment_model):
     from conftest import solve_2x2_by_equalizing
 
     u = np.array([1.0, 1.0, 1.0])
-    updated, pair = apply_shapley_operator(investment_model, u)
-    for xi, x in enumerate(investment_model.states):
-        c = build_payoff_matrix(investment_model, u, x)
+    op = ShapleyOperator(investment_model)
+    updated, pair = op.apply(u)
+    for xi, (x, c) in enumerate(zip(investment_model.states, op.matrices(u))):
         sol = solve_matrix_game(c)
         assert updated[xi] == pytest.approx(sol.value, abs=1e-12)
         np.testing.assert_allclose(pair.f[x], sol.row_strategy)
@@ -71,7 +76,7 @@ def test_operator_matches_per_state_games(investment_model):
 
 
 def test_strategy_operator_single_state(single_state_model):
-    out = apply_strategy_operator(single_state_model, pure_pair(single_state_model), [0.0])
+    out = strategy_update(single_state_model, pure_pair(single_state_model), [0.0])
     np.testing.assert_allclose(out, [1.0])
 
 
@@ -79,16 +84,15 @@ def test_strategy_operator_is_a_convex_combination(investment_model):
     rng = np.random.default_rng(3)
     u = rng.normal(size=3) * 5.0
     pair = random_pair(rng, investment_model)
-    out = apply_strategy_operator(investment_model, pair, u)
-    for xi, x in enumerate(investment_model.states):
-        c = build_payoff_matrix(investment_model, u, x)
+    out = strategy_update(investment_model, pair, u)
+    for xi, c in enumerate(ShapleyOperator(investment_model).matrices(u)):
         assert c.min() - 1e-12 <= out[xi] <= c.max() + 1e-12
 
 
 def test_strategy_operator_near_reference_fixed_point(investment_model):
     pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
     u = np.array(INVESTMENT_VALUES)
-    np.testing.assert_allclose(apply_strategy_operator(investment_model, pair, u), u, atol=5e-3)
+    np.testing.assert_allclose(strategy_update(investment_model, pair, u), u, atol=5e-3)
 
 
 def test_evaluate_single_state_closed_form(single_state_model):
@@ -126,7 +130,7 @@ def test_evaluate_fixed_point_residual_is_tiny():
         pair = random_pair(rng, m)
         values = evaluate_stationary_pair(m, pair)
         residual = omega_norm(
-            apply_strategy_operator(m, pair, values) - values, m.weight_vector()
+            strategy_update(m, pair, values) - values, m.weight_vector()
         )
         assert residual <= 1e-10
 
@@ -137,7 +141,7 @@ def test_strategy_pair_validation(investment_model):
         g={x: np.array([0.5, 0.5]) for x in investment_model.states},
     )
     with pytest.raises(ValueError, match="not a probability vector"):
-        apply_strategy_operator(investment_model, bad, np.zeros(3))
+        evaluate_stationary_pair(investment_model, bad)
     short = StationaryStrategyPair(f={}, g={})
     with pytest.raises(ValueError, match="missing state"):
         evaluate_stationary_pair(investment_model, short)
@@ -155,8 +159,9 @@ def test_contraction_in_the_certified_modulus():
         w = m.weight_vector()
         u = rng.normal(size=m.n_states) * 10.0
         v = rng.normal(size=m.n_states) * 10.0
-        tu, _ = apply_shapley_operator(m, u)
-        tv, _ = apply_shapley_operator(m, v)
+        op = ShapleyOperator(m)
+        tu, _ = op.apply(u)
+        tv, _ = op.apply(v)
         lhs = omega_norm(tu - tv, w)
         rhs = cert.eta_gamma * omega_norm(u - v, w)
         assert lhs <= rhs + 1e-12 * max(1.0, rhs)
@@ -170,8 +175,9 @@ def test_operator_monotonicity():
         m = random_model(rng)
         u = rng.normal(size=m.n_states) * 5.0
         v = u + rng.uniform(0.0, 3.0, size=m.n_states)
-        tu, _ = apply_shapley_operator(m, u)
-        tv, _ = apply_shapley_operator(m, v)
+        op = ShapleyOperator(m)
+        tu, _ = op.apply(u)
+        tv, _ = op.apply(v)
         assert np.all(tu <= tv + 1e-12)
 
 
@@ -179,12 +185,13 @@ def test_constant_shift_bounds_with_unit_weights():
     rng = np.random.default_rng(31)
     for _ in range(20):
         m = random_model(rng, unit_weight=True)
-        lams = [continuation_weight(law_of(m, t), alpha_of(m, t)) for t in m.triples()]
+        lams = [law_of(m, t).continuation(alpha_of(m, t)) for t in m.triples()]
         lam_min, lam_max = min(lams), max(lams)
         u = rng.normal(size=m.n_states) * 5.0
         c = float(rng.uniform(0.0, 4.0))
-        tu, _ = apply_shapley_operator(m, u)
-        shifted, _ = apply_shapley_operator(m, u + c)
+        op = ShapleyOperator(m)
+        tu, _ = op.apply(u)
+        shifted, _ = op.apply(u + c)
         assert np.all(shifted >= tu + c * lam_min - 1e-10)
         assert np.all(shifted <= tu + c * lam_max + 1e-10)
 
@@ -192,8 +199,7 @@ def test_constant_shift_bounds_with_unit_weights():
 def test_minimax_equals_maximin_at_every_state(investment_model):
     # the per-state game value is the same whichever player optimizes first
     u = np.array([2.0, -1.0, 0.5])
-    for x in investment_model.states:
-        c = build_payoff_matrix(investment_model, u, x)
+    for c in ShapleyOperator(investment_model).matrices(u):
         maximin = solve_matrix_game(c).value
         minimax = -solve_matrix_game(-c.T).value
         assert maximin == pytest.approx(minimax, abs=1e-9)

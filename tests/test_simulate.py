@@ -15,12 +15,10 @@ from smgsolve import (
     StationaryStrategyPair,
     Uniform,
     check_equilibrium_deviation,
-    continuation_weight,
     estimate_value,
     evaluate_stationary_pair,
     load_model,
     pure_deviations,
-    sample_sojourn,
     simulate_trajectory,
     trajectory_rng,
     value_iterate,
@@ -31,22 +29,27 @@ from smgsolve.simulate import _Sampler
 from conftest import alpha_of, law_of, random_model, random_pair, sparse_doc, transition_of
 
 
+def holding_time(law, rng):
+    """One holding-time draw: one uniform for every law, the deterministic one included."""
+    return float(law.holding_time(rng.random(), law.param))
+
+
 def test_deterministic_sojourn_is_constant():
     rng = np.random.default_rng(0)
-    draws = [sample_sojourn(Deterministic(duration=2.0), rng) for _ in range(50)]
+    draws = [holding_time(Deterministic(duration=2.0), rng) for _ in range(50)]
     assert draws == [2.0] * 50
 
 
 def test_exponential_sojourn_mean():
     rng = np.random.default_rng(1)
-    draws = np.array([sample_sojourn(Exponential(rate=20.0), rng) for _ in range(100_000)])
+    draws = np.array([holding_time(Exponential(rate=20.0), rng) for _ in range(100_000)])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.05) <= 3.0 * se
 
 
 def test_uniform_sojourn_mean():
     rng = np.random.default_rng(2)
-    draws = np.array([sample_sojourn(Uniform(upper=0.34), rng) for _ in range(100_000)])
+    draws = np.array([holding_time(Uniform(upper=0.34), rng) for _ in range(100_000)])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.17) <= 3.0 * se
 
@@ -54,7 +57,7 @@ def test_uniform_sojourn_mean():
 def test_direct_weights_not_samplable(single_state_model):
     rng = np.random.default_rng(3)
     with pytest.raises(NotSamplableError):
-        sample_sojourn(DirectWeights(d=0.5, lam=0.75), rng)
+        holding_time(DirectWeights(d=0.5, lam=0.75), rng)
     doc = {
         "states": ["s"],
         "actions1": {"s": ["a"]},
@@ -104,7 +107,7 @@ def test_a_zero_probability_successor_is_never_drawn(states, row, drawn):
     m = load_model(json.dumps(doc))
     one = np.ones(1)
     pair = StationaryStrategyPair(f={s: one for s in states}, g={s: one for s in states})
-    sampler = _Sampler(m, pair, floor=1e-8)
+    sampler = _Sampler(m, pair)
     tid = np.array([m.table.where[("x", "a", "b")]])
     assert sampler.successor(tid, np.array([u])).tolist() == [m.state_index(drawn)]
     payoff, _ = simulate_trajectory(m, pair, "x", ConstantStream())
@@ -116,7 +119,7 @@ def test_successor_draws_match_a_search_of_the_dense_cumulative_rows():
     # at or above a row's total the draw is the row's last nonzero
     m = load_model(json.dumps(sparse_doc(60, seed=5, successors=11)))  # 4 search steps
     rng = np.random.default_rng(8)
-    sampler = _Sampler(m, random_pair(rng, m), floor=1e-8)
+    sampler = _Sampler(m, random_pair(rng, m))
     rows = np.array([transition_of(m, t) for t in m.triples()])
     dense = np.cumsum(rows, axis=1)
     last = np.array([np.flatnonzero(row)[-1] for row in rows])
@@ -227,7 +230,7 @@ def test_residual_discount_decays_at_least_geometrically(investment_model):
     # worst-case per-sojourn factor
     pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
     lam_max = max(
-        continuation_weight(law_of(investment_model, t), alpha_of(investment_model, t))
+        law_of(investment_model, t).continuation(alpha_of(investment_model, t))
         for t in investment_model.triples()
     )
     steps = 15
@@ -282,8 +285,6 @@ def test_input_validation(investment_model):
     pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
     with pytest.raises(ValueError, match="at least 2"):
         estimate_value(investment_model, pair, "1", trajectories=1, seed=0)
-    with pytest.raises(ValueError, match="discount floor"):
-        simulate_trajectory(investment_model, pair, "1", trajectory_rng(0, 0), discount_floor=2.0)
     with pytest.raises(ValueError, match="unknown action"):
         check_equilibrium_deviation(investment_model, pair, [(1, "3", "zz")], trajectories=10, seed=0)
     with pytest.raises(ValueError, match="player must be 1 or 2"):

@@ -14,7 +14,6 @@ from smgsolve import (
     StationaryStrategyPair,
     certify_solution,
     check_assumptions,
-    iteration_bound,
     load_model,
     omega_norm,
     solve_matrix_game,
@@ -79,15 +78,15 @@ def test_error_trace_obeys_the_geometric_envelope(investment_model):
 
 
 def test_iteration_bound_zero_at_fixed_point(single_state_model):
-    assert iteration_bound(single_state_model, 1e-8, v0=[4.0]) == 0
+    assert value_iterate(single_state_model, 1e-8, v0=[4.0]).n_epsilon_bound == 0
 
 
 def test_iteration_bound_formula_and_sharp_case():
     m = halving_model()
     cert = exact_half_certificate(m)
     # first residual from zero is exactly 1, so the bound is 1 + floor(log_0.5 0.1) = 4
-    assert iteration_bound(m, 0.1, v0=[0.0], certificate=cert) == 4
     report = value_iterate(m, 0.1, v0=[0.0], certificate=cert)
+    assert report.n_epsilon_bound == 4
     # residuals halve exactly: 1, .5, .25, .125, .0625 -> stop on the 5th application
     assert report.error_trace == (1.0, 0.5, 0.25, 0.125, 0.0625)
     assert report.iterations == 4
@@ -97,8 +96,8 @@ def test_iteration_bound_formula_and_sharp_case():
 def test_iteration_bound_clamped_when_epsilon_exceeds_first_residual():
     m = halving_model()
     cert = exact_half_certificate(m)
-    assert iteration_bound(m, 10.0, v0=[0.0], certificate=cert) == 0
     report = value_iterate(m, 10.0, v0=[0.0], certificate=cert)
+    assert report.n_epsilon_bound == 0
     assert report.iterations == 0
 
 
@@ -274,7 +273,7 @@ def test_invalid_epsilon_rejected(single_state_model):
     with pytest.raises(ValueError, match="epsilon must be positive"):
         value_iterate(single_state_model, 0.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        iteration_bound(single_state_model, -1.0)
+        value_iterate(single_state_model, -1.0)
 
 
 @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
@@ -282,4 +281,12 @@ def test_non_finite_epsilon_rejected(single_state_model, epsilon):
     with pytest.raises(ValueError, match="epsilon must be positive"):
         value_iterate(single_state_model, epsilon)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        iteration_bound(single_state_model, epsilon)
+        value_iterate(single_state_model, epsilon, v0=[4.0])  # also from the fixed point
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_max_iter_below_one_rejected(single_state_model, max_iter):
+    # from the fixed point one application would stop at once; a cap below one must not
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        value_iterate(single_state_model, 1e-8, v0=[4.0], max_iter=max_iter)
+    assert value_iterate(single_state_model, 1e-8, v0=[4.0], max_iter=1).iterations == 0

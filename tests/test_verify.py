@@ -10,7 +10,6 @@ from smgsolve import (
     check_assumptions,
     check_drift,
     compute_gamma,
-    continuation_weight,
     discounted_kernel_row,
     find_regularity_params,
     load_model,
@@ -115,7 +114,7 @@ def test_regularity_search_deterministic_only_caps_delta():
     assert theta == pytest.approx(0.8, rel=1e-3)
     assert 0.0 < delta < 1.0
     gamma = compute_gamma(theta, delta, 1.25)
-    lam = continuation_weight(law_of(m, ("s0", "a", "b")), 1.25)
+    lam = law_of(m, ("s0", "a", "b")).continuation(1.25)
     assert lam <= gamma < 1.0
 
 
@@ -239,7 +238,7 @@ def test_lambda_below_gamma_by_enumeration_on_random_models():
             continue
         done += 1
         for t in m.triples():
-            assert continuation_weight(law_of(m, t), alpha_of(m, t)) <= cert.gamma + 1e-12
+            assert law_of(m, t).continuation(alpha_of(m, t)) <= cert.gamma + 1e-12
 
 
 def test_weighted_row_bound_at_every_triple():
