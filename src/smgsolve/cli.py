@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,19 @@ def _parse_json(text: str, what: str):
         raise _InputError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _finite(value, where: str) -> float:
+    """``value`` as a finite float; anything else exits 2 naming ``where``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise _InputError(f"{where} holds a non-numeric value {value!r}") from exc
+    except OverflowError:  # an integer too large for a float
+        out = math.inf
+    if not math.isfinite(out):
+        raise _InputError(f"{where} holds a number that is not finite as a float")
+    return out
+
+
 def _load_model(config: RunConfig) -> tuple[GameModel, str]:
     if not config.model:
         raise _InputError("a model path is required")
@@ -104,20 +118,19 @@ def _initial_values(config: RunConfig, m: GameModel) -> np.ndarray | None:
     if config.v0 is None:
         return None
     try:
-        return np.full(m.n_states, float(config.v0))
+        scalar = float(config.v0)
     except ValueError:
-        pass
+        scalar = None
+    if scalar is not None:
+        return np.full(m.n_states, _finite(scalar, "v0"))
     table = _parse_json(_read(config.v0), "v0 file")
-    try:
-        if isinstance(table, dict):
-            missing = [x for x in m.states if x not in table]
-            if missing:
-                raise _InputError(f"v0 file missing states {missing}")
-            return np.array([float(table[x]) for x in m.states])
-        if isinstance(table, list) and len(table) == m.n_states:
-            return np.array([float(v) for v in table])
-    except (TypeError, ValueError) as exc:
-        raise _InputError(f"v0 file holds a non-numeric value: {exc}") from exc
+    if isinstance(table, dict):
+        missing = [x for x in m.states if x not in table]
+        if missing:
+            raise _InputError(f"v0 file missing states {missing}")
+        return np.array([_finite(table[x], f"v0 file at state {x!r}") for x in m.states])
+    if isinstance(table, list) and len(table) == m.n_states:
+        return np.array([_finite(v, f"v0 file at state {x!r}") for x, v in zip(m.states, table)])
     raise _InputError("v0 file must map states to numbers or list one value per state")
 
 
@@ -139,10 +152,9 @@ def _load_pair(config: RunConfig, m: GameModel) -> StationaryStrategyPair:
             unknown = set(probs) - set(acts)
             if unknown:
                 raise _InputError(f"strategies[{x!r}].{side} names unknown actions {sorted(unknown)}")
-            try:
-                dest[x] = np.array([float(probs.get(a, 0.0)) for a in acts])
-            except (TypeError, ValueError) as exc:
-                raise _InputError(f"strategies[{x!r}].{side} holds a non-numeric value") from exc
+            dest[x] = np.array(
+                [_finite(probs.get(a, 0.0), f"strategies[{x!r}].{side}[{a!r}]") for a in acts]
+            )
     return StationaryStrategyPair(f=f, g=g)
 
 
@@ -231,6 +243,8 @@ def _cmd_game(config: RunConfig) -> int:
             raise _InputError(f"matrix row {i} is not a nonempty array of numbers: {json.dumps(row)}")
         if len(row) != len(rows[0]):
             raise _InputError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+        for v in row:
+            _finite(v, f"matrix row {i}")
     sol = solve_matrix_game(rows)
     ok, violation = verify_saddle_point(
         rows, sol.row_strategy, sol.col_strategy, tol=1e-9 * max(1.0, abs(sol.value))

@@ -238,8 +238,11 @@ def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndar
     mass = np.concatenate([np.outer(fv, gv).ravel() for fv, gv in _pair_arrays(op.model, pair)])
     rewards = np.bincount(t.state, weights=mass * op.base, minlength=n)
     nz = op.nz_triple
-    moved = np.bincount(t.state[nz] * n + op.succ, weights=mass[nz] * op.lam_prob, minlength=n * n)
-    system = np.eye(n) - moved.reshape(n, n)
+    # I - M built in place: scatter -M, then add 1 to the diagonal
+    system = np.bincount(
+        t.state[nz] * n + op.succ, weights=-(mass[nz] * op.lam_prob), minlength=n * n
+    ).reshape(n, n)
+    system.flat[:: n + 1] += 1.0
     try:
         values = np.linalg.solve(system, rewards)
         values += np.linalg.solve(system, rewards - system @ values)

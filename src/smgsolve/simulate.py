@@ -13,11 +13,21 @@ sojourns, and the discarded tail is bounded by ``M * omega_max * D / alpha0``
 (``M`` the weighted payoff bound), which is reported alongside every
 estimate.
 
-Randomness is organized as one independent stream per trajectory, derived
-from ``(seed, trajectory_index)``, with a fixed draw order of four uniforms
-per sojourn (both actions, the holding time, the successor).  The batched
-driver and the single-trajectory entry point share one implementation, so an
-estimate is reproducible and independent of batching.
+Randomness is counter-based (Salmon et al. 2011, "Parallel random numbers:
+as easy as 1, 2, 3"): the uniform in slot ``s`` of trajectory ``i`` is a pure
+function of ``(seed, i, s)``, computed in numpy ``uint64`` arithmetic with
+the SplitMix64 finalizer ``mix``:
+
+    key  = SeedSequence(seed).generate_state(1, uint64)
+    base = mix(key ^ i * G)
+    u    = (mix(base + (s + 1) * G) >> 11) * 2**-53
+
+where ``G = 0x9E3779B97F4A7C15``, so each trajectory reads a SplitMix64
+stream started at ``base``.  Sojourn ``k`` takes the four slots
+``[4k, 4k+4)`` in a fixed order (both actions, the holding time, the
+successor).  The batched driver and the single-trajectory entry point share
+one implementation, so an estimate is reproducible and independent of
+batching.
 """
 
 import math
@@ -29,10 +39,10 @@ from .model import ANALYTIC_LAWS, GameModel, NotSamplableError
 from .shapley import StationaryStrategyPair, _pair_arrays
 
 DISCOUNT_FLOOR = 1e-8
-# per-trajectory cap on sojourns, a multiple of _BLOCK_STEPS
-MAX_SOJOURNS = 16_384
-_BLOCK_STEPS = 64
-_BATCH = 16384
+MAX_SOJOURNS = 16_384  # per-trajectory cap on sojourns
+_BATCH = 16384  # trajectories run together; bounds memory only
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -46,9 +56,46 @@ class MCEstimate:
     seed: int
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """The independent stream driving trajectory ``index`` of a run."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, applied in place to a ``uint64`` array."""
+    z ^= z >> 30
+    z *= _M1
+    z ^= z >> 27
+    z *= _M2
+    z ^= z >> 31
+    return z
+
+
+def _bases(seed: int, indices: np.ndarray) -> np.ndarray:
+    """The stream origin of each trajectory in ``indices`` of a run at ``seed``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    key = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)
+    return _mix(key ^ indices.astype(np.uint64) * _GOLDEN)
+
+
+def _uniforms(bases: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Slots ``[first, first + n)`` of each stream, one row per base."""
+    z = bases[:, None] + np.arange(first + 1, first + n + 1, dtype=np.uint64) * _GOLDEN
+    return (_mix(z) >> 11) * 2.0**-53
+
+
+class _CounterStream:
+    """One trajectory's slots, read in order: ``random(n)`` returns the next ``n``."""
+
+    def __init__(self, base: np.ndarray):
+        self._base = base
+        self._next = 0
+
+    def random(self, n: int) -> np.ndarray:
+        u = _uniforms(self._base, self._next, n)[0]
+        self._next += n
+        return u
+
+
+def trajectory_rng(seed: int, index: int) -> _CounterStream:
+    """The stream driving trajectory ``index`` of a run at ``seed``."""
+    return _CounterStream(_bases(seed, np.array([index])))
 
 
 class _Sampler:
@@ -94,61 +141,46 @@ class _Sampler:
         return self.table.succ[lo]
 
 
-def _run_batch(sampler: _Sampler, streams: list, x0: int):
-    """Drive all streams to truncation; returns (payoffs, tail_bounds).
+def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
+    """Drive ``total`` trajectories to truncation; returns (payoffs, tail_bounds).
 
-    Uniforms are pulled from each stream in blocks; trajectory ``i`` consumes
-    slots ``[4k, 4k+4)`` of its own stream at sojourn ``k``, identically
-    however many trajectories run together.  A trajectory stops when its
-    discount falls below ``DISCOUNT_FLOOR`` or after ``MAX_SOJOURNS``
-    sojourns, and its tail bound is ``tail_coef`` times that discount.
+    ``draw(k, ids)`` gives the four uniforms of sojourn ``k`` for each live
+    trajectory in ``ids``, one row each, identically however many
+    trajectories run together.  A trajectory leaves the arrays on the
+    sojourn its discount falls below ``DISCOUNT_FLOOR``, or stops after
+    ``MAX_SOJOURNS`` sojourns; its tail bound is ``tail_coef`` times that
+    discount.
     """
     t = sampler.table
-    total = len(streams)
     payoffs = np.empty(total)
     tails = np.empty(total)
     ids = np.arange(total)
     state = np.full(total, x0)
     discount = np.ones(total)
     acc = np.zeros(total)
-    buffer = np.empty((total, 4 * _BLOCK_STEPS))  # refilled in place, block after block
-    for _ in range(MAX_SOJOURNS // _BLOCK_STEPS):
-        if not ids.size:
-            break
-        width = ids.size
-        block = buffer[:width]
-        for i in range(width):
-            block[i] = streams[i].random(4 * _BLOCK_STEPS)
-        alive = np.ones(width, dtype=bool)
-        for pos in range(_BLOCK_STEPS):
-            u = block[:, 4 * pos : 4 * pos + 4]
-            a = (sampler.f_cum[state] <= u[:, 0, None]).sum(axis=1)
-            b = (sampler.g_cum[state] <= u[:, 1, None]).sum(axis=1)
-            tid = t.offset[state] + a * t.cols[state] + b
-            par = t.param[tid]
-            kind = t.kind[tid]
-            tau = par
-            for code, law in enumerate(ANALYTIC_LAWS):
-                tau = np.where(kind == code, law.holding_time(u[:, 2], par), tau)
-            rate = t.alpha[tid]
-            step = np.exp(-rate * tau)
-            acc_now = discount * t.reward[tid] * (1.0 - step) / rate
-            acc += np.where(alive, acc_now, 0.0)
-            discount = np.where(alive, discount * step, discount)
-            state = sampler.successor(tid, u[:, 3])
-            done = alive & (discount < DISCOUNT_FLOOR)
-            if done.any():
-                payoffs[ids[done]] = acc[done]
-                tails[ids[done]] = sampler.tail_coef * discount[done]
-                alive &= ~done
-                if not alive.any():
-                    break
-        keep = np.flatnonzero(alive)
-        ids = ids[keep]
-        state = state[keep]
-        discount = discount[keep]
-        acc = acc[keep]
-        streams = [streams[i] for i in keep]
+    for k in range(MAX_SOJOURNS):
+        u = draw(k, ids)
+        a = (sampler.f_cum[state] <= u[:, 0, None]).sum(axis=1)
+        b = (sampler.g_cum[state] <= u[:, 1, None]).sum(axis=1)
+        tid = t.offset[state] + a * t.cols[state] + b
+        par = t.param[tid]
+        kind = t.kind[tid]
+        tau = par
+        for code, law in enumerate(ANALYTIC_LAWS):
+            tau = np.where(kind == code, law.holding_time(u[:, 2], par), tau)
+        rate = t.alpha[tid]
+        step = np.exp(-rate * tau)
+        acc += discount * t.reward[tid] * (1.0 - step) / rate
+        discount *= step
+        state = sampler.successor(tid, u[:, 3])
+        done = discount < DISCOUNT_FLOOR
+        if done.any():
+            payoffs[ids[done]] = acc[done]
+            tails[ids[done]] = sampler.tail_coef * discount[done]
+            keep = ~done
+            ids, state, discount, acc = ids[keep], state[keep], discount[keep], acc[keep]
+            if not ids.size:
+                break
     payoffs[ids] = acc  # trajectories still running at the sojourn cap
     tails[ids] = sampler.tail_coef * discount
     return payoffs, tails
@@ -158,11 +190,15 @@ def simulate_trajectory(
     m: GameModel,
     pair: StationaryStrategyPair,
     x0: str,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[float, float]:
-    """One realized discounted payoff from ``x0`` plus its truncation bound."""
+    """One realized discounted payoff from ``x0`` plus its truncation bound.
+
+    ``rng`` is any object whose ``random(n)`` returns the next ``n``
+    uniforms, such as ``trajectory_rng(seed, index)``.
+    """
     sampler = _Sampler(m, pair)
-    payoffs, tails = _run_batch(sampler, [rng], m.state_index(x0))
+    payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[None], 1, m.state_index(x0))
     return float(payoffs[0]), float(tails[0])
 
 
@@ -175,19 +211,22 @@ def estimate_value(
 ) -> MCEstimate:
     """Estimate the expected discounted payoff from ``x0`` under ``pair``.
 
-    Trajectory ``i`` always uses the stream ``trajectory_rng(seed, i)``, so
-    the estimate depends only on the arguments, not on batch sizes.
+    Trajectory ``i`` always reads the slots of ``trajectory_rng(seed, i)``,
+    so the estimate depends only on the arguments, not on batch sizes.
     """
     if trajectories < 2:
         raise ValueError(f"need at least 2 trajectories, got {trajectories!r}")
+    bases = _bases(seed, np.arange(trajectories))
     sampler = _Sampler(m, pair)
     x0i = m.state_index(x0)
     payoffs = np.empty(trajectories)
     tails = np.empty(trajectories)
     for start in range(0, trajectories, _BATCH):
-        stop = min(start + _BATCH, trajectories)
-        streams = [trajectory_rng(seed, i) for i in range(start, stop)]
-        payoffs[start:stop], tails[start:stop] = _run_batch(sampler, streams, x0i)
+        part = slice(start, start + _BATCH)
+        batch = bases[part]
+        payoffs[part], tails[part] = _run_batch(
+            sampler, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
+        )
     return MCEstimate(
         mean=float(payoffs.mean()),
         std_error=float(payoffs.std(ddof=1) / math.sqrt(trajectories)),

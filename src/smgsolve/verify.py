@@ -182,9 +182,11 @@ def regularity_from_bounds(m: GameModel) -> tuple[float, float, float]:
     ``ValueError`` when they do not hold.
     """
     t = m.table
-    if PRESET_ALPHA0 > t.alpha.min():
+    low = int(np.argmin(t.alpha))
+    if t.alpha[low] < PRESET_ALPHA0:
         raise ValueError(
-            f"alpha0 must be a positive lower bound on the discount rates, got {PRESET_ALPHA0!r}"
+            f"discount rate {float(t.alpha[low])!r} at {t.labels[low]!r} is below the preset "
+            f"floor PRESET_ALPHA0 = {PRESET_ALPHA0!r}"
         )
     fast = (t.kind == _EXP) & (t.param >= RATE_BOUND)
     short = ((t.kind == _UNI) | (t.kind == _DET)) & (t.param <= SUPPORT_FLOOR)

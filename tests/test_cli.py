@@ -252,12 +252,62 @@ def test_non_finite_numbers_exit_2_naming_the_culprit(tmp_path, capsys, base, mu
         ("[[1, 2], [3]]", "matrix row 1 has 1 entries, row 0 has 2"),
         ("[[true, false], [false, true]]", "matrix row 0 is not a nonempty array of numbers"),
         ("[[1, 2], [3, null]]", "matrix row 1 is not a nonempty array of numbers"),
+        (f"[[1, 2], [3, {HUGE}]]", "matrix row 1 holds a number that is not finite"),
     ],
-    ids=["ragged", "booleans", "null"],
+    ids=["ragged", "booleans", "null", "huge-int"],
 )
 def test_game_rejects_a_matrix_that_is_not_rectangular_numbers(matrix, message, capsys):
     assert run(RunConfig(command="game", matrix=matrix)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_game_hashes_an_integer_matrix_as_written(capsys):
+    assert run(RunConfig(command="game", matrix="[[3, -1], [-2, 4]]")) == 0
+    digest = json.loads(capsys.readouterr().out)["model_sha256"]
+    assert digest == "e63af6100fe2556d3560ac500b0593821a33c651f9a4d96474a2d4724cee8d7b"
+
+
+def test_huge_integer_in_a_v0_file_exits_2_naming_the_state(tmp_path, capsys):
+    v0 = tmp_path / "v0.json"
+    v0.write_text(json.dumps({"1": 1, "2": HUGE, "3": 1}))
+    report = tmp_path / "r.json"
+    assert main(["solve", INVESTMENT, "--v0", str(v0), "--report", str(report)]) == 2
+    assert "v0 file at state '2' holds a number that is not finite" in capsys.readouterr().err
+    v0.write_text(json.dumps([1, 1, HUGE]))
+    assert main(["solve", INVESTMENT, "--v0", str(v0), "--report", str(report)]) == 2
+    assert "v0 file at state '3'" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_huge_integer_in_a_strategies_file_exits_2_naming_the_entry(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"only": {"f": {"stay": 1}, "g": {"stay": HUGE}}}))
+    single = str(MODELS_DIR / "single_state.json")
+    assert main(["eval", single, "--strategies", str(pair)]) == 2
+    err = capsys.readouterr().err
+    assert "strategies['only'].g['stay'] holds a number that is not finite" in err
+
+
+def test_paper_params_below_the_preset_discount_floor_names_the_triple(tmp_path, capsys):
+    doc = json.loads(json.dumps(INVESTMENT_DOC))
+    doc["triples"][4]["alpha"] = 0.3
+    doc["triples"][6]["alpha"] = 0.05  # the smallest rate, below PRESET_ALPHA0 = 0.25
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--paper-params"]) == 2
+    label = tuple(doc["triples"][6][k] for k in ("state", "a", "b"))
+    assert (
+        f"discount rate 0.05 at {label!r} is below the preset floor PRESET_ALPHA0 = 0.25"
+        in capsys.readouterr().err
+    )
+
+
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    out = tmp_path / "est.json"
+    args = ["simulate", INVESTMENT, "--state", "1", "--seed", "-1", "--out", str(out)]
+    assert main(args) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_path, capsys):

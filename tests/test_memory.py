@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 
-from smgsolve import ShapleyOperator, check_assumptions, estimate_value, load_model
+from smgsolve import (
+    ShapleyOperator,
+    check_assumptions,
+    estimate_value,
+    load_model,
+    value_iterate,
+)
 
 from conftest import sparse_doc
 
@@ -26,3 +32,17 @@ def test_peak_memory_of_a_2000_state_model_stays_below_40_mb():
     assert cert.passed
     assert est.trajectories == 200
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_monte_carlo_memory_does_not_grow_with_trajectory_length(investment_model):
+    # investment's trajectories run about 200 sojourns; uniforms drawn per
+    # sojourn for the live trajectories, not in blocks, keep the peak small
+    pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
+    tracemalloc.start()
+    try:
+        est = estimate_value(investment_model, pair, "1", trajectories=20_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.trajectories == 20_000
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

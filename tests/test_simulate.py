@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -213,6 +214,34 @@ def test_trajectory_rng_streams_are_stable():
     assert not np.array_equal(first, trajectory_rng(5, 8).random(4))
 
 
+def test_a_counter_stream_reads_its_slots_in_order():
+    stream = trajectory_rng(5, 7)
+    halves = np.concatenate([stream.random(4), stream.random(4)])
+    np.testing.assert_array_equal(trajectory_rng(5, 7).random(8), halves)
+
+
+def test_counter_streams_differ_across_seeds_and_indices():
+    rows = [trajectory_rng(s, i).random(16) for s in (0, 1, 2**70) for i in (0, 1, 2**40)]
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert all(((row >= 0.0) & (row < 1.0)).all() for row in rows)
+
+
+def test_counter_uniforms_pass_mean_chi_square_and_lag_one_checks():
+    from scipy import stats
+
+    # one row per trajectory, one column per slot
+    u = np.array([trajectory_rng(2024, i).random(1000) for i in range(1000)])
+    n = u.size
+    assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / n)
+    counts = np.bincount((u * 100).astype(int).ravel(), minlength=100)
+    assert stats.chisquare(counts).pvalue > 1e-4
+    centred = u - u.mean()
+    across_slots = (centred[:, :-1] * centred[:, 1:]).mean() / centred.var()
+    across_trajectories = (centred[:-1] * centred[1:]).mean() / centred.var()
+    assert abs(across_slots) < 4.0 / math.sqrt(n)
+    assert abs(across_trajectories) < 4.0 / math.sqrt(n)
+
+
 def test_monte_carlo_agrees_with_exact_evaluation_on_random_models():
     rng = np.random.default_rng(53)
     for _ in range(20):
@@ -285,6 +314,9 @@ def test_input_validation(investment_model):
     pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
     with pytest.raises(ValueError, match="at least 2"):
         estimate_value(investment_model, pair, "1", trajectories=1, seed=0)
+    for seed in (-1, 1.5, "3", True):
+        with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got {seed!r}")):
+            estimate_value(investment_model, pair, "1", trajectories=10, seed=seed)
     with pytest.raises(ValueError, match="unknown action"):
         check_equilibrium_deviation(investment_model, pair, [(1, "3", "zz")], trajectories=10, seed=0)
     with pytest.raises(ValueError, match="player must be 1 or 2"):
