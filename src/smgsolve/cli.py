@@ -8,8 +8,9 @@ Subcommands and exit codes:
 * ``simulate``  Monte Carlo estimate under a stationary pair
 * ``game``      solve one standalone matrix game from a JSON array of arrays
 
-Exit status: 0 success, 2 parse or validation error, 3 certificate failure,
-4 no convergence within the iteration cap.  Every JSON artifact embeds the
+Exit status: 0 success, 1 a matrix game the simplex could not solve (the
+message names the state), 2 parse or validation error, 3 certificate
+failure, 4 no convergence within the iteration cap.  Every JSON artifact embeds the
 run configuration and a content hash of the model document, and identical
 configurations produce byte-identical artifacts.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrixgame import solve_matrix_game, verify_saddle_point
+from .matrixgame import MatrixGameError, solve_matrix_game, verify_saddle_point
 from .model import GameModel, ModelError, _number, load_model
 from .shapley import StationaryStrategyPair, evaluate_stationary_pair
 from .simulate import estimate_value
@@ -39,6 +40,7 @@ from .solver import (
 from .verify import check_assumptions, regularity_from_bounds
 
 EXIT_OK = 0
+EXIT_MATRIX_GAME = 1
 EXIT_INPUT = 2
 EXIT_CERTIFICATE = 3
 EXIT_NO_CONVERGENCE = 4
@@ -281,6 +283,9 @@ def run(config: RunConfig) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except MatrixGameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATRIX_GAME
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -24,21 +24,29 @@ to the vector of matrix-game values of ``C(u, x)`` over states; its fixed
 point is the game value, and the per-state saddle strategies at the fixed
 point form an optimal stationary pair.
 
-All states' matrices are assembled at once from the model's triple table;
-the per-state game solves are independent within one application, so they
-could run concurrently, and the sequential loop here writes disjoint outputs.
+All states' matrices are assembled at once from the model's triple table
+and stacked by shape.  Each stack's games are solved together: every
+candidate square support pair is one stacked linear solve of both players'
+equalizer systems, and only the games no candidate solves go to the simplex
+one at a time.  A game's result depends only on its own matrix and previous
+supports, never on the other games of its stack.
 """
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .matrixgame import exploitability, solve_matrix_game
+from .matrixgame import MatrixGameError, exploitability, solve_matrix_game
 from .model import GameModel, Triple
 
 SIMPLEX_TOL = 1e-10
-# a warm-started state's pair must be this exact, relative to max(1, max|C|)
+# a pair from a candidate support must be this exact, relative to max(1, max|C|)
 WARM_START_TOL = 1e-12
+# shapes up to this many rows and columns try every square support pair
+ENUMERATED_SIDE = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +108,105 @@ def discounted_kernel_row(
     return float(t.d[i]), float(t.lam[i]), row
 
 
+class _ShapeGroup(NamedTuple):
+    """The states whose games share one shape, and where their entries sit.
+
+    ``_payoffs(u)[gather]`` stacks the group's ``rows x cols`` matrices in
+    ``index`` order.
+    """
+
+    index: np.ndarray
+    states: list[str]
+    rows: int
+    cols: int
+    gather: np.ndarray
+
+
+@cache
+def _square_supports(n_rows: int, n_cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every square support pair of an ``n_rows x n_cols`` game, smallest first.
+
+    Within one size the order is that of :func:`itertools.combinations`,
+    row supports outermost: 5 pairs for 2x2, 19 for 3x3, none above
+    :data:`ENUMERATED_SIDE`.
+    """
+    if max(n_rows, n_cols) > ENUMERATED_SIDE:
+        return ()
+    return tuple(
+        (np.array(s), np.array(t))
+        for k in range(1, min(n_rows, n_cols) + 1)
+        for s in combinations(range(n_rows), k)
+        for t in combinations(range(n_cols), k)
+    )
+
+
+def _stacked(strategies: dict, states: list[str], width: int) -> np.ndarray | None:
+    """The strategies of ``states`` as rows, or None unless each has length ``width``."""
+    try:
+        rows = np.array([strategies[x] for x in states], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return rows if rows.shape == (len(states), width) else None
+
+
+def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
+    """Try supports ``rs x cs`` on the games ``c[at]``; return those that fail.
+
+    ``rs`` and ``cs`` hold ``k`` row and column indices per game (one row
+    of them when every game shares its supports).  Both players' equalizer
+    systems on the ``k x k`` submatrices are one stacked ``np.linalg.solve``;
+    for ``k == 1`` their solution is both mixtures 1 and ``v = C[s, t]``.
+    A game keeps the result, written into ``out = (value, x, y)``, only
+    when both strategies are ``>= 0`` and their exploitability is at most
+    ``scale``.
+    """
+    n, k = at.size, rs.shape[1]
+    games = c[at]
+    sub = c[at[:, None, None], rs[:, :, None], cs[:, None, :]]
+    regular = True
+    if k == 1:
+        v, x_s, y_t = sub[:, 0, 0], 1.0, 1.0
+    else:
+        # unknowns (x_S, v) and (y_T, v): x C[S, T] = v, C[S, T] y = v, each mixture sums to 1
+        system = np.zeros((2, n, k + 1, k + 1))
+        system[0, :, :k, :k] = sub.transpose(0, 2, 1)
+        system[1, :, :k, :k] = sub
+        system[:, :, :k, k] = -1.0
+        system[:, :, k, :k] = 1.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        try:
+            sol = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            # the determinant comes from the same LU, so it is 0 exactly where a pivot is
+            regular = (np.linalg.det(system) != 0.0).all(axis=0)
+            system[:, ~regular] = np.eye(k + 1)
+            sol = np.linalg.solve(system, rhs)
+        v, x_s, y_t = sol[0, :, k], sol[0, :, :k], sol[1, :, :k]
+    ix = np.arange(n)[:, None]
+    x = np.zeros((n, c.shape[1]))
+    x[ix, rs] = x_s
+    y = np.zeros((n, c.shape[2]))
+    y[ix, cs] = y_t
+    # NaN from a near-singular system fails every comparison
+    ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
+    ok &= exploitability(games, x, y) <= scale[at]
+    value, x_out, y_out = out
+    keep = at[ok]
+    value[keep] = v[ok]
+    x_out[keep] = x[ok]
+    y_out[keep] = y[ok]
+    return at[~ok]
+
+
 class ShapleyOperator:
     """Value-update operator over the model's triple table.
 
     It keeps, per triple, the reward part ``r * d`` and, per transition
     nonzero, the continuation weight ``lam * p``; neither changes across
     applications.  One application gathers ``u`` at the successors, sums
-    each triple's nonzeros with one ``np.add.reduceat``, slices the result
-    into the per-state matrices and solves one matrix game per state.
+    each triple's nonzeros with one ``np.add.reduceat``, stacks the states'
+    matrices by shape and solves each stack's games together.
     """
 
     def __init__(self, m: GameModel):
@@ -121,7 +220,19 @@ class ShapleyOperator:
         self.lam_prob = t.lam[self.nz_triple] * t.prob  # lam*p per nonzero
         self.succ = t.succ
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
-        self.spans = list(zip(t.offset[:-1], t.offset[1:], t.rows, t.cols))
+        self.groups = []
+        for n_rows, n_cols in sorted(set(zip(t.rows.tolist(), t.cols.tolist()))):
+            index = np.flatnonzero((t.rows == n_rows) & (t.cols == n_cols))
+            cells = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
+            self.groups.append(_ShapeGroup(
+                index=index,
+                states=[m.states[xi] for xi in index.tolist()],
+                rows=n_rows,
+                cols=n_cols,
+                gather=t.offset[index][:, None, None] + cells,
+            ))
+        # the position of each state in the groups' concatenation
+        self.order = np.argsort(np.concatenate([g.index for g in self.groups])).tolist()
 
     def _value_vector(self, values) -> np.ndarray:
         u = np.asarray(values, dtype=float)
@@ -131,90 +242,88 @@ class ShapleyOperator:
             raise ValueError("value vector must be finite")
         return u
 
+    def _payoffs(self, values) -> np.ndarray:
+        """Every triple's entry of ``C(u, x)``, in table order."""
+        u = self._value_vector(values)
+        return self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
+
     def matrices(self, values) -> list[np.ndarray]:
         """Every state's matrix ``C(u, x)``, in state order."""
-        u = self._value_vector(values)
-        flat = self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
-        return [flat[lo:hi].reshape(k1, k2) for lo, hi, k1, k2 in self.spans]
+        flat = self._payoffs(values)
+        stacked = [c for group in self.groups for c in flat[group.gather]]
+        return [stacked[i] for i in self.order]
 
     def apply(
         self, values, previous: StationaryStrategyPair | None = None
     ) -> tuple[np.ndarray, StationaryStrategyPair]:
         """One operator application: per-state game values and saddle pair.
 
-        Without ``previous`` every state's game is solved by the simplex of
-        :func:`solve_matrix_game`; that is the reference path.  With
-        ``previous`` (the pair of the last application) each state whose
-        previous supports are square, of size ``k``, first solves both
-        players' equalizer systems on that ``k x k`` submatrix; states are
-        grouped by ``k`` and matrix shape, and each group is one stacked
-        ``np.linalg.solve``.
-        A state keeps that result only when both strategies are ``>= 0`` and
-        their exploitability ``max(C y) - min(x C)`` is at most
-        ``WARM_START_TOL * max(1, max|C|)``.  Every other state, and every
-        state of a group whose stack is singular, goes to the simplex.
+        The games of one shape are solved together, by trying candidate
+        square supports in a fixed order; each candidate is one stacked
+        ``np.linalg.solve`` of both players' equalizer systems over the games
+        still unsolved (a ``1 x 1`` support needs none: ``v = C[s, t]``).  With ``previous`` (the pair of the last application)
+        each game first tries its previous supports when they are square; a
+        shape skips this step when ``previous`` lacks one of its states or
+        gives one a strategy of the wrong length.
+        Then, for shapes of at most :data:`ENUMERATED_SIDE` rows and columns,
+        it tries every square support pair, smallest first (an optimal pair
+        supported on a square nonsingular submatrix always exists, by Shapley
+        and Snow's theorem).  A game keeps the first candidate whose
+        strategies are both ``>= 0`` and whose exploitability
+        ``max(C y) - min(x C)`` is at most ``WARM_START_TOL * max(1, max|C|)``.
+        Every game left over goes to the simplex of
+        :func:`solve_matrix_game`, whose :class:`MatrixGameError` is raised
+        again naming the state.
         """
-        matrices = self.matrices(values)
+        flat = self._payoffs(values)
         out = np.empty(self.n)
-        rows: list[np.ndarray | None] = [None] * self.n
-        cols: list[np.ndarray | None] = [None] * self.n
-        pending = range(self.n)
-        if previous is not None:
-            pending = self._warm_start(matrices, previous, out, rows, cols)
-        for xi in pending:
-            sol = solve_matrix_game(matrices[xi])
-            out[xi], rows[xi], cols[xi] = sol.value, sol.row_strategy, sol.col_strategy
+        f: list[np.ndarray] = []
+        g: list[np.ndarray] = []
+        for group in self.groups:
+            value, x, y = _solve_group(group, flat[group.gather], previous)
+            out[group.index] = value
+            f.extend(x)
+            g.extend(y)
         states = self.model.states
-        return out, StationaryStrategyPair(f=dict(zip(states, rows)), g=dict(zip(states, cols)))
+        return out, StationaryStrategyPair(
+            f=dict(zip(states, [f[i] for i in self.order])),
+            g=dict(zip(states, [g[i] for i in self.order])),
+        )
 
-    def _warm_start(self, matrices, previous, out, rows, cols) -> list[int]:
-        """Fill the states the previous supports solve; return the others."""
-        groups: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        rest: list[int] = []
-        for xi, x in enumerate(self.model.states):
-            c = matrices[xi]
-            fv, gv = previous.f.get(x), previous.g.get(x)
-            if fv is None or gv is None or fv.shape != (c.shape[0],) or gv.shape != (c.shape[1],):
-                rest.append(xi)
-                continue
-            rs, cs = fv.nonzero()[0], gv.nonzero()[0]
-            if rs.size == cs.size:
-                groups.setdefault((rs.size, *c.shape), []).append((xi, rs, cs))
-            else:
-                rest.append(xi)
-        for (k, n_rows, n_cols), members in groups.items():
-            size = len(members)
-            idx = np.array([xi for xi, _, _ in members])
-            c = np.stack([matrices[xi] for xi in idx])
-            rs = np.stack([r for _, r, _ in members])
-            cs = np.stack([r for _, _, r in members])
-            at = np.arange(size)[:, None]
-            sub = c[at[:, :, None], rs[:, :, None], cs[:, None, :]]
-            # unknowns (x_S, v) and (y_T, v): x C[S, T] = v, C[S, T] y = v, each mixture sums to 1
-            system = np.zeros((2, size, k + 1, k + 1))
-            system[0, :, :k, :k] = sub.transpose(0, 2, 1)
-            system[1, :, :k, :k] = sub
-            system[:, :, :k, k] = -1.0
-            system[:, :, k, :k] = 1.0
-            rhs = np.zeros((2, size, k + 1, 1))
-            rhs[:, :, k] = 1.0
-            try:
-                solved = np.linalg.solve(system, rhs)[..., 0]
-            except np.linalg.LinAlgError:
-                rest.extend(idx.tolist())
-                continue
-            x = np.zeros((size, n_rows))
-            x[at, rs] = solved[0, :, :k]
-            y = np.zeros((size, n_cols))
-            y[at, cs] = solved[1, :, :k]
-            tol = WARM_START_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-            # NaN from a near-singular system fails every comparison
-            ok = (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0) & (exploitability(c, x, y) <= tol)
-            for n in ok.nonzero()[0]:
-                xi = idx[n]
-                out[xi], rows[xi], cols[xi] = solved[0, n, k], x[n], y[n]
-            rest.extend(idx[~ok].tolist())
-        return sorted(rest)
+
+def _solve_group(group: _ShapeGroup, c: np.ndarray, previous):
+    """Values and both players' strategies of the stacked games ``c``."""
+    size = len(c)
+    out = (np.empty(size), np.zeros((size, group.rows)), np.zeros((size, group.cols)))
+    scale = WARM_START_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    pending = np.arange(size)
+    if previous is not None:
+        f = _stacked(previous.f, group.states, group.rows)
+        g = _stacked(previous.g, group.states, group.cols)
+        if f is not None and g is not None:
+            f, g = f != 0, g != 0
+            side = f.sum(axis=1)
+            side[side != g.sum(axis=1)] = 0  # not square: no candidate
+            left = [np.flatnonzero(side == 0)]
+            for k in range(1, min(group.rows, group.cols) + 1):
+                at = np.flatnonzero(side == k)
+                if at.size:
+                    rs = f[at].nonzero()[1].reshape(-1, k)
+                    cs = g[at].nonzero()[1].reshape(-1, k)
+                    left.append(_equalize(c, at, rs, cs, scale, out))
+            pending = np.sort(np.concatenate(left))
+    for s, t in _square_supports(group.rows, group.cols):
+        if not pending.size:
+            break
+        pending = _equalize(c, pending, s[None], t[None], scale, out)
+    value, x, y = out
+    for i in pending:
+        try:
+            sol = solve_matrix_game(c[i])
+        except MatrixGameError as exc:
+            raise MatrixGameError(f"state {group.states[i]!r}: {exc}") from exc
+        value[i], x[i], y[i] = sol.value, sol.row_strategy, sol.col_strategy
+    return out
 
 
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:

@@ -15,7 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import ShapleyOperator, StationaryStrategyPair, _evaluate_with, omega_norm
+from .shapley import (
+    ShapleyOperator,
+    StationaryStrategyPair,
+    _evaluate_with,
+    _stacked,
+    omega_norm,
+)
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -111,7 +117,7 @@ def value_iterate(
         max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
 
     trace = [delta]
-    values = [tuple(float(v) for v in updated)]
+    values = [tuple(updated.tolist())]
     current = updated
     while trace[-1] >= epsilon:
         if len(trace) >= max_iter:
@@ -121,7 +127,7 @@ def value_iterate(
             )
         updated, pair = op.apply(current, pair)
         trace.append(omega_norm(updated - current, op.weights))
-        values.append(tuple(float(v) for v in updated))
+        values.append(tuple(updated.tolist()))
         current = updated
 
     return SolveReport(
@@ -146,15 +152,20 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     violation means some deviation gains more than ``tol``.
     """
     op = ShapleyOperator(m)
-    values = _evaluate_with(op, report.equilibrium)
-    per_state: dict[str, float] = {}
-    for xi, (x, c) in enumerate(zip(m.states, op.matrices(values))):
-        fv = np.asarray(report.equilibrium.f[x], dtype=float)
-        gv = np.asarray(report.equilibrium.g[x], dtype=float)
-        gain_row = float(np.max(c @ gv)) - values[xi]
-        gain_col = values[xi] - float(np.min(fv @ c))
-        per_state[x] = max(gain_row, gain_col, 0.0)
-    worst = max(per_state.values())
+    pair = report.equilibrium
+    values = _evaluate_with(op, pair)
+    flat = op._payoffs(values)
+    gains = np.empty(op.n)
+    for group in op.groups:
+        c = flat[group.gather]
+        f = _stacked(pair.f, group.states, group.rows)
+        g = _stacked(pair.g, group.states, group.cols)
+        v = values[group.index]
+        gain_row = (c @ g[:, :, None])[:, :, 0].max(axis=1) - v
+        gain_col = v - (f[:, None, :] @ c)[:, 0, :].min(axis=1)
+        gains[group.index] = np.maximum(np.maximum(gain_row, gain_col), 0.0)
+    per_state = dict(zip(m.states, gains.tolist()))
+    worst = float(gains.max())
     return CertificationResult(passed=worst <= tol, worst_violation=worst, per_state=per_state)
 
 

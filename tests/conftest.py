@@ -80,6 +80,17 @@ MIXED_LAWS_DOC = {
 INVESTMENT_VALUES = (12.6054, 12.1271, 11.1653)
 
 
+@pytest.fixture()
+def simplex_calls(monkeypatch):
+    """Count the per-state games ``ShapleyOperator.apply`` hands to the simplex."""
+    import smgsolve.shapley as shapley
+
+    calls = []
+    solve = shapley.solve_matrix_game
+    monkeypatch.setattr(shapley, "solve_matrix_game", lambda c: calls.append(c) or solve(c))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def investment_model() -> GameModel:
     return load_model(json.dumps(INVESTMENT_DOC))

@@ -323,6 +323,35 @@ def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_pa
     assert "('only', 'stay', 'stay')" in capsys.readouterr().err
 
 
+def test_a_simplex_failure_exits_1_naming_the_state(tmp_path, monkeypatch, capsys):
+    import smgsolve.shapley as shapley
+    from smgsolve import MatrixGameError
+
+    def fail(c):
+        raise MatrixGameError("simplex failed to terminate")
+
+    monkeypatch.setattr(shapley, "solve_matrix_game", fail)
+    acts = [f"a{i}" for i in range(4)]  # 4x4 games are above the enumerated shapes
+    doc = {
+        "states": ["wide"],
+        "actions1": {"wide": acts},
+        "actions2": {"wide": acts},
+        "triples": [
+            {"state": "wide", "a": a, "b": b, "alpha": 1.0, "reward": float((3 * i + j) % 5),
+             "sojourn": {"kind": "exponential", "rate": 2.0}, "transition": {"wide": 1.0}}
+            for i, a in enumerate(acts)
+            for j, b in enumerate(acts)
+        ],
+    }
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["solve", str(model), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: state 'wide': simplex failed to terminate\n"
+    assert not report.exists()
+
+
 def test_main_parses_argv(tmp_path, model_file):
     out = tmp_path / "cert.json"
     assert main(["check", model_file, "--paper-params", "--out", str(out)]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smgsolve import (
+    MatrixGameError,
     ShapleyOperator,
     StationaryStrategyPair,
     check_assumptions,
@@ -17,7 +18,14 @@ from smgsolve import (
     verify_saddle_point,
 )
 
-from conftest import INVESTMENT_VALUES, alpha_of, law_of, random_model, random_pair
+from conftest import (
+    INVESTMENT_VALUES,
+    alpha_of,
+    law_of,
+    random_model,
+    random_pair,
+    sparse_doc,
+)
 
 
 def pure_pair(m):
@@ -205,17 +213,6 @@ def test_minimax_equals_maximin_at_every_state(investment_model):
         assert maximin == pytest.approx(minimax, abs=1e-9)
 
 
-@pytest.fixture()
-def simplex_calls(monkeypatch):
-    """Count the per-state games ``ShapleyOperator.apply`` hands to the simplex."""
-    import smgsolve.shapley as shapley
-
-    calls = []
-    solve = shapley.solve_matrix_game
-    monkeypatch.setattr(shapley, "solve_matrix_game", lambda c: calls.append(c) or solve(c))
-    return calls
-
-
 def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
     rng = np.random.default_rng(53)
     states = warm_solved = 0
@@ -237,28 +234,132 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
     assert 0 < warm_solved < states  # both the equalizer and the simplex ran
 
 
-@pytest.mark.parametrize("duplicated", ["rows", "columns"])
-def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_calls):
-    # every triple shares its law and successor, so equal rewards give equal rows or columns of C
-    rewards = {"rows": [[3.0, -1.0], [3.0, -1.0]], "columns": [[3.0, 3.0], [-1.0, -1.0]]}[duplicated]
-    doc = {
-        "states": ["s"],
-        "actions1": {"s": ["a1", "a2"]},
-        "actions2": {"s": ["b1", "b2"]},
+def games_doc(matrices) -> dict:
+    """One state per matrix, whose ``C(0, x)`` is that matrix exactly.
+
+    Direct weights with ``d = 1`` and ``lam = 0.5`` make each entry the
+    reward; every state returns to itself.
+    """
+    states = [f"s{i}" for i in range(len(matrices))]
+    return {
+        "states": states,
+        "actions1": {x: [f"a{i}" for i in range(len(c))] for x, c in zip(states, matrices)},
+        "actions2": {x: [f"b{j}" for j in range(len(c[0]))] for x, c in zip(states, matrices)},
         "triples": [
-            {"state": "s", "a": a, "b": b, "alpha": 1.0, "reward": rewards[i][j],
-             "sojourn": {"kind": "exponential", "rate": 2.0}, "transition": {"s": 1.0}}
-            for i, a in enumerate(("a1", "a2"))
-            for j, b in enumerate(("b1", "b2"))
+            {"state": x, "a": f"a{i}", "b": f"b{j}", "alpha": 0.5, "reward": float(r),
+             "sojourn": {"kind": "direct", "d": 1.0, "lam": 0.5}, "transition": {x: 1.0}}
+            for x, c in zip(states, matrices)
+            for i, row in enumerate(c)
+            for j, r in enumerate(row)
         ],
     }
-    op = ShapleyOperator(load_model(json.dumps(doc)))
-    guess = StationaryStrategyPair(f={"s": np.array([0.5, 0.5])}, g={"s": np.array([0.5, 0.5])})
-    u = np.array([1.5])
+
+
+def duplicated_game(duplicated: str, size: int) -> list[list[float]]:
+    """A ``size x size`` game whose first two rows (or columns) are equal."""
+    base = np.array([[3.0, -1.0, 2.0, 0.0], [-2.0, 4.0, 1.0, 1.0],
+                     [0.0, 1.0, -3.0, 2.0], [1.0, -2.0, 0.5, 3.0]])[:size, :size]
+    base[1] = base[0]
+    return (base if duplicated == "rows" else base.T).tolist()
+
+
+@pytest.mark.parametrize("duplicated", ["rows", "columns"])
+def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_calls):
+    # 4x4 is above the enumerated shapes, so only the guess and the simplex can solve it
+    op = ShapleyOperator(load_model(json.dumps(games_doc([duplicated_game(duplicated, 4)]))))
+    guess = StationaryStrategyPair(f={"s0": np.full(4, 0.25)}, g={"s0": np.full(4, 0.25)})
+    u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
     warm, pair = op.apply(u, guess)
     assert len(simplex_calls) == 1
     np.testing.assert_array_equal(warm, cold)
-    np.testing.assert_array_equal(pair.f["s"], cold_pair.f["s"])
-    np.testing.assert_array_equal(pair.g["s"], cold_pair.g["s"])
+    np.testing.assert_array_equal(pair.f["s0"], cold_pair.f["s0"])
+    np.testing.assert_array_equal(pair.g["s0"], cold_pair.g["s0"])
+
+
+@pytest.mark.parametrize("duplicated", ["rows", "columns"])
+def test_singular_guessed_support_falls_back_to_the_enumerated_supports(duplicated, simplex_calls):
+    op = ShapleyOperator(load_model(json.dumps(games_doc([duplicated_game(duplicated, 2)]))))
+    guess = StationaryStrategyPair(f={"s0": np.array([0.5, 0.5])}, g={"s0": np.array([0.5, 0.5])})
+    u = np.array([0.0])
+    cold, cold_pair = op.apply(u)
+    simplex_calls.clear()
+    warm, pair = op.apply(u, guess)
+    # the full 2x2 support is singular, so the result must come from a smaller one
+    assert min(np.count_nonzero(pair.f["s0"]), np.count_nonzero(pair.g["s0"])) == 1
+    assert simplex_calls == []
+    np.testing.assert_array_equal(warm, cold)
+    np.testing.assert_array_equal(pair.f["s0"], cold_pair.f["s0"])
+    np.testing.assert_array_equal(pair.g["s0"], cold_pair.g["s0"])
+
+
+def test_a_previous_pair_missing_a_state_is_ignored(investment_model):
+    op = ShapleyOperator(investment_model)
+    u = np.array([3.0, -2.0, 0.25])
+    cold, cold_pair = op.apply(u)
+    _, guess = op.apply(np.zeros(3))
+    partial = StationaryStrategyPair(f={"1": guess.f["1"]}, g=dict(guess.g))
+    warm, pair = op.apply(u, partial)
+    np.testing.assert_array_equal(warm, cold)
+    for x in investment_model.states:
+        np.testing.assert_array_equal(pair.f[x], cold_pair.f[x])
+        np.testing.assert_array_equal(pair.g[x], cold_pair.g[x])
+
+
+def small_games(rng, n_rows, n_cols) -> list[np.ndarray]:
+    """Random and degenerate ``n_rows x n_cols`` games."""
+    games = [rng.normal(size=(n_rows, n_cols)) * 10.0 for _ in range(20)]
+    games += [rng.integers(-2, 3, size=(n_rows, n_cols)).astype(float) for _ in range(40)]
+    games.append(np.full((n_rows, n_cols), 1.5))
+    for _ in range(5):
+        g = rng.normal(size=(n_rows, n_cols))
+        g[-1] = g[0]
+        games.append(g.copy())
+        g = rng.normal(size=(n_rows, n_cols))
+        g[:, -1] = g[:, 0]
+        games.append(g)
+    return games
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+@pytest.mark.parametrize("n_cols", [1, 2, 3])
+def test_enumerated_supports_solve_every_small_game(n_rows, n_cols, simplex_calls):
+    rng = np.random.default_rng(100 + 10 * n_rows + n_cols)
+    games = small_games(rng, n_rows, n_cols)
+    m = load_model(json.dumps(games_doc([g.tolist() for g in games])))
+    op = ShapleyOperator(m)
+    u = np.zeros(m.n_states)
+    values, pair = op.apply(u)
+    assert simplex_calls == []
+    for xi, (x, c) in enumerate(zip(m.states, op.matrices(u))):
+        np.testing.assert_array_equal(c, games[xi])
+        scale = max(1.0, float(np.max(np.abs(c))))
+        assert abs(values[xi] - solve_matrix_game(c).value) <= 1e-12 * scale
+        ok, violation = verify_saddle_point(c, pair.f[x], pair.g[x], 1e-12 * scale)
+        assert ok, (x, violation)
+    again, again_pair = op.apply(u)
+    np.testing.assert_array_equal(again, values)
+    for x in m.states:
+        np.testing.assert_array_equal(again_pair.f[x], pair.f[x])
+        np.testing.assert_array_equal(again_pair.g[x], pair.g[x])
+
+
+def test_value_iteration_on_2x2_states_never_reaches_the_simplex(simplex_calls):
+    m = load_model(json.dumps(sparse_doc(2000)))
+    report = value_iterate(m, 1e-6)
+    assert len(report.error_trace) > 1
+    assert simplex_calls == []
+
+
+def test_a_simplex_failure_names_the_state(monkeypatch):
+    import smgsolve.shapley as shapley
+
+    def fail(c):
+        raise MatrixGameError("simplex failed to terminate")
+
+    monkeypatch.setattr(shapley, "solve_matrix_game", fail)
+    games = [duplicated_game("rows", 2), duplicated_game("rows", 4)]
+    op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
+    with pytest.raises(MatrixGameError, match="state 's1': simplex failed to terminate"):
+        op.apply(np.zeros(2))

@@ -22,7 +22,7 @@ from smgsolve import (
     value_iterate,
 )
 
-from conftest import random_model
+from conftest import INVESTMENT_DOC, random_model
 
 
 def halving_model():
@@ -117,12 +117,12 @@ def test_observed_iterations_within_bound_on_random_models():
 
 
 def _cold_solve(m, epsilon):
-    """Value iteration from 0 with every application cold (the simplex reference path)."""
+    """Value iteration from 0 with every state's game solved by the simplex (the reference)."""
     op = ShapleyOperator(m)
     current = np.zeros(op.n)
     applications = 0
     while True:
-        updated, _ = op.apply(current)
+        updated = np.array([solve_matrix_game(c).value for c in op.matrices(current)])
         applications += 1
         if omega_norm(updated - current, op.weights) < epsilon:
             return applications, updated
@@ -173,16 +173,30 @@ def test_unique_fixed_point_from_random_starts(investment_model):
 
 
 def test_per_state_results_do_not_depend_on_sweep_order(investment_model):
-    op = ShapleyOperator(investment_model)
+    # the same game with its states relabelled and declared, and its triples listed, in reverse
+    rename = {"1": "z", "2": "y", "3": "x"}
+    doc = json.loads(json.dumps(INVESTMENT_DOC))
+    relabelled = load_model(json.dumps({
+        "states": [rename[x] for x in reversed(doc["states"])],
+        "actions1": {rename[x]: acts for x, acts in doc["actions1"].items()},
+        "actions2": {rename[x]: acts for x, acts in doc["actions2"].items()},
+        "weight": {rename[x]: w for x, w in doc["weight"].items()},
+        "triples": [
+            {**t, "state": rename[t["state"]],
+             "transition": {rename[y]: p for y, p in t["transition"].items()}}
+            for t in reversed(doc["triples"])
+        ],
+    }))
     u = np.array([3.0, -2.0, 0.25])
+    op = ShapleyOperator(investment_model)
     updated, pair = op.apply(u)
-    matrices = op.matrices(u)
-    for xi in reversed(range(investment_model.n_states)):
-        sol = solve_matrix_game(matrices[xi])
-        assert sol.value == updated[xi]
-        x = investment_model.states[xi]
-        np.testing.assert_array_equal(sol.row_strategy, pair.f[x])
-        np.testing.assert_array_equal(sol.col_strategy, pair.g[x])
+    moved, moved_pair = ShapleyOperator(relabelled).apply(u[::-1])
+    np.testing.assert_array_equal(moved[::-1], updated)
+    for xi, (x, c) in enumerate(zip(investment_model.states, op.matrices(u))):
+        np.testing.assert_array_equal(moved_pair.f[rename[x]], pair.f[x])
+        np.testing.assert_array_equal(moved_pair.g[rename[x]], pair.g[x])
+        scale = max(1.0, float(np.max(np.abs(c))))
+        assert abs(updated[xi] - solve_matrix_game(c).value) <= 1e-12 * scale
 
 
 def test_max_iter_raises_convergence_error(investment_model):
