@@ -173,7 +173,7 @@ def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
         system[1, :, :k, :k] = sub
         system[:, :, :k, k] = -1.0
         system[:, :, k, :k] = 1.0
-        rhs = np.zeros(k + 1)
+        rhs = np.zeros((k + 1, 1))  # a column, so NumPy 1.x broadcasts it too
         rhs[k] = 1.0
         try:
             sol = np.linalg.solve(system, rhs)
@@ -182,6 +182,7 @@ def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
             regular = (np.linalg.det(system) != 0.0).all(axis=0)
             system[:, ~regular] = np.eye(k + 1)
             sol = np.linalg.solve(system, rhs)
+        sol = sol[..., 0]
         v, x_s, y_t = sol[0, :, k], sol[0, :, :k], sol[1, :, :k]
     ix = np.arange(n)[:, None]
     x = np.zeros((n, c.shape[1]))

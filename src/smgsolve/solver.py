@@ -117,7 +117,7 @@ def value_iterate(
         max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
 
     trace = [delta]
-    values = [tuple(updated.tolist())]
+    values = [tuple(float(v) for v in updated)]
     current = updated
     while trace[-1] >= epsilon:
         if len(trace) >= max_iter:
@@ -127,7 +127,7 @@ def value_iterate(
             )
         updated, pair = op.apply(current, pair)
         trace.append(omega_norm(updated - current, op.weights))
-        values.append(tuple(updated.tolist()))
+        values.append(tuple(float(v) for v in updated))
         current = updated
 
     return SolveReport(

@@ -352,6 +352,20 @@ def test_a_simplex_failure_exits_1_naming_the_state(tmp_path, monkeypatch, capsy
     assert not report.exists()
 
 
+def test_a_simplex_failure_in_game_exits_1(tmp_path, monkeypatch, capsys):
+    import smgsolve.cli as cli
+    from smgsolve import MatrixGameError
+
+    def fail(c):
+        raise MatrixGameError("simplex failed to terminate")
+
+    monkeypatch.setattr(cli, "solve_matrix_game", fail)
+    out = tmp_path / "game.json"
+    assert main(["game", "[[1, -1], [-1, 1]]", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: simplex failed to terminate\n"
+    assert not out.exists()
+
+
 def test_main_parses_argv(tmp_path, model_file):
     out = tmp_path / "cert.json"
     assert main(["check", model_file, "--paper-params", "--out", str(out)]) == 0

@@ -228,6 +228,7 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
         warm_solved += m.n_states - len(simplex_calls)
         for xi, (x, c) in enumerate(zip(m.states, op.matrices(u))):
             scale = max(1.0, float(np.max(np.abs(c))))
+            assert warm[xi] == pytest.approx(solve_matrix_game(c).value, abs=1e-9 * scale)
             assert warm[xi] == pytest.approx(cold[xi], abs=1e-9 * scale)
             ok, violation = verify_saddle_point(c, pair.f[x], pair.g[x], 1e-9 * scale)
             assert ok, violation
