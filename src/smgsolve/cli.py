@@ -248,9 +248,9 @@ def _cmd_game(config: RunConfig) -> int:
         for v in row:
             _finite(v, f"matrix row {i}")
     sol = solve_matrix_game(rows)
-    ok, violation = verify_saddle_point(
-        rows, sol.row_strategy, sol.col_strategy, tol=1e-9 * max(1.0, abs(sol.value))
-    )
+    # checked at the payoff scale: a value near 0 says nothing of the rounding
+    scale = max(1.0, float(np.abs(np.asarray(rows, dtype=float)).max()))
+    ok, violation = verify_saddle_point(rows, sol.row_strategy, sol.col_strategy, tol=1e-9 * scale)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     payload = {
         "value": sol.value,

@@ -1,41 +1,41 @@
-"""Exact zero-sum matrix game solver via linear programming.
+"""Exact zero-sum matrix game solver: one simplex phase, then an equalizer solve.
 
-The maximizing player's problem
+The payoff matrix ``A`` is normalized by its largest magnitude and shifted,
+``P = A / max|A| + 2``, so every entry of ``P`` lies in ``[1, 3]``.  Optimal
+strategies are unchanged by this positive affine map, and the game on ``P``
+has the linear program (Dantzig 1951)
 
-    max v   subject to   sum_i A[i, j] x_i - s_j = v  for every column j,
-                         s >= 0,  x in the probability simplex
+    max sum(y)   subject to   P y <= 1,   y >= 0,
 
-is solved as a standard-form LP by a dense two-phase primal simplex, with
-Bland's rule as the anti-cycling fallback.  Every pivoting rule is
+whose optimum is ``1 / value(P)`` and whose optimal ``y``, normalized, is
+an optimal column strategy.  ``y = 0`` is feasible, so a dense primal
+simplex starts from the slack basis: there is no phase 1.  The normal
+pivoting rules fall back to Bland's rule on a stall, and every rule is
 deterministic, so when the optimal face is not a single point the returned
-strategy is still reproducible across runs.  The free game value is split as
-``v = v_plus - v_minus``, and the matrix is pre-normalized by its largest
-magnitude so the absolute pivot tolerance is meaningful at any payoff scale.
-Once the simplex has found an optimal basis, that basis's primal point and
-dual prices are solved afresh from the original rows, so a forced pivot on
-a tiny coefficient does not leave its amplified rounding in the result.
+strategy is still reproducible across runs.
 
-One LP serves both players.  The reduced cost of the surplus ``s_j`` at the
-optimal basis is the dual price of column ``j``'s constraint, and the duals
-of the row player's program are the column player's optimal mixture; they
-are clipped at zero and normalized.  The solution carries the exploitability
-``max(A y) - min(x A)`` of the pair, which bounds how far either strategy is
-from optimal.
+The final basis holds ``k`` columns of ``y`` (the support ``J``) and the
+slacks of all but ``k`` rows; the ``k`` rows whose slacks left (the support
+``I``) are tight.  Both strategies and the value are then solved afresh
+from the bordered equalizer system on the normalized block ``A[I, J]``
+(Shapley and Snow 1950), the one :func:`equalize` that the operator's
+support candidates also use, so the rounding of the pivots does not reach
+the result.  The solution carries the exploitability ``max(A y) - min(x A)``
+of the pair, which bounds how far either strategy is from optimal.
 
-Single-row and single-column games are solved by direct scan, which avoids
-degenerate simplex bases.
+Single-row and single-column games are solved by direct scan.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_TOL = 1e-11
-_FEAS_TOL = 1e-10
+# the objective is 1 / value(P), which compresses value gaps by up to value(P)^2 <= 9
+PIVOT_TOL = 1e-12
 
 
 class MatrixGameError(RuntimeError):
-    """The LP machinery failed (unbounded or infeasible program)."""
+    """The simplex failed: an unbounded ratio test, no termination or a singular basis."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +84,7 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, enter: int, anti_cyclin
     return int(tied[basis[tied].argmin()])
 
 
-def _bland(tableau: np.ndarray, basis: np.ndarray, objective_floor: float | None = None) -> None:
+def _bland(tableau: np.ndarray, basis: np.ndarray) -> None:
     """Run the simplex to optimality on a feasible tableau (objective row last).
 
     Normal pivoting: most negative reduced cost enters (ties at the lowest
@@ -95,17 +95,10 @@ def _bland(tableau: np.ndarray, basis: np.ndarray, objective_floor: float | None
     Should that stall on a degenerate basis, the rules switch to Bland's
     lowest-index/lowest-basis-index pair, which cannot cycle, so termination
     is guaranteed.  Every rule is deterministic.
-
-    ``objective_floor`` stops early once the true objective cannot sit above
-    it; phase 1 passes its feasibility tolerance, since its objective is
-    nonnegative by construction and apparent progress below the floor is
-    rounding noise, not improvement.
     """
     stall_limit = 100 + 10 * (tableau.shape[0] + tableau.shape[1])
     hard_limit = 100 * stall_limit
     for pivots in range(hard_limit):
-        if objective_floor is not None and -tableau[-1, -1] <= objective_floor:
-            return
         reduced = tableau[-1, :-1]
         anti_cycling = pivots >= stall_limit
         if anti_cycling:
@@ -123,91 +116,72 @@ def _bland(tableau: np.ndarray, basis: np.ndarray, objective_floor: float | None
     raise MatrixGameError("simplex failed to terminate")
 
 
-def _solve_standard_lp(
-    c: np.ndarray, eq: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Minimize ``c @ z`` subject to ``eq @ z == rhs``, ``z >= 0``.
+def equalize(sub: np.ndarray):
+    """Both players' equalizer solutions on a stack of ``k x k`` blocks.
 
-    Requires ``rhs >= 0`` (callers arrange signs).  Returns the optimal
-    vector, the objective value and the final reduced costs ``c - eq.T @ p``,
-    where ``p`` are the optimal dual prices of the equality rows.
+    For each block ``C`` of ``sub`` (shape ``(n, k, k)``) it solves the
+    bordered systems ``x C = v``, ``C y = v``, ``sum(x) = sum(y) = 1`` in
+    one stacked ``np.linalg.solve`` and returns ``(v, x, y, regular)``; for
+    ``k == 1`` the answer is ``v = C[0, 0]`` and both mixtures the scalar
+    1, with no solve.  ``regular`` is True, or False for the blocks whose
+    system is singular, whose ``v``, ``x`` and ``y`` are then meaningless.
+    Nothing here checks signs or optimality.
     """
-    n_rows, n_cols = eq.shape
-    tab = np.zeros((n_rows + 1, n_cols + n_rows + 1))
-    tab[:n_rows, :n_cols] = eq
-    tab[:n_rows, n_cols : n_cols + n_rows] = np.eye(n_rows)
-    tab[:n_rows, -1] = rhs
-    basis = np.arange(n_cols, n_cols + n_rows)
-    # phase-1 objective: the artificials' sum, priced out (their columns become 0)
-    tab[-1, :n_cols] = -eq.sum(axis=0)
-    tab[-1, -1] = -rhs.sum()
-    scale = max(1.0, float(np.max(np.abs(eq))), float(np.max(np.abs(rhs))))
-    _bland(tab, basis, objective_floor=_FEAS_TOL * scale)
-    if -tab[-1, -1] > _FEAS_TOL * scale:
-        raise MatrixGameError("linear program is infeasible")
-    np.clip(tab[:n_rows, -1], 0.0, None, out=tab[:n_rows, -1])
-
-    # pivot any artificial still basic (at value 0) onto a real column
-    keep = np.ones(n_rows, dtype=bool)
-    for i in np.flatnonzero(basis >= n_cols):
-        nonzero = np.flatnonzero(np.abs(tab[i, :n_cols]) > PIVOT_TOL)
-        if nonzero.size == 0:
-            keep[i] = False  # redundant zero row
-            continue
-        _pivot(tab, i, int(nonzero[0]))
-        basis[i] = nonzero[0]
-
-    rows = np.flatnonzero(keep)
-    phase2 = np.zeros((rows.size + 1, n_cols + 1))
-    phase2[:-1, :n_cols] = tab[rows, :n_cols]
-    phase2[:-1, -1] = tab[rows, -1]
-    basis2 = basis[rows]
-    phase2[-1, :n_cols] = c
-    # basic columns are exact unit vectors, so rows with a zero cost change nothing
-    for r in np.flatnonzero(c[basis2]):
-        phase2[-1] -= phase2[-1, basis2[r]] * phase2[r]
-    _bland(phase2, basis2)
-
-    # Every pivot adds rounding to the tableau, and a forced pivot on a tiny
-    # coefficient multiplies it; so solve the final basis from the original rows.
-    basic = eq[rows][:, basis2]
-    z = np.zeros(n_cols)
-    z[basis2] = np.linalg.solve(basic, rhs[rows])
-    reduced = c - np.linalg.solve(basic.T, c[basis2]) @ eq[rows]
-    reduced[basis2] = 0.0  # zero by definition; keeps the dual's support exact
-    return z, float(c @ z), reduced
+    n, k = sub.shape[0], sub.shape[1]
+    if k == 1:
+        return sub[:, 0, 0], 1.0, 1.0, True
+    # unknowns (x, v) and (y, v): x C = v, C y = v, each mixture sums to 1
+    system = np.zeros((2, n, k + 1, k + 1))
+    system[0, :, :k, :k] = sub.transpose(0, 2, 1)
+    system[1, :, :k, :k] = sub
+    system[:, :, :k, k] = -1.0
+    system[:, :, k, :k] = 1.0
+    rhs = np.zeros((k + 1, 1))  # a column, so NumPy 1.x broadcasts it too
+    rhs[k] = 1.0
+    regular = True
+    try:
+        sol = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        # the determinant comes from the same LU, so it is 0 exactly where a pivot is
+        regular = (np.linalg.det(system) != 0.0).all(axis=0)
+        system[:, ~regular] = np.eye(k + 1)
+        sol = np.linalg.solve(system, rhs)
+    sol = sol[..., 0]
+    return sol[0, :, k], sol[0, :, :k], sol[1, :, :k], regular
 
 
 def _maximin(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and optimal mixtures of both players of ``payoff``, from one LP.
+    """Value and optimal mixtures of both players of ``payoff``.
 
-    The matrix is normalized by its largest magnitude first, so the absolute
-    pivot tolerance means the same thing whatever the payoff scale; optimal
-    strategies are unchanged by positive scaling and the value scales back.
-    The column player's mixture is the dual of the row player's program: the
-    reduced cost of each surplus is its column constraint's dual price.
+    The simplex runs on ``P = payoff / max|payoff| + 2`` from the slack
+    basis of ``P y <= 1``; its final basis names the supports, and
+    :func:`equalize` on the normalized block gives the answer, with the
+    value scaled back by ``max|payoff|``.
     """
     m, l = payoff.shape
     norm = float(np.max(np.abs(payoff)))
-    scaled = payoff / norm if norm > 0.0 else payoff
-    n_vars = m + 2 + l  # x_1..x_m, v_plus, v_minus, one surplus per column
-    eq = np.zeros((l + 1, n_vars))
-    rhs = np.zeros(l + 1)
-    eq[:l, :m] = scaled.T
-    eq[:l, m] = -1.0
-    eq[:l, m + 1] = 1.0
-    eq[:l, m + 2 :] = -np.eye(l)
-    eq[l, :m] = 1.0
-    rhs[l] = 1.0
-    c = np.zeros(n_vars)
-    c[m] = -1.0
-    c[m + 1] = 1.0
-    z, objective, reduced = _solve_standard_lp(c, eq, rhs)
-    row = np.maximum(z[:m], 0.0)
-    row /= row.sum()
-    col = np.maximum(reduced[m + 2 :], 0.0)
-    col /= col.sum()
-    return -objective * (norm if norm > 0.0 else 1.0), row, col
+    if norm == 0.0:
+        norm = 1.0
+    scaled = payoff / norm
+    tab = np.zeros((m + 1, l + m + 1))  # columns y_1..y_l, one slack per row, rhs
+    tab[:m, :l] = scaled + 2.0
+    tab[:m, l:-1] = np.eye(m)
+    tab[:m, -1] = 1.0
+    tab[-1, :l] = -1.0  # minimize -sum(y)
+    basis = np.arange(l, l + m)
+    _bland(tab, basis)
+    basic = np.zeros(l + m, dtype=bool)
+    basic[basis] = True
+    cols = np.flatnonzero(basic[:l])
+    rows = np.flatnonzero(~basic[l:])  # the rows whose slacks left
+    v, x_s, y_t, regular = equalize(scaled[np.ix_(rows, cols)][None])
+    if not np.all(regular):
+        raise MatrixGameError("simplex ended on a singular basis")
+    x = np.zeros(m)
+    x[rows] = np.maximum(x_s, 0.0)
+    y = np.zeros(l)
+    y[cols] = np.maximum(y_t, 0.0)
+    return float(v[0]) * norm, x / x.sum(), y / y.sum()
 
 
 def _point_mass(size: int, index: int) -> np.ndarray:
@@ -229,9 +203,11 @@ def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: n
 def solve_matrix_game(payoff) -> MatrixGameSolution:
     """Solve the zero-sum game with the row player maximizing ``payoff``.
 
-    One LP gives the row player's strategy and, through its duals, the
-    column player's; their exploitability is reported as ``duality_gap``.
-    Raises ``ValueError`` for empty or non-finite matrices.
+    One simplex phase finds an optimal basis; the equalizer system on the
+    support it names gives the value and both players' strategies, whose
+    exploitability is reported as ``duality_gap``.  Raises ``ValueError``
+    for empty or non-finite matrices and :class:`MatrixGameError` when the
+    simplex fails.
     """
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 2 or a.size == 0:

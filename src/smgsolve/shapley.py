@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrixgame import MatrixGameError, exploitability, solve_matrix_game
+from .matrixgame import MatrixGameError, equalize, exploitability, solve_matrix_game
 from .model import GameModel, Triple
 
 SIMPLEX_TOL = 1e-10
@@ -154,36 +154,15 @@ def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
 
     ``rs`` and ``cs`` hold ``k`` row and column indices per game (one row
     of them when every game shares its supports).  Both players' equalizer
-    systems on the ``k x k`` submatrices are one stacked ``np.linalg.solve``;
-    for ``k == 1`` their solution is both mixtures 1 and ``v = C[s, t]``.
-    A game keeps the result, written into ``out = (value, x, y)``, only
-    when both strategies are ``>= 0`` and their exploitability is at most
-    ``scale``.
+    systems on the ``k x k`` submatrices are one stacked solve, by
+    :func:`~smgsolve.matrixgame.equalize`.  A game keeps the result, written
+    into ``out = (value, x, y)``, only when both strategies are ``>= 0`` and
+    their exploitability is at most ``scale``.
     """
-    n, k = at.size, rs.shape[1]
+    n = at.size
     games = c[at]
     sub = c[at[:, None, None], rs[:, :, None], cs[:, None, :]]
-    regular = True
-    if k == 1:
-        v, x_s, y_t = sub[:, 0, 0], 1.0, 1.0
-    else:
-        # unknowns (x_S, v) and (y_T, v): x C[S, T] = v, C[S, T] y = v, each mixture sums to 1
-        system = np.zeros((2, n, k + 1, k + 1))
-        system[0, :, :k, :k] = sub.transpose(0, 2, 1)
-        system[1, :, :k, :k] = sub
-        system[:, :, :k, k] = -1.0
-        system[:, :, k, :k] = 1.0
-        rhs = np.zeros((k + 1, 1))  # a column, so NumPy 1.x broadcasts it too
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            # the determinant comes from the same LU, so it is 0 exactly where a pivot is
-            regular = (np.linalg.det(system) != 0.0).all(axis=0)
-            system[:, ~regular] = np.eye(k + 1)
-            sol = np.linalg.solve(system, rhs)
-        sol = sol[..., 0]
-        v, x_s, y_t = sol[0, :, k], sol[0, :, :k], sol[1, :, :k]
+    v, x_s, y_t, regular = equalize(sub)
     ix = np.arange(n)[:, None]
     x = np.zeros((n, c.shape[1]))
     x[ix, rs] = x_s

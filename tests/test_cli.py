@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from smgsolve import ModelValidationError, evaluate_stationary_pair, load_model, value_iterate
+from smgsolve import (
+    ModelValidationError, evaluate_stationary_pair, load_model, solve_matrix_game, value_iterate,
+)
 from smgsolve.cli import RunConfig, config_from_args, main, run
 
 from conftest import INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC
@@ -259,6 +261,16 @@ def test_non_finite_numbers_exit_2_naming_the_culprit(tmp_path, capsys, base, mu
 def test_game_rejects_a_matrix_that_is_not_rectangular_numbers(matrix, message, capsys):
     assert run(RunConfig(command="game", matrix=matrix)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_game_verifies_a_large_game_of_value_zero_at_its_payoff_scale(capsys):
+    # rounding at entries of 1e8 is about 1e-8, far above 1e-9 * max(1, |value|)
+    a = np.random.default_rng(0).uniform(-1e8, 1e8, size=(5, 6))
+    a -= solve_matrix_game(a).value
+    assert run(RunConfig(command="game", matrix=json.dumps(a.tolist()))) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["value"]) <= 1e-6
+    assert doc["saddleVerified"] is True
 
 
 def test_game_hashes_an_integer_matrix_as_written(capsys):

@@ -202,3 +202,19 @@ def test_dominance_gives_pure_saddle():
     assert sol.value == pytest.approx(4.0, abs=1e-12)
     ok, _ = verify_saddle_point(a, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], tol=1e-9)
     assert ok
+
+
+@pytest.mark.parametrize("rows", [
+    [[2.225073858507203e-309, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [2.225073858507203e-309, 0.0]],
+])
+def test_subnormal_matrix_is_solved_on_its_normalized_support(rows):
+    # the block left by the simplex must be solved normalized: unnormalized,
+    # its bordered system underflows
+    sol = solve_matrix_game(rows)
+    assert np.all(np.isfinite(sol.row_strategy)) and np.all(np.isfinite(sol.col_strategy))
+    _assert_simplex(sol.row_strategy)
+    _assert_simplex(sol.col_strategy)
+    assert sol.value == 0.0
+    ok, violation = verify_saddle_point(rows, sol.row_strategy, sol.col_strategy, tol=0.0)
+    assert ok, violation

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smgsolve import solve_matrix_game, verify_saddle_point
+from smgsolve.matrixgame import exploitability
 
 
 def test_forced_tiny_pivot_keeps_the_exact_value():
@@ -28,3 +29,26 @@ def test_saddle_on_random_matrices_with_tiny_entries():
         ok, violation = verify_saddle_point(a, sol.row_strategy, sol.col_strategy, tol)
         assert ok, f"saddle violated by {violation} on {a!r}"
         assert sol.duality_gap <= tol
+
+
+def test_exploitability_sweep_over_hard_random_games():
+    # a fixed sweep over three kinds of game: uniform, small integers with
+    # ties, and uniform with 20% of the entries shrunk by 1e-13 to 1e-5
+    rng = np.random.default_rng(123)
+    for n in range(6000):
+        shape = rng.integers(2, 11, size=2)
+        kind = n % 3
+        if kind == 1:
+            a = rng.integers(-2, 3, size=shape).astype(float)
+        else:
+            a = rng.uniform(-10.0, 10.0, size=shape)
+            if kind == 2:
+                tiny = rng.random(shape) < 0.2
+                a[tiny] *= 10.0 ** rng.integers(-13, -4, size=int(tiny.sum()))
+        sol = solve_matrix_game(a)
+        x, y = sol.row_strategy, sol.col_strategy
+        assert x.min() >= 0.0 and y.min() >= 0.0
+        assert x.sum() == pytest.approx(1.0, abs=1e-12)
+        assert y.sum() == pytest.approx(1.0, abs=1e-12)
+        gap = exploitability(a, x, y)
+        assert gap <= 1e-12 * max(1.0, np.abs(a).max()), f"game {n}: {gap} on {a!r}"
