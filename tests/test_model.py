@@ -1,6 +1,7 @@
 """Model parsing, validation, and round-trip serialization."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,299 @@ def test_validate_collects_violations_without_raising(single_state_model):
     assert any("weight must be >= 1" in v for v in violations)
     assert any("discount must be positive" in v for v in violations)
     assert any("sum to 1" in v for v in violations)
+
+
+def _mutated(base, mutate):
+    doc = json.loads(json.dumps(base))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+def _reverse_triples(doc):
+    doc["triples"].reverse()
+
+
+ONLY = "('only', 'stay', 'stay')"
+FIRST = "('1', 'a11', 'b11')"
+
+# (base document, mutation, exception class, the exact message), one case per
+# message of the loader, then one per message of validation
+PINNED_MESSAGES = {
+    "not-an-object": (
+        SINGLE_STATE_DOC, None, ModelFormatError, "model document must be a JSON object"),
+    "states-not-array": (
+        SINGLE_STATE_DOC, lambda d: d.update(states="nope"), ModelFormatError,
+        "'states' must be a nonempty array of strings"),
+    "states-empty": (
+        SINGLE_STATE_DOC, lambda d: d.update(states=[]), ModelFormatError,
+        "'states' must be a nonempty array of strings"),
+    "actions-not-object": (
+        SINGLE_STATE_DOC, lambda d: d.update(actions1=["stay"]), ModelFormatError,
+        "'actions1' must be an object mapping state to action list"),
+    "actions-missing-state": (
+        SINGLE_STATE_DOC, lambda d: d.update(actions2={}), ModelFormatError,
+        "'actions2' missing state 'only'"),
+    "actions-not-strings": (
+        SINGLE_STATE_DOC, lambda d: d["actions2"].update(only="stay"), ModelFormatError,
+        "'actions2' for state 'only' must be a list of strings"),
+    "actions-unknown-state": (
+        SINGLE_STATE_DOC, lambda d: d["actions1"].update(zz=[], ghost=["a"]), ModelFormatError,
+        "'actions1' lists unknown states ['ghost', 'zz']"),
+    "weight-not-object": (
+        SINGLE_STATE_DOC, lambda d: d.update(weight=[1.0]), ModelFormatError,
+        "'weight' must be an object mapping state to number"),
+    "weight-unknown-state": (
+        SINGLE_STATE_DOC, lambda d: d.update(weight={"ghost": "x", "only": 1.0}),
+        ModelFormatError, "'weight' lists unknown state 'ghost'"),
+    "weight-not-number": (
+        SINGLE_STATE_DOC, lambda d: d.update(weight={"only": True}), ModelFormatError,
+        "weight for state 'only' must be a number"),
+    "triples-not-array": (
+        SINGLE_STATE_DOC, lambda d: d.update(triples={}), ModelFormatError,
+        "'triples' must be an array"),
+    "entry-not-object": (
+        INVESTMENT_DOC, lambda d: d["triples"].insert(3, ["1", "a11", "b11"]), ModelFormatError,
+        "each triple entry must be an object"),
+    "entry-label-not-string": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(a=1, state=None), ModelFormatError,
+        "triple entry needs string field 'state'"),
+    "entry-label-missing": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].pop("b"), ModelFormatError,
+        "triple entry needs string field 'b'"),
+    "unknown-state": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(state="ghost", a="x"),
+        ModelFormatError, "triple ('ghost', 'x', 'stay') names unknown state"),
+    "unknown-action-1": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(a="go", b="go"), ModelFormatError,
+        "triple ('only', 'go', 'go') names unknown action for player 1"),
+    "unknown-action-2": (
+        INVESTMENT_DOC, lambda d: d["triples"][5].update(b="b11"), ModelFormatError,
+        "triple ('2', 'a21', 'b11') names unknown action for player 2"),
+    "duplicate": (
+        INVESTMENT_DOC, lambda d: d["triples"].append(dict(d["triples"][6], alpha="x")),
+        ModelFormatError, "duplicate triple ('2', 'a22', 'b21')"),
+    "alpha-missing": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].pop("alpha"), ModelFormatError,
+        f"triple {ONLY} needs numeric field 'alpha'"),
+    "alpha-boolean": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=True, reward=None),
+        ModelFormatError, f"triple {ONLY} needs numeric field 'alpha'"),
+    "reward-not-number": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(reward="2", sojourn=None),
+        ModelFormatError, f"triple {ONLY} needs numeric field 'reward'"),
+    "sojourn-not-object": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(sojourn="exponential", transition=1),
+        ModelFormatError, f"sojourn must be an object: triple {ONLY}"),
+    "sojourn-unknown-kind": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(kind="weibull"),
+        ModelFormatError,
+        f"sojourn kind must be one of ['deterministic', 'direct', 'exponential', 'uniform']: "
+        f"triple {ONLY}"),
+    "sojourn-kind-missing": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].pop("kind"), ModelFormatError,
+        f"sojourn kind must be one of ['deterministic', 'direct', 'exponential', 'uniform']: "
+        f"triple {ONLY}"),
+    "sojourn-parameter-missing": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(sojourn={"kind": "direct", "d": 1}),
+        ModelFormatError, f"sojourn 'direct' needs parameter 'lam': triple {ONLY}"),
+    "sojourn-parameter-not-number": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(rate=None, shape=1),
+        ModelFormatError, f"sojourn parameter 'rate' must be a number: triple {ONLY}"),
+    "sojourn-unknown-parameters": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(shape=1, alpha=2),
+        ModelFormatError,
+        f"sojourn 'exponential' has unknown parameters ['alpha', 'shape']: triple {ONLY}"),
+    "transition-not-object": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(transition=[1.0]), ModelFormatError,
+        f"triple {ONLY} needs a 'transition' object"),
+    "transition-missing": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].pop("transition"), ModelFormatError,
+        f"triple {ONLY} needs a 'transition' object"),
+    "transition-unknown-state": (
+        INVESTMENT_DOC, lambda d: d["triples"][0]["transition"].update({"ghost": 0.0, "x": "y"}),
+        ModelFormatError, f"transition for triple {FIRST} names unknown state 'ghost'"),
+    "transition-not-number": (
+        INVESTMENT_DOC,
+        lambda d: d["triples"][0].update(transition={"2": 0.5, "3": None, "ghost": 0.5}),
+        ModelFormatError, f"transition probability for triple {FIRST} -> '3' must be a number"),
+    "transition-boolean": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(transition={"only": True}),
+        ModelFormatError, f"transition probability for triple {ONLY} -> 'only' must be a number"),
+    "transition-string": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(transition={"only": "1"}),
+        ModelFormatError, f"transition probability for triple {ONLY} -> 'only' must be a number"),
+    "first-bad-entry-in-document-order": (
+        INVESTMENT_DOC,
+        lambda d: (d["triples"][4]["sojourn"].update(kind="gamma"), d["triples"][2].pop("reward")),
+        ModelFormatError, "triple ('1', 'a12', 'b11') needs numeric field 'reward'"),
+    # validation, on well-formed documents
+    "states-not-unique": (
+        SINGLE_STATE_DOC, lambda d: d.update(states=["only", "only"]), ModelValidationError,
+        "state labels must be unique"),
+    "actions-empty": (
+        SINGLE_STATE_DOC, lambda d: (d["actions1"].update(only=[]), d.update(triples=[])),
+        ModelValidationError, "actions1 must list at least one action for state 'only'"),
+    "actions-duplicate": (
+        SINGLE_STATE_DOC, lambda d: d["actions2"].update(only=["stay", "stay"]),
+        ModelValidationError, "actions2 for state 'only' has duplicate labels"),
+    "format-error-before-validation": (
+        INVESTMENT_DOC, lambda d: (d["weight"].update({"3": 0.5}), d["triples"][0].pop("alpha")),
+        ModelFormatError, f"triple {FIRST} needs numeric field 'alpha'"),
+    "weight-not-finite": (
+        INVESTMENT_DOC, lambda d: (d["weight"].update({"2": math.inf, "3": 0.5})),
+        ModelValidationError, "weight must be >= 1 and finite: state '2' has inf"),
+    "weight-before-triples": (
+        INVESTMENT_DOC, lambda d: (d["weight"].update({"3": 0.5}), d["triples"][0].update(alpha=0)),
+        ModelValidationError, "weight must be >= 1 and finite: state '3' has 0.5"),
+    "triple-missing": (
+        INVESTMENT_DOC, lambda d: (d["triples"].pop(7), d["triples"][9].update(alpha=-1)),
+        ModelValidationError,
+        "triple ('2', 'a22', 'b22') missing entries: discount, payoff, sojourn, transition"),
+    "alpha-zero": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=0), ModelValidationError,
+        f"discount must be positive and finite: triple {ONLY} has 0.0"),
+    "alpha-nan": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=math.nan, reward=math.inf),
+        ModelValidationError, f"discount must be positive and finite: triple {ONLY} has nan"),
+    "alpha-huge-int": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=10**400), ModelValidationError,
+        f"discount must be positive and finite: triple {ONLY} has inf"),
+    "reward-not-finite": (
+        INVESTMENT_DOC, lambda d: d["triples"][11].update(reward=-math.inf), ModelValidationError,
+        "payoff must be a finite real number: triple ('3', 'a32', 'b32') has -inf"),
+    "rate-not-positive": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(rate=0), ModelValidationError,
+        f"exponential rate must be positive and finite: triple {ONLY}"),
+    "upper-not-finite": (
+        INVESTMENT_DOC, lambda d: d["triples"][8]["sojourn"].update(upper=math.inf),
+        ModelValidationError,
+        "uniform upper bound must be positive and finite: triple ('3', 'a31', 'b31')"),
+    "duration-negative": (
+        MIXED_LAWS_DOC, lambda d: d["triples"][2]["sojourn"].update(duration=-0.5),
+        ModelValidationError,
+        "deterministic duration must be positive and finite: triple ('y', 'a1', 'b1')"),
+    "direct-lam-outside": (
+        MIXED_LAWS_DOC, lambda d: d["triples"][3]["sojourn"].update(lam=1), ModelValidationError,
+        "direct-weight lam must lie in (0, 1): triple ('y', 'a1', 'b2')"),
+    "direct-d-negative": (
+        MIXED_LAWS_DOC, lambda d: d["triples"][3]["sojourn"].update(d=-1), ModelValidationError,
+        "direct-weight d must be finite and nonnegative: triple ('y', 'a1', 'b2')"),
+    "direct-inconsistent": (
+        MIXED_LAWS_DOC, lambda d: d["triples"][3]["sojourn"].update(d=0.6), ModelValidationError,
+        "direct weights inconsistent with discount rate (d=0.6, expected 0.5333333333333333): "
+        "triple ('y', 'a1', 'b2')"),
+    "transition-nan": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["transition"].update(only=math.nan),
+        ModelValidationError, f"transition probabilities must be finite: triple {ONLY}"),
+    "transition-inf-minus-inf": (
+        INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": math.inf, "3": -math.inf}),
+        ModelValidationError, f"transition probabilities must be finite: triple {FIRST}"),
+    "transition-overflow": (
+        INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": 1e308, "3": 1e308}),
+        ModelValidationError, f"transition probabilities must be finite: triple {FIRST}"),
+    "transition-negative": (
+        INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"1": 0, "2": -0.5, "3": 1.5}),
+        ModelValidationError, f"transition probabilities must be nonnegative: triple {FIRST}"),
+    "transition-sum": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["transition"].update(only=0.9),
+        ModelValidationError, f"transition row must sum to 1 (got 0.9): triple {ONLY}"),
+    "transition-sum-just-outside": (
+        INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": 0.5, "3": 0.5 + 1.5e-12}),
+        ModelValidationError,
+        f"transition row must sum to 1 (got 1.0000000000015001): triple {FIRST}"),
+    "transition-empty": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0].update(transition={}), ModelValidationError,
+        f"transition row must sum to 1 (got 0.0): triple {ONLY}"),
+    "transition-all-zero": (
+        INVESTMENT_DOC, lambda d: d["triples"][11].update(transition={"1": 0, "3": 0.0}),
+        ModelValidationError,
+        "transition row must sum to 1 (got 0.0): triple ('3', 'a32', 'b32')"),
+    "first-bad-triple-in-declaration-order": (
+        INVESTMENT_DOC,
+        lambda d: (d["triples"][1].update(alpha=-1), d["triples"][10].update(alpha=0),
+                   _reverse_triples(d)),
+        ModelValidationError,
+        "discount must be positive and finite: triple ('1', 'a11', 'b12') has -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MESSAGES))
+def test_loader_and_validation_messages_are_pinned(case):
+    base, mutate, error, message = PINNED_MESSAGES[case]
+    text = "[]" if mutate is None else _mutated(base, mutate)
+    with pytest.raises(error) as err:
+        load_model(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_invalid_json_message_is_pinned():
+    with pytest.raises(ModelFormatError) as err:
+        load_model("{'states':}")
+    assert str(err.value) == (
+        "model document is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+
+
+def test_validation_messages_without_a_document_are_pinned(investment_model):
+    from dataclasses import replace
+
+    assert validate_model(replace(investment_model, states=())) == [
+        "model must declare at least one state"
+    ]
+    unweighted = replace(investment_model, weight={"1": 1.0, "3": 1.0})
+    assert validate_model(unweighted) == ["weight missing for state '2'"]
+
+
+def test_validation_lists_every_violation_in_declaration_order(investment_model):
+    from copy import deepcopy
+    from dataclasses import replace
+
+    t = deepcopy(investment_model.table)
+    t.alpha[1], t.reward[1] = -0.5, math.nan
+    t.param[2] = 0.0  # an exponential rate
+    t.prob[t.indptr[4]] = -0.25  # row 4 now sums to 0.29 as well
+    t.prob[t.indptr[6] + 1] = math.inf
+    t.prob[t.indptr[9]] += 2e-12
+    t.kind[10] = -1
+    t.kind[11], t.param[11], t.lam[11] = 3, 0.5, 1.5  # direct weights
+    broken = replace(investment_model, weight={"1": 1.0, "2": 0.25, "3": math.nan}, table=t)
+    assert validate_model(broken) == [
+        "weight must be >= 1 and finite: state '2' has 0.25",
+        "weight must be >= 1 and finite: state '3' has nan",
+        "discount must be positive and finite: triple ('1', 'a11', 'b12') has -0.5",
+        "payoff must be a finite real number: triple ('1', 'a11', 'b12') has nan",
+        "exponential rate must be positive and finite: triple ('1', 'a12', 'b11')",
+        "transition probabilities must be nonnegative: triple ('2', 'a21', 'b21')",
+        "transition row must sum to 1 (got 0.29000000000000004): triple ('2', 'a21', 'b21')",
+        "transition probabilities must be finite: triple ('2', 'a22', 'b21')",
+        "transition row must sum to 1 (got 1.000000000002): triple ('3', 'a31', 'b32')",
+        "triple ('3', 'a32', 'b31') missing entries: discount, payoff, sojourn, transition",
+        "direct-weight lam must lie in (0, 1): triple ('3', 'a32', 'b32')",
+    ]
+
+
+def test_a_row_of_5000_nonzeros_summing_to_one_within_rounding_is_valid():
+    n = 5000
+    rng = np.random.default_rng(5)
+    p = rng.dirichlet(np.ones(n))
+    states = [f"s{i}" for i in range(n)]
+    triples = [
+        {"state": x, "a": "a", "b": "b", "alpha": 1.0, "reward": 0.0,
+         "sojourn": {"kind": "deterministic", "duration": 1.0}, "transition": {x: 1.0}}
+        for x in states
+    ]
+    triples[0]["transition"] = dict(zip(states, p.tolist()))
+    doc = {
+        "states": states,
+        "actions1": {x: ["a"] for x in states},
+        "actions2": {x: ["b"] for x in states},
+        "triples": triples,
+    }
+    total = math.fsum(p.tolist())
+    assert total != 1.0 or sum(p.tolist()) != 1.0  # rounding is really in play
+    assert abs(total - 1.0) <= 1e-12
+    m = load_model(json.dumps(doc))
+    assert validate_model(m) == []
+    assert np.diff(m.table.indptr)[0] == n
