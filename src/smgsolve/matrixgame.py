@@ -181,7 +181,7 @@ def _maximin(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     x[rows] = np.maximum(x_s, 0.0)
     y = np.zeros(l)
     y[cols] = np.maximum(y_t, 0.0)
-    return float(v[0]) * norm, x / x.sum(), y / y.sum()
+    return float(v[0]) * norm + 0.0, x / x.sum(), y / y.sum()  # + 0.0: no value reads -0.0
 
 
 def _point_mass(size: int, index: int) -> np.ndarray:
@@ -218,7 +218,7 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
     if l == 1:
         i = int(np.argmax(a[:, 0]))
         return MatrixGameSolution(
-            value=float(a[i, 0]),
+            value=float(a[i, 0]) + 0.0,
             row_strategy=_point_mass(m, i),
             col_strategy=np.ones(1),
             duality_gap=0.0,
@@ -226,7 +226,7 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
     if m == 1:
         j = int(np.argmin(a[0]))
         return MatrixGameSolution(
-            value=float(a[0, j]),
+            value=float(a[0, j]) + 0.0,
             row_strategy=np.ones(1),
             col_strategy=_point_mass(l, j),
             duality_gap=0.0,

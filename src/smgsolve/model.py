@@ -34,10 +34,15 @@ Sojourn kinds and their parameters: ``exponential`` (``rate``), ``uniform``
 Each kind is one law class, the one home of its serializer, parameter
 checks, closed-form continuation factor, cdf and holding-time draw.
 
-The loader writes each document triple straight into its row of the
-model's :class:`TripleTable`, with the transition kept as its nonzeros, and
-every other layer reads the model through that table; no structure with
-one entry per pair of states is built.
+The loader makes one pass over the document's triples.  It collects each
+column (rate, reward, law, parameters, transition entries) in a plain list,
+then converts the lists to arrays once, into the model's
+:class:`TripleTable`, with each transition kept as its nonzeros; an error
+message is formatted only once its check has failed.  Validation screens
+every triple at once in numpy and runs the per-triple checks, which word the
+messages, only on the triples the screen cannot clear (see
+:func:`_suspect_rows`).  Every other layer reads the model through that
+table; no structure with one entry per pair of states is built.
 """
 
 import json
@@ -345,18 +350,18 @@ def validate_model(m: GameModel) -> list[str]:
         return out
 
     t = m.table
-    alpha, reward = t.alpha.tolist(), t.reward.tolist()
-    prob, ptr = t.prob.tolist(), t.indptr.tolist()
-    for i, triple in enumerate(t.labels):
+    for i in _suspect_rows(t).tolist():
+        triple = t.labels[i]
         if t.kind[i] < 0:
             out.append(f"triple {triple!r} missing entries: discount, payoff, sojourn, transition")
             continue
-        if not _positive_number(alpha[i]):
-            out.append(f"discount must be positive and finite: triple {triple!r} has {alpha[i]!r}")
-        if not _finite_number(reward[i]):
-            out.append(f"payoff must be a finite real number: triple {triple!r} has {reward[i]!r}")
-        out.extend(t.law(i).violations(alpha[i], triple))
-        row = prob[ptr[i] : ptr[i + 1]]
+        alpha, reward = float(t.alpha[i]), float(t.reward[i])
+        if not _positive_number(alpha):
+            out.append(f"discount must be positive and finite: triple {triple!r} has {alpha!r}")
+        if not _finite_number(reward):
+            out.append(f"payoff must be a finite real number: triple {triple!r} has {reward!r}")
+        out.extend(t.law(i).violations(alpha, triple))
+        row = t.prob[t.indptr[i] : t.indptr[i + 1]].tolist()
         try:
             total = math.fsum(row)
         except (OverflowError, ValueError):  # raised for inf - inf and on overflow
@@ -371,47 +376,93 @@ def validate_model(m: GameModel) -> list[str]:
     return out
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ModelFormatError(message)
+def _suspect_rows(t: TripleTable) -> np.ndarray:
+    """The rows that may break a per-triple invariant, in declaration order.
+
+    A row not returned is valid: its law is analytic with a positive finite
+    parameter, its rate is positive and finite, its reward finite, its
+    probabilities nonnegative, and its plain sum ``s`` over ``nnz``
+    nonzeros passes ``|s - 1| + (nnz + 2) * 2**-53 * s <= TRANSITION_SUM_TOL``.
+    That term bounds the rounding of ``s`` (at most ``(nnz - 1) * 2**-53 *
+    s`` to first order) plus that of the exact sum ``math.fsum`` returns,
+    so the row's ``fsum`` passes the real test too.  NaN fails every
+    comparison, so a row holding one is returned.  Every direct-weight row
+    is returned, for its checks involve the rate.
+    """
+    nnz = np.diff(t.indptr)
+    of = np.repeat(np.arange(nnz.size), nnz)  # the row of each nonzero
+    total = np.bincount(of, weights=t.prob, minlength=nnz.size)
+    fine = (t.kind >= 0) & (t.kind < len(ANALYTIC_LAWS))
+    fine &= (t.alpha > 0.0) & (t.alpha < math.inf) & np.isfinite(t.reward)
+    fine &= (t.param > 0.0) & (t.param < math.inf)
+    fine &= np.abs(total - 1.0) + (nnz + 2) * 2.0**-53 * total <= TRANSITION_SUM_TOL
+    fine[of[t.prob < 0.0]] = False
+    return np.flatnonzero(~fine)
 
 
-def _parse_sojourn(obj, triple: Triple) -> tuple[int, list[float]]:
-    """The law's kind code and its parameters in field order."""
-    _require(isinstance(obj, dict), f"sojourn must be an object: triple {triple!r}")
+def _parse_sojourn(obj, triple: Triple) -> tuple[int, float, float]:
+    """The law's kind code, its first parameter and, for direct weights, ``lam``."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"sojourn must be an object: triple {triple!r}")
     kind = obj.get("kind")
-    _require(
-        kind in _KINDS,
-        f"sojourn kind must be one of {sorted(_KINDS)}: triple {triple!r}",
-    )
-    code = _KINDS[kind]
+    code = _KINDS.get(kind) if isinstance(kind, str) else None
+    if code is None:
+        raise ModelFormatError(f"sojourn kind must be one of {sorted(_KINDS)}: triple {triple!r}")
     params = LAWS[code].__match_args__  # the field names, in order
-    values = []
-    for p in params:
-        _require(p in obj, f"sojourn {kind!r} needs parameter {p!r}: triple {triple!r}")
-        v = obj[p]
-        _require(_number(v), f"sojourn parameter {p!r} must be a number: triple {triple!r}")
-        values.append(float(v))
-    extra = set(obj) - {"kind", *params}
-    _require(not extra, f"sojourn {kind!r} has unknown parameters {sorted(extra)}: triple {triple!r}")
-    return code, values
+    values = [obj.get(p) for p in params]
+    if len(obj) != len(params) + 1 or not all(type(v) is float for v in values):
+        for p in params:
+            if p not in obj:
+                raise ModelFormatError(f"sojourn {kind!r} needs parameter {p!r}: triple {triple!r}")
+            if type(obj[p]) is not float:
+                raise ModelFormatError(
+                    f"sojourn parameter {p!r} must be a number: triple {triple!r}"
+                )
+        extra = sorted(set(obj) - {"kind", *params})
+        raise ModelFormatError(
+            f"sojourn {kind!r} has unknown parameters {extra}: triple {triple!r}"
+        )
+    return code, values[0], values[1] if len(values) > 1 else math.nan
 
 
 def _parse_actions(doc, key: str, states: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     table = doc.get(key)
-    _require(isinstance(table, dict), f"{key!r} must be an object mapping state to action list")
+    if not isinstance(table, dict):
+        raise ModelFormatError(f"{key!r} must be an object mapping state to action list")
     out = {}
     for x in states:
-        _require(x in table, f"{key!r} missing state {x!r}")
+        if x not in table:
+            raise ModelFormatError(f"{key!r} missing state {x!r}")
         acts = table[x]
-        _require(
-            isinstance(acts, list) and all(isinstance(a, str) for a in acts),
-            f"{key!r} for state {x!r} must be a list of strings",
-        )
+        if not (isinstance(acts, list) and all(isinstance(a, str) for a in acts)):
+            raise ModelFormatError(f"{key!r} for state {x!r} must be a list of strings")
         out[x] = tuple(acts)
     unknown = set(table) - set(states)
-    _require(not unknown, f"{key!r} lists unknown states {sorted(unknown)}")
+    if unknown:
+        raise ModelFormatError(f"{key!r} lists unknown states {sorted(unknown)}")
     return out
+
+
+def _bad_label(entry: dict, index, actions1, actions2) -> str:
+    """Why an entry's (state, a, b) labels name no row of the table."""
+    for k in ("state", "a", "b"):
+        if not isinstance(entry.get(k), str):
+            return f"triple entry needs string field {k!r}"
+    t = (entry["state"], entry["a"], entry["b"])
+    if t[0] not in index:
+        return f"triple {t!r} names unknown state"
+    if t[1] not in actions1[t[0]]:
+        return f"triple {t!r} names unknown action for player 1"
+    return f"triple {t!r} names unknown action for player 2"
+
+
+def _bad_transition(trans: dict, index, t: Triple) -> str:
+    """Why the first bad entry of ``trans``, which has one, is not a known state's number."""
+    for y, p in trans.items():
+        if y not in index:
+            return f"transition for triple {t!r} names unknown state {y!r}"
+        if type(p) is not float:
+            return f"transition probability for triple {t!r} -> {y!r} must be a number"
 
 
 def load_model(text: str) -> GameModel:
@@ -423,17 +474,19 @@ def load_model(text: str) -> GameModel:
     """
     try:
         # an integer too large for a float parses as an infinity, which
-        # validation rejects naming its triple or state
+        # validation rejects naming its triple or state; every JSON number
+        # is a float, so ``type(v) is float`` tells a number apart
         doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model document is not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "model document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise ModelFormatError("model document must be a JSON object")
 
     raw_states = doc.get("states")
-    _require(
-        isinstance(raw_states, list) and raw_states and all(isinstance(s, str) for s in raw_states),
-        "'states' must be a nonempty array of strings",
-    )
+    if not (
+        isinstance(raw_states, list) and raw_states and all(isinstance(s, str) for s in raw_states)
+    ):
+        raise ModelFormatError("'states' must be a nonempty array of strings")
     states: tuple[str, ...] = tuple(raw_states)
     index = {x: i for i, x in enumerate(states)}
     actions1 = _parse_actions(doc, "actions1", states)
@@ -442,47 +495,64 @@ def load_model(text: str) -> GameModel:
     weight = {x: 1.0 for x in states}
     if "weight" in doc:
         given = doc["weight"]
-        _require(isinstance(given, dict), "'weight' must be an object mapping state to number")
+        if not isinstance(given, dict):
+            raise ModelFormatError("'weight' must be an object mapping state to number")
         for x, w in given.items():
-            _require(x in weight, f"'weight' lists unknown state {x!r}")
-            _require(_number(w), f"weight for state {x!r} must be a number")
-            weight[x] = float(w)
+            if x not in weight:
+                raise ModelFormatError(f"'weight' lists unknown state {x!r}")
+            if type(w) is not float:
+                raise ModelFormatError(f"weight for state {x!r} must be a number")
+            weight[x] = w
 
     raw_triples = doc.get("triples")
-    _require(isinstance(raw_triples, list), "'triples' must be an array")
+    if not isinstance(raw_triples, list):
+        raise ModelFormatError("'triples' must be an array")
     table = TripleTable(states, actions1, actions2)
-    nz_row, nz_succ, nz_prob = [], [], []  # transition nonzeros, in document order
+    row_of = table.where.get
+    seen = bytearray(len(table.labels))
+    rows, alpha, reward, kind, param, lam = [], [], [], [], [], []
+    nnz, succ, prob = [], [], []  # per entry, then per transition entry, in document order
     for entry in raw_triples:
-        _require(isinstance(entry, dict), "each triple entry must be an object")
-        for k in ("state", "a", "b"):
-            _require(isinstance(entry.get(k), str), f"triple entry needs string field {k!r}")
-        t: Triple = (entry["state"], entry["a"], entry["b"])
-        _require(t[0] in weight, f"triple {t!r} names unknown state")
-        _require(t[1] in actions1[t[0]], f"triple {t!r} names unknown action for player 1")
-        _require(t[2] in actions2[t[0]], f"triple {t!r} names unknown action for player 2")
-        i = table.where[t]  # documents may list triples in any order
-        _require(table.kind[i] < 0, f"duplicate triple {t!r}")
-        for k in ("alpha", "reward"):
-            _require(_number(entry.get(k)), f"triple {t!r} needs numeric field {k!r}")
-        table.alpha[i] = float(entry["alpha"])
-        table.reward[i] = float(entry["reward"])
-        table.kind[i], params = _parse_sojourn(entry.get("sojourn"), t)
-        table.param[i], table.lam[i] = (*params, math.nan)[:2]  # direct weights: (d, lam)
+        if not isinstance(entry, dict):
+            raise ModelFormatError("each triple entry must be an object")
+        t = (entry.get("state"), entry.get("a"), entry.get("b"))
+        i = row_of(t) if type(t[0]) is type(t[1]) is type(t[2]) is str else None
+        if i is None:  # documents may list triples in any order
+            raise ModelFormatError(_bad_label(entry, index, actions1, actions2))
+        if seen[i]:
+            raise ModelFormatError(f"duplicate triple {t!r}")
+        seen[i] = 1
+        a, r = entry.get("alpha"), entry.get("reward")
+        if type(a) is not float:
+            raise ModelFormatError(f"triple {t!r} needs numeric field 'alpha'")
+        if type(r) is not float:
+            raise ModelFormatError(f"triple {t!r} needs numeric field 'reward'")
+        code, p, direct_lam = _parse_sojourn(entry.get("sojourn"), t)
         trans = entry.get("transition")
-        _require(isinstance(trans, dict), f"triple {t!r} needs a 'transition' object")
-        for y, p in trans.items():
-            _require(y in index, f"transition for triple {t!r} names unknown state {y!r}")
-            _require(
-                _number(p), f"transition probability for triple {t!r} -> {y!r} must be a number"
-            )
-            if p != 0:
-                nz_row.append(i)
-                nz_succ.append(index[y])
-                nz_prob.append(float(p))
-    row, succ = np.array(nz_row, dtype=np.intp), np.array(nz_succ, dtype=np.intp)
-    order = np.lexsort((succ, row))  # by triple, then by successor state
+        if not isinstance(trans, dict):
+            raise ModelFormatError(f"triple {t!r} needs a 'transition' object")
+        if not (trans.keys() <= index.keys() and all(type(q) is float for q in trans.values())):
+            raise ModelFormatError(_bad_transition(trans, index, t))
+        succ.extend(map(index.__getitem__, trans))
+        prob.extend(trans.values())
+        nnz.append(len(trans))
+        rows.append(i)
+        alpha.append(a)
+        reward.append(r)
+        kind.append(code)
+        param.append(p)
+        lam.append(direct_lam)
+    at = np.array(rows, dtype=np.intp)
+    table.alpha[at], table.reward[at], table.param[at], table.lam[at] = alpha, reward, param, lam
+    table.kind[at] = kind
+    row = np.repeat(at, nnz)
+    succ, prob = np.array(succ, dtype=np.intp), np.array(prob, dtype=float)
+    nonzero = prob != 0
+    row, succ, prob = row[nonzero], succ[nonzero], prob[nonzero]
+    # by triple, then by successor state (a row names each successor once)
+    order = np.argsort(row * len(states) + succ)
     table.indptr[1:] = np.cumsum(np.bincount(row, minlength=len(table.labels)))
-    table.succ, table.prob = succ[order], np.array(nz_prob)[order]
+    table.succ, table.prob = succ[order], prob[order]
 
     model = GameModel(states, actions1, actions2, weight, table)
     violations = validate_model(model)

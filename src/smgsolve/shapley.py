@@ -77,15 +77,32 @@ def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
     return v
 
 
-def _pair_arrays(m: GameModel, pair: StationaryStrategyPair):
-    """Validated (f, g) vectors per state, in state order."""
-    out = []
-    for x in m.states:
+def _pair_arrays(m: GameModel, pair: StationaryStrategyPair, groups):
+    """Validated strategies of each shape group: ``[(group, f, g), ...]``.
+
+    ``f`` and ``g`` hold the group's strategies as rows, in ``group.index``
+    order.  Each group's signs and sums are checked at once; the states that
+    fail, and every state of a group whose strategies do not stack, are
+    checked again one at a time in state order, so the first of them raises
+    naming itself.
+    """
+    out, suspect = [], []
+    for group in groups:
+        f = _stacked(pair.f, group.states, group.rows)
+        g = _stacked(pair.g, group.states, group.cols)
+        if f is None or g is None:
+            suspect.extend(group.index.tolist())
+            continue
+        bad = np.zeros(len(group.states), dtype=bool)
+        for v in (f, g):  # the test of _checked_distribution, row by row
+            bad |= (v.min(axis=1) < -SIMPLEX_TOL) | (np.abs(v.sum(axis=1) - 1.0) > SIMPLEX_TOL)
+        suspect.extend(group.index[bad].tolist())
+        out.append((group, f, g))
+    for x in (m.states[xi] for xi in sorted(suspect)):
         if x not in pair.f or x not in pair.g:
             raise ValueError(f"strategy pair missing state {x!r}")
-        fv = _checked_distribution(pair.f[x], len(m.actions1[x]), f"f[{x!r}]")
-        gv = _checked_distribution(pair.g[x], len(m.actions2[x]), f"g[{x!r}]")
-        out.append((fv, gv))
+        _checked_distribution(pair.f[x], len(m.actions1[x]), f"f[{x!r}]")
+        _checked_distribution(pair.g[x], len(m.actions2[x]), f"g[{x!r}]")
     return out
 
 
@@ -120,6 +137,23 @@ class _ShapeGroup(NamedTuple):
     rows: int
     cols: int
     gather: np.ndarray
+
+
+def _shape_groups(m: GameModel) -> list[_ShapeGroup]:
+    """The model's states grouped by the shape of their games, smallest shape first."""
+    t = m.table
+    groups = []
+    for n_rows, n_cols in sorted(set(zip(t.rows.tolist(), t.cols.tolist()))):
+        index = np.flatnonzero((t.rows == n_rows) & (t.cols == n_cols))
+        cells = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
+        groups.append(_ShapeGroup(
+            index=index,
+            states=[m.states[xi] for xi in index.tolist()],
+            rows=n_rows,
+            cols=n_cols,
+            gather=t.offset[index][:, None, None] + cells,
+        ))
+    return groups
 
 
 @cache
@@ -200,17 +234,7 @@ class ShapleyOperator:
         self.lam_prob = t.lam[self.nz_triple] * t.prob  # lam*p per nonzero
         self.succ = t.succ
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
-        self.groups = []
-        for n_rows, n_cols in sorted(set(zip(t.rows.tolist(), t.cols.tolist()))):
-            index = np.flatnonzero((t.rows == n_rows) & (t.cols == n_cols))
-            cells = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
-            self.groups.append(_ShapeGroup(
-                index=index,
-                states=[m.states[xi] for xi in index.tolist()],
-                rows=n_rows,
-                cols=n_cols,
-                gather=t.offset[index][:, None, None] + cells,
-            ))
+        self.groups = _shape_groups(m)
         # the position of each state in the groups' concatenation
         self.order = np.argsort(np.concatenate([g.index for g in self.groups])).tolist()
 
@@ -324,7 +348,9 @@ def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndar
     t = op.model.table
     n = op.n
     # the probability that the pair plays each triple of its state
-    mass = np.concatenate([np.outer(fv, gv).ravel() for fv, gv in _pair_arrays(op.model, pair)])
+    mass = np.empty(len(t.labels))
+    for group, f, g in _pair_arrays(op.model, pair, op.groups):
+        mass[group.gather] = f[:, :, None] * g[:, None, :]
     rewards = np.bincount(t.state, weights=mass * op.base, minlength=n)
     nz = op.nz_triple
     # I - M built in place: scatter -M, then add 1 to the diagonal

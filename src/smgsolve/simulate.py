@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ANALYTIC_LAWS, GameModel, NotSamplableError
-from .shapley import StationaryStrategyPair, _pair_arrays
+from .shapley import StationaryStrategyPair, _pair_arrays, _shape_groups
 
 DISCOUNT_FLOOR = 1e-8
 MAX_SOJOURNS = 16_384  # per-trajectory cap on sojourns
@@ -107,7 +107,7 @@ class _Sampler:
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair):
         t = m.table
-        vecs = _pair_arrays(m, pair)
+        groups = _pair_arrays(m, pair, _shape_groups(m))
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
         if direct.size:
             raise NotSamplableError(
@@ -115,9 +115,9 @@ class _Sampler:
             )
         self.f_cum = np.ones((m.n_states, t.rows.max()))
         self.g_cum = np.ones((m.n_states, t.cols.max()))
-        for xi, (fv, gv) in enumerate(vecs):  # each row's last entry stays 1.0
-            self.f_cum[xi, : fv.size - 1] = np.cumsum(fv[:-1])
-            self.g_cum[xi, : gv.size - 1] = np.cumsum(gv[:-1])
+        for group, f, g in groups:  # each row's last entry stays 1.0
+            self.f_cum[group.index, : group.rows - 1] = np.cumsum(f[:, :-1], axis=1)
+            self.g_cum[group.index, : group.cols - 1] = np.cumsum(g[:, :-1], axis=1)
         self.table = t
         self.cum = t.row_cumsum(t.prob)
         self.depth = int(np.diff(t.indptr).max() - 1).bit_length()  # binary-search steps

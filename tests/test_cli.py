@@ -140,7 +140,9 @@ def test_simulate_solves_when_no_strategies_given(tmp_path, model_file):
 
 def test_game_inline_matrix(capsys):
     assert run(RunConfig(command="game", matrix="[[1, -1], [-1, 1]]")) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert '"value": 0.0,' in out  # not -0.0
+    doc = json.loads(out)
     assert doc["value"] == pytest.approx(0.0, abs=1e-12)
     assert doc["rowStrategy"] == [0.5, 0.5]
     assert doc["saddleVerified"] is True
@@ -205,6 +207,19 @@ def test_invalid_model_document_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(RunConfig(command="check", model=str(bad))) == 2
     assert "sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [["exponential"], {}], ids=["list", "object"])
+def test_an_unhashable_sojourn_kind_exits_2_with_one_error_line(tmp_path, capsys, kind):
+    doc = json.loads(json.dumps(SINGLE_STATE_DOC))
+    doc["triples"][0]["sojourn"]["kind"] = kind
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(RunConfig(command="check", model=str(bad))) == 2
+    assert capsys.readouterr().err == (
+        "error: sojourn kind must be one of ['deterministic', 'direct', 'exponential', "
+        "'uniform']: triple ('only', 'stay', 'stay')\n"
+    )
 
 
 NAN, INF = float("nan"), float("inf")

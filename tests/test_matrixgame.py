@@ -1,5 +1,7 @@
 """Matrix-game LP solver: oracles, duality, and invariance properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,16 @@ def test_matching_pennies():
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(sol.row_strategy, [0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(sol.col_strategy, [0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [[[1.0, -1.0], [-1.0, 1.0]], [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], [[-0.0]], [[-0.0, 0.0]]],
+    ids=["pennies", "3x3", "1x1", "1x2"],
+)
+def test_a_game_of_value_zero_has_a_positive_zero_value(payoff):
+    value = solve_matrix_game(payoff).value
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_two_by_two_mixed_game_against_oracles():

@@ -111,6 +111,8 @@ def test_missing_triple_is_a_violation():
         (lambda d: d.update(states="nope"), "'states'"),
         (lambda d: d["triples"][0].pop("alpha"), "numeric field 'alpha'"),
         (lambda d: d["triples"][0]["sojourn"].update(kind="weibull"), "sojourn kind"),
+        (lambda d: d["triples"][0]["sojourn"].update(kind=["exponential"]), "sojourn kind"),
+        (lambda d: d["triples"][0]["sojourn"].update(kind={}), "sojourn kind"),
         (lambda d: d["triples"][0]["transition"].update({"ghost": 0.1}), "unknown state"),
         (lambda d: d["triples"].append(dict(d["triples"][0])), "duplicate triple"),
     ],
@@ -269,6 +271,11 @@ PINNED_MESSAGES = {
         SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].pop("kind"), ModelFormatError,
         f"sojourn kind must be one of ['deterministic', 'direct', 'exponential', 'uniform']: "
         f"triple {ONLY}"),
+    "sojourn-kind-unhashable": (
+        SINGLE_STATE_DOC, lambda d: d["triples"][0]["sojourn"].update(kind=["exponential"]),
+        ModelFormatError,
+        f"sojourn kind must be one of ['deterministic', 'direct', 'exponential', 'uniform']: "
+        f"triple {ONLY}"),
     "sojourn-parameter-missing": (
         SINGLE_STATE_DOC, lambda d: d["triples"][0].update(sojourn={"kind": "direct", "d": 1}),
         ModelFormatError, f"sojourn 'direct' needs parameter 'lam': triple {ONLY}"),
@@ -362,7 +369,8 @@ PINNED_MESSAGES = {
         SINGLE_STATE_DOC, lambda d: d["triples"][0]["transition"].update(only=math.nan),
         ModelValidationError, f"transition probabilities must be finite: triple {ONLY}"),
     "transition-inf-minus-inf": (
-        INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": math.inf, "3": -math.inf}),
+        INVESTMENT_DOC,
+        lambda d: d["triples"][0].update(transition={"2": math.inf, "3": -math.inf}),
         ModelValidationError, f"transition probabilities must be finite: triple {FIRST}"),
     "transition-overflow": (
         INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": 1e308, "3": 1e308}),

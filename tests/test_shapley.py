@@ -20,6 +20,7 @@ from smgsolve import (
 
 from conftest import (
     INVESTMENT_VALUES,
+    MIXED_LAWS_DOC,
     alpha_of,
     law_of,
     random_model,
@@ -153,6 +154,28 @@ def test_strategy_pair_validation(investment_model):
     short = StationaryStrategyPair(f={}, g={})
     with pytest.raises(ValueError, match="missing state"):
         evaluate_stationary_pair(investment_model, short)
+
+
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        ({"x": [0.7, 0.7], "y": [1.0]}, {"x": [1.0], "y": [0.5, 0.6]},
+         "f['x'] is not a probability vector: array([0.7, 0.7])"),
+        ({"x": [0.5, 0.5], "y": [1.0]}, {"y": [-0.5, 1.5]}, "strategy pair missing state 'x'"),
+        ({"x": [0.5, 0.5], "y": [1.0]}, {"x": [1.0], "y": [0.25, 0.25, 0.5]},
+         "g['y'] must have length 2, got shape (3,)"),
+        ({"x": [0.5, 0.5], "y": [1.0]}, {"x": [1.0], "y": [0.5, 0.5 + 2e-10]},
+         "g['y'] is not a probability vector: array([0.5, 0.5])"),
+    ],
+    ids=["first-state-named", "missing", "length", "sum"],
+)
+def test_strategy_pair_errors_name_the_first_bad_state(f, g, message):
+    # x plays 2x1 games and y 1x2 games, so each is checked in its own group
+    m = load_model(json.dumps(MIXED_LAWS_DOC))
+    pair = StationaryStrategyPair(f=f, g=g)
+    with pytest.raises(ValueError) as err:
+        evaluate_stationary_pair(m, pair)
+    assert str(err.value) == message
 
 
 def test_contraction_in_the_certified_modulus():
