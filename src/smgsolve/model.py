@@ -508,7 +508,7 @@ def load_model(text: str) -> GameModel:
     if not isinstance(raw_triples, list):
         raise ModelFormatError("'triples' must be an array")
     table = TripleTable(states, actions1, actions2)
-    row_of = table.where.get
+    row_of = table.where.get  # documents may list triples in any order
     seen = bytearray(len(table.labels))
     rows, alpha, reward, kind, param, lam = [], [], [], [], [], []
     nnz, succ, prob = [], [], []  # per entry, then per transition entry, in document order
@@ -517,7 +517,7 @@ def load_model(text: str) -> GameModel:
             raise ModelFormatError("each triple entry must be an object")
         t = (entry.get("state"), entry.get("a"), entry.get("b"))
         i = row_of(t) if type(t[0]) is type(t[1]) is type(t[2]) is str else None
-        if i is None:  # documents may list triples in any order
+        if i is None:
             raise ModelFormatError(_bad_label(entry, index, actions1, actions2))
         if seen[i]:
             raise ModelFormatError(f"duplicate triple {t!r}")

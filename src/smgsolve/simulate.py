@@ -107,7 +107,7 @@ class _Sampler:
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair):
         t = m.table
-        groups = _pair_arrays(m, pair, _shape_groups(m))
+        stacked = _pair_arrays(m, pair, _shape_groups(m))
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
         if direct.size:
             raise NotSamplableError(
@@ -115,7 +115,7 @@ class _Sampler:
             )
         self.f_cum = np.ones((m.n_states, t.rows.max()))
         self.g_cum = np.ones((m.n_states, t.cols.max()))
-        for group, f, g in groups:  # each row's last entry stays 1.0
+        for group, f, g in stacked:  # each row's last entry stays 1.0
             self.f_cum[group.index, : group.rows - 1] = np.cumsum(f[:, :-1], axis=1)
             self.g_cum[group.index, : group.cols - 1] = np.cumsum(g[:, :-1], axis=1)
         self.table = t

@@ -111,8 +111,8 @@ def test_missing_triple_is_a_violation():
         (lambda d: d.update(states="nope"), "'states'"),
         (lambda d: d["triples"][0].pop("alpha"), "numeric field 'alpha'"),
         (lambda d: d["triples"][0]["sojourn"].update(kind="weibull"), "sojourn kind"),
-        (lambda d: d["triples"][0]["sojourn"].update(kind=["exponential"]), "sojourn kind"),
-        (lambda d: d["triples"][0]["sojourn"].update(kind={}), "sojourn kind"),
+        (lambda d: d["triples"][0]["sojourn"].update(kind=["exponential"]), "kind must be one"),
+        (lambda d: d["triples"][0]["sojourn"].update(kind={}), "kind must be one of"),
         (lambda d: d["triples"][0]["transition"].update({"ghost": 0.1}), "unknown state"),
         (lambda d: d["triples"].append(dict(d["triples"][0])), "duplicate triple"),
     ],
