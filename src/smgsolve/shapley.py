@@ -51,10 +51,11 @@ ENUMERATED_SIDE = 3
 
 @dataclass(frozen=True, eq=False)
 class StationaryStrategyPair:
-    """Per-state mixed strategies for both players.
+    """Per-state mixed strategies for both players: the public form of a pair.
 
     ``f[x]`` is a probability vector over ``actions1[x]`` and ``g[x]`` over
     ``actions2[x]``, aligned with the model's action declaration order.
+    Inside the library a pair is held as per-shape-group arrays instead.
     """
 
     f: dict[str, np.ndarray]
@@ -72,7 +73,8 @@ def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.shape != (size,):
         raise ValueError(f"{what} must have length {size}, got shape {v.shape}")
-    if np.min(v) < -SIMPLEX_TOL or abs(float(v.sum()) - 1.0) > SIMPLEX_TOL:
+    # written so that a NaN or infinite entry fails it: NaN compares False
+    if not (np.min(v) >= -SIMPLEX_TOL and abs(float(v.sum()) - 1.0) <= SIMPLEX_TOL):
         raise ValueError(f"{what} is not a probability vector: {v!r}")
     return v
 
@@ -95,7 +97,7 @@ def _pair_arrays(m: GameModel, pair: StationaryStrategyPair, groups):
             continue
         bad = np.zeros(len(group.states), dtype=bool)
         for v in (f, g):  # the test of _checked_distribution, row by row
-            bad |= (v.min(axis=1) < -SIMPLEX_TOL) | (np.abs(v.sum(axis=1) - 1.0) > SIMPLEX_TOL)
+            bad |= ~((v.min(axis=1) >= -SIMPLEX_TOL) & (np.abs(v.sum(axis=1) - 1.0) <= SIMPLEX_TOL))
         suspect.extend(group.index[bad].tolist())
         out.append((group, f, g))
     for x in (m.states[xi] for xi in sorted(suspect)):
@@ -265,10 +267,11 @@ class ShapleyOperator:
         The games of one shape are solved together, by trying candidate
         square supports in a fixed order; each candidate is one stacked
         ``np.linalg.solve`` of both players' equalizer systems over the games
-        still unsolved (a ``1 x 1`` support needs none: ``v = C[s, t]``).  With ``previous`` (the pair of the last application)
-        each game first tries its previous supports when they are square; a
-        shape skips this step when ``previous`` lacks one of its states or
-        gives one a strategy of the wrong length.
+        still unsolved (a ``1 x 1`` support needs none: ``v = C[s, t]``).
+        With ``previous`` (the pair of the last application) each game first
+        tries its previous supports when they are square; a ``previous`` with
+        a state missing, a strategy of the wrong length or a strategy that is
+        not a probability vector is ignored whole, by every game.
         Then, for shapes of at most :data:`ENUMERATED_SIDE` rows and columns,
         it tries every square support pair, smallest first (an optimal pair
         supported on a square nonsingular submatrix always exists, by Shapley
@@ -279,19 +282,31 @@ class ShapleyOperator:
         :func:`solve_matrix_game`, whose :class:`MatrixGameError` is raised
         again naming the state.
         """
+        try:
+            previous = previous and _pair_arrays(self.model, previous, self.groups)
+        except (TypeError, ValueError):  # a non-numeric strategy raises TypeError
+            previous = None
+        out, strategies = self._solve(values, previous)
+        return out, self._pair(strategies)
+
+    def _solve(self, values, previous=None) -> tuple[np.ndarray, list]:
+        """:meth:`apply` with both pairs as unchecked ``[(group, f, g), ...]``, one per group."""
         flat = self._payoffs(values)
         out = np.empty(self.n)
-        f: list[np.ndarray] = []
-        g: list[np.ndarray] = []
-        for group in self.groups:
-            value, x, y = _solve_group(group, flat[group.gather], previous)
+        strategies = []
+        for i, group in enumerate(self.groups):
+            value, x, y = _solve_group(group, flat[group.gather], previous and previous[i])
             out[group.index] = value
-            f.extend(x)
-            g.extend(y)
-        states = self.model.states
-        return out, StationaryStrategyPair(
-            f=dict(zip(states, [f[i] for i in self.order])),
-            g=dict(zip(states, [g[i] for i in self.order])),
+            strategies.append((group, x, y))
+        return out, strategies
+
+    def _pair(self, strategies) -> StationaryStrategyPair:
+        """The per-state form of ``[(group, f, g), ...]``, in state order."""
+        f = [row for _, x, _ in strategies for row in x]
+        g = [row for _, _, y in strategies for row in y]
+        return StationaryStrategyPair(
+            f=dict(zip(self.model.states, [f[i] for i in self.order])),
+            g=dict(zip(self.model.states, [g[i] for i in self.order])),
         )
 
 
@@ -302,20 +317,17 @@ def _solve_group(group: _ShapeGroup, c: np.ndarray, previous):
     scale = WARM_START_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     pending = np.arange(size)
     if previous is not None:
-        f = _stacked(previous.f, group.states, group.rows)
-        g = _stacked(previous.g, group.states, group.cols)
-        if f is not None and g is not None:
-            f, g = f != 0, g != 0
-            side = f.sum(axis=1)
-            side[side != g.sum(axis=1)] = 0  # not square: no candidate
-            left = [np.flatnonzero(side == 0)]
-            for k in range(1, min(group.rows, group.cols) + 1):
-                at = np.flatnonzero(side == k)
-                if at.size:
-                    rs = f[at].nonzero()[1].reshape(-1, k)
-                    cs = g[at].nonzero()[1].reshape(-1, k)
-                    left.append(_equalize(c, at, rs, cs, scale, out))
-            pending = np.sort(np.concatenate(left))
+        f, g = (v != 0 for v in previous[1:])
+        side = f.sum(axis=1)
+        side[side != g.sum(axis=1)] = 0  # not square: no candidate
+        left = [np.flatnonzero(side == 0)]
+        for k in range(1, min(group.rows, group.cols) + 1):
+            at = np.flatnonzero(side == k)
+            if at.size:
+                rs = f[at].nonzero()[1].reshape(-1, k)
+                cs = g[at].nonzero()[1].reshape(-1, k)
+                left.append(_equalize(c, at, rs, cs, scale, out))
+        pending = np.sort(np.concatenate(left))
     for s, t in _square_supports(group.rows, group.cols):
         if not pending.size:
             break
@@ -340,16 +352,17 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     with partial pivoting plus one refinement step), so the result is an
     iteration-free oracle with residual below 1e-10 in the weighted sup-norm.
     """
-    return _evaluate_with(ShapleyOperator(m), pair)
+    op = ShapleyOperator(m)
+    return _evaluate_with(op, _pair_arrays(m, pair, op.groups))
 
 
-def _evaluate_with(op: ShapleyOperator, pair: StationaryStrategyPair) -> np.ndarray:
-    """:func:`evaluate_stationary_pair` on an operator already built."""
+def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
+    """:func:`evaluate_stationary_pair` on an operator and ``_pair_arrays`` output."""
     t = op.model.table
     n = op.n
     # the probability that the pair plays each triple of its state
     mass = np.empty(len(t.labels))
-    for group, f, g in _pair_arrays(op.model, pair, op.groups):
+    for group, f, g in strategies:
         mass[group.gather] = f[:, :, None] * g[:, None, :]
     rewards = np.bincount(t.state, weights=mass * op.base, minlength=n)
     nz = op.nz_triple

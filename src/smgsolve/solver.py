@@ -19,7 +19,7 @@ from .shapley import (
     ShapleyOperator,
     StationaryStrategyPair,
     _evaluate_with,
-    _stacked,
+    _pair_arrays,
     omega_norm,
 )
 from .verify import AssumptionCertificate, check_assumptions
@@ -47,10 +47,11 @@ class SolveReport:
     bound ``epsilon / (1 - eta_gamma)``; ``epsilon_nash_tight`` is a sharper
     diagnostic using the largest continuation factor as the per-step rate,
     meaningful when all state weights are 1 and not backed by the
-    certificate.  ``value_trace`` records the iterate after each application
-    (one row per ``error_trace`` entry).  ``n_epsilon_bound`` is the a-priori
-    bound on the stopping index: zero when the first residual ``delta0`` is
-    below 1e-14, else ``1 + floor(log(epsilon / delta0) / log(eta_gamma))``
+    certificate.  ``value_trace`` is an ``(applications, states)`` float
+    array: row ``k`` is the iterate after application ``k + 1``, the one
+    ``error_trace[k]`` measures.  ``n_epsilon_bound`` is the a-priori bound
+    on the stopping index: zero when the first residual ``delta0`` is below
+    1e-14, else ``1 + floor(log(epsilon / delta0) / log(eta_gamma))``
     clamped at zero.
     """
 
@@ -58,7 +59,7 @@ class SolveReport:
     equilibrium: StationaryStrategyPair
     iterations: int
     error_trace: tuple[float, ...]
-    value_trace: tuple[tuple[float, ...], ...]
+    value_trace: np.ndarray
     epsilon_target: float
     epsilon_nash: float
     epsilon_nash_tight: float
@@ -110,32 +111,30 @@ def value_iterate(
     start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
-    updated, pair = op.apply(start)
+    updated, pair = op._solve(start)
     delta = omega_norm(updated - start, op.weights)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
         max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
 
     trace = [delta]
-    values = [tuple(float(v) for v in updated)]
-    current = updated
+    values = [updated]
     while trace[-1] >= epsilon:
         if len(trace) >= max_iter:
             raise ConvergenceError(
                 f"no convergence within {max_iter} applications "
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
-        updated, pair = op.apply(current, pair)
-        trace.append(omega_norm(updated - current, op.weights))
-        values.append(tuple(float(v) for v in updated))
-        current = updated
+        updated, pair = op._solve(values[-1], pair)
+        trace.append(omega_norm(updated - values[-1], op.weights))
+        values.append(updated)
 
     return SolveReport(
-        epsilon_value=current,
-        equilibrium=pair,
+        epsilon_value=updated,
+        equilibrium=op._pair(pair),
         iterations=len(trace) - 1,
         error_trace=tuple(trace),
-        value_trace=tuple(values),
+        value_trace=np.array(values),
         epsilon_target=epsilon,
         epsilon_nash=_nash_radius(epsilon, cert.eta_gamma),
         epsilon_nash_tight=_nash_radius(epsilon, cert.lambda_max),
@@ -152,14 +151,12 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     violation means some deviation gains more than ``tol``.
     """
     op = ShapleyOperator(m)
-    pair = report.equilibrium
-    values = _evaluate_with(op, pair)
+    strategies = _pair_arrays(m, report.equilibrium, op.groups)
+    values = _evaluate_with(op, strategies)
     flat = op._payoffs(values)
     gains = np.empty(op.n)
-    for group in op.groups:
+    for group, f, g in strategies:
         c = flat[group.gather]
-        f = _stacked(pair.f, group.states, group.rows)
-        g = _stacked(pair.g, group.states, group.cols)
         v = values[group.index]
         gain_row = (c @ g[:, :, None])[:, :, 0].max(axis=1) - v
         gain_col = v - (f[:, None, :] @ c)[:, 0, :].min(axis=1)
@@ -174,7 +171,7 @@ def trace_csv(m: GameModel, report: SolveReport) -> str:
     header = "iteration,delta," + ",".join(f"V_{x}" for x in m.states)
     lines = [header]
     for k, (delta, row) in enumerate(zip(report.error_trace, report.value_trace), start=1):
-        lines.append(f"{k},{delta!r}," + ",".join(repr(v) for v in row))
+        lines.append(f"{k},{delta!r}," + ",".join(repr(v) for v in row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -319,16 +319,21 @@ def test_singular_guessed_support_falls_back_to_the_enumerated_supports(duplicat
 
 
 def test_a_previous_pair_missing_a_state_is_ignored(investment_model):
+    # as is one with a NaN, wrong-length or non-numeric strategy: the whole pair is ignored
     op = ShapleyOperator(investment_model)
     u = np.array([3.0, -2.0, 0.25])
     cold, cold_pair = op.apply(u)
     _, guess = op.apply(np.zeros(3))
     partial = StationaryStrategyPair(f={"1": guess.f["1"]}, g=dict(guess.g))
-    warm, pair = op.apply(u, partial)
-    np.testing.assert_array_equal(warm, cold)
-    for x in investment_model.states:
-        np.testing.assert_array_equal(pair.f[x], cold_pair.f[x])
-        np.testing.assert_array_equal(pair.g[x], cold_pair.g[x])
+    nan = StationaryStrategyPair(f={**guess.f, "2": np.full(2, np.nan)}, g=guess.g)
+    wrong_length = StationaryStrategyPair(f=guess.f, g={**guess.g, "3": np.array([1.0, 0.0, 0.0])})
+    not_numeric = StationaryStrategyPair(f={**guess.f, "1": {"a11": 1.0}}, g=guess.g)
+    for previous in (partial, nan, wrong_length, not_numeric):
+        warm, pair = op.apply(u, previous)
+        np.testing.assert_array_equal(warm, cold)
+        for x in investment_model.states:
+            np.testing.assert_array_equal(pair.f[x], cold_pair.f[x])
+            np.testing.assert_array_equal(pair.g[x], cold_pair.g[x])
 
 
 def small_games(rng, n_rows, n_cols) -> list[np.ndarray]:

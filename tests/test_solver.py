@@ -1,6 +1,7 @@
 """Value iteration: convergence, stopping analysis, and solution certification."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from smgsolve import (
     StationaryStrategyPair,
     certify_solution,
     check_assumptions,
+    estimate_value,
+    evaluate_stationary_pair,
     load_model,
     omega_norm,
     solve_matrix_game,
@@ -22,7 +25,7 @@ from smgsolve import (
     value_iterate,
 )
 
-from conftest import INVESTMENT_DOC, random_model
+from conftest import INVESTMENT_DOC, random_model, sparse_doc
 
 
 def halving_model():
@@ -243,6 +246,20 @@ def test_certify_solution_investment_and_corrupted_pair(investment_model):
     assert bad.worst_violation > 0.1
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_strategies_are_rejected_naming_the_state(investment_model, entry):
+    report = value_iterate(investment_model, 1e-4, v0=np.ones(3))
+    f = {**report.equilibrium.f, "2": np.array([entry, 0.5])}
+    pair = StationaryStrategyPair(f=f, g=report.equilibrium.g)
+    message = re.escape("f['2'] is not a probability vector: array([")
+    with pytest.raises(ValueError, match=message):
+        evaluate_stationary_pair(investment_model, pair)
+    with pytest.raises(ValueError, match=message):
+        certify_solution(investment_model, SolveReportProxy(report, pair), tol=1.0)
+    with pytest.raises(ValueError, match=message):
+        estimate_value(investment_model, pair, "1", trajectories=10, seed=0)
+
+
 class SolveReportProxy:
     """Report stand-in carrying a replaced equilibrium."""
 
@@ -260,10 +277,37 @@ def test_trace_csv_layout(investment_model):
     lines = text.strip().splitlines()
     assert lines[0] == "iteration,delta,V_1,V_2,V_3"
     assert len(lines) == 1 + len(report.error_trace)
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == report.error_trace[0]
-    assert [float(v) for v in first[2:]] == list(report.value_trace[0])
+    assert report.value_trace.shape == (len(report.error_trace), investment_model.n_states)
+    assert "np.float64" not in text  # numpy 2 scalars repr as np.float64(...)
+    for k, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == k + 1
+        assert float(cells[1]) == report.error_trace[k]
+        assert [float(v) for v in cells[2:]] == report.value_trace[k].tolist()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda: load_model(json.dumps(INVESTMENT_DOC)),
+        lambda: load_model(json.dumps(sparse_doc(300, seed=3))),
+        # shapes from 1x4 to 5x5: warm supports, enumerated supports and the simplex
+        lambda: random_model(np.random.default_rng(2), max_states=8, max_actions=5),
+    ],
+    ids=["investment", "sparse-300", "mixed-shapes"],
+)
+def test_value_iterate_is_apply_from_zero_by_hand(model):
+    m = model()
+    report = value_iterate(m, 1e-9)
+    op = ShapleyOperator(m)
+    u, pair = np.zeros(m.n_states), None
+    for row in report.value_trace:
+        u, pair = op.apply(u, pair)
+        np.testing.assert_array_equal(u, row)
+    np.testing.assert_array_equal(u, report.epsilon_value)
+    for x in m.states:
+        np.testing.assert_array_equal(pair.f[x], report.equilibrium.f[x])
+        np.testing.assert_array_equal(pair.g[x], report.equilibrium.g[x])
 
 
 def test_strategy_tables_layout(investment_model):
