@@ -198,7 +198,7 @@ def _cmd_eval(config: RunConfig) -> int:
     pair = _load_pair(config, m)
     try:
         values = evaluate_stationary_pair(m, pair)
-    except ArithmeticError as exc:  # a continuation factor of 1 makes the system singular
+    except ArithmeticError as exc:  # the pair's evaluation has no error bound
         raise _InputError(str(exc)) from exc
     payload = {"values": {x: float(v) for x, v in zip(m.states, values)}}
     _emit(_artifact(config, digest, payload), config.out)

@@ -270,7 +270,8 @@ class GameModel:
 
     Per-triple data lives only in ``table``.  Instances are not mutated
     after validation and are safe to share across threads; the state index
-    is cached on first use and takes no part in ``==``.
+    and the value-update operator are cached on first use and take no part
+    in ``==``.
     """
 
     states: tuple[str, ...]
@@ -286,6 +287,12 @@ class GameModel:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.states)}
+
+    @cached_property
+    def _operator(self):
+        from .shapley import ShapleyOperator  # shapley imports this module
+
+        return ShapleyOperator(self)
 
     def state_index(self, state: str) -> int:
         try:

@@ -47,6 +47,11 @@ SIMPLEX_TOL = 1e-10
 WARM_START_TOL = 1e-12
 # shapes up to this many rows and columns try every square support pair
 ENUMERATED_SIDE = 3
+# pair evaluation stops once its error bound is this, relative to max(1, ||v||_omega)
+EVAL_TOL = 1e-12
+# Krylov vectors per GMRES cycle, and the most cycles one evaluation may restart
+GMRES_RESTART = 30
+GMRES_CYCLES = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +75,10 @@ def omega_norm(values, weights) -> float:
 
 
 def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
+    try:
+        v = np.asarray(vec, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a vector of numbers: {vec!r}") from None
     if v.shape != (size,):
         raise ValueError(f"{what} must have length {size}, got shape {v.shape}")
     # written so that a NaN or infinite entry fails it: NaN compares False
@@ -231,9 +239,7 @@ class ShapleyOperator:
         self.n = m.n_states
         self.weights = np.asarray(m.weight_vector(), dtype=float)
         self.base = t.reward * t.d  # r*d per triple
-        # the triple (row) of each transition nonzero
-        self.nz_triple = np.repeat(np.arange(len(t.labels)), np.diff(t.indptr))
-        self.lam_prob = t.lam[self.nz_triple] * t.prob  # lam*p per nonzero
+        self.lam_prob = np.repeat(t.lam, np.diff(t.indptr)) * t.prob  # lam*p per nonzero
         self.succ = t.succ
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
         self.groups = _shape_groups(m)
@@ -284,7 +290,7 @@ class ShapleyOperator:
         """
         try:
             previous = previous and _pair_arrays(self.model, previous, self.groups)
-        except (TypeError, ValueError):  # a non-numeric strategy raises TypeError
+        except ValueError:
             previous = None
         out, strategies = self._solve(values, previous)
         return out, self._pair(strategies)
@@ -343,21 +349,38 @@ def _solve_group(group: _ShapeGroup, c: np.ndarray, previous):
 
 
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:
-    """Exact expected discounted payoff of a stationary pair, per state.
+    """Expected discounted payoff of a stationary pair, per state, to a stated bound.
 
-    The pair's value vector is the unique fixed point of its one-sojourn
+    The pair's value vector ``V`` is the unique fixed point of its one-sojourn
     update; it solves the linear system ``(I - M) V = R`` with
     ``M[x, y] = sum_ab f(a|x) g(b|x) lam(x,a,b) p(y|x,a,b)`` and
-    ``R[x] = sum_ab f(a|x) g(b|x) r(x,a,b) d(x,a,b)``.  Solved directly (LU
-    with partial pivoting plus one refinement step), so the result is an
-    iteration-free oracle with residual below 1e-10 in the weighted sup-norm.
+    ``R[x] = sum_ab f(a|x) g(b|x) r(x,a,b) d(x,a,b)``.  The result ``v``
+    satisfies ``||v - V||_w <= ||R - (I - M) v||_w / (1 - ||M||_w) <=
+    1e-12 * max(1, ||v||_w)`` (:data:`EVAL_TOL`), where ``w`` is the model's
+    weight ``omega``, or all ones when ``||M||_omega >= 1`` (possible only on
+    a model that fails its certificate).  Time and memory are O(the model's
+    triples and transition nonzeros).  Raises ``ArithmeticError`` when
+    ``||M|| >= 1`` in both norms, naming the largest continuation factor the
+    pair plays at the worst state, or when :data:`GMRES_CYCLES` restarts do
+    not reach the bound (rounding can keep it above the target when
+    ``||M||_w`` is within a few 1e-4 of 1).
     """
-    op = ShapleyOperator(m)
+    op = m._operator
     return _evaluate_with(op, _pair_arrays(m, pair, op.groups))
 
 
 def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
-    """:func:`evaluate_stationary_pair` on an operator and ``_pair_arrays`` output."""
+    """:func:`evaluate_stationary_pair` on an operator and ``_pair_arrays`` output.
+
+    It works on the system scaled by ``w``: ``v / w`` solves
+    ``(I - S) (v / w) = R / w`` with ``S[x, y] = M[x, y] w(y) / w(x)``,
+    whose sup-norm is ``||M||_w``.  When the nonzero list holds at least
+    ``states**2`` entries, ``I - S`` is held dense (no larger than the
+    list): a dense ``np.linalg.solve`` gives the start and a product is a
+    matrix-vector product.  Otherwise the start is ``R / w`` and a product
+    with ``S`` is one ``np.bincount`` over the list.  Restarted GMRES
+    refines the start until the bound holds.
+    """
     t = op.model.table
     n = op.n
     # the probability that the pair plays each triple of its state
@@ -365,19 +388,87 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
     for group, f, g in strategies:
         mass[group.gather] = f[:, :, None] * g[:, None, :]
     rewards = np.bincount(t.state, weights=mass * op.base, minlength=n)
-    nz = op.nz_triple
-    # I - M built in place: scatter -M, then add 1 to the diagonal
-    system = np.bincount(
-        t.state[nz] * n + op.succ, weights=-(mass[nz] * op.lam_prob), minlength=n * n
-    ).reshape(n, n)
-    system.flat[:: n + 1] += 1.0
-    try:
-        values = np.linalg.solve(system, rewards)
-        values += np.linalg.solve(system, rewards - system @ values)
-    except np.linalg.LinAlgError as exc:
-        worst = int(np.argmax(t.lam))
+    # the transition nonzeros of the triples the pair plays, by triple
+    at = np.flatnonzero(mass)
+    counts = t.indptr[at + 1] - t.indptr[at]
+    nz = np.repeat(t.indptr[at] + counts - np.cumsum(counts), counts) + np.arange(counts.sum())
+    rows, cols = np.repeat(t.state[at], counts), op.succ[nz]
+    weights = np.repeat(mass[at], counts) * op.lam_prob[nz]
+    for omega in (op.weights, np.ones(n)):
+        scaled = weights * (omega[cols] / omega[rows])
+        sums = np.bincount(rows, weights=np.abs(scaled), minlength=n)
+        rate = float(sums.max())
+        if rate < 1.0:
+            break
+    else:
+        x = int(np.argmax(sums))
+        at = at[t.state[at] == x]
+        worst = at[np.argmax(t.lam[at])]
         raise ArithmeticError(
-            "stationary-pair system is singular; some continuation factor is not below 1 "
+            f"the pair's continuation weights sum to {rate!r} at state {op.model.states[x]!r}, "
+            "so its evaluation has no error bound; some continuation factor is not below 1 "
             f"(largest: {float(t.lam[worst])!r} at triple {t.labels[worst]!r})"
-        ) from exc
-    return values
+        )
+    rhs = rewards / omega
+    if nz.size >= n * n:  # I - S dense is no larger than the nonzero list
+        system = np.bincount(rows * n + cols, weights=-scaled, minlength=n * n).reshape(n, n)
+        system.flat[:: n + 1] += 1.0
+        v = np.linalg.solve(system, rhs)
+        apply = system.__matmul__
+    else:
+
+        def apply(v):  # (I - S) v
+            return v - np.bincount(rows, weights=scaled * v[cols], minlength=n)
+
+        v = rhs.copy()
+    for cycle in range(GMRES_CYCLES + 1):
+        residual = rhs - apply(v)
+        # the residual a bound of EVAL_TOL * max(1, ||v||) allows, in the sup-norm
+        allowed = EVAL_TOL * max(1.0, float(np.abs(v).max())) * (1.0 - rate)
+        if np.abs(residual).max() <= allowed:
+            return v * omega
+        if cycle < GMRES_CYCLES:
+            v += _gmres_cycle(apply, residual, allowed)
+    raise ArithmeticError(
+        f"pair evaluation did not reach its error bound within {GMRES_CYCLES} GMRES cycles "
+        f"(||M|| = {rate!r}, bound {float(np.abs(residual).max()) / (1.0 - rate)!r})"
+    )
+
+
+def _gmres_cycle(apply, residual: np.ndarray, allowed: float) -> np.ndarray:
+    """One GMRES cycle on ``A z = residual`` from ``z = 0``, ``apply(u)`` being ``A u``.
+
+    Builds at most :data:`GMRES_RESTART` Arnoldi vectors (classical
+    Gram-Schmidt, applied twice), and stops early once the Givens-rotated
+    least-squares residual, a 2-norm and so at least the sup-norm, is at
+    most ``allowed``.
+    """
+    beta = float(np.linalg.norm(residual))
+    basis = np.empty((GMRES_RESTART + 1, residual.size))
+    basis[0] = residual / beta
+    h = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+    rotations = []
+    g = [beta]
+    for k in range(GMRES_RESTART):
+        w = apply(basis[k])
+        for _ in range(2):
+            c = basis[: k + 1] @ w
+            w -= c @ basis[: k + 1]
+            h[: k + 1, k] += c
+        norm = float(np.linalg.norm(w))
+        col = h[: k + 2, k]
+        col[k + 1] = norm
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        r = float(np.hypot(col[k], col[k + 1]))
+        cs, sn = col[k] / r, col[k + 1] / r
+        rotations.append((cs, sn))
+        col[k], col[k + 1] = r, 0.0
+        g.append(-sn * g[k])
+        g[k] *= cs
+        if abs(g[k + 1]) <= allowed or norm == 0.0:  # zero: the Krylov space is invariant
+            break
+        basis[k + 1] = w / norm
+    k += 1
+    y = np.linalg.solve(h[:k, :k], g[:k])
+    return y @ basis[:k]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ANALYTIC_LAWS, GameModel, NotSamplableError
-from .shapley import StationaryStrategyPair, _pair_arrays, _shape_groups
+from .shapley import StationaryStrategyPair, _pair_arrays
 
 DISCOUNT_FLOOR = 1e-8
 MAX_SOJOURNS = 16_384  # per-trajectory cap on sojourns
@@ -107,7 +107,7 @@ class _Sampler:
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair):
         t = m.table
-        stacked = _pair_arrays(m, pair, _shape_groups(m))
+        stacked = _pair_arrays(m, pair, m._operator.groups)
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
         if direct.size:
             raise NotSamplableError(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .model import GameModel
 from .shapley import (
-    ShapleyOperator,
     StationaryStrategyPair,
     _evaluate_with,
     _pair_arrays,
@@ -107,7 +106,7 @@ def value_iterate(
     if not cert.passed:
         failed = [name for name, c in cert.checks.items() if not c.passed]
         raise CertificateError(f"model certificate failed: {', '.join(failed)}")
-    op = ShapleyOperator(m)
+    op = m._operator
     start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
@@ -150,7 +149,7 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     response of each player against the pair's own value.  A positive
     violation means some deviation gains more than ``tol``.
     """
-    op = ShapleyOperator(m)
+    op = m._operator
     strategies = _pair_arrays(m, report.equilibrium, op.groups)
     values = _evaluate_with(op, strategies)
     flat = op._payoffs(values)

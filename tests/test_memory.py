@@ -7,6 +7,7 @@ import numpy as np
 
 from smgsolve import (
     ShapleyOperator,
+    certify_solution,
     check_assumptions,
     estimate_value,
     load_model,
@@ -32,6 +33,26 @@ def test_peak_memory_of_a_2000_state_model_stays_below_40_mb():
     assert cert.passed
     assert est.trajectories == 200
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_certify_solution_of_a_2000_state_model_stays_below_40_mb():
+    # a dense 2,000 x 2,000 pair system alone would take 32 MB (LAPACK's copy
+    # of it is not traced), so the certification also has a cap of its own
+    text = json.dumps(sparse_doc(2000))
+    tracemalloc.start()
+    try:
+        m = load_model(text)
+        report = value_iterate(m, 1e-6)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        certified = certify_solution(m, report, 2.0 * report.epsilon_nash)
+        _, certify_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert certified.passed
+    assert max(peak, certify_peak) < 40 * 2**20, f"peak {max(peak, certify_peak) / 2**20:.1f} MB"
+    taken = certify_peak - held
+    assert taken < 4 * 2**20, f"the certification took {taken / 2**20:.1f} MB"
 
 
 def test_monte_carlo_memory_does_not_grow_with_trajectory_length(investment_model):

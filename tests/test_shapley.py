@@ -9,7 +9,10 @@ from smgsolve import (
     MatrixGameError,
     ShapleyOperator,
     StationaryStrategyPair,
+    certify_solution,
     check_assumptions,
+    discounted_kernel_row,
+    estimate_value,
     evaluate_stationary_pair,
     load_model,
     omega_norm,
@@ -19,8 +22,10 @@ from smgsolve import (
 )
 
 from conftest import (
+    INVESTMENT_DOC,
     INVESTMENT_VALUES,
     MIXED_LAWS_DOC,
+    SINGLE_STATE_DOC,
     alpha_of,
     law_of,
     random_model,
@@ -176,6 +181,129 @@ def test_strategy_pair_errors_name_the_first_bad_state(f, g, message):
     with pytest.raises(ValueError) as err:
         evaluate_stationary_pair(m, pair)
     assert str(err.value) == message
+
+
+def test_a_strategy_that_is_not_numeric_names_its_state(investment_model):
+    pair = pure_pair(investment_model)
+    pair.f["2"] = {"a21": 1.0}
+    with pytest.raises(ValueError) as err:
+        evaluate_stationary_pair(investment_model, pair)
+    assert str(err.value) == "f['2'] is not a vector of numbers: {'a21': 1.0}"
+
+
+def dense_values(m, pair) -> np.ndarray:
+    """The pair's values by one dense solve of ``(I - M) V = R``, built triple by triple."""
+    n = m.n_states
+    system, rewards = np.eye(n), np.zeros(n)
+    for triple, reward in zip(m.triples(), m.table.reward):
+        x, a, b = triple
+        xi = m.state_index(x)
+        mass = pair.f[x][m.actions1[x].index(a)] * pair.g[x][m.actions2[x].index(b)]
+        d, _, row = discounted_kernel_row(m, triple)
+        rewards[xi] += mass * reward * d
+        system[xi] -= mass * row
+    return np.linalg.solve(system, rewards)
+
+
+def continuation_norm(m, pair) -> float:
+    """``||M||_omega`` of the pair's continuation matrix."""
+    w = np.asarray(m.weight_vector())
+    sums = np.zeros(m.n_states)
+    for triple in m.triples():
+        x, a, b = triple
+        mass = pair.f[x][m.actions1[x].index(a)] * pair.g[x][m.actions2[x].index(b)]
+        sums[m.state_index(x)] += mass * (discounted_kernel_row(m, triple)[2] @ w)
+    return float(np.max(sums / w))
+
+
+def assert_matches_dense(m, pair):
+    values, exact = evaluate_stationary_pair(m, pair), dense_values(m, pair)
+    assert np.all(np.abs(values - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+
+
+@pytest.mark.parametrize(
+    "doc", [INVESTMENT_DOC, MIXED_LAWS_DOC, sparse_doc(2000)], ids=["investment", "mixed", "sparse"]
+)
+def test_evaluation_matches_a_dense_solve(doc):
+    # sparse: 8,000 nonzeros against 2000**2 entries, so GMRES refines from R
+    m = load_model(json.dumps(doc))
+    assert_matches_dense(m, random_pair(np.random.default_rng(5), m))
+    assert_matches_dense(m, ShapleyOperator(m).apply(np.zeros(m.n_states))[1])
+
+
+def test_evaluation_matches_a_dense_solve_on_random_models():
+    rng = np.random.default_rng(17)  # the models of test_evaluate_fixed_point_residual_is_tiny
+    for _ in range(25):
+        m = random_model(rng, unit_weight=bool(rng.integers(0, 2)))
+        assert_matches_dense(m, random_pair(rng, m))
+
+
+def test_evaluation_converges_with_the_continuation_norm_near_one():
+    doc = sparse_doc(2000)
+    for triple in doc["triples"]:
+        triple["alpha"] *= 0.008
+    m = load_model(json.dumps(doc))
+    pair = ShapleyOperator(m).apply(np.zeros(m.n_states))[1]
+    assert 0.998 < continuation_norm(m, pair) < 0.9995
+    assert_matches_dense(m, pair)
+
+
+def test_evaluation_falls_back_to_unit_weights():
+    # from x the pair moves to y, which weighs 100: ||M||_omega is 50, ||M||_inf 0.5
+    doc = {
+        "states": ["x", "y"],
+        "actions1": {"x": ["a"], "y": ["a"]},
+        "actions2": {"x": ["b"], "y": ["b"]},
+        "weight": {"x": 1.0, "y": 100.0},
+        "triples": [
+            {"state": x, "a": "a", "b": "b", "alpha": 1.0, "reward": 1.0,
+             "sojourn": {"kind": "exponential", "rate": 1.0}, "transition": {"y": 1.0}}
+            for x in ("x", "y")
+        ],
+    }
+    m = load_model(json.dumps(doc))
+    pair = pure_pair(m)
+    assert continuation_norm(m, pair) == 50.0
+    np.testing.assert_allclose(evaluate_stationary_pair(m, pair), [1.0, 1.0], rtol=1e-15)
+
+
+def test_evaluation_without_a_contracting_norm_names_the_triple():
+    doc = json.loads(json.dumps(SINGLE_STATE_DOC))
+    doc["triples"][0]["alpha"] = 1e-20  # rate / (alpha + rate) rounds to exactly 1
+    m = load_model(json.dumps(doc))
+    with pytest.raises(ArithmeticError) as err:
+        evaluate_stationary_pair(m, pure_pair(m))
+    assert str(err.value) == (
+        "the pair's continuation weights sum to 1.0 at state 'only', so its evaluation has no "
+        "error bound; some continuation factor is not below 1 "
+        "(largest: 1.0 at triple ('only', 'stay', 'stay'))"
+    )
+
+
+def test_evaluation_raises_at_its_cycle_cap(monkeypatch):
+    import smgsolve.shapley as shapley
+
+    monkeypatch.setattr(shapley, "GMRES_CYCLES", 0)
+    m = load_model(json.dumps(sparse_doc(50)))  # 100 nonzeros played, below 50**2: starts at R
+    with pytest.raises(ArithmeticError, match=r"^pair evaluation did not reach its error bound "
+                       r"within 0 GMRES cycles \(\|\|M\|\| = 0\.\d+, bound \d"):
+        evaluate_stationary_pair(m, pure_pair(m))
+
+
+def test_the_operator_is_built_once_per_model(monkeypatch):
+    import smgsolve.shapley as shapley
+
+    builds = []
+    init = shapley.ShapleyOperator.__init__
+    monkeypatch.setattr(
+        shapley.ShapleyOperator, "__init__", lambda op, m: builds.append(m) or init(op, m)
+    )
+    m = load_model(json.dumps(INVESTMENT_DOC))
+    report = value_iterate(m, 1e-4)
+    certify_solution(m, report, 1e-3)
+    evaluate_stationary_pair(m, report.equilibrium)
+    estimate_value(m, report.equilibrium, "1", trajectories=10, seed=0)
+    assert len(builds) == 1 and builds[0] is m
 
 
 def test_contraction_in_the_certified_modulus():
