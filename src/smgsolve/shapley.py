@@ -87,8 +87,8 @@ def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
     return v
 
 
-def _pair_arrays(m: GameModel, pair: StationaryStrategyPair, groups):
-    """Validated strategies of each shape group: ``[(group, f, g), ...]``.
+def _pair_arrays(op: "ShapleyOperator", pair: StationaryStrategyPair):
+    """Validated strategies of each of ``op``'s shape groups: ``[(group, f, g), ...]``.
 
     ``f`` and ``g`` hold the group's strategies as rows, in ``group.index``
     order.  Each group's signs and sums are checked at once; the states that
@@ -97,7 +97,7 @@ def _pair_arrays(m: GameModel, pair: StationaryStrategyPair, groups):
     naming itself.
     """
     out, suspect = [], []
-    for group in groups:
+    for group in op.groups:
         f = _stacked(pair.f, group.states, group.rows)
         g = _stacked(pair.g, group.states, group.cols)
         if f is None or g is None:
@@ -108,11 +108,12 @@ def _pair_arrays(m: GameModel, pair: StationaryStrategyPair, groups):
             bad |= ~((v.min(axis=1) >= -SIMPLEX_TOL) & (np.abs(v.sum(axis=1) - 1.0) <= SIMPLEX_TOL))
         suspect.extend(group.index[bad].tolist())
         out.append((group, f, g))
-    for x in (m.states[xi] for xi in sorted(suspect)):
+    for xi in sorted(suspect):
+        x = op.states[xi]
         if x not in pair.f or x not in pair.g:
             raise ValueError(f"strategy pair missing state {x!r}")
-        _checked_distribution(pair.f[x], len(m.actions1[x]), f"f[{x!r}]")
-        _checked_distribution(pair.g[x], len(m.actions2[x]), f"g[{x!r}]")
+        _checked_distribution(pair.f[x], int(op.table.rows[xi]), f"f[{x!r}]")
+        _checked_distribution(pair.g[x], int(op.table.cols[xi]), f"g[{x!r}]")
     return out
 
 
@@ -235,7 +236,9 @@ class ShapleyOperator:
 
     def __init__(self, m: GameModel):
         t = m.table
-        self.model = m
+        # the model's parts, not the model: the model caches its operator
+        self.states = m.states
+        self.table = t
         self.n = m.n_states
         self.weights = np.asarray(m.weight_vector(), dtype=float)
         self.base = t.reward * t.d  # r*d per triple
@@ -289,7 +292,7 @@ class ShapleyOperator:
         again naming the state.
         """
         try:
-            previous = previous and _pair_arrays(self.model, previous, self.groups)
+            previous = previous and _pair_arrays(self, previous)
         except ValueError:
             previous = None
         out, strategies = self._solve(values, previous)
@@ -311,8 +314,8 @@ class ShapleyOperator:
         f = [row for _, x, _ in strategies for row in x]
         g = [row for _, _, y in strategies for row in y]
         return StationaryStrategyPair(
-            f=dict(zip(self.model.states, [f[i] for i in self.order])),
-            g=dict(zip(self.model.states, [g[i] for i in self.order])),
+            f=dict(zip(self.states, [f[i] for i in self.order])),
+            g=dict(zip(self.states, [g[i] for i in self.order])),
         )
 
 
@@ -354,19 +357,33 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     The pair's value vector ``V`` is the unique fixed point of its one-sojourn
     update; it solves the linear system ``(I - M) V = R`` with
     ``M[x, y] = sum_ab f(a|x) g(b|x) lam(x,a,b) p(y|x,a,b)`` and
-    ``R[x] = sum_ab f(a|x) g(b|x) r(x,a,b) d(x,a,b)``.  The result ``v``
-    satisfies ``||v - V||_w <= ||R - (I - M) v||_w / (1 - ||M||_w) <=
-    1e-12 * max(1, ||v||_w)`` (:data:`EVAL_TOL`), where ``w`` is the model's
-    weight ``omega``, or all ones when ``||M||_omega >= 1`` (possible only on
-    a model that fails its certificate).  Time and memory are O(the model's
-    triples and transition nonzeros).  Raises ``ArithmeticError`` when
-    ``||M|| >= 1`` in both norms, naming the largest continuation factor the
-    pair plays at the worst state, or when :data:`GMRES_CYCLES` restarts do
-    not reach the bound (rounding can keep it above the target when
-    ``||M||_w`` is within a few 1e-4 of 1).
+    ``R[x] = sum_ab f(a|x) g(b|x) r(x,a,b) d(x,a,b)``, both as formed in
+    float64.  Let ``w`` be the model's weight ``omega``, or all ones when
+    ``||M||_omega >= 1`` (possible only on a model that fails its
+    certificate).  The result ``v`` satisfies::
+
+        ||v - V||_w <= (||res||_w + rho) / (1 - ||M||_w)
+                    <= max(1e-12 * max(1, ||v||_w), 2 * rho / (1 - ||M||_w))
+
+    where ``res`` is the residual ``R - (I - M) v`` as computed in float64
+    and ``rho = k * 2**-53 * (||R||_w + 2 * ||v||_w)`` bounds its rounding
+    error: ``k`` bounds the roundings in one of its rows (four, plus the
+    row's nonzeros, or plus ``states`` and one state's triples when the
+    system is held dense).  The bound thus allows for that rounding.  The
+    second term is the larger only when ``||M||_w`` is within about
+    ``k * 4e-4`` of 1: float64 resolves the residual no finer, and a dense
+    LU solve's error is of the same order.
+    The factor 1e-12 is :data:`EVAL_TOL`.
+
+    Time and memory are O(the model's triples and transition nonzeros),
+    except on a nearly singular system on which restarted GMRES stalls for
+    :data:`GMRES_CYCLES` cycles: it is then solved dense, in O(states**2)
+    memory.  Raises ``ArithmeticError`` when ``||M|| >= 1`` in both norms,
+    naming the largest continuation factor the pair plays at the worst
+    state, or when not even the dense solve reaches the bound.
     """
     op = m._operator
-    return _evaluate_with(op, _pair_arrays(m, pair, op.groups))
+    return _evaluate_with(op, _pair_arrays(op, pair))
 
 
 def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
@@ -374,14 +391,16 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
 
     It works on the system scaled by ``w``: ``v / w`` solves
     ``(I - S) (v / w) = R / w`` with ``S[x, y] = M[x, y] w(y) / w(x)``,
-    whose sup-norm is ``||M||_w``.  When the nonzero list holds at least
-    ``states**2`` entries, ``I - S`` is held dense (no larger than the
-    list): a dense ``np.linalg.solve`` gives the start and a product is a
-    matrix-vector product.  Otherwise the start is ``R / w`` and a product
-    with ``S`` is one ``np.bincount`` over the list.  Restarted GMRES
-    refines the start until the bound holds.
+    whose sup-norm is ``||M||_w``.  When the nonzero list holds fewer than
+    ``states**2`` entries, the start is ``R / w`` and a product with ``S`` is
+    one ``np.bincount`` over the list.  Otherwise, or when that stalls,
+    ``I - S`` is held dense: a dense ``np.linalg.solve`` gives the start and
+    a product is a matrix-vector product.  Restarted GMRES, augmented with
+    ``1 / w`` (the constant vector before scaling, the slow mode of an ``M``
+    whose continuation factors approach 1), refines the start until the
+    bound holds.
     """
-    t = op.model.table
+    t = op.table
     n = op.n
     # the probability that the pair plays each triple of its state
     mass = np.empty(len(t.labels))
@@ -405,52 +424,81 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
         at = at[t.state[at] == x]
         worst = at[np.argmax(t.lam[at])]
         raise ArithmeticError(
-            f"the pair's continuation weights sum to {rate!r} at state {op.model.states[x]!r}, "
+            f"the pair's continuation weights sum to {rate!r} at state {op.states[x]!r}, "
             "so its evaluation has no error bound; some continuation factor is not below 1 "
             f"(largest: {float(t.lam[worst])!r} at triple {t.labels[worst]!r})"
         )
     rhs = rewards / omega
-    if nz.size >= n * n:  # I - S dense is no larger than the nonzero list
-        system = np.bincount(rows * n + cols, weights=-scaled, minlength=n * n).reshape(n, n)
-        system.flat[:: n + 1] += 1.0
-        v = np.linalg.solve(system, rhs)
-        apply = system.__matmul__
-    else:
+    # the terms a row of the computed residual sums, at most, besides its
+    # nonzeros: the omega scaling, the product and two subtractions
+    terms = 4
+    if nz.size < n * n:
 
         def apply(v):  # (I - S) v
             return v - np.bincount(rows, weights=scaled * v[cols], minlength=n)
 
-        v = rhs.copy()
+        terms += np.bincount(t.state[at], weights=counts, minlength=n).max()
+        v = _refined(apply, rhs, rhs.copy(), rate, terms, 1.0 / omega)
+        if v is not None:
+            return v * omega
+    # I - S dense: no larger than the nonzero list, or the last resort when
+    # restarted GMRES stalls on a nearly singular system.  A row of it sums
+    # n products, its cells each at most one state's triples.
+    system = np.bincount(rows * n + cols, weights=-scaled, minlength=n * n).reshape(n, n)
+    system.flat[:: n + 1] += 1.0
+    terms = 4 + n + max(group.rows * group.cols for group in op.groups)
+    v = _refined(system.__matmul__, rhs, np.linalg.solve(system, rhs), rate, terms, 1.0 / omega)
+    if v is None:
+        raise ArithmeticError(
+            f"pair evaluation did not reach its error bound within {GMRES_CYCLES} GMRES cycles "
+            f"(||M|| = {rate!r})"
+        )
+    return v * omega
+
+
+def _refined(apply, rhs, v, rate: float, terms: float, coarse) -> np.ndarray | None:
+    """``v`` refined by restarted GMRES on ``apply(v) = rhs`` until its residual is on target.
+
+    The target is the residual that proves the bound of
+    :func:`evaluate_stationary_pair`, or the residual's own rounding floor
+    when that is higher.  Returns None when :data:`GMRES_CYCLES` cycles do
+    not reach it.
+    """
+    given = float(np.abs(rhs).max())
     for cycle in range(GMRES_CYCLES + 1):
         residual = rhs - apply(v)
-        # the residual a bound of EVAL_TOL * max(1, ||v||) allows, in the sup-norm
-        allowed = EVAL_TOL * max(1.0, float(np.abs(v).max())) * (1.0 - rate)
-        if np.abs(residual).max() <= allowed:
-            return v * omega
+        size = float(np.abs(v).max())
+        # the computed residual's rounding error, at most (Higham's gamma_terms)
+        noise = terms * 2.0**-53 * (given + 2.0 * size)
+        target = max(EVAL_TOL * max(1.0, size) * (1.0 - rate) - noise, noise)
+        if np.abs(residual).max() <= target:
+            return v
         if cycle < GMRES_CYCLES:
-            v += _gmres_cycle(apply, residual, allowed)
-    raise ArithmeticError(
-        f"pair evaluation did not reach its error bound within {GMRES_CYCLES} GMRES cycles "
-        f"(||M|| = {rate!r}, bound {float(np.abs(residual).max()) / (1.0 - rate)!r})"
-    )
+            v += _gmres_cycle(apply, residual, target, coarse)
+    return None
 
 
-def _gmres_cycle(apply, residual: np.ndarray, allowed: float) -> np.ndarray:
+def _gmres_cycle(apply, residual: np.ndarray, target: float, coarse: np.ndarray) -> np.ndarray:
     """One GMRES cycle on ``A z = residual`` from ``z = 0``, ``apply(u)`` being ``A u``.
 
-    Builds at most :data:`GMRES_RESTART` Arnoldi vectors (classical
-    Gram-Schmidt, applied twice), and stops early once the Givens-rotated
-    least-squares residual, a 2-norm and so at least the sup-norm, is at
-    most ``allowed``.
+    It searches :data:`GMRES_RESTART` Krylov vectors and then the vector
+    ``coarse``, a slow mode that each restart would otherwise lose
+    (augmented GMRES).  Each direction's product is orthogonalised by
+    classical Gram-Schmidt, applied twice.  The cycle stops early once the
+    Givens-rotated least-squares residual, a 2-norm and so at least the
+    sup-norm, is at most ``target``.
     """
+    size = GMRES_RESTART + 1
+    coarse = coarse / np.linalg.norm(coarse)
     beta = float(np.linalg.norm(residual))
-    basis = np.empty((GMRES_RESTART + 1, residual.size))
+    basis = np.empty((size + 1, residual.size))
     basis[0] = residual / beta
-    h = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+    h = np.zeros((size + 1, size))
     rotations = []
     g = [beta]
-    for k in range(GMRES_RESTART):
-        w = apply(basis[k])
+    used = 0
+    for k in range(size):
+        w = apply(basis[k] if k < GMRES_RESTART else coarse)
         for _ in range(2):
             c = basis[: k + 1] @ w
             w -= c @ basis[: k + 1]
@@ -461,14 +509,19 @@ def _gmres_cycle(apply, residual: np.ndarray, allowed: float) -> np.ndarray:
         for i, (cs, sn) in enumerate(rotations):
             col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
         r = float(np.hypot(col[k], col[k + 1]))
+        if k == GMRES_RESTART and r <= 1e-12 * float(np.linalg.norm(col)):
+            break  # ``coarse`` adds nothing to the Krylov vectors
         cs, sn = col[k] / r, col[k + 1] / r
         rotations.append((cs, sn))
         col[k], col[k + 1] = r, 0.0
         g.append(-sn * g[k])
         g[k] *= cs
-        if abs(g[k + 1]) <= allowed or norm == 0.0:  # zero: the Krylov space is invariant
+        used = k + 1
+        if abs(g[k + 1]) <= target or norm == 0.0:  # zero: the search space is invariant
             break
         basis[k + 1] = w / norm
-    k += 1
-    y = np.linalg.solve(h[:k, :k], g[:k])
-    return y @ basis[:k]
+    y = np.linalg.solve(h[:used, :used], g[:used])
+    z = y[:GMRES_RESTART] @ basis[: min(used, GMRES_RESTART)]
+    if used > GMRES_RESTART:
+        z += y[GMRES_RESTART] * coarse
+    return z

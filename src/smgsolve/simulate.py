@@ -107,7 +107,7 @@ class _Sampler:
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair):
         t = m.table
-        stacked = _pair_arrays(m, pair, m._operator.groups)
+        stacked = _pair_arrays(m._operator, pair)
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
         if direct.size:
             raise NotSamplableError(

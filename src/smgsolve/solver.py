@@ -150,7 +150,7 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     violation means some deviation gains more than ``tol``.
     """
     op = m._operator
-    strategies = _pair_arrays(m, report.equilibrium, op.groups)
+    strategies = _pair_arrays(op, report.equilibrium)
     values = _evaluate_with(op, strategies)
     flat = op._payoffs(values)
     gains = np.empty(op.n)
