@@ -37,9 +37,7 @@ from .shapley import (
 from .simulate import (
     MCEstimate,
     NotSamplableError,
-    check_equilibrium_deviation,
     estimate_value,
-    pure_deviations,
     simulate_trajectory,
     trajectory_rng,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "certify_solution",
     "check_assumptions",
     "check_drift",
-    "check_equilibrium_deviation",
     "compute_gamma",
     "discounted_kernel_row",
     "estimate_value",
@@ -100,7 +97,6 @@ __all__ = [
     "find_regularity_params",
     "load_model",
     "omega_norm",
-    "pure_deviations",
     "regularity_from_bounds",
     "serialize",
     "simulate_trajectory",

@@ -214,11 +214,12 @@ def _cmd_simulate(config: RunConfig) -> int:
     else:
         cert = _certificate(config, m)
         if not cert.passed:
+            _emit(_artifact(config, digest, {"certificate": cert.as_dict()}), config.out)
             return EXIT_CERTIFICATE
         pair = value_iterate(m, config.epsilon, certificate=cert).equilibrium
     try:
         est = estimate_value(m, pair, config.state, config.trajectories, config.seed)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
         raise _InputError(str(exc)) from exc
     payload = {
         "mean": est.mean,

@@ -253,8 +253,10 @@ class ShapleyOperator:
         u = np.asarray(values, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"value vector must have length {self.n}, got {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("value vector must be finite")
+        bad = np.flatnonzero(~np.isfinite(u))
+        if bad.size:
+            x, v = self.states[bad[0]], float(u[bad[0]])
+            raise ValueError(f"value vector must be finite, got {v!r} at state {x!r}")
         return u
 
     def _payoffs(self, values) -> np.ndarray:

@@ -214,8 +214,9 @@ def estimate_value(
     Trajectory ``i`` always reads the slots of ``trajectory_rng(seed, i)``,
     so the estimate depends only on the arguments, not on batch sizes.
     """
-    if trajectories < 2:
-        raise ValueError(f"need at least 2 trajectories, got {trajectories!r}")
+    integral = isinstance(trajectories, (int, np.integer)) and not isinstance(trajectories, bool)
+    if not integral or trajectories < 2:
+        raise ValueError(f"trajectories must be an integer of at least 2, got {trajectories!r}")
     bases = _bases(seed, np.arange(trajectories))
     sampler = _Sampler(m, pair)
     x0i = m.state_index(x0)
@@ -234,69 +235,3 @@ def estimate_value(
         truncation_bound=float(tails.mean()),
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class DeviationRow:
-    """One pure-deviation experiment against the baseline pair."""
-
-    deviation: tuple[int, str, str]  # (player, state, action)
-    estimate: MCEstimate
-    difference: float  # estimate mean minus baseline mean at the deviated state
-
-
-def pure_deviations(m: GameModel) -> list[tuple[int, str, str]]:
-    """Every meaningful pure override: states where the player has a choice."""
-    out = []
-    for x in m.states:
-        if len(m.actions1[x]) > 1:
-            out.extend((1, x, a) for a in m.actions1[x])
-        if len(m.actions2[x]) > 1:
-            out.extend((2, x, b) for b in m.actions2[x])
-    return out
-
-
-def _override(m: GameModel, pair: StationaryStrategyPair, player: int, x: str, action: str):
-    acts = m.actions1[x] if player == 1 else m.actions2[x]
-    try:
-        idx = acts.index(action)
-    except ValueError:
-        raise ValueError(f"unknown action {action!r} for player {player} at state {x!r}") from None
-    mass = np.zeros(len(acts))
-    mass[idx] = 1.0
-    if player == 1:
-        return StationaryStrategyPair(f={**pair.f, x: mass}, g=pair.g)
-    return StationaryStrategyPair(f=pair.f, g={**pair.g, x: mass})
-
-
-def check_equilibrium_deviation(
-    m: GameModel,
-    pair: StationaryStrategyPair,
-    deviations: list[tuple[int, str, str]],
-    trajectories: int,
-    seed: int,
-) -> list[DeviationRow]:
-    """Estimate each pure deviation's payoff against the baseline pair.
-
-    Each deviation is simulated from the deviated state with the same seed as
-    its baseline (common random numbers), and reported without judgment; at
-    an equilibrium, player 1 deviations should not estimate above the
-    baseline nor player 2 deviations below it, beyond sampling error.
-    """
-    baselines: dict[str, MCEstimate] = {}
-    rows = []
-    for player, x, action in deviations:
-        if player not in (1, 2):
-            raise ValueError(f"player must be 1 or 2, got {player!r}")
-        if x not in baselines:
-            baselines[x] = estimate_value(m, pair, x, trajectories, seed)
-        changed = _override(m, pair, player, x, action)
-        est = estimate_value(m, changed, x, trajectories, seed)
-        rows.append(
-            DeviationRow(
-                deviation=(player, x, action),
-                estimate=est,
-                difference=est.mean - baselines[x].mean,
-            )
-        )
-    return rows

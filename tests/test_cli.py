@@ -138,6 +138,30 @@ def test_simulate_solves_when_no_strategies_given(tmp_path, model_file):
     assert json.loads(out.read_text())["mean"] == pytest.approx(12.6, abs=0.5)
 
 
+def test_simulate_writes_the_failed_certificate_and_exits_3(tmp_path):
+    # half of each state's mass moves to the state of weight 10: drift fails
+    doc = {
+        "states": ["s0", "s1"],
+        "actions1": {"s0": ["a"], "s1": ["a"]},
+        "actions2": {"s0": ["b"], "s1": ["b"]},
+        "weight": {"s0": 1.0, "s1": 10.0},
+        "triples": [
+            {"state": x, "a": "a", "b": "b", "alpha": 1.0, "reward": 1.0,
+             "sojourn": {"kind": "exponential", "rate": 1.0}, "transition": {"s0": 0.5, "s1": 0.5}}
+            for x in ("s0", "s1")
+        ],
+    }
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "mc.json"
+    config = RunConfig(command="simulate", model=str(path), state="s0", trajectories=10, out=str(out))
+    assert run(config) == 3
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["passed"] is False
+    assert [name for name, c in cert["checks"].items() if not c["passed"]] == ["drift"]
+    assert cert["checks"]["drift"]["witness"] == "eta_min 5.5, eta 5.5, eta*gamma 4.125"
+
+
 def test_game_inline_matrix(capsys):
     assert run(RunConfig(command="game", matrix="[[1, -1], [-1, 1]]")) == 0
     out = capsys.readouterr().out

@@ -25,7 +25,7 @@ from smgsolve import (
     value_iterate,
 )
 
-from conftest import INVESTMENT_DOC, random_model, sparse_doc
+from conftest import INVESTMENT_DOC, MODELS_DIR, random_model, sparse_doc
 
 
 def halving_model():
@@ -246,6 +246,46 @@ def test_certify_solution_investment_and_corrupted_pair(investment_model):
     assert bad.worst_violation > 0.1
 
 
+def test_no_pure_stationary_deviation_gains_more_than_the_certified_radius():
+    # With the other player's strategy fixed, each player's one-shot operator
+    # contracts with modulus eta_gamma in the omega-norm, so no stationary
+    # deviation moves the value at x by more than
+    # omega(x) * max_y gain(y) / omega(y) / (1 - eta_gamma).
+    rng = np.random.default_rng(5)
+    models = [load_model((MODELS_DIR / "investment.json").read_text())]
+    while len(models) < 25:
+        m = random_model(rng, unit_weight=len(models) % 2 == 0)
+        if check_assumptions(m).passed:
+            models.append(m)
+    assert any(np.any(np.asarray(m.weight_vector()) != 1.0) for m in models)
+    null_deviations = 0
+    for m in models:
+        report = value_iterate(m, 1e-6)
+        gains = np.array(list(certify_solution(m, report, tol=0.0).per_state.values()))
+        w = np.asarray(m.weight_vector())
+        radius = w * (gains / w).max() / (1.0 - report.certificate.eta_gamma)
+        pair = report.equilibrium
+        values = evaluate_stationary_pair(m, pair)
+        scale = np.maximum(1.0, np.abs(values))
+        for x in m.states:
+            for player, side in ((1, pair.f), (2, pair.g)):
+                own = side[x]
+                if len(own) < 2:  # no choice to deviate with
+                    continue
+                for pure in np.eye(len(own)):
+                    changed = {**side, x: pure}
+                    deviated = StationaryStrategyPair(
+                        f=changed if player == 1 else pair.f, g=changed if player == 2 else pair.g
+                    )
+                    moved = evaluate_stationary_pair(m, deviated) - values
+                    gain = moved if player == 1 else -moved
+                    assert np.all(gain <= radius + 1e-9 * scale), (player, x, pure)
+                    if np.array_equal(pure, own):  # the equilibrium's own pure action
+                        null_deviations += 1
+                        assert np.all(np.abs(moved) <= 1e-12 * scale), (player, x, pure)
+    assert null_deviations > 0
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_strategies_are_rejected_naming_the_state(investment_model, entry):
     report = value_iterate(investment_model, 1e-4, v0=np.ones(3))
@@ -325,6 +365,25 @@ def test_epsilon_nash_radii(investment_model):
     assert report.epsilon_nash == pytest.approx(1e-4 / (1.0 - cert.eta_gamma), rel=1e-14)
     assert report.epsilon_nash_tight == pytest.approx(1e-4 / (1.0 - cert.lambda_max), rel=1e-14)
     assert report.epsilon_nash_tight < report.epsilon_nash
+
+
+@pytest.mark.parametrize(
+    "values, v0_message, apply_message",
+    [
+        ([np.nan, 0.0, 0.0], *["value vector must be finite, got nan at state '1'"] * 2),
+        ([0.0, 0.0, np.inf], *["value vector must be finite, got inf at state '3'"] * 2),
+        ([0.0, -np.inf, np.nan], *["value vector must be finite, got -inf at state '2'"] * 2),
+        ([0.0, 0.0], "v0 must have length 3", "value vector must have length 3, got (2,)"),
+    ],
+    ids=["nan", "inf", "first-of-two", "short"],
+)
+def test_bad_value_vectors_are_rejected_naming_the_state(
+    investment_model, values, v0_message, apply_message
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(v0_message)}$"):
+        value_iterate(investment_model, 1e-4, v0=values)
+    with pytest.raises(ValueError, match=f"^{re.escape(apply_message)}$"):
+        ShapleyOperator(investment_model).apply(values)
 
 
 def test_invalid_epsilon_rejected(single_state_model):

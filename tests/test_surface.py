@@ -8,18 +8,17 @@ PUBLIC = [
     "GameModel", "MCEstimate", "MatrixGameError", "MatrixGameSolution", "ModelError",
     "ModelFormatError", "ModelValidationError", "NotSamplableError", "ShapleyOperator",
     "SojournLaw", "SolveReport", "StationaryStrategyPair", "Uniform", "certify_solution",
-    "check_assumptions", "check_drift", "check_equilibrium_deviation", "compute_gamma",
-    "discounted_kernel_row", "estimate_value", "evaluate_stationary_pair",
-    "find_regularity_params", "load_model", "omega_norm", "pure_deviations",
-    "regularity_from_bounds", "serialize", "simulate_trajectory", "solve_matrix_game",
-    "strategy_tables", "trace_csv", "trajectory_rng", "validate_model", "value_iterate",
-    "verify_saddle_point",
+    "check_assumptions", "check_drift", "compute_gamma", "discounted_kernel_row",
+    "estimate_value", "evaluate_stationary_pair", "find_regularity_params", "load_model",
+    "omega_norm", "regularity_from_bounds", "serialize", "simulate_trajectory",
+    "solve_matrix_game", "strategy_tables", "trace_csv", "trajectory_rng", "validate_model",
+    "value_iterate", "verify_saddle_point",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
     # a new public name, or a deleted wrapper coming back, shows up here
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 42
     assert sorted(smgsolve.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(smgsolve, name) is not None, name

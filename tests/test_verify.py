@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,29 @@ def test_preset_bounds_replicate_reference_constants(investment_model):
     assert round(cert.gamma, 4) == 0.9994
     assert round(cert.eta_gamma, 4) == 0.9997
     assert cert.eta_gamma == pytest.approx((1.0 + cert.gamma) / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "regularity, witness",
+    [
+        ((0.0, 0.5, 0.7), r"invalid constants theta=0\.0, delta=0\.5"),
+        ((0.1, 0.5, 0.71), r"alpha0 0\.71 is not a lower bound on the discount rates"),
+        # rate 30 ends a sojourn within 0.1 with probability 0.95
+        ((0.1, 0.5, 0.7), r"H\(theta\) = 0\.95\d* > 1 - delta at \('1', 'a11', 'b12'\)"),
+    ],
+    ids=["invalid-constants", "alpha0-above-the-smallest-rate", "horizon-too-long"],
+)
+def test_supplied_regularity_that_fails_skips_the_checks_it_feeds(
+    investment_model, regularity, witness
+):
+    cert = check_assumptions(investment_model, regularity=regularity)
+    assert not cert.passed
+    assert not cert.checks["regularity"].passed
+    assert re.fullmatch(witness, cert.checks["regularity"].witness)
+    for name in ("drift", "coefficient_bound"):
+        assert not cert.checks[name].passed
+        assert cert.checks[name].witness == "skipped: no continuation bound"
+    assert math.isnan(cert.gamma) and math.isnan(cert.eta_gamma)
 
 
 def test_preset_bounds_validated_against_the_model():
