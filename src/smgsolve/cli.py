@@ -209,6 +209,8 @@ def _cmd_simulate(config: RunConfig) -> int:
     m, digest = _load_model(config)
     if config.state is None:
         raise _InputError("simulate requires --state")
+    if config.state not in m.states:
+        raise _InputError(f"unknown state {config.state!r}")
     if config.strategies_in:
         pair = _load_pair(config, m)
     else:
@@ -217,10 +219,7 @@ def _cmd_simulate(config: RunConfig) -> int:
             _emit(_artifact(config, digest, {"certificate": cert.as_dict()}), config.out)
             return EXIT_CERTIFICATE
         pair = value_iterate(m, config.epsilon, certificate=cert).equilibrium
-    try:
-        est = estimate_value(m, pair, config.state, config.trajectories, config.seed)
-    except KeyError as exc:
-        raise _InputError(str(exc)) from exc
+    est = estimate_value(m, pair, config.state, config.trajectories, config.seed)
     payload = {
         "mean": est.mean,
         "stdError": est.std_error,

@@ -14,14 +14,21 @@ pivoting rules fall back to Bland's rule on a stall, and every rule is
 deterministic, so when the optimal face is not a single point the returned
 strategy is still reproducible across runs.
 
+The simplex runs on a stack of same-shape games in lockstep: each step
+pivots every game still in the stack once, by that game's own rules, and a
+game leaves the stack once it is optimal.  Every game's arithmetic is the
+arithmetic it would see alone, so its answer does not depend on the other
+games of its stack; :func:`solve_matrix_game` runs a stack of one.
+
 The final basis holds ``k`` columns of ``y`` (the support ``J``) and the
 slacks of all but ``k`` rows; the ``k`` rows whose slacks left (the support
 ``I``) are tight.  Both strategies and the value are then solved afresh
 from the bordered equalizer system on the normalized block ``A[I, J]``
 (Shapley and Snow 1950), the one :func:`equalize` that the operator's
-support candidates also use, so the rounding of the pivots does not reach
-the result.  The solution carries the exploitability ``max(A y) - min(x A)``
-of the pair, which bounds how far either strategy is from optimal.
+support candidates also use, one stacked solve per support size, so the
+rounding of the pivots does not reach the result.  The solution carries
+the exploitability ``max(A y) - min(x A)`` of the pair, which bounds how
+far either strategy is from optimal.
 
 Single-row and single-column games are solved by direct scan.
 """
@@ -54,66 +61,82 @@ class MatrixGameSolution:
     duality_gap: float
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+def _pivot(tab: np.ndarray, at: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
+    """One pivot on each tableau of the stack, on ``tab[at, row, col]``."""
+    pivot_row = tab[at, row] / tab[at, row, col][:, None]
+    tab[at, row] = pivot_row
+    factors = tab[at, :, col]
+    factors[at, row] = 0.0
+    tab -= factors[:, :, None] * pivot_row[:, None, :]
     # reimpose an exact unit column so reduced costs of basics are exactly 0
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    tab[at, :, col] = 0.0
+    tab[at, row, col] = 1.0
 
 
-def _leaving_row(tableau: np.ndarray, basis: np.ndarray, enter: int, anti_cycling: bool) -> int:
-    """Minimum-ratio row for the entering column, with deterministic ties.
+def _leaving_rows(tab, coef, eligible, basis, anti_cycling: bool) -> np.ndarray:
+    """Each game's minimum-ratio row for its entering column ``coef``, with deterministic ties.
 
-    Among rows at exactly the minimum ratio, normal pivoting takes the
-    largest pivot coefficient, then the lowest basis index; anti-cycling
-    takes the lowest basis index alone.
+    ``eligible`` marks the coefficients above :data:`PIVOT_TOL`, at least
+    one per game.  Among rows at exactly the minimum ratio, normal pivoting
+    takes the largest pivot coefficient, then the lowest basis index;
+    anti-cycling takes the lowest basis index alone.  The other rows get a
+    NaN ratio, which sorts last.
     """
-    coef = tableau[:-1, enter]
-    eligible = (coef > PIVOT_TOL).nonzero()[0]
-    if eligible.size == 0:
-        raise MatrixGameError("linear program is unbounded")
-    ratios = tableau[eligible, -1] / coef[eligible]
-    tied = eligible[ratios == ratios.min()]
-    if tied.size == 1:
-        return int(tied[0])
-    if not anti_cycling:
-        tied = tied[coef[tied] == coef[tied].max()]
-    return int(tied[basis[tied].argmin()])
+    ratio = np.divide(tab[:, :-1, -1], coef, out=np.full(coef.shape, np.nan), where=eligible)
+    keys = (basis, ratio) if anti_cycling else (basis, -coef, ratio)
+    return np.lexsort(keys, axis=1)[:, 0]
 
 
-def _bland(tableau: np.ndarray, basis: np.ndarray) -> None:
-    """Run the simplex to optimality on a feasible tableau (objective row last).
+def _simplex(tab: np.ndarray, basis: np.ndarray, failed: dict) -> np.ndarray:
+    """Run the simplex to optimality on a stack of feasible tableaux (objective rows last).
 
-    Normal pivoting: most negative reduced cost enters (ties at the lowest
-    index), and the leaving row takes the minimum ratio with exact ties
-    preferring the largest pivot coefficient, then the lowest basis index
-    (pivoting on a tiny coefficient scales its row, and the priced objective,
-    up by the reciprocal, drowning later reduced costs in rounding noise).
-    Should that stall on a degenerate basis, the rules switch to Bland's
-    lowest-index/lowest-basis-index pair, which cannot cycle, so termination
-    is guaranteed.  Every rule is deterministic.
+    Every game of the stack takes one pivot per step, under the rules it
+    would follow alone.  Normal pivoting: most negative reduced cost enters
+    (ties at the lowest index), and the leaving row takes the minimum ratio
+    with exact ties preferring the largest pivot coefficient, then the
+    lowest basis index (pivoting on a tiny coefficient scales its row, and
+    the priced objective, up by the reciprocal, drowning later reduced costs
+    in rounding noise).  Should that stall on a degenerate basis, the rules
+    switch to Bland's lowest-index/lowest-basis-index pair, which cannot
+    cycle, so termination is guaranteed.  Every rule is deterministic, and
+    the step limits depend on the shape alone, so the stack shares them.
+
+    A game leaves the stack once it is optimal; the stack is compacted only
+    on the steps where some game leaves it.  Returns every game's final
+    basis, and records in ``failed`` the message of each game that has no
+    leaving row or does not terminate.
     """
-    stall_limit = 100 + 10 * (tableau.shape[0] + tableau.shape[1])
-    hard_limit = 100 * stall_limit
-    for pivots in range(hard_limit):
-        reduced = tableau[-1, :-1]
+    stall_limit = 100 + 10 * (tab.shape[1] + tab.shape[2])
+    final = basis.copy()
+    live = at = np.arange(len(tab))
+    for pivots in range(100 * stall_limit):
+        reduced = tab[:, -1, :-1]
         anti_cycling = pivots >= stall_limit
         if anti_cycling:
-            improving = (reduced < -PIVOT_TOL).nonzero()[0]
-            if improving.size == 0:
-                return
-            enter = int(improving[0])
+            improving = reduced < -PIVOT_TOL
+            enter = improving.argmax(axis=1)
+            optimal = ~improving[at, enter]
         else:
-            enter = int(reduced.argmin())
-            if reduced[enter] >= -PIVOT_TOL:
-                return
-        leave = _leaving_row(tableau, basis, enter, anti_cycling)
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
-    raise MatrixGameError("simplex failed to terminate")
+            enter = reduced.argmin(axis=1)
+            optimal = reduced[at, enter] >= -PIVOT_TOL
+        coef = tab[at, :-1, enter]
+        eligible = coef > PIVOT_TOL
+        leaves = optimal | ~eligible.any(axis=1)
+        if leaves.any():
+            final[live[optimal]] = basis[optimal]
+            failed.update(dict.fromkeys(live[leaves & ~optimal].tolist(), "linear program is unbounded"))
+            stay = ~leaves
+            live, tab, basis, enter, coef, eligible = (
+                v[stay] for v in (live, tab, basis, enter, coef, eligible)
+            )
+            if not live.size:
+                return final
+            at = np.arange(live.size)
+        leave = _leaving_rows(tab, coef, eligible, basis, anti_cycling)
+        _pivot(tab, at, leave, enter)
+        basis[at, leave] = enter
+    failed.update(dict.fromkeys(live.tolist(), "simplex failed to terminate"))
+    return final
 
 
 def equalize(sub: np.ndarray):
@@ -150,44 +173,62 @@ def equalize(sub: np.ndarray):
     return sol[0, :, k], sol[0, :, :k], sol[1, :, :k], regular
 
 
-def _maximin(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and optimal mixtures of both players of ``payoff``.
+def _maximin(payoffs: np.ndarray):
+    """Values and optimal mixtures of both players of each game of the stack ``payoffs``.
 
-    The simplex runs on ``P = payoff / max|payoff| + 2`` from the slack
-    basis of ``P y <= 1``; its final basis names the supports, and
-    :func:`equalize` on the normalized block gives the answer, with the
-    value scaled back by ``max|payoff|``.
+    Games with one column (one row) are solved by scanning for the row
+    player's best row (the column player's best column).  Otherwise the
+    simplex runs on ``P = payoff / max|payoff| + 2`` from the slack basis of
+    ``P y <= 1``, all the games of the stack together; each final basis
+    names a support, and one :func:`equalize` per support size gives the
+    answers on the normalized blocks, with the values scaled back by
+    ``max|payoff|``.  Returns ``(value, x, y, failed)``: ``failed`` maps the
+    position in the stack of each game on which the simplex failed to the
+    message, and the other results of those games are meaningless.  Raises
+    ``ValueError`` when some entry is not finite.
     """
-    m, l = payoff.shape
-    norm = float(np.max(np.abs(payoff)))
-    if norm == 0.0:
-        norm = 1.0
-    scaled = payoff / norm
-    tab = np.zeros((m + 1, l + m + 1))  # columns y_1..y_l, one slack per row, rhs
-    tab[:m, :l] = scaled + 2.0
-    tab[:m, l:-1] = np.eye(m)
-    tab[:m, -1] = 1.0
-    tab[-1, :l] = -1.0  # minimize -sum(y)
-    basis = np.arange(l, l + m)
-    _bland(tab, basis)
-    basic = np.zeros(l + m, dtype=bool)
-    basic[basis] = True
-    cols = np.flatnonzero(basic[:l])
-    rows = np.flatnonzero(~basic[l:])  # the rows whose slacks left
-    v, x_s, y_t, regular = equalize(scaled[np.ix_(rows, cols)][None])
-    if not np.all(regular):
-        raise MatrixGameError("simplex ended on a singular basis")
-    x = np.zeros(m)
-    x[rows] = np.maximum(x_s, 0.0)
-    y = np.zeros(l)
-    y[cols] = np.maximum(y_t, 0.0)
-    return float(v[0]) * norm + 0.0, x / x.sum(), y / y.sum()  # + 0.0: no value reads -0.0
-
-
-def _point_mass(size: int, index: int) -> np.ndarray:
-    e = np.zeros(size)
-    e[index] = 1.0
-    return e
+    if not np.isfinite(payoffs).all():
+        raise ValueError("payoff entries must be finite")
+    n, m, l = payoffs.shape
+    at = np.arange(n)
+    x, y = np.zeros((n, m)), np.zeros((n, l))
+    if l == 1:
+        best = payoffs[:, :, 0].argmax(axis=1)
+        x[at, best] = y[:, 0] = 1.0
+        return payoffs[at, best, 0] + 0.0, x, y, {}
+    if m == 1:
+        best = payoffs[:, 0].argmin(axis=1)
+        x[:, 0] = y[at, best] = 1.0
+        return payoffs[at, 0, best] + 0.0, x, y, {}
+    norm = np.abs(payoffs).max(axis=(1, 2))
+    norm[norm == 0.0] = 1.0
+    scaled = payoffs / norm[:, None, None]
+    tab = np.zeros((n, m + 1, l + m + 1))  # columns y_1..y_l, one slack per row, rhs
+    tab[:, :m, :l] = scaled + 2.0
+    tab[:, :m, l:-1] = np.eye(m)
+    tab[:, :m, -1] = 1.0
+    tab[:, -1, :l] = -1.0  # minimize -sum(y)
+    failed = {}
+    basic = np.zeros((n, l + m), dtype=bool)
+    basic[at[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)), failed)] = True
+    # a failed game keeps its slack basis, of support size 0
+    size = basic[:, :l].sum(axis=1)
+    value = np.empty(n)
+    for k in np.unique(size[size > 0]).tolist():
+        games = np.flatnonzero(size == k)
+        cols = basic[games, :l].nonzero()[1].reshape(-1, k)
+        rows = (~basic[games, l:]).nonzero()[1].reshape(-1, k)  # the rows whose slacks left
+        v, x_s, y_t, regular = equalize(scaled[games[:, None, None], rows[:, :, None], cols[:, None, :]])
+        singular = games[~np.broadcast_to(regular, games.shape)]
+        failed.update(dict.fromkeys(singular.tolist(), "simplex ended on a singular basis"))
+        value[games] = v * norm[games] + 0.0  # + 0.0: no value reads -0.0
+        x[games[:, None], rows] = np.maximum(x_s, 0.0)
+        y[games[:, None], cols] = np.maximum(y_t, 0.0)
+    solved = np.ones(n, dtype=bool)
+    solved[list(failed)] = False
+    x[solved] /= x[solved].sum(axis=1, keepdims=True)
+    y[solved] /= y[solved].sum(axis=1, keepdims=True)
+    return value, x, y, failed
 
 
 def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: np.ndarray):
@@ -212,29 +253,11 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("payoff must be a nonempty 2-d matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("payoff entries must be finite")
-    m, l = a.shape
-    if l == 1:
-        i = int(np.argmax(a[:, 0]))
-        return MatrixGameSolution(
-            value=float(a[i, 0]) + 0.0,
-            row_strategy=_point_mass(m, i),
-            col_strategy=np.ones(1),
-            duality_gap=0.0,
-        )
-    if m == 1:
-        j = int(np.argmin(a[0]))
-        return MatrixGameSolution(
-            value=float(a[0, j]) + 0.0,
-            row_strategy=np.ones(1),
-            col_strategy=_point_mass(l, j),
-            duality_gap=0.0,
-        )
-    value, x, y = _maximin(a)
-    return MatrixGameSolution(
-        value=value, row_strategy=x, col_strategy=y, duality_gap=float(exploitability(a, x, y))
-    )
+    (value,), (x,), (y,), failed = _maximin(a[None])
+    if failed:
+        raise MatrixGameError(failed[0])
+    gap = 0.0 if 1 in a.shape else float(exploitability(a, x, y))
+    return MatrixGameSolution(value=float(value), row_strategy=x, col_strategy=y, duality_gap=gap)
 
 
 def verify_saddle_point(payoff, row_strategy, col_strategy, tol: float) -> tuple[bool, float]:

@@ -91,6 +91,9 @@ class _Law:
     def to_obj(self) -> dict:
         return {"kind": self.kind, **vars(self)}
 
+    def continuation(self, alpha: float) -> float:
+        return self.continuation_factor(self.param, alpha)
+
     def violations(self, alpha, triple: Triple) -> list[str]:
         if _positive_number(self.param):
             return []
@@ -105,8 +108,9 @@ class Exponential(_Law):
     kind: ClassVar[str] = "exponential"
     label: ClassVar[str] = "rate"
 
-    def continuation(self, alpha: float) -> float:
-        return self.rate / (alpha + self.rate)
+    @staticmethod
+    def continuation_factor(rate, alpha):
+        return rate / (alpha + rate)
 
     def cdf(self, t: float) -> float:
         return -math.expm1(-self.rate * t) if t > 0.0 else 0.0
@@ -124,8 +128,9 @@ class Uniform(_Law):
     kind: ClassVar[str] = "uniform"
     label: ClassVar[str] = "upper bound"
 
-    def continuation(self, alpha: float) -> float:
-        z = alpha * self.upper
+    @staticmethod
+    def continuation_factor(upper, alpha):
+        z = alpha * upper
         if z < _UNIFORM_SERIES_CUTOFF:
             return 1.0 - z / 2.0 + z * z / 6.0
         return -math.expm1(-z) / z
@@ -146,8 +151,9 @@ class Deterministic(_Law):
     kind: ClassVar[str] = "deterministic"
     label: ClassVar[str] = "duration"
 
-    def continuation(self, alpha: float) -> float:
-        return math.exp(-alpha * self.duration)
+    @staticmethod
+    def continuation_factor(duration, alpha):
+        return math.exp(-alpha * duration)
 
     def cdf(self, t: float) -> float:
         return 1.0 if t >= self.duration else 0.0
@@ -565,8 +571,11 @@ def load_model(text: str) -> GameModel:
     violations = validate_model(model)
     if violations:
         raise ModelValidationError(violations[0])
-    # only a valid law and rate give a finite continuation factor
-    table.lam = np.array([table.law(i).continuation(a) for i, a in enumerate(table.alpha.tolist())])
+    # only a valid law and rate give a finite continuation factor; direct weights carry theirs
+    for code, law in enumerate(ANALYTIC_LAWS):
+        at = np.flatnonzero(table.kind == code)
+        pairs = zip(table.param[at].tolist(), table.alpha[at].tolist())
+        table.lam[at] = [law.continuation_factor(p, a) for p, a in pairs]
     table.d = (1.0 - table.lam) / table.alpha
     return model
 

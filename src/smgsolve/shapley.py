@@ -27,9 +27,9 @@ point form an optimal stationary pair.
 All states' matrices are assembled at once from the model's triple table
 and stacked by shape.  Each stack's games are solved together: every
 candidate square support pair is one stacked linear solve of both players'
-equalizer systems, and only the games no candidate solves go to the simplex
-one at a time.  A game's result depends only on its own matrix and previous
-supports, never on the other games of its stack.
+equalizer systems, and the games no candidate solves go to the simplex in
+one lockstep stack.  A game's result depends only on its own matrix and
+previous supports, never on the other games of its stack.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrixgame import MatrixGameError, equalize, exploitability, solve_matrix_game
+from .matrixgame import MatrixGameError, _maximin, equalize, exploitability
 from .model import GameModel, Triple
 
 SIMPLEX_TOL = 1e-10
@@ -289,9 +289,11 @@ class ShapleyOperator:
         and Snow's theorem).  A game keeps the first candidate whose
         strategies are both ``>= 0`` and whose exploitability
         ``max(C y) - min(x C)`` is at most ``WARM_START_TOL * max(1, max|C|)``.
-        Every game left over goes to the simplex of
-        :func:`solve_matrix_game`, whose :class:`MatrixGameError` is raised
-        again naming the state.
+        The games of one shape left over go to the simplex of
+        :func:`solve_matrix_game` in one lockstep stack, which returns each
+        game's answer as if it were solved alone.  When the simplex fails on
+        some of them, :class:`MatrixGameError` names the first of those
+        states.
         """
         try:
             previous = previous and _pair_arrays(self, previous)
@@ -343,13 +345,12 @@ def _solve_group(group: _ShapeGroup, c: np.ndarray, previous):
         if not pending.size:
             break
         pending = _equalize(c, pending, s[None], t[None], scale, out)
-    value, x, y = out
-    for i in pending:
-        try:
-            sol = solve_matrix_game(c[i])
-        except MatrixGameError as exc:
-            raise MatrixGameError(f"state {group.states[i]!r}: {exc}") from exc
-        value[i], x[i], y[i] = sol.value, sol.row_strategy, sol.col_strategy
+    if pending.size:
+        value, x, y = out
+        value[pending], x[pending], y[pending], failed = _maximin(c[pending])
+        if failed:
+            first = min(failed)
+            raise MatrixGameError(f"state {group.states[pending[first]]!r}: {failed[first]}")
     return out
 
 

@@ -82,13 +82,27 @@ INVESTMENT_VALUES = (12.6054, 12.1271, 11.1653)
 
 @pytest.fixture()
 def simplex_calls(monkeypatch):
-    """Count the per-state games ``ShapleyOperator.apply`` hands to the simplex."""
+    """Count the per-state games ``ShapleyOperator.apply`` hands to the simplex, one entry per game."""
     import smgsolve.shapley as shapley
 
     calls = []
-    solve = shapley.solve_matrix_game
-    monkeypatch.setattr(shapley, "solve_matrix_game", lambda c: calls.append(c) or solve(c))
+    solve = shapley._maximin
+    monkeypatch.setattr(shapley, "_maximin", lambda c: calls.extend(c) or solve(c))
     return calls
+
+
+def failing_simplex(failures: dict):
+    """A stand-in for the stacked simplex that fails the games at the positions of ``failures``.
+
+    ``failures`` maps a position in the stack to its message.
+    """
+
+    def solve(c):
+        n, rows, cols = c.shape
+        failed = {i: text for i, text in failures.items() if i < n}
+        return np.zeros(n), np.zeros((n, rows)), np.zeros((n, cols)), failed
+
+    return solve
 
 
 @pytest.fixture(scope="session")

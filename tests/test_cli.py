@@ -11,7 +11,7 @@ from smgsolve import (
 )
 from smgsolve.cli import RunConfig, config_from_args, main, run
 
-from conftest import INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC
+from conftest import INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC, failing_simplex
 
 INVESTMENT = str(MODELS_DIR / "investment.json")
 
@@ -138,21 +138,23 @@ def test_simulate_solves_when_no_strategies_given(tmp_path, model_file):
     assert json.loads(out.read_text())["mean"] == pytest.approx(12.6, abs=0.5)
 
 
+# half of each state's mass moves to the state of weight 10: drift fails
+DRIFT_DOC = {
+    "states": ["s0", "s1"],
+    "actions1": {"s0": ["a"], "s1": ["a"]},
+    "actions2": {"s0": ["b"], "s1": ["b"]},
+    "weight": {"s0": 1.0, "s1": 10.0},
+    "triples": [
+        {"state": x, "a": "a", "b": "b", "alpha": 1.0, "reward": 1.0,
+         "sojourn": {"kind": "exponential", "rate": 1.0}, "transition": {"s0": 0.5, "s1": 0.5}}
+        for x in ("s0", "s1")
+    ],
+}
+
+
 def test_simulate_writes_the_failed_certificate_and_exits_3(tmp_path):
-    # half of each state's mass moves to the state of weight 10: drift fails
-    doc = {
-        "states": ["s0", "s1"],
-        "actions1": {"s0": ["a"], "s1": ["a"]},
-        "actions2": {"s0": ["b"], "s1": ["b"]},
-        "weight": {"s0": 1.0, "s1": 10.0},
-        "triples": [
-            {"state": x, "a": "a", "b": "b", "alpha": 1.0, "reward": 1.0,
-             "sojourn": {"kind": "exponential", "rate": 1.0}, "transition": {"s0": 0.5, "s1": 0.5}}
-            for x in ("s0", "s1")
-        ],
-    }
     path = tmp_path / "drift.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(DRIFT_DOC))
     out = tmp_path / "mc.json"
     config = RunConfig(command="simulate", model=str(path), state="s0", trajectories=10, out=str(out))
     assert run(config) == 3
@@ -160,6 +162,16 @@ def test_simulate_writes_the_failed_certificate_and_exits_3(tmp_path):
     assert cert["passed"] is False
     assert [name for name, c in cert["checks"].items() if not c["passed"]] == ["drift"]
     assert cert["checks"]["drift"]["witness"] == "eta_min 5.5, eta 5.5, eta*gamma 4.125"
+
+
+def test_simulate_rejects_an_unknown_state_before_the_certificate(tmp_path, capsys):
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(DRIFT_DOC))
+    out = tmp_path / "mc.json"
+    config = RunConfig(command="simulate", model=str(path), state="nope", trajectories=10, out=str(out))
+    assert run(config) == 2
+    assert capsys.readouterr().err == "error: unknown state 'nope'\n"
+    assert not out.exists()
 
 
 def test_game_inline_matrix(capsys):
@@ -376,12 +388,8 @@ def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_pa
 
 def test_a_simplex_failure_exits_1_naming_the_state(tmp_path, monkeypatch, capsys):
     import smgsolve.shapley as shapley
-    from smgsolve import MatrixGameError
 
-    def fail(c):
-        raise MatrixGameError("simplex failed to terminate")
-
-    monkeypatch.setattr(shapley, "solve_matrix_game", fail)
+    monkeypatch.setattr(shapley, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
     acts = [f"a{i}" for i in range(4)]  # 4x4 games are above the enumerated shapes
     doc = {
         "states": ["wide"],

@@ -1,5 +1,7 @@
 """Discount coefficients against quadrature oracles and closed-form targets."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -14,9 +16,11 @@ from smgsolve import (
     Exponential,
     Uniform,
     discounted_kernel_row,
+    load_model,
 )
+from smgsolve.model import _UNIFORM_SERIES_CUTOFF
 
-from conftest import kernel_coefficients
+from conftest import MIXED_LAWS_DOC, kernel_coefficients
 
 RATES = st.floats(min_value=0.05, max_value=50.0)
 ALPHAS = st.floats(min_value=0.05, max_value=5.0)
@@ -102,6 +106,19 @@ def test_uniform_small_argument_series_branch():
     assert kernel_coefficients(Uniform(upper=upper), alpha)[0] == pytest.approx(
         (1.0 - lam) / alpha, rel=1e-12
     )
+
+
+def test_loaded_continuation_factors_are_the_law_objects_own():
+    doc = copy.deepcopy(MIXED_LAWS_DOC)
+    # alpha * upper = 1e-10: the uniform law's series branch
+    uniform = {"kind": "uniform", "upper": 1e-5}
+    doc["triples"].append(dict(doc["triples"][1], a="a3", alpha=1e-5, sojourn=uniform))
+    doc["actions1"]["x"].append("a3")
+    table = load_model(json.dumps(doc)).table
+    series = table.where["x", "a3", "b1"]
+    assert table.alpha[series] * table.param[series] < _UNIFORM_SERIES_CUTOFF
+    for i, alpha in enumerate(table.alpha.tolist()):
+        assert table.lam[i].tobytes() == np.float64(table.law(i).continuation(alpha)).tobytes()
 
 
 @given(alpha=ALPHAS, rate=RATES)

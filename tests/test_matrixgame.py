@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smgsolve import solve_matrix_game, verify_saddle_point
+import smgsolve.matrixgame as matrixgame
+from smgsolve import MatrixGameError, solve_matrix_game, verify_saddle_point
 
 from conftest import solve_2x2_by_equalizing
 
@@ -177,22 +178,71 @@ def test_tiny_entry_regressions():
         assert ok, violation
 
 
+# this matrix cycled under the stable (largest-coefficient) tie-break
+# before the stalled-pivot switch to the pure lowest-index rule
+TIE_CYCLING = [
+    [828549.6, 484010.4, -483621.7, -680625.1, -488052.5, -780107.0, 639727.2, 225274.4],
+    [-118355.2, 972918.7, -957091.1, -187683.9, 201599.2, -613801.2, 737991.4, -44150.9],
+    [484186.4, 915617.9, 986200.8, -821612.5, -259149.8, -14331.9, 571932.9, 749807.5],
+    [-177802.8, -363067.1, -717737.5, -510810.8, -747165.2, 252222.2, -569309.9, -210592.1],
+    [-282374.9, -943731.7, -573149.3, -882788.7, -840495.4, -180980.8, 107104.7, 559460.5],
+    [338336.6, -765714.5, -819983.5, 230540.4, 774857.6, -403403.7, 80948.4, -156471.4],
+]
+
+
 def test_degenerate_tie_cycling_regression():
-    # this matrix cycled under the stable (largest-coefficient) tie-break
-    # before the stalled-pivot switch to the pure lowest-index rule
-    a = np.array([
-        [828549.6, 484010.4, -483621.7, -680625.1, -488052.5, -780107.0, 639727.2, 225274.4],
-        [-118355.2, 972918.7, -957091.1, -187683.9, 201599.2, -613801.2, 737991.4, -44150.9],
-        [484186.4, 915617.9, 986200.8, -821612.5, -259149.8, -14331.9, 571932.9, 749807.5],
-        [-177802.8, -363067.1, -717737.5, -510810.8, -747165.2, 252222.2, -569309.9, -210592.1],
-        [-282374.9, -943731.7, -573149.3, -882788.7, -840495.4, -180980.8, 107104.7, 559460.5],
-        [338336.6, -765714.5, -819983.5, 230540.4, 774857.6, -403403.7, 80948.4, -156471.4],
-    ])
+    a = np.array(TIE_CYCLING)
     sol = solve_matrix_game(a)
     rel = max(1.0, abs(sol.value))
     assert sol.duality_gap <= 1e-9 * rel
     ok, violation = verify_saddle_point(a, sol.row_strategy, sol.col_strategy, 1e-9 * rel)
     assert ok, violation
+
+
+def _random_stacks():
+    """Stacks of same-shape games: normal floats, small integers full of ties, entries of +-1e8."""
+    rng = np.random.default_rng(23)
+    for m, l in [(2, 2), (2, 7), (5, 3), (4, 4), (6, 8), (9, 4), (10, 10), (12, 11), (12, 12)]:
+        yield rng.normal(size=(6, m, l))
+        yield rng.integers(-2, 3, size=(6, m, l)).astype(float)
+        huge = rng.normal(size=(6, m, l))
+        huge[rng.random((6, m, l)) < 0.3] = 1e8
+        huge[rng.random((6, m, l)) < 0.3] = -1e8
+        yield huge
+    yield np.concatenate([[TIE_CYCLING], rng.normal(size=(3, 6, 8)) * 1e6])
+
+
+def test_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch):
+    live = []  # the games in the stack at each pivot
+    pivot = matrixgame._pivot
+    monkeypatch.setattr(matrixgame, "_pivot", lambda tab, *rest: live.append(len(tab)) or pivot(tab, *rest))
+    finish_apart = 0
+    for stack in _random_stacks():
+        alone = [solve_matrix_game(a) for a in stack]
+        for order in (slice(None), slice(None, None, -1)):
+            live.clear()
+            value, x, y, failed = matrixgame._maximin(stack[order])
+            assert failed == {}
+            for sol, v, xi, yi in zip(alone[order], value, x, y):
+                assert np.float64(sol.value).tobytes() == v.tobytes()
+                assert sol.row_strategy.tobytes() == xi.tobytes()
+                assert sol.col_strategy.tobytes() == yi.tobytes()
+        finish_apart += live[0] > live[-1]  # some game left the stack before the last pivot
+    assert finish_apart >= 10
+
+
+def test_every_game_the_simplex_fails_is_reported(monkeypatch):
+    equalize = matrixgame.equalize
+
+    def singular(sub):
+        return *equalize(sub)[:3], np.zeros(len(sub), dtype=bool)
+
+    monkeypatch.setattr(matrixgame, "equalize", singular)
+    stack = np.random.default_rng(3).normal(size=(3, 4, 5))
+    value, x, y, failed = matrixgame._maximin(stack)
+    assert failed == dict.fromkeys(range(3), "simplex ended on a singular basis")
+    with pytest.raises(MatrixGameError, match="^simplex ended on a singular basis$"):
+        solve_matrix_game(stack[0])
 
 
 def test_extreme_scales_stay_accurate():

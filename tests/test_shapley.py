@@ -27,6 +27,7 @@ from conftest import (
     MIXED_LAWS_DOC,
     SINGLE_STATE_DOC,
     alpha_of,
+    failing_simplex,
     law_of,
     random_model,
     random_pair,
@@ -577,11 +578,21 @@ def test_value_iteration_on_2x2_states_never_reaches_the_simplex(simplex_calls):
 def test_a_simplex_failure_names_the_state(monkeypatch):
     import smgsolve.shapley as shapley
 
-    def fail(c):
-        raise MatrixGameError("simplex failed to terminate")
-
-    monkeypatch.setattr(shapley, "solve_matrix_game", fail)
+    monkeypatch.setattr(shapley, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
     games = [duplicated_game("rows", 2), duplicated_game("rows", 4)]
     op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
     with pytest.raises(MatrixGameError, match="state 's1': simplex failed to terminate"):
         op.apply(np.zeros(2))
+
+
+def test_two_simplex_failures_in_one_stack_name_the_first_state(monkeypatch):
+    import smgsolve.shapley as shapley
+
+    # s0 is solved by enumeration; s1..s3 go to the simplex as one stack
+    failures = {2: "simplex failed to terminate", 1: "linear program is unbounded"}
+    monkeypatch.setattr(shapley, "_maximin", failing_simplex(failures))
+    games = [duplicated_game("rows", 2)] + [duplicated_game(d, 4) for d in ("rows", "columns", "rows")]
+    op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
+    with pytest.raises(MatrixGameError) as info:
+        op.apply(np.zeros(4))
+    assert str(info.value) == "state 's2': linear program is unbounded"
