@@ -39,6 +39,7 @@ import numpy as np
 
 # the objective is 1 / value(P), which compresses value gaps by up to value(P)^2 <= 9
 PIVOT_TOL = 1e-12
+_STALL_PIVOTS = 10  # normal pivots per (rows + columns + 10) of a tableau before Bland's rule
 
 
 class MatrixGameError(RuntimeError):
@@ -106,12 +107,12 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, failed: dict) -> np.ndarray:
     basis, and records in ``failed`` the message of each game that has no
     leaving row or does not terminate.
     """
-    stall_limit = 100 + 10 * (tab.shape[1] + tab.shape[2])
+    lines = 10 + tab.shape[1] + tab.shape[2]
     final = basis.copy()
     live = at = np.arange(len(tab))
-    for pivots in range(100 * stall_limit):
+    for pivots in range(1000 * lines):  # the hard cap, 100 times the default stall limit
         reduced = tab[:, -1, :-1]
-        anti_cycling = pivots >= stall_limit
+        anti_cycling = pivots >= _STALL_PIVOTS * lines
         if anti_cycling:
             improving = reduced < -PIVOT_TOL
             enter = improving.argmax(axis=1)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .model import LAWS, Deterministic, Exponential, GameModel, SojournLaw, Uniform
 
-_GRID_POINTS = 256
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SPAN_DOUBLINGS = 64  # the horizon search reaches theta_hi / 2**64, 1.5 evaluations a doubling
 
 # Preset a-priori law bounds for the reproduction mode of the certificate
 # (CLI flag --paper-params): every exponential rate below 100, every finite
@@ -111,15 +111,19 @@ def _steepest(m: GameModel) -> list[tuple[int, SojournLaw]]:
 def find_regularity_params(m: GameModel) -> tuple[float, float]:
     """Horizon and escape probability minimizing the continuation bound.
 
-    Searches ``theta`` over ``(0, theta_hi)`` for the smallest
-    ``gamma(theta) = 1 - delta(theta) * (1 - exp(-alpha0 * theta))`` where
-    ``delta(theta) = 1 - max_triples H(theta)``; a coarse grid brackets the
-    optimum and golden-section refines it.  ``theta_hi`` is the smallest
-    finite support (uniform upper bound or deterministic duration) when one
-    exists, else ``10 / min_rate``; so four extremes of the model decide the
-    search (see :func:`_steepest`).  Direct-weight triples carry no
-    holding-time law and are excluded; raises ``ValueError`` when no triple
-    has one.
+    Maximizes ``1 - gamma = delta(theta) * (1 - exp(-alpha0 theta))``, with
+    ``delta = 1 - max_triples H(theta)``, as that product (``gamma`` rounds
+    to 1 where it is below 1.1e-16), by one golden-section pass over
+    ``log(theta)`` from 64 doublings below ``theta_hi`` to just under it, to
+    a bracket 1e-12 wide with ties to the left.  The survival functions
+    (``exp(-r theta)``, ``(1 - theta/u)+``, ``1{theta < d}``) and ``1 -
+    exp(-alpha0 theta)`` are log-concave, so the product is unimodal in
+    ``theta`` and in ``log(theta)`` (Bagnoli and Bergstrom 2005): the result
+    minimizes ``gamma`` over the span to 1e-12 relative in ``theta``.
+    ``theta_hi`` is the smallest uniform bound or deterministic duration,
+    else ``10 / min_rate`` (see :func:`_steepest`).  Direct-weight triples
+    have no holding-time law and are left out; raises ``ValueError`` when
+    no triple has one, or when ``delta`` is 0 at the end.
     """
     laws = [law for _, law in _steepest(m)]
     if not laws:
@@ -135,33 +139,25 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     else:
         theta_hi = 10.0 / float(t.param[t.kind == _EXP].min())
 
-    def gamma_at(theta: float) -> float:
-        delta = 1.0 - max(law.cdf(theta) for law in laws)
-        if delta <= 0.0:
-            return 1.0
-        return 1.0 + delta * math.expm1(-alpha0 * theta)
+    def escape(u: float) -> float:  # 1 - gamma at theta = exp(u)
+        theta = math.exp(u)
+        return (1.0 - max(law.cdf(theta) for law in laws)) * -math.expm1(-alpha0 * theta)
 
-    # coarse bracket, then golden-section inside it
-    grid = [theta_hi * k / _GRID_POINTS for k in range(1, _GRID_POINTS)]
-    best = min(range(len(grid)), key=lambda k: gamma_at(grid[k]))
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best + 1 < len(grid) else theta_hi * (1.0 - 1e-12)
-    a, b = lo, hi
+    a = math.log(theta_hi) - _SPAN_DOUBLINGS * math.log(2.0)
+    b = math.log(theta_hi) + math.log1p(-1e-12)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = gamma_at(c), gamma_at(d)
-    while b - a > 1e-12 * theta_hi:
-        if fc <= fd:
+    fc, fd = escape(c), escape(d)
+    while b - a > 1e-12:
+        if fc >= fd:  # ties go left, away from where delta rounds to 0
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = gamma_at(c)
+            fc = escape(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = gamma_at(d)
-    theta = c if fc <= fd else d
-    if gamma_at(theta) >= 1.0:  # fall back to the grid point if refinement hit the edge
-        theta = grid[best]
+            fd = escape(d)
+    theta = math.exp(c if fc >= fd else d)
     delta = 1.0 - max(law.cdf(theta) for law in laws)
     if delta <= 0.0:
         raise ValueError("no horizon with positive escape probability found")
@@ -258,11 +254,13 @@ def check_assumptions(
             witness=problem or f"supplied horizon {theta!r}, escape probability {delta!r}",
         )
     elif _steepest(m):
-        theta, delta = find_regularity_params(m)
         alpha0 = alpha_min
-        checks["regularity"] = AssumptionCheck(
-            passed=True, witness=f"searched horizon {theta!r}, escape probability {delta!r}"
-        )
+        try:
+            theta, delta = find_regularity_params(m)
+            witness = f"searched horizon {theta!r}, escape probability {delta!r}"
+        except ValueError as exc:  # no horizon in the search span
+            theta, delta, witness = math.nan, math.nan, str(exc)
+        checks["regularity"] = AssumptionCheck(passed=not math.isnan(theta), witness=witness)
     else:
         # All triples carry pre-integrated weights, so no holding-time law is
         # available to search; pick constants consistent with the enumerated

@@ -105,6 +105,18 @@ def failing_simplex(failures: dict):
     return solve
 
 
+@pytest.fixture()
+def blands_rule(monkeypatch):
+    """Run the simplex under Bland's rule from its first pivot; lists each pivot's rule (True: Bland's)."""
+    import smgsolve.matrixgame as matrixgame
+
+    rules = []
+    leaving = matrixgame._leaving_rows
+    monkeypatch.setattr(matrixgame, "_STALL_PIVOTS", 0)
+    monkeypatch.setattr(matrixgame, "_leaving_rows", lambda *args: rules.append(args[-1]) or leaving(*args))
+    return rules
+
+
 @pytest.fixture(scope="session")
 def investment_model() -> GameModel:
     return load_model(json.dumps(INVESTMENT_DOC))

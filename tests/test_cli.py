@@ -214,6 +214,42 @@ def test_input_errors_exit_2(config, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+AUX = object()  # stands for the path of the case's auxiliary JSON file
+
+
+@pytest.mark.parametrize(
+    "fields, aux, message",
+    [
+        ({"command": "check", "model": None}, None, "a model path is required"),
+        ({"command": "solve", "v0": AUX}, {"1": 1.0, "2": 1.0}, "v0 file missing states ['3']"),
+        ({"command": "solve", "v0": AUX}, [1.0, 1.0],
+         "v0 file must map states to numbers or list one value per state"),
+        ({"command": "eval"}, None, "a strategies file is required"),
+        ({"command": "eval", "strategies_in": AUX}, [], "strategies file must be an object keyed by state"),
+        ({"command": "eval", "strategies_in": AUX}, {"1": {"f": {"a11": 1.0}}},
+         "strategies file missing 'f'/'g' for state '1'"),
+        ({"command": "eval", "strategies_in": AUX}, {"1": {"f": [1.0, 0.0], "g": {}}},
+         "strategies['1'].f must map actions to probabilities"),
+        ({"command": "simulate"}, None, "simulate requires --state"),
+        ({"command": "game", "model": None}, None, "a matrix (inline JSON or a file path) is required"),
+        ({"command": "game", "model": None, "matrix": "[]"}, None,
+         "matrix must be a nonempty JSON array of arrays of numbers"),
+    ],
+    ids=[
+        "no-model", "v0-missing-states", "v0-neither-mapping-nor-list", "no-strategies",
+        "strategies-not-an-object", "strategies-without-f-g", "strategies-f-not-a-mapping",
+        "simulate-without-state", "no-matrix", "empty-matrix",
+    ],
+)
+def test_bad_inputs_exit_2_with_their_message(tmp_path, capsys, fields, aux, message):
+    path = tmp_path / "aux.json"
+    path.write_text(json.dumps(aux))
+    fields = {"model": INVESTMENT, **fields}
+    config = RunConfig(**{k: str(path) if v is AUX else v for k, v in fields.items()})
+    assert run(config) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_auxiliary_files_exit_2(tmp_path, model_file, capsys):
     v0 = tmp_path / "v0.json"
     v0.write_text(json.dumps({"1": None, "2": 1.0, "3": 1.0}))

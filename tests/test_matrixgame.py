@@ -212,7 +212,7 @@ def _random_stacks():
     yield np.concatenate([[TIE_CYCLING], rng.normal(size=(3, 6, 8)) * 1e6])
 
 
-def test_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch):
+def _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch):
     live = []  # the games in the stack at each pivot
     pivot = matrixgame._pivot
     monkeypatch.setattr(matrixgame, "_pivot", lambda tab, *rest: live.append(len(tab)) or pivot(tab, *rest))
@@ -229,6 +229,15 @@ def test_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch):
                 assert sol.col_strategy.tobytes() == yi.tobytes()
         finish_apart += live[0] > live[-1]  # some game left the stack before the last pivot
     assert finish_apart >= 10
+
+
+def test_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch):
+    _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
+
+
+def test_under_blands_rule_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch, blands_rule):
+    _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
+    assert blands_rule and all(blands_rule)
 
 
 def test_every_game_the_simplex_fails_is_reported(monkeypatch):

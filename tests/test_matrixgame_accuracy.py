@@ -31,7 +31,7 @@ def test_saddle_on_random_matrices_with_tiny_entries():
         assert sol.duality_gap <= tol
 
 
-def test_exploitability_sweep_over_hard_random_games():
+def _assert_exploitability_sweep_over_hard_random_games():
     # a fixed sweep over three kinds of game: uniform, small integers with
     # ties, and uniform with 20% of the entries shrunk by 1e-13 to 1e-5
     rng = np.random.default_rng(123)
@@ -52,3 +52,12 @@ def test_exploitability_sweep_over_hard_random_games():
         assert y.sum() == pytest.approx(1.0, abs=1e-12)
         gap = exploitability(a, x, y)
         assert gap <= 1e-12 * max(1.0, np.abs(a).max()), f"game {n}: {gap} on {a!r}"
+
+
+def test_exploitability_sweep_over_hard_random_games():
+    _assert_exploitability_sweep_over_hard_random_games()
+
+
+def test_exploitability_sweep_under_blands_rule(blands_rule):
+    _assert_exploitability_sweep_over_hard_random_games()
+    assert blands_rule and all(blands_rule)

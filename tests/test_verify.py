@@ -16,6 +16,7 @@ from smgsolve import (
     load_model,
     regularity_from_bounds,
 )
+from smgsolve.cli import main
 
 from conftest import MIXED_LAWS_DOC, alpha_of, law_of, random_model
 
@@ -148,6 +149,73 @@ def test_regularity_search_needs_an_analytic_law():
         find_regularity_params(m)
 
 
+def one_state_doc(sojourns: list[dict], alpha: float = 0.5) -> dict:
+    """One state with one row action per sojourn law, all at discount rate ``alpha``."""
+    return {
+        "states": ["s"],
+        "actions1": {"s": [f"a{i}" for i in range(len(sojourns))]},
+        "actions2": {"s": ["b"]},
+        "triples": [
+            {"state": "s", "a": f"a{i}", "b": "b", "alpha": alpha, "reward": 1.0,
+             "sojourn": sojourn, "transition": {"s": 1.0}}
+            for i, sojourn in enumerate(sojourns)
+        ],
+    }
+
+
+WIDELY_SPREAD = [
+    [{"kind": "exponential", "rate": 1.0}, {"kind": "exponential", "rate": 2000.0}],
+    [{"kind": "exponential", "rate": 1e-5}, {"kind": "exponential", "rate": 1e5}],
+    [{"kind": "exponential", "rate": 1e4}, {"kind": "uniform", "upper": 10.0}],
+]
+
+
+@pytest.mark.parametrize(
+    "sojourns", WIDELY_SPREAD, ids=["rates-1-2000", "rates-1e-5-1e5", "rate-1e4-uniform-10"]
+)
+def test_widely_spread_rates_certify_at_the_closed_form_horizon(tmp_path, sojourns):
+    # the fastest exponential decides: 1 - gamma = exp(-r theta) (1 - exp(-alpha theta))
+    # peaks at theta = log1p(alpha / r) / alpha
+    doc = one_state_doc(sojourns)
+    cert = check_assumptions(load_model(json.dumps(doc)))
+    assert cert.passed
+    rate = max(s["rate"] for s in sojourns if s["kind"] == "exponential")
+    theta = math.log1p(0.5 / rate) / 0.5
+    assert abs(cert.gamma - compute_gamma(theta, math.exp(-rate * theta), 0.5)) <= 1e-15
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+
+
+def test_a_continuation_bound_that_rounds_to_one_on_most_of_the_span_stays_below_one():
+    # 1 - gamma = (1 - theta / 1e-5) (1 - exp(-1e-6 theta)) peaks at 2.5e-12 near theta = 5e-6
+    m = one_triple_model({"kind": "uniform", "upper": 1e-5}, alpha=1e-6)
+    cert = check_assumptions(m)
+    assert cert.passed
+    assert cert.gamma == pytest.approx(1.0 - 2.5e-12, abs=1e-15)
+
+
+def test_a_search_that_finds_no_horizon_fails_the_regularity_check(tmp_path):
+    # rate 1e300 ends every sojourn at once on the whole span, which starts near theta = 1e282
+    doc = one_state_doc([{"kind": "exponential", "rate": 1e-300}, {"kind": "exponential", "rate": 1e300}])
+    message = "no horizon with positive escape probability found"
+    m = load_model(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_regularity_params(m)
+    cert = check_assumptions(m)
+    assert not cert.passed
+    assert not cert.checks["regularity"].passed
+    assert cert.checks["regularity"].witness == message
+    for name in ("drift", "coefficient_bound"):
+        assert cert.checks[name].witness == "skipped: no continuation bound"
+    path, out = tmp_path / "spread.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["certificate"]["checks"]["regularity"] == {
+        "passed": False, "witness": message,
+    }
+
+
 def test_drift_unit_weights(investment_model):
     cert = check_assumptions(investment_model)
     drift = check_drift(investment_model, cert.gamma)
@@ -201,9 +269,9 @@ EXPONENTIAL_ONLY_DOC = {
     [
         # the search horizon is 10 / min_rate; eta is eta_min under the weights
         (EXPONENTIAL_ONLY_DOC,
-         (0.18888113223527037, 0.388910646922622, 0.9583310041870219, 1.001, 0.8064516129032258)),
+         (0.18888114246812512, 0.3889106270242917, 0.9583310041870218, 1.001, 0.8064516129032258)),
         (MIXED_LAWS_DOC,
-         (0.4372737563300117, 0.4170506871465314, 0.903757537158274, 1.0532457317835189,
+         (0.4372737710009726, 0.4170506749094629, 0.903757537158274, 1.0532457317835189,
           0.7408182206817179)),
     ],
     ids=["exponential-only", "all-four-kinds"],
@@ -212,6 +280,39 @@ def test_certificate_constants_are_pinned(doc, pinned):
     cert = check_assumptions(load_model(json.dumps(doc)))
     assert cert.passed
     assert (cert.theta, cert.delta, cert.gamma, cert.eta, cert.lambda_max) == pinned
+
+
+def gamma_on_a_log_grid(m, points: int = 10_001) -> np.ndarray:
+    """``gamma(theta)`` from every analytic triple's law on a log grid over the search span.
+
+    The span runs from 64 doublings below ``theta_hi`` to just under it.
+    """
+    laws = [law_of(m, triple) for triple in m.triples()]
+    supports = [law.param for law in laws if law.kind in ("uniform", "deterministic")]
+    rates = [law.param for law in laws if law.kind == "exponential"]
+    top = math.log(min(supports) if supports else 10.0 / min(rates))
+    theta = np.exp(np.linspace(top - 64 * math.log(2.0), top + math.log1p(-1e-12), points))
+    h = np.zeros(points)
+    for law in laws:
+        if law.kind == "exponential":
+            h = np.maximum(h, -np.expm1(-law.param * theta))
+        elif law.kind == "uniform":
+            h = np.maximum(h, np.minimum(theta / law.param, 1.0))
+        elif law.kind == "deterministic":
+            h = np.maximum(h, theta >= law.param)
+    delta = 1.0 - h
+    return 1.0 - delta + delta * np.exp(-float(m.table.alpha.min()) * theta)
+
+
+def test_regularity_search_beats_every_point_of_a_fine_log_grid(investment_model):
+    rng = np.random.default_rng(11)
+    models = [investment_model] + [load_model(json.dumps(d)) for d in (MIXED_LAWS_DOC, EXPONENTIAL_ONLY_DOC)]
+    models += [load_model(json.dumps(one_state_doc(sojourns))) for sojourns in WIDELY_SPREAD]
+    models += [random_model(rng) for _ in range(20)]
+    for m in models:
+        theta, delta = find_regularity_params(m)
+        gamma = compute_gamma(theta, delta, float(m.table.alpha.min()))
+        assert gamma_on_a_log_grid(m).min() >= gamma - 1e-15
 
 
 def test_certificate_single_state(single_state_model):
