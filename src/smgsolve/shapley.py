@@ -49,7 +49,7 @@ WARM_START_TOL = 1e-12
 ENUMERATED_SIDE = 3
 # pair evaluation stops once its error bound is this, relative to max(1, ||v||_omega)
 EVAL_TOL = 1e-12
-# Krylov vectors per GMRES cycle, and the most cycles one evaluation may restart
+# Krylov vectors in an evaluation's first GMRES cycle, and the most cycles it may take
 GMRES_RESTART = 30
 GMRES_CYCLES = 50
 
@@ -378,12 +378,11 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     LU solve's error is of the same order.
     The factor 1e-12 is :data:`EVAL_TOL`.
 
-    Time and memory are O(the model's triples and transition nonzeros),
-    except on a nearly singular system on which restarted GMRES stalls for
-    :data:`GMRES_CYCLES` cycles: it is then solved dense, in O(states**2)
-    memory.  Raises ``ArithmeticError`` when ``||M|| >= 1`` in both norms,
-    naming the largest continuation factor the pair plays at the worst
-    state, or when not even the dense solve reaches the bound.
+    Time and memory are O(the model's triples and transition nonzeros, plus
+    ``states`` times the GMRES restart), by the restart rule of
+    :func:`_refined`.  Raises ``ArithmeticError`` when ``||M|| >= 1`` in
+    both norms, naming the largest continuation factor the pair plays at the
+    worst state, or when :data:`GMRES_CYCLES` cycles do not reach the bound.
     """
     op = m._operator
     return _evaluate_with(op, _pair_arrays(op, pair))
@@ -396,12 +395,10 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
     ``(I - S) (v / w) = R / w`` with ``S[x, y] = M[x, y] w(y) / w(x)``,
     whose sup-norm is ``||M||_w``.  When the nonzero list holds fewer than
     ``states**2`` entries, the start is ``R / w`` and a product with ``S`` is
-    one ``np.bincount`` over the list.  Otherwise, or when that stalls,
-    ``I - S`` is held dense: a dense ``np.linalg.solve`` gives the start and
-    a product is a matrix-vector product.  Restarted GMRES, augmented with
-    ``1 / w`` (the constant vector before scaling, the slow mode of an ``M``
-    whose continuation factors approach 1), refines the start until the
-    bound holds.
+    one ``np.bincount`` over the list.  Otherwise ``I - S`` is held dense, no
+    larger than the list: one ``np.linalg.solve`` gives the start and a
+    product is a matrix-vector product.  Restarted GMRES (:func:`_refined`)
+    refines the start until the bound holds.
     """
     t = op.table
     n = op.n
@@ -440,17 +437,16 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
         def apply(v):  # (I - S) v
             return v - np.bincount(rows, weights=scaled * v[cols], minlength=n)
 
+        start = rhs.copy()
         terms += np.bincount(t.state[at], weights=counts, minlength=n).max()
-        v = _refined(apply, rhs, rhs.copy(), rate, terms, 1.0 / omega)
-        if v is not None:
-            return v * omega
-    # I - S dense: no larger than the nonzero list, or the last resort when
-    # restarted GMRES stalls on a nearly singular system.  A row of it sums
-    # n products, its cells each at most one state's triples.
-    system = np.bincount(rows * n + cols, weights=-scaled, minlength=n * n).reshape(n, n)
-    system.flat[:: n + 1] += 1.0
-    terms = 4 + n + max(group.rows * group.cols for group in op.groups)
-    v = _refined(system.__matmul__, rhs, np.linalg.solve(system, rhs), rate, terms, 1.0 / omega)
+    else:
+        # a row of the dense I - S sums n products, its cells each at most
+        # one state's triples
+        system = np.bincount(rows * n + cols, weights=-scaled, minlength=n * n).reshape(n, n)
+        system.flat[:: n + 1] += 1.0
+        apply, start = system.__matmul__, np.linalg.solve(system, rhs)
+        terms += n + max(group.rows * group.cols for group in op.groups)
+    v = _refined(apply, rhs, start, rate, terms)
     if v is None:
         raise ArithmeticError(
             f"pair evaluation did not reach its error bound within {GMRES_CYCLES} GMRES cycles "
@@ -459,49 +455,52 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
     return v * omega
 
 
-def _refined(apply, rhs, v, rate: float, terms: float, coarse) -> np.ndarray | None:
+def _refined(apply, rhs, v, rate: float, terms: float) -> np.ndarray | None:
     """``v`` refined by restarted GMRES on ``apply(v) = rhs`` until its residual is on target.
 
     The target is the residual that proves the bound of
     :func:`evaluate_stationary_pair`, or the residual's own rounding floor
-    when that is higher.  Returns None when :data:`GMRES_CYCLES` cycles do
-    not reach it.
+    when that is higher.  The first cycle searches :data:`GMRES_RESTART`
+    Krylov vectors; after each cycle that does not halve the residual's
+    sup-norm, the next searches twice as many, capped at the system's size,
+    where a cycle is full GMRES.  Returns None when :data:`GMRES_CYCLES`
+    cycles do not reach the target.
     """
     given = float(np.abs(rhs).max())
+    restart, last = min(GMRES_RESTART, rhs.size), np.inf
     for cycle in range(GMRES_CYCLES + 1):
         residual = rhs - apply(v)
         size = float(np.abs(v).max())
         # the computed residual's rounding error, at most (Higham's gamma_terms)
         noise = terms * 2.0**-53 * (given + 2.0 * size)
         target = max(EVAL_TOL * max(1.0, size) * (1.0 - rate) - noise, noise)
-        if np.abs(residual).max() <= target:
+        error = float(np.abs(residual).max())
+        if error <= target:
             return v
         if cycle < GMRES_CYCLES:
-            v += _gmres_cycle(apply, residual, target, coarse)
+            if error > last / 2.0:
+                restart = min(2 * restart, rhs.size)
+            last = error
+            v += _gmres_cycle(apply, residual, target, restart)
     return None
 
 
-def _gmres_cycle(apply, residual: np.ndarray, target: float, coarse: np.ndarray) -> np.ndarray:
+def _gmres_cycle(apply, residual: np.ndarray, target: float, restart: int) -> np.ndarray:
     """One GMRES cycle on ``A z = residual`` from ``z = 0``, ``apply(u)`` being ``A u``.
 
-    It searches :data:`GMRES_RESTART` Krylov vectors and then the vector
-    ``coarse``, a slow mode that each restart would otherwise lose
-    (augmented GMRES).  Each direction's product is orthogonalised by
-    classical Gram-Schmidt, applied twice.  The cycle stops early once the
-    Givens-rotated least-squares residual, a 2-norm and so at least the
-    sup-norm, is at most ``target``.
+    It searches at most ``restart`` Krylov vectors.  Each vector's product
+    is orthogonalised by classical Gram-Schmidt, applied twice.  The cycle
+    stops early once the Givens-rotated least-squares residual, a 2-norm and
+    so at least the sup-norm, is at most ``target``.
     """
-    size = GMRES_RESTART + 1
-    coarse = coarse / np.linalg.norm(coarse)
     beta = float(np.linalg.norm(residual))
-    basis = np.empty((size + 1, residual.size))
+    basis = np.empty((restart + 1, residual.size))
     basis[0] = residual / beta
-    h = np.zeros((size + 1, size))
+    h = np.zeros((restart + 1, restart))
     rotations = []
     g = [beta]
-    used = 0
-    for k in range(size):
-        w = apply(basis[k] if k < GMRES_RESTART else coarse)
+    for k in range(restart):
+        w = apply(basis[k])
         for _ in range(2):
             c = basis[: k + 1] @ w
             w -= c @ basis[: k + 1]
@@ -512,19 +511,14 @@ def _gmres_cycle(apply, residual: np.ndarray, target: float, coarse: np.ndarray)
         for i, (cs, sn) in enumerate(rotations):
             col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
         r = float(np.hypot(col[k], col[k + 1]))
-        if k == GMRES_RESTART and r <= 1e-12 * float(np.linalg.norm(col)):
-            break  # ``coarse`` adds nothing to the Krylov vectors
         cs, sn = col[k] / r, col[k + 1] / r
         rotations.append((cs, sn))
         col[k], col[k + 1] = r, 0.0
         g.append(-sn * g[k])
         g[k] *= cs
-        used = k + 1
         if abs(g[k + 1]) <= target or norm == 0.0:  # zero: the search space is invariant
             break
         basis[k + 1] = w / norm
+    used = k + 1
     y = np.linalg.solve(h[:used, :used], g[:used])
-    z = y[:GMRES_RESTART] @ basis[: min(used, GMRES_RESTART)]
-    if used > GMRES_RESTART:
-        z += y[GMRES_RESTART] * coarse
-    return z
+    return y @ basis[:used]

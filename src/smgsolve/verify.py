@@ -21,6 +21,7 @@ only for direct-weight triples, whose holding-time law is unavailable).
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -121,7 +122,8 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     ``theta`` and in ``log(theta)`` (Bagnoli and Bergstrom 2005): the result
     minimizes ``gamma`` over the span to 1e-12 relative in ``theta``.
     ``theta_hi`` is the smallest uniform bound or deterministic duration,
-    else ``10 / min_rate`` (see :func:`_steepest`).  Direct-weight triples
+    else ``10 / min_rate`` or the largest float, whichever is smaller (see
+    :func:`_steepest`).  Direct-weight triples
     have no holding-time law and are left out; raises ``ValueError`` when
     no triple has one, or when ``delta`` is 0 at the end.
     """
@@ -137,7 +139,8 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     if supports.size:
         theta_hi = float(supports.min())
     else:
-        theta_hi = 10.0 / float(t.param[t.kind == _EXP].min())
+        # at most the largest float: 10 / a subnormal rate overflows
+        theta_hi = min(10.0 / float(t.param[t.kind == _EXP].min()), sys.float_info.max)
 
     def escape(u: float) -> float:  # 1 - gamma at theta = exp(u)
         theta = math.exp(u)

@@ -248,6 +248,21 @@ def sparse_doc(n_states: int, seed: int = 0, successors: int = 2) -> dict:
     }
 
 
+def ring_doc(n_states: int, scale: float) -> dict:
+    """``sparse_doc(n_states)`` as a birth-death ring with every ``alpha`` times ``scale``.
+
+    Every triple moves to its state's two ring neighbours with probability
+    1/2 each, the slowest-mixing sparse structure; ``n_states`` must be at
+    least 3.
+    """
+    doc = sparse_doc(n_states)
+    for i, triple in enumerate(doc["triples"]):
+        x = i // 4
+        triple["alpha"] *= scale
+        triple["transition"] = {f"s{(x - 1) % n_states}": 0.5, f"s{(x + 1) % n_states}": 0.5}
+    return doc
+
+
 def random_pair(rng: np.random.Generator, m: GameModel) -> StationaryStrategyPair:
     """A random fully mixed stationary pair for ``m``."""
     f, g = {}, {}

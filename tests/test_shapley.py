@@ -31,6 +31,7 @@ from conftest import (
     law_of,
     random_model,
     random_pair,
+    ring_doc,
     sparse_doc,
 )
 
@@ -187,8 +188,8 @@ def test_strategy_pair_errors_name_the_first_bad_state(f, g, message):
     assert str(err.value) == message
 
 
-def dense_values(m, pair) -> np.ndarray:
-    """The pair's values by one dense solve of ``(I - M) V = R``, built triple by triple."""
+def dense_system(m, pair) -> tuple[np.ndarray, np.ndarray]:
+    """The pair's ``I - M`` and ``R``, built triple by triple."""
     n = m.n_states
     system, rewards = np.eye(n), np.zeros(n)
     for triple, reward in zip(m.triples(), m.table.reward):
@@ -198,7 +199,12 @@ def dense_values(m, pair) -> np.ndarray:
         d, _, row = discounted_kernel_row(m, triple)
         rewards[xi] += mass * reward * d
         system[xi] -= mass * row
-    return np.linalg.solve(system, rewards)
+    return system, rewards
+
+
+def dense_values(m, pair) -> np.ndarray:
+    """The pair's values by one dense solve of ``(I - M) V = R``."""
+    return np.linalg.solve(*dense_system(m, pair))
 
 
 def continuation_norm(m, pair) -> float:
@@ -251,7 +257,7 @@ def spy_on_refinement(monkeypatch) -> list:
 )
 def test_evaluation_converges_with_the_continuation_norm_near_one(monkeypatch, scale, low, high):
     # from 0.9998 on, the 1e-12 bound asks for a residual below float64's
-    # rounding floor; near 1 - 1e-7 plain restarted GMRES stalls
+    # rounding floor; near 1 - 1e-7 GMRES(30) stalls, and the restart grows
     doc = sparse_doc(2000)
     for triple in doc["triples"]:
         triple["alpha"] *= scale
@@ -262,7 +268,7 @@ def test_evaluation_converges_with_the_continuation_norm_near_one(monkeypatch, s
     assert low < norm < high
     reached = spy_on_refinement(monkeypatch)
     values = evaluate_stationary_pair(m, pair)
-    assert reached == [True]  # no dense fallback
+    assert reached == [True]
     # a dense solve is accurate only to about 2**-52 / (1 - ||M||)
     assert_matches_dense(m, pair, values, tol=max(1e-12, 2.0**-52 / (1.0 - norm)))
 
@@ -277,9 +283,9 @@ def test_evaluation_of_a_nearly_undiscounted_model():
     assert_matches_dense(m, ShapleyOperator(m).apply(np.zeros(m.n_states))[1])
 
 
-def test_evaluation_falls_back_to_a_dense_solve_when_gmres_stalls(monkeypatch):
+def test_evaluation_converges_where_gmres_30_stalls(monkeypatch):
     # half the states form a closed class whose discount rates are 1e-7 of the
-    # others': I - M has many eigenvalues near 0, and restarted GMRES stalls
+    # others': I - M has many eigenvalues near 0, and GMRES(30) stalls on it
     rng = np.random.default_rng(1)
     doc = sparse_doc(200)
     for triple in doc["triples"][: 4 * 100]:
@@ -291,8 +297,31 @@ def test_evaluation_falls_back_to_a_dense_solve_when_gmres_stalls(monkeypatch):
     pair = ShapleyOperator(m).apply(np.zeros(m.n_states))[1]  # 400 nonzeros: starts sparse
     reached = spy_on_refinement(monkeypatch)
     values = evaluate_stationary_pair(m, pair)
-    assert reached == [False, True]
+    assert reached == [True]
     assert_matches_dense(m, pair, values, tol=2.0**-52 / (1.0 - continuation_norm(m, pair)))
+
+
+def test_evaluation_of_a_slowly_mixing_ring_solves_no_dense_system(monkeypatch):
+    # a birth-death ring with eta_gamma 0.999997, on which GMRES(30) stalls
+    m = load_model(json.dumps(ring_doc(2000, 1e-4)))
+    pair = random_pair(np.random.default_rng(5), m)
+    system, rewards = dense_system(m, pair)
+    exact = np.linalg.solve(system, rewards)
+    norm = continuation_norm(m, pair)
+    solve = np.linalg.solve
+
+    def no_dense_solve(a, b):
+        if np.shape(a) == system.shape:
+            pytest.fail("a states x states system was solved")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    values = evaluate_stationary_pair(m, pair)
+    # the bound of evaluate_stationary_pair with unit weights: a row of the
+    # residual sums four terms and the pair's 8 nonzeros (4 triples x 2 successors)
+    size = float(np.abs(values).max())
+    rho = 12 * 2.0**-53 * (float(np.abs(rewards).max()) + 2.0 * size)
+    assert np.abs(values - exact).max() <= max(1e-12 * max(1.0, size), 2.0 * rho / (1.0 - norm))
 
 
 def test_evaluation_falls_back_to_unit_weights():
@@ -327,11 +356,10 @@ def test_evaluation_without_a_contracting_norm_names_the_triple():
     )
 
 
-def test_evaluation_raises_when_not_even_the_dense_solve_reaches_the_bound(monkeypatch):
+def test_evaluation_raises_when_gmres_does_not_reach_the_bound(monkeypatch):
     import smgsolve.shapley as shapley
 
     monkeypatch.setattr(shapley, "GMRES_CYCLES", 0)
-    monkeypatch.setattr(shapley.np.linalg, "solve", lambda a, b: np.zeros_like(b))
     m = load_model(json.dumps(sparse_doc(50)))  # 100 nonzeros played, below 50**2: starts at R
     with pytest.raises(ArithmeticError, match=r"^pair evaluation did not reach its error bound "
                        r"within 0 GMRES cycles \(\|\|M\|\| = 0\.\d+\)$"):

@@ -195,9 +195,9 @@ def test_a_continuation_bound_that_rounds_to_one_on_most_of_the_span_stays_below
     assert cert.gamma == pytest.approx(1.0 - 2.5e-12, abs=1e-15)
 
 
-def test_a_search_that_finds_no_horizon_fails_the_regularity_check(tmp_path):
-    # rate 1e300 ends every sojourn at once on the whole span, which starts near theta = 1e282
-    doc = one_state_doc([{"kind": "exponential", "rate": 1e-300}, {"kind": "exponential", "rate": 1e300}])
+def assert_no_horizon_is_found(tmp_path, rates):
+    """Exponential sojourns at ``rates`` fail ``regularity`` in the search, the certificate and ``check``."""
+    doc = one_state_doc([{"kind": "exponential", "rate": rate} for rate in rates])
     message = "no horizon with positive escape probability found"
     m = load_model(json.dumps(doc))
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -214,6 +214,16 @@ def test_a_search_that_finds_no_horizon_fails_the_regularity_check(tmp_path):
     assert json.loads(out.read_text())["certificate"]["checks"]["regularity"] == {
         "passed": False, "witness": message,
     }
+
+
+def test_a_search_that_finds_no_horizon_fails_the_regularity_check(tmp_path):
+    # rate 1e300 ends every sojourn at once on the whole span, which starts near theta = 1e282
+    assert_no_horizon_is_found(tmp_path, (1e-300, 1e300))
+
+
+def test_a_subnormal_rate_fails_the_regularity_check_without_a_nan_witness(tmp_path):
+    # 10 / 1e-310 overflows: the span ends at the largest float, where rate 1 ends every sojourn
+    assert_no_horizon_is_found(tmp_path, (1e-310, 1.0))
 
 
 def test_drift_unit_weights(investment_model):
