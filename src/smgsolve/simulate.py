@@ -28,6 +28,13 @@ stream started at ``base``.  Sojourn ``k`` takes the four slots
 successor).  The batched driver and the single-trajectory entry point share
 one implementation, so an estimate is reproducible and independent of
 batching.
+
+An action is the count of the state's cumulative strategy entries at or
+below its uniform, one contiguous array per strategy column; the count ends
+at the last positive action.  A successor is the count of the row's running
+sums at or below its uniform, capped at the last nonzero.  So no
+zero-probability action or successor is ever drawn.  Holding times are
+computed only for the analytic laws the model holds.
 """
 
 import math
@@ -75,9 +82,12 @@ def _bases(seed: int, indices: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(bases: np.ndarray, first: int, n: int) -> np.ndarray:
-    """Slots ``[first, first + n)`` of each stream, one row per base."""
-    z = bases[:, None] + np.arange(first + 1, first + n + 1, dtype=np.uint64) * _GOLDEN
-    return (_mix(z) >> 11) * 2.0**-53
+    """Slots ``[first, first + n)`` of each stream, one row per slot, one column per base."""
+    z = _mix(np.arange(first + 1, first + n + 1, dtype=np.uint64)[:, None] * _GOLDEN + bases)
+    z >>= 11
+    u = z.astype(float)
+    u *= 2.0**-53
+    return u
 
 
 class _CounterStream:
@@ -88,7 +98,7 @@ class _CounterStream:
         self._next = 0
 
     def random(self, n: int) -> np.ndarray:
-        u = _uniforms(self._base, self._next, n)[0]
+        u = _uniforms(self._base, self._next, n)[:, 0]
         self._next += n
         return u
 
@@ -98,11 +108,29 @@ def trajectory_rng(seed: int, index: int) -> _CounterStream:
     return _CounterStream(_bases(seed, np.array([index])))
 
 
+def _cum_columns(n_states: int, width: int, parts) -> tuple[np.ndarray, ...]:
+    """Columns ``0 .. width - 2`` of the states' cumulative strategy rows, each contiguous.
+
+    ``parts`` holds ``(index, s)``: the strategies of states ``index`` as
+    rows.  Entries from a row's last positive action on, and the padding
+    past its width, are 1.0, which no uniform reaches.
+    """
+    cum = np.ones((width - 1, n_states))
+    for index, s in parts:
+        c = np.cumsum(s[:, :-1], axis=1)
+        last = s.shape[1] - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
+        c[np.arange(s.shape[1] - 1) >= last[:, None]] = 1.0
+        cum[: s.shape[1] - 1, index] = c.T
+    return tuple(cum)
+
+
 class _Sampler:
     """The model's triple table plus the cumulative sums trajectories draw from.
 
-    ``f_cum``/``g_cum`` are each state's cumulative strategy rows and
-    ``cum`` each transition row's running sums over its nonzeros.
+    ``f_cols``/``g_cols`` are the columns of each state's cumulative
+    strategy rows (see :func:`_cum_columns`), ``laws`` the ``(code, law)``
+    of each analytic law the table holds, and ``cum`` each transition row's
+    running sums over its nonzeros.
     """
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair):
@@ -113,43 +141,61 @@ class _Sampler:
             raise NotSamplableError(
                 f"triple {t.labels[direct[0]]!r} carries direct weights; simulation unavailable"
             )
-        self.f_cum = np.ones((m.n_states, t.rows.max()))
-        self.g_cum = np.ones((m.n_states, t.cols.max()))
-        for group, f, g in stacked:  # each row's last entry stays 1.0
-            self.f_cum[group.index, : group.rows - 1] = np.cumsum(f[:, :-1], axis=1)
-            self.g_cum[group.index, : group.cols - 1] = np.cumsum(g[:, :-1], axis=1)
+        f_rows = [(group.index, f) for group, f, _ in stacked]
+        g_rows = [(group.index, g) for group, _, g in stacked]
+        self.f_cols = _cum_columns(m.n_states, t.rows.max(), f_rows)
+        self.g_cols = _cum_columns(m.n_states, t.cols.max(), g_rows)
+        laws = enumerate(ANALYTIC_LAWS)
+        self.laws = tuple((code, law) for code, law in laws if (t.kind == code).any())
         self.table = t
         self.cum = t.row_cumsum(t.prob)
-        self.depth = int(np.diff(t.indptr).max() - 1).bit_length()  # binary-search steps
+        depth = int(np.diff(t.indptr).max() - 1).bit_length()
+        self.strides = tuple(1 << k for k in reversed(range(depth)))
+        self.last = t.indptr[1:] - 1  # each row's last successor
         omega = np.asarray(m.weight_vector())
         self.tail_coef = m.payoff_bound() * float(omega.max()) / float(t.alpha.min())
+
+    def triple(self, state: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        """The row of each ``state``'s action pair drawn with uniforms ``ua`` and ``ub``.
+
+        Each action counts the state's cumulative strategy entries ``<= u``,
+        one column at a time.
+        """
+        a = np.zeros(state.size, dtype=np.intp)
+        for col in self.f_cols:
+            a += col[state] <= ua
+        tid = self.table.offset[state] + a * self.table.cols[state]
+        for col in self.g_cols:
+            tid += col[state] <= ub
+        return tid
 
     def successor(self, tid: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Each row ``tid``'s first successor whose running sum exceeds ``u``.
 
-        Adding a zero changes no float sum, so this is the state a search of
-        the dense row's cumulative sums finds.  ``lo`` never passes the row's
-        last successor, which the search returns when rounding leaves the
-        row's total at or below ``u``.
+        Running sums never decrease, so this is the row's start plus the
+        count of its sums ``<= u``, found in halving power-of-two strides.
+        A probe past the last successor reads the row's total; when rounding
+        leaves that at or below ``u`` the count overshoots, and the cap
+        returns the last successor.  Adding a zero changes no float sum, so
+        this is the state a search of the dense row's cumulative sums finds.
         """
-        lo, hi = self.table.indptr[tid], self.table.indptr[tid + 1] - 1
-        for _ in range(self.depth):
-            mid = (lo + hi) // 2
-            right = self.cum[mid] <= u
-            lo = np.where(right, np.minimum(mid + 1, hi), lo)
-            hi = np.where(right, hi, mid)
-        return self.table.succ[lo]
+        pos, last = self.table.indptr[tid], self.last[tid]
+        for stride in self.strides:
+            pos += (self.cum[np.minimum(pos + (stride - 1), last)] <= u) * stride
+        return self.table.succ[np.minimum(pos, last)]
 
 
 def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     """Drive ``total`` trajectories to truncation; returns (payoffs, tail_bounds).
 
     ``draw(k, ids)`` gives the four uniforms of sojourn ``k`` for each live
-    trajectory in ``ids``, one row each, identically however many
-    trajectories run together.  A trajectory leaves the arrays on the
-    sojourn its discount falls below ``DISCOUNT_FLOOR``, or stops after
-    ``MAX_SOJOURNS`` sojourns; its tail bound is ``tail_coef`` times that
-    discount.
+    trajectory in ``ids``, one row per slot and one column per trajectory,
+    identically however many trajectories run together.  Actions are drawn
+    by :meth:`_Sampler.triple` (one count per cumulative strategy column,
+    ending at the last positive action) and holding times only from the
+    laws the table holds.  A trajectory leaves the arrays on the sojourn its
+    discount falls below ``DISCOUNT_FLOOR``, or stops after ``MAX_SOJOURNS``
+    sojourns; its tail bound is ``tail_coef`` times that discount.
     """
     t = sampler.table
     payoffs = np.empty(total)
@@ -158,21 +204,20 @@ def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     state = np.full(total, x0)
     discount = np.ones(total)
     acc = np.zeros(total)
+    (_, first), *rest = sampler.laws
     for k in range(MAX_SOJOURNS):
         u = draw(k, ids)
-        a = (sampler.f_cum[state] <= u[:, 0, None]).sum(axis=1)
-        b = (sampler.g_cum[state] <= u[:, 1, None]).sum(axis=1)
-        tid = t.offset[state] + a * t.cols[state] + b
+        tid = sampler.triple(state, u[0], u[1])
         par = t.param[tid]
+        tau = first.holding_time(u[2], par)
         kind = t.kind[tid]
-        tau = par
-        for code, law in enumerate(ANALYTIC_LAWS):
-            tau = np.where(kind == code, law.holding_time(u[:, 2], par), tau)
+        for code, law in rest:
+            tau = np.where(kind == code, law.holding_time(u[2], par), tau)
         rate = t.alpha[tid]
         step = np.exp(-rate * tau)
         acc += discount * t.reward[tid] * (1.0 - step) / rate
         discount *= step
-        state = sampler.successor(tid, u[:, 3])
+        state = sampler.successor(tid, u[3])
         done = discount < DISCOUNT_FLOOR
         if done.any():
             payoffs[ids[done]] = acc[done]
@@ -198,7 +243,8 @@ def simulate_trajectory(
     uniforms, such as ``trajectory_rng(seed, index)``.
     """
     sampler = _Sampler(m, pair)
-    payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[None], 1, m.state_index(x0))
+    x0i = m.state_index(x0)
+    payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[:, None], 1, x0i)
     return float(payoffs[0]), float(tails[0])
 
 

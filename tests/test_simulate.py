@@ -1,5 +1,6 @@
 """Monte Carlo simulator: sampling laws, parity, and oracle agreement."""
 
+import hashlib
 import json
 import math
 import re
@@ -113,6 +114,92 @@ def test_a_zero_probability_successor_is_never_drawn(states, row, drawn):
     assert payoff == 0.0  # the second sojourn at z would have earned 100 * (1 - e^-0.1) * e^-0.1
 
 
+def test_a_zero_probability_action_is_never_drawn():
+    # x's strategy sums to 0.9999999999999999 before its trailing zero; a
+    # uniform above that sum must still play a2, never the zero-probability
+    # a3, the only action that pays
+    u = np.nextafter(1.0, 0.0)
+
+    class ConstantStream:
+        def random(self, n):
+            return np.full(n, u)
+
+    doc = {
+        "states": ["x", "y"],
+        "actions1": {"x": ["a0", "a1", "a2", "a3"], "y": ["a0"]},
+        "actions2": {"x": ["b"], "y": ["b"]},
+    }
+    doc["triples"] = [
+        {"state": x, "a": a, "b": "b", "alpha": 1.0, "reward": 100.0 if a == "a3" else 0.0,
+         "sojourn": {"kind": "deterministic", "duration": 0.1}, "transition": {"y": 1.0}}
+        for x in ("x", "y") for a in doc["actions1"][x]
+    ]
+    m = load_model(json.dumps(doc))
+    one = np.ones(1)
+    f = {"x": np.array([0.7, 0.2, 0.1, 0.0]), "y": one}
+    pair = StationaryStrategyPair(f=f, g={"x": one, "y": one})
+    sampler = _Sampler(m, pair)
+    tid = sampler.triple(np.array([m.state_index("x")]), np.array([u]), np.array([u]))
+    assert [m.table.labels[i] for i in tid] == [("x", "a2", "b")]
+    payoff, _ = simulate_trajectory(m, pair, "x", ConstantStream())
+    assert payoff == 0.0  # a3 would have earned 100 * (1 - e^-0.1) in the first sojourn
+
+
+def test_action_draws_match_a_search_of_the_dense_cumulative_rows():
+    # reference: np.cumsum over each dense strategy row, then the count of
+    # entries <= u, capped at the row's last positive action
+    widths = {"w1": (1, 10), "w2": (2, 3), "w3": (3, 2), "w10": (10, 1)}
+    states = list(widths)
+    doc = {
+        "states": states,
+        "actions1": {x: [f"a{i}" for i in range(n)] for x, (n, _) in widths.items()},
+        "actions2": {x: [f"b{j}" for j in range(k)] for x, (_, k) in widths.items()},
+    }
+    doc["triples"] = [
+        {"state": x, "a": a, "b": b, "alpha": 1.0, "reward": 1.0,
+         "sojourn": {"kind": "exponential", "rate": 1.0}, "transition": {x: 1.0}}
+        for x in states for a in doc["actions1"][x] for b in doc["actions2"][x]
+    ]
+    m = load_model(json.dumps(doc))
+    rng = np.random.default_rng(12)
+
+    def strategy(n):
+        v = rng.uniform(0.05, 1.0, size=n)
+        v[rng.random(n) < 0.4] = 0.0
+        v[-1] = 0.0 if n > 1 else 1.0  # a trailing zero wherever there is room
+        if not v.any():
+            v[0] = 1.0
+        return v / v.sum()
+
+    f = {x: strategy(n) for x, (n, _) in widths.items()}
+    g = {x: strategy(k) for x, (_, k) in widths.items()}
+    f["w10"] = np.array([0.7, 0.2, 0.1] + [0.0] * 7)  # sums to just below 1 before its zeros
+    g["w1"] = np.array([0.5, 0.0, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    sampler = _Sampler(m, StationaryStrategyPair(f=f, g=g))
+
+    top = np.nextafter(1.0, 0.0)
+
+    def probes(s):
+        # each running sum, just above each, the largest uniform and random ones
+        c = np.cumsum(s)
+        return np.minimum(np.concatenate([c, np.nextafter(c, 2.0), [top], rng.random(8)]), top)
+
+    def reference(s, u):
+        return min(int((np.cumsum(s) <= u).sum()), int(np.flatnonzero(s > 0.0)[-1]))
+
+    state, ua, ub, expected = [], [], [], []
+    for x in states:
+        for pa in probes(f[x]):
+            for pb in probes(g[x]):
+                state.append(m.state_index(x))
+                ua.append(pa)
+                ub.append(pb)
+                a, b = reference(f[x], pa), reference(g[x], pb)
+                expected.append(m.table.where[(x, f"a{a}", f"b{b}")])
+    tid = sampler.triple(np.array(state), np.array(ua), np.array(ub))
+    np.testing.assert_array_equal(tid, expected)
+
+
 def test_successor_draws_match_a_search_of_the_dense_cumulative_rows():
     # reference: np.cumsum over each dense row, then the count of entries <= u;
     # at or above a row's total the draw is the row's last nonzero
@@ -195,6 +282,49 @@ def test_estimate_does_not_depend_on_batch_size(investment_model, monkeypatch):
     import smgsolve.simulate as sim
     monkeypatch.setattr(sim, "_BATCH", 7)
     assert estimate_value(investment_model, pair, "3", trajectories=50, seed=31) == reference
+
+
+# estimate_value(..., trajectories=1000, seed=17) from each state, as
+# (mean, std_error, truncation_bound), recorded at commit f8698c1
+PINNED = {
+    "investment": {
+        "1": (13.584520766586628, 0.0809499631014124, 5.131264839852508e-07),
+        "2": (13.30998139132847, 0.08081863935068793, 5.115077321212014e-07),
+        "3": (12.116898317208637, 0.07408774717316431, 5.140391797758659e-07),
+    },
+    "random_model(rng 18)": {
+        "s0": (0.05789803616715412, 0.07169640929250237, 8.940480938030856e-08),
+        "s1": (-5.780474587536941, 0.0892934812330531, 9.00958516559554e-08),
+        "s2": (1.7178015366997295, 0.12873274352851488, 8.94985507830921e-08),
+        "s3": (-2.886667182619645, 0.14093692007760636, 8.853949237255108e-08),
+    },
+}
+# np.exp and np.log1p on a fixed grid where the pins were recorded; numpy's
+# SIMD kernels round some results differently from the C library's, so on
+# another kernel the estimates move in their last bits for that reason alone
+KERNELS_SHA256 = "97619aaad664bbdc"
+
+
+def test_estimates_are_pinned_bit_for_bit(investment_model):
+    grid = np.arange(4096) * 2.0**-12
+    kernels = np.exp(-32.0 * grid).tobytes() + np.log1p(-grid).tobytes()
+    if hashlib.sha256(kernels).hexdigest()[:16] != KERNELS_SHA256:
+        pytest.skip("np.exp or np.log1p rounds differently here than where the pins were recorded")
+    rng = np.random.default_rng(18)
+    mixed = random_model(rng, max_states=4, max_actions=4)  # shapes 1x2, 2x2, 3x1, 4x4
+    assert set(mixed.table.kind.tolist()) == {0, 1, 2}  # all three analytic laws
+    fixed = StationaryStrategyPair(
+        f={"1": np.array([0.3, 0.7]), "2": np.array([0.55, 0.45]), "3": np.array([1.0, 0.0])},
+        g={"1": np.array([0.6, 0.4]), "2": np.array([0.2, 0.8]), "3": np.array([0.5, 0.5])},
+    )
+    cases = {
+        "investment": (investment_model, fixed),
+        "random_model(rng 18)": (mixed, random_pair(rng, mixed)),
+    }
+    for name, (m, pair) in cases.items():
+        for x0, pinned in PINNED[name].items():
+            est = estimate_value(m, pair, x0, trajectories=1000, seed=17)
+            assert (est.mean, est.std_error, est.truncation_bound) == pinned, (name, x0)
 
 
 def test_estimates_are_reproducible(investment_model):
