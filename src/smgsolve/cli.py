@@ -12,7 +12,7 @@ Exit status: 0 success, 1 a matrix game the simplex could not solve (for a
 model, the message names the state), 2 parse or validation error, 3 certificate
 failure, 4 no convergence within the iteration cap.  Every JSON artifact embeds the
 run configuration and a content hash of the model document, and identical
-configurations produce byte-identical artifacts.
+configurations produce byte-identical artifacts on one numpy build and CPU.
 """
 
 import argparse
@@ -29,7 +29,7 @@ import numpy as np
 from .matrixgame import MatrixGameError, solve_matrix_game, verify_saddle_point
 from .model import GameModel, ModelError, _number, load_model
 from .shapley import StationaryStrategyPair, evaluate_stationary_pair
-from .simulate import estimate_value
+from .simulate import _check_run, estimate_value
 from .solver import (
     ConvergenceError,
     report_as_dict,
@@ -211,6 +211,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         raise _InputError("simulate requires --state")
     if config.state not in m.states:
         raise _InputError(f"unknown state {config.state!r}")
+    _check_run(config.trajectories, config.seed)
     if config.strategies_in:
         pair = _load_pair(config, m)
     else:
@@ -295,13 +296,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_model(p):
+    def with_model(p, certifies=True):
         p.add_argument("model", help="path to a model JSON document")
-        p.add_argument(
-            "--paper-params",
-            action="store_true",
-            help="certify with the preset a-priori law bounds instead of searching",
-        )
+        if certifies:
+            p.add_argument(
+                "--paper-params",
+                action="store_true",
+                help="certify with the preset a-priori law bounds instead of searching",
+            )
 
     p = sub.add_parser("check", help="certify the solvability conditions")
     with_model(p)
@@ -317,7 +319,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", dest="strategies_out", help="write the equilibrium JSON here")
 
     p = sub.add_parser("eval", help="evaluate a stationary pair exactly")
-    with_model(p)
+    with_model(p, certifies=False)
     p.add_argument("--strategies", dest="strategies_in", required=True, help="pair JSON file")
     p.add_argument("--out", help="write the values JSON here (default stdout)")
 

@@ -226,6 +226,8 @@ class TripleTable:
     fills ``lam`` and ``d`` of the other laws once the model is valid.
     Row ``i``'s successors are ``succ[indptr[i]:indptr[i + 1]]`` (nonzeros
     only, in state order) with probabilities ``prob`` at the same positions.
+    ``weight`` is the state weight ``omega``, one entry per state, 1.0 where
+    the document gives none.
     """
 
     def __init__(self, states, actions1, actions2):
@@ -236,6 +238,7 @@ class TripleTable:
         self.cols = np.array([len(actions2[x]) for x in states])
         self.offset = np.concatenate(([0], np.cumsum(self.rows * self.cols)))
         self.state = np.repeat(np.arange(len(states)), self.rows * self.cols)
+        self.weight = np.ones(len(states))
         size = len(self.labels)
         self.alpha, self.reward, self.param, self.lam, self.d = np.full((5, size), np.nan)
         self.kind = np.full(size, -1, dtype=np.int8)
@@ -248,7 +251,9 @@ class TripleTable:
             return NotImplemented
         return self.labels == other.labels and all(
             np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
-            for c in ("alpha", "reward", "kind", "param", "lam", "d", "indptr", "succ", "prob")
+            for c in (
+                "alpha", "reward", "kind", "param", "lam", "d", "indptr", "succ", "prob", "weight"
+            )
         )
 
     def law(self, i: int) -> SojournLaw:
@@ -274,16 +279,15 @@ class TripleTable:
 class GameModel:
     """Immutable finite zero-sum semi-Markov game.
 
-    Per-triple data lives only in ``table``.  Instances are not mutated
-    after validation and are safe to share across threads; the state index
-    and the value-update operator are cached on first use and take no part
-    in ``==``.
+    Per-triple data and the state weight ``omega`` live only in ``table``.
+    Instances are not mutated after validation and are safe to share across
+    threads; the state index and the value-update operator are cached on
+    first use and take no part in ``==``.
     """
 
     states: tuple[str, ...]
     actions1: dict[str, tuple[str, ...]]
     actions2: dict[str, tuple[str, ...]]
-    weight: dict[str, float]
     table: TripleTable
 
     @property
@@ -310,14 +314,10 @@ class GameModel:
         """All admissible (state, a, b) triples in declaration order."""
         return iter(self.table.labels)
 
-    def weight_vector(self) -> tuple[float, ...]:
-        """Weights aligned with the state ordering."""
-        return tuple(self.weight[x] for x in self.states)
-
     def payoff_bound(self) -> float:
         """The smallest ``M`` with ``|reward| <= M * omega(x)`` at every triple."""
         t = self.table
-        return float(np.max(np.abs(t.reward) / np.asarray(self.weight_vector())[t.state]))
+        return float(np.max(np.abs(t.reward) / t.weight[t.state]))
 
 
 def _number(value) -> bool:
@@ -345,7 +345,7 @@ def validate_model(m: GameModel) -> list[str]:
     if len(set(m.states)) != len(m.states):
         out.append("state labels must be unique")
         structural = True
-    for x in m.states:
+    for x, w in zip(m.states, m.table.weight.tolist()):
         for label, table in (("actions1", m.actions1), ("actions2", m.actions2)):
             acts = table.get(x)
             if not acts:
@@ -354,10 +354,7 @@ def validate_model(m: GameModel) -> list[str]:
             elif len(set(acts)) != len(acts):
                 out.append(f"{label} for state {x!r} has duplicate labels")
                 structural = True
-        w = m.weight.get(x)
-        if w is None:
-            out.append(f"weight missing for state {x!r}")
-        elif not (_finite_number(w) and w >= 1.0):
+        if not (_finite_number(w) and w >= 1.0):
             out.append(f"weight must be >= 1 and finite: state {x!r} has {w!r}")
     if structural:  # per-triple checks need well-formed action sets
         return out
@@ -505,22 +502,21 @@ def load_model(text: str) -> GameModel:
     actions1 = _parse_actions(doc, "actions1", states)
     actions2 = _parse_actions(doc, "actions2", states)
 
-    weight = {x: 1.0 for x in states}
+    table = TripleTable(states, actions1, actions2)
     if "weight" in doc:
         given = doc["weight"]
         if not isinstance(given, dict):
             raise ModelFormatError("'weight' must be an object mapping state to number")
         for x, w in given.items():
-            if x not in weight:
+            if x not in index:
                 raise ModelFormatError(f"'weight' lists unknown state {x!r}")
             if type(w) is not float:
                 raise ModelFormatError(f"weight for state {x!r} must be a number")
-            weight[x] = w
+            table.weight[index[x]] = w
 
     raw_triples = doc.get("triples")
     if not isinstance(raw_triples, list):
         raise ModelFormatError("'triples' must be an array")
-    table = TripleTable(states, actions1, actions2)
     row_of = table.where.get  # documents may list triples in any order
     seen = bytearray(len(table.labels))
     rows, alpha, reward, kind, param, lam = [], [], [], [], [], []
@@ -567,7 +563,7 @@ def load_model(text: str) -> GameModel:
     table.indptr[1:] = np.cumsum(np.bincount(row, minlength=len(table.labels)))
     table.succ, table.prob = succ[order], prob[order]
 
-    model = GameModel(states, actions1, actions2, weight, table)
+    model = GameModel(states, actions1, actions2, table)
     violations = validate_model(model)
     if violations:
         raise ModelValidationError(violations[0])
@@ -607,7 +603,7 @@ def serialize(m: GameModel) -> str:
         "states": list(m.states),
         "actions1": {x: list(m.actions1[x]) for x in m.states},
         "actions2": {x: list(m.actions2[x]) for x in m.states},
-        "weight": {x: m.weight[x] for x in m.states},
+        "weight": dict(zip(m.states, t.weight.tolist())),
         "triples": triples,
     }
     return json.dumps(doc, indent=2)

@@ -240,7 +240,6 @@ class ShapleyOperator:
         self.states = m.states
         self.table = t
         self.n = m.n_states
-        self.weights = np.asarray(m.weight_vector(), dtype=float)
         self.base = t.reward * t.d  # r*d per triple
         self.lam_prob = np.repeat(t.lam, np.diff(t.indptr)) * t.prob  # lam*p per nonzero
         self.succ = t.succ
@@ -264,46 +263,16 @@ class ShapleyOperator:
         u = self._value_vector(values)
         return self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
 
-    def matrices(self, values) -> list[np.ndarray]:
-        """Every state's matrix ``C(u, x)``, in state order."""
-        flat = self._payoffs(values)
-        stacked = [c for group in self.groups for c in flat[group.gather]]
-        return [stacked[i] for i in self.order]
-
-    def apply(
-        self, values, previous: StationaryStrategyPair | None = None
-    ) -> tuple[np.ndarray, StationaryStrategyPair]:
+    def apply(self, values) -> tuple[np.ndarray, StationaryStrategyPair]:
         """One operator application: per-state game values and saddle pair.
 
-        The games of one shape are solved together, by trying candidate
-        square supports in a fixed order; each candidate is one stacked
-        ``np.linalg.solve`` of both players' equalizer systems over the games
-        still unsolved (a ``1 x 1`` support needs none: ``v = C[s, t]``).
-        With ``previous`` (the pair of the last application) each game first
-        tries its previous supports when they are square; a ``previous`` with
-        a state missing, a strategy of the wrong length or a strategy that is
-        not a probability vector is ignored whole, by every game.
-        Then, for shapes of at most :data:`ENUMERATED_SIDE` rows and columns,
-        it tries every square support pair, smallest first (an optimal pair
-        supported on a square nonsingular submatrix always exists, by Shapley
-        and Snow's theorem).  A game keeps the first candidate whose
-        strategies are both ``>= 0`` and whose exploitability
-        ``max(C y) - min(x C)`` is at most ``WARM_START_TOL * max(1, max|C|)``.
-        The games of one shape left over go to the simplex of
-        :func:`solve_matrix_game` in one lockstep stack, which returns each
-        game's answer as if it were solved alone.  When the simplex fails on
-        some of them, :class:`MatrixGameError` names the first of those
-        states.
+        Each shape's games are solved together, as :func:`_solve_group` says.
         """
-        try:
-            previous = previous and _pair_arrays(self, previous)
-        except ValueError:
-            previous = None
-        out, strategies = self._solve(values, previous)
+        out, strategies = self._solve(values)
         return out, self._pair(strategies)
 
     def _solve(self, values, previous=None) -> tuple[np.ndarray, list]:
-        """:meth:`apply` with both pairs as unchecked ``[(group, f, g), ...]``, one per group."""
+        """:meth:`apply` on pairs as ``[(group, f, g), ...]``, warm-started from ``previous``."""
         flat = self._payoffs(values)
         out = np.empty(self.n)
         strategies = []
@@ -324,7 +293,21 @@ class ShapleyOperator:
 
 
 def _solve_group(group: _ShapeGroup, c: np.ndarray, previous):
-    """Values and both players' strategies of the stacked games ``c``."""
+    """Values and both players' strategies of the stacked games ``c``.
+
+    A game keeps the first candidate square support pair whose equalizing
+    strategies are both ``>= 0`` and whose exploitability ``max(C y) - min(x
+    C)`` is at most ``WARM_START_TOL * max(1, max|C|)``.  Each candidate is
+    one stacked ``np.linalg.solve`` over the games still unsolved (none for
+    ``1 x 1``: ``v = C[s, t]``).  The candidates are the game's supports in
+    ``previous``, the group's ``(group, f, g)`` of the last application, when
+    square; then, for shapes of at most :data:`ENUMERATED_SIDE` rows and
+    columns, every square support pair, smallest first (an optimal pair on a
+    square nonsingular submatrix exists, by Shapley and Snow).  The games
+    left over go to the simplex of :func:`solve_matrix_game` in one lockstep
+    stack, each answered as if solved alone; when it fails on some of them,
+    :class:`MatrixGameError` names the first of those states.
+    """
     size = len(c)
     out = (np.empty(size), np.zeros((size, group.rows)), np.zeros((size, group.cols)))
     scale = WARM_START_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
@@ -413,7 +396,7 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
     nz = np.repeat(t.indptr[at] + counts - np.cumsum(counts), counts) + np.arange(counts.sum())
     rows, cols = np.repeat(t.state[at], counts), op.succ[nz]
     weights = np.repeat(mass[at], counts) * op.lam_prob[nz]
-    for omega in (op.weights, np.ones(n)):
+    for omega in (t.weight, np.ones(n)):
         scaled = weights * (omega[cols] / omega[rows])
         sums = np.bincount(rows, weights=np.abs(scaled), minlength=n)
         rate = float(sums.max())

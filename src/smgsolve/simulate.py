@@ -73,10 +73,21 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _bases(seed: int, indices: np.ndarray) -> np.ndarray:
-    """The stream origin of each trajectory in ``indices`` of a run at ``seed``."""
+def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_run(trajectories, seed) -> None:
+    """Raise ``ValueError`` unless a run of ``trajectories`` at ``seed`` can be estimated."""
+    integral = isinstance(trajectories, (int, np.integer)) and not isinstance(trajectories, bool)
+    if not integral or trajectories < 2:
+        raise ValueError(f"trajectories must be an integer of at least 2, got {trajectories!r}")
+    _check_seed(seed)
+
+
+def _bases(seed: int, indices: np.ndarray) -> np.ndarray:
+    """The stream origin of each trajectory in ``indices`` of a run at a checked ``seed``."""
     key = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)
     return _mix(key ^ indices.astype(np.uint64) * _GOLDEN)
 
@@ -105,6 +116,7 @@ class _CounterStream:
 
 def trajectory_rng(seed: int, index: int) -> _CounterStream:
     """The stream driving trajectory ``index`` of a run at ``seed``."""
+    _check_seed(seed)
     return _CounterStream(_bases(seed, np.array([index])))
 
 
@@ -152,8 +164,7 @@ class _Sampler:
         depth = int(np.diff(t.indptr).max() - 1).bit_length()
         self.strides = tuple(1 << k for k in reversed(range(depth)))
         self.last = t.indptr[1:] - 1  # each row's last successor
-        omega = np.asarray(m.weight_vector())
-        self.tail_coef = m.payoff_bound() * float(omega.max()) / float(t.alpha.min())
+        self.tail_coef = m.payoff_bound() * float(t.weight.max()) / float(t.alpha.min())
 
     def triple(self, state: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         """The row of each ``state``'s action pair drawn with uniforms ``ua`` and ``ub``.
@@ -260,9 +271,7 @@ def estimate_value(
     Trajectory ``i`` always reads the slots of ``trajectory_rng(seed, i)``,
     so the estimate depends only on the arguments, not on batch sizes.
     """
-    integral = isinstance(trajectories, (int, np.integer)) and not isinstance(trajectories, bool)
-    if not integral or trajectories < 2:
-        raise ValueError(f"trajectories must be an integer of at least 2, got {trajectories!r}")
+    _check_run(trajectories, seed)
     bases = _bases(seed, np.arange(trajectories))
     sampler = _Sampler(m, pair)
     x0i = m.state_index(x0)

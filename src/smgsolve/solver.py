@@ -111,7 +111,7 @@ def value_iterate(
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
     updated, pair = op._solve(start)
-    delta = omega_norm(updated - start, op.weights)
+    delta = omega_norm(updated - start, op.table.weight)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
         max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
@@ -125,7 +125,7 @@ def value_iterate(
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
         updated, pair = op._solve(values[-1], pair)
-        trace.append(omega_norm(updated - values[-1], op.weights))
+        trace.append(omega_norm(updated - values[-1], op.table.weight))
         values.append(updated)
 
     return SolveReport(

@@ -210,7 +210,7 @@ def check_drift(m: GameModel, gamma: float) -> DriftResult:
     stays strictly below 1; with nonconstant weights ``eta = eta_min``.
     """
     t = m.table
-    w = np.asarray(m.weight_vector())
+    w = t.weight
     moved = t.row_cumsum(w[t.succ] * t.prob)[t.indptr[1:] - 1]
     eta_min = float(np.max(moved / w[t.state]))
     unit = bool(np.all(w == 1.0))

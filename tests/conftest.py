@@ -142,6 +142,17 @@ def reward_of(m: GameModel, triple) -> float:
     return float(m.table.reward[m.table.where[triple]])
 
 
+def payoff_matrix(m: GameModel, values, x: str) -> np.ndarray:
+    """``C(u, x)`` built cell by cell from ``discounted_kernel_row`` and each triple's reward."""
+    u = np.asarray(values, dtype=float)
+    c = np.empty((len(m.actions1[x]), len(m.actions2[x])))
+    for i, a in enumerate(m.actions1[x]):
+        for j, b in enumerate(m.actions2[x]):
+            d, _, row = discounted_kernel_row(m, (x, a, b))
+            c[i, j] = reward_of(m, (x, a, b)) * d + row @ u
+    return c
+
+
 def transition_of(m: GameModel, triple) -> tuple[float, ...]:
     """The transition row of one triple as a dense tuple aligned with ``states``."""
     t = m.table

@@ -131,7 +131,7 @@ def test_criterion_05_contraction_suite():
         if not cert.passed:
             continue
         done += 1
-        w = m.weight_vector()
+        w = m.table.weight
         u = rng.normal(size=m.n_states) * 10.0
         v = rng.normal(size=m.n_states) * 10.0
         op = ShapleyOperator(m)

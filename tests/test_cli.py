@@ -94,6 +94,33 @@ def test_solve_v0_from_file(tmp_path, model_file):
     assert doc["values"]["3"] == pytest.approx(11.1653, abs=5e-3)
 
 
+def test_a_v0_list_file_starts_where_a_scalar_and_a_mapping_do(tmp_path):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([1.0, 1.0, 1.0]))
+    mapped = tmp_path / "mapped.json"
+    mapped.write_text(json.dumps({"1": 1.0, "2": 1.0, "3": 1.0}))
+    written = []
+    for v0 in ("1.0", str(listed), str(mapped)):
+        trace, strategies = tmp_path / "trace.csv", tmp_path / "strategies.json"
+        args = ["solve", INVESTMENT, "--v0", v0, "--report", str(tmp_path / "r.json"),
+                "--trace", str(trace), "--strategies", str(strategies)]
+        assert main(args) == 0
+        written.append((trace.read_bytes(), strategies.read_bytes()))
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_entry_in_a_v0_list_file_exits_2_naming_its_state(tmp_path, capsys, entry):
+    v0 = tmp_path / "v0.json"
+    v0.write_text(f"[1.0, {entry}, 1.0]")  # json.loads reads these as floats
+    report = tmp_path / "r.json"
+    assert main(["solve", INVESTMENT, "--v0", str(v0), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "error: v0 file at state '2' holds a number that is not finite as a float\n"
+    )
+    assert not report.exists()
+
+
 def test_solve_non_convergence_exits_4(model_file, tmp_path):
     config = RunConfig(command="solve", model=model_file, epsilon=1e-12,
                        max_iter=2, report_out=str(tmp_path / "r.json"))
@@ -231,6 +258,11 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         ({"command": "eval", "strategies_in": AUX}, {"1": {"f": [1.0, 0.0], "g": {}}},
          "strategies['1'].f must map actions to probabilities"),
         ({"command": "simulate"}, None, "simulate requires --state"),
+        # checked before the certificate, which fails on DRIFT_DOC
+        ({"command": "simulate", "model": AUX, "state": "s0", "trajectories": 1}, DRIFT_DOC,
+         "trajectories must be an integer of at least 2, got 1"),
+        ({"command": "simulate", "model": AUX, "state": "s0", "seed": -1}, DRIFT_DOC,
+         "seed must be a non-negative integer, got -1"),
         ({"command": "game", "model": None}, None, "a matrix (inline JSON or a file path) is required"),
         ({"command": "game", "model": None, "matrix": "[]"}, None,
          "matrix must be a nonempty JSON array of arrays of numbers"),
@@ -238,7 +270,8 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
     ids=[
         "no-model", "v0-missing-states", "v0-neither-mapping-nor-list", "no-strategies",
         "strategies-not-an-object", "strategies-without-f-g", "strategies-f-not-a-mapping",
-        "simulate-without-state", "no-matrix", "empty-matrix",
+        "simulate-without-state", "simulate-one-trajectory", "simulate-negative-seed",
+        "no-matrix", "empty-matrix",
     ],
 )
 def test_bad_inputs_exit_2_with_their_message(tmp_path, capsys, fields, aux, message):
@@ -465,6 +498,14 @@ def test_main_parses_argv(tmp_path, model_file):
     out = tmp_path / "cert.json"
     assert main(["check", model_file, "--paper-params", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["paper_params"] is True
+
+
+def test_eval_has_no_paper_params_flag(capsys):
+    # eval certifies nothing, so the flag would be recorded and ignored
+    with pytest.raises(SystemExit) as exit_:
+        config_from_args(["eval", INVESTMENT, "--strategies", "pair.json", "--paper-params"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --paper-params" in capsys.readouterr().err
 
 
 def test_config_from_args_defaults():

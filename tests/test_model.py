@@ -39,7 +39,7 @@ def test_single_state_document_loads(single_state_model):
     assert reward_of(m, t) == 2.0
     assert law_of(m, t) == Exponential(rate=1.5)
     assert transition_of(m, t) == (1.0,)
-    assert m.weight["only"] == 1.0
+    assert m.table.weight.tolist() == [1.0]
     assert list(m.triples()) == [t]
 
 
@@ -146,6 +146,16 @@ def test_round_trip_preserves_everything(investment_model):
         assert [law_of(again, t) for t in again.triples()] == [law_of(m, t) for t in m.triples()]
 
 
+def test_weights_load_into_one_array_that_equality_and_serialization_read(investment_model):
+    doc = json.loads(json.dumps(INVESTMENT_DOC))
+    doc["weight"] = {"2": 3.0}  # states "1" and "3" take the default
+    m = load_model(json.dumps(doc))
+    assert m.table.weight.tolist() == [1.0, 3.0, 1.0]
+    assert m != investment_model  # the models differ in their weights only
+    assert json.loads(serialize(m))["weight"] == {"1": 1.0, "2": 3.0, "3": 1.0}
+    assert load_model(serialize(m)) == m
+
+
 def test_round_trip_random_models():
     rng = np.random.default_rng(2024)
     for _ in range(25):
@@ -173,7 +183,8 @@ def test_validate_collects_violations_without_raising(single_state_model):
     table = deepcopy(single_state_model.table)
     table.alpha[0] = 0.0  # the one triple ("only", "stay", "stay")
     table.prob[0] = 0.9
-    broken = replace(single_state_model, weight={"only": 0.5}, table=table)
+    table.weight[0] = 0.5
+    broken = replace(single_state_model, table=table)
     violations = validate_model(broken)
     assert len(violations) == 3
     assert any("weight must be >= 1" in v for v in violations)
@@ -426,8 +437,6 @@ def test_validation_messages_without_a_document_are_pinned(investment_model):
     assert validate_model(replace(investment_model, states=())) == [
         "model must declare at least one state"
     ]
-    unweighted = replace(investment_model, weight={"1": 1.0, "3": 1.0})
-    assert validate_model(unweighted) == ["weight missing for state '2'"]
 
 
 def test_validation_lists_every_violation_in_declaration_order(investment_model):
@@ -442,7 +451,8 @@ def test_validation_lists_every_violation_in_declaration_order(investment_model)
     t.prob[t.indptr[9]] += 2e-12
     t.kind[10] = -1
     t.kind[11], t.param[11], t.lam[11] = 3, 0.5, 1.5  # direct weights
-    broken = replace(investment_model, weight={"1": 1.0, "2": 0.25, "3": math.nan}, table=t)
+    t.weight[1:] = 0.25, math.nan
+    broken = replace(investment_model, table=t)
     assert validate_model(broken) == [
         "weight must be >= 1 and finite: state '2' has 0.25",
         "weight must be >= 1 and finite: state '3' has nan",

@@ -31,9 +31,11 @@ from conftest import (
     law_of,
     random_model,
     random_pair,
+    payoff_matrix,
     ring_doc,
     sparse_doc,
 )
+from smgsolve.shapley import _pair_arrays
 
 
 def pure_pair(m):
@@ -45,27 +47,26 @@ def pure_pair(m):
 
 def strategy_update(m, pair, values) -> np.ndarray:
     """Expected one-sojourn update under a fixed pair: ``f(x) C(u, x) g(x)`` per state."""
-    matrices = ShapleyOperator(m).matrices(values)
-    return np.array([pair.f[x] @ c @ pair.g[x] for x, c in zip(m.states, matrices)])
+    return np.array([pair.f[x] @ payoff_matrix(m, values, x) @ pair.g[x] for x in m.states])
 
 
 def test_payoff_matrix_single_state(single_state_model):
     # d = 0.5, lam = 0.75 for alpha=0.5, rate=1.5
-    op = ShapleyOperator(single_state_model)
-    np.testing.assert_allclose(op.matrices([0.0])[0], [[1.0]])
-    np.testing.assert_allclose(op.matrices([4.0])[0], [[4.0]])
+    np.testing.assert_allclose(payoff_matrix(single_state_model, [0.0], "only"), [[1.0]])
+    np.testing.assert_allclose(payoff_matrix(single_state_model, [4.0], "only"), [[4.0]])
 
 
 def test_payoff_matrix_investment_entry(investment_model):
-    c = ShapleyOperator(investment_model).matrices([1.0, 1.0, 1.0])[0]  # state "1"
+    c = payoff_matrix(investment_model, [1.0, 1.0, 1.0], "1")
     assert c[0, 0] == pytest.approx(60.0 / 20.98, rel=1e-12)
     assert c[0, 0] == pytest.approx(2.85987, abs=5e-6)
 
 
 def test_payoff_matrix_unknown_state(investment_model):
-    matrices = ShapleyOperator(investment_model).matrices([0.0, 0.0, 0.0])
     with pytest.raises(KeyError, match="unknown state"):
-        matrices[investment_model.state_index("4")]
+        investment_model.state_index("4")
+    with pytest.raises(KeyError, match="unknown triple"):
+        discounted_kernel_row(investment_model, ("4", "a11", "b11"))
 
 
 def test_operator_single_state_values(single_state_model):
@@ -84,7 +85,8 @@ def test_operator_matches_per_state_games(investment_model):
     u = np.array([1.0, 1.0, 1.0])
     op = ShapleyOperator(investment_model)
     updated, pair = op.apply(u)
-    for xi, (x, c) in enumerate(zip(investment_model.states, op.matrices(u))):
+    for xi, x in enumerate(investment_model.states):
+        c = payoff_matrix(investment_model, u, x)
         sol = solve_matrix_game(c)
         assert updated[xi] == pytest.approx(sol.value, abs=1e-12)
         np.testing.assert_allclose(pair.f[x], sol.row_strategy)
@@ -101,7 +103,8 @@ def test_strategy_operator_is_a_convex_combination(investment_model):
     u = rng.normal(size=3) * 5.0
     pair = random_pair(rng, investment_model)
     out = strategy_update(investment_model, pair, u)
-    for xi, c in enumerate(ShapleyOperator(investment_model).matrices(u)):
+    for xi, x in enumerate(investment_model.states):
+        c = payoff_matrix(investment_model, u, x)
         assert c.min() - 1e-12 <= out[xi] <= c.max() + 1e-12
 
 
@@ -146,7 +149,7 @@ def test_evaluate_fixed_point_residual_is_tiny():
         pair = random_pair(rng, m)
         values = evaluate_stationary_pair(m, pair)
         residual = omega_norm(
-            strategy_update(m, pair, values) - values, m.weight_vector()
+            strategy_update(m, pair, values) - values, m.table.weight
         )
         assert residual <= 1e-10
         assert_matches_dense(m, pair, values)
@@ -209,7 +212,7 @@ def dense_values(m, pair) -> np.ndarray:
 
 def continuation_norm(m, pair) -> float:
     """``||M||_omega`` of the pair's continuation matrix."""
-    w = np.asarray(m.weight_vector())
+    w = m.table.weight
     sums = np.zeros(m.n_states)
     for triple in m.triples():
         x, a, b = triple
@@ -409,7 +412,7 @@ def test_contraction_in_the_certified_modulus():
         if not cert.passed:
             continue
         done += 1
-        w = m.weight_vector()
+        w = m.table.weight
         u = rng.normal(size=m.n_states) * 10.0
         v = rng.normal(size=m.n_states) * 10.0
         op = ShapleyOperator(m)
@@ -452,7 +455,8 @@ def test_constant_shift_bounds_with_unit_weights():
 def test_minimax_equals_maximin_at_every_state(investment_model):
     # the per-state game value is the same whichever player optimizes first
     u = np.array([2.0, -1.0, 0.5])
-    for c in ShapleyOperator(investment_model).matrices(u):
+    for x in investment_model.states:
+        c = payoff_matrix(investment_model, u, x)
         maximin = solve_matrix_game(c).value
         minimax = -solve_matrix_game(-c.T).value
         assert maximin == pytest.approx(minimax, abs=1e-9)
@@ -464,14 +468,16 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
     for _ in range(30):
         m = random_model(rng, max_actions=5)
         op = ShapleyOperator(m)
-        _, guess = op.apply(rng.normal(size=m.n_states) * 20.0)
+        _, guess = op._solve(rng.normal(size=m.n_states) * 20.0)
         u = rng.normal(size=m.n_states) * 20.0
         cold, _ = op.apply(u)
         simplex_calls.clear()
-        warm, pair = op.apply(u, guess)
+        warm, strategies = op._solve(u, guess)
+        pair = op._pair(strategies)
         states += m.n_states
         warm_solved += m.n_states - len(simplex_calls)
-        for xi, (x, c) in enumerate(zip(m.states, op.matrices(u))):
+        for xi, x in enumerate(m.states):
+            c = payoff_matrix(m, u, x)
             scale = max(1.0, float(np.max(np.abs(c))))
             assert warm[xi] == pytest.approx(solve_matrix_game(c).value, abs=1e-9 * scale)
             assert warm[xi] == pytest.approx(cold[xi], abs=1e-9 * scale)
@@ -517,7 +523,8 @@ def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, pair = op.apply(u, guess)
+    warm, strategies = op._solve(u, _pair_arrays(op, guess))
+    pair = op._pair(strategies)
     assert len(simplex_calls) == 1
     np.testing.assert_array_equal(warm, cold)
     np.testing.assert_array_equal(pair.f["s0"], cold_pair.f["s0"])
@@ -531,31 +538,14 @@ def test_singular_guessed_support_falls_back_to_the_enumerated_supports(duplicat
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, pair = op.apply(u, guess)
+    warm, strategies = op._solve(u, _pair_arrays(op, guess))
+    pair = op._pair(strategies)
     # the full 2x2 support is singular, so the result must come from a smaller one
     assert min(np.count_nonzero(pair.f["s0"]), np.count_nonzero(pair.g["s0"])) == 1
     assert simplex_calls == []
     np.testing.assert_array_equal(warm, cold)
     np.testing.assert_array_equal(pair.f["s0"], cold_pair.f["s0"])
     np.testing.assert_array_equal(pair.g["s0"], cold_pair.g["s0"])
-
-
-def test_a_previous_pair_missing_a_state_is_ignored(investment_model):
-    # as is one with a NaN, wrong-length or non-numeric strategy: the whole pair is ignored
-    op = ShapleyOperator(investment_model)
-    u = np.array([3.0, -2.0, 0.25])
-    cold, cold_pair = op.apply(u)
-    _, guess = op.apply(np.zeros(3))
-    partial = StationaryStrategyPair(f={"1": guess.f["1"]}, g=dict(guess.g))
-    nan = StationaryStrategyPair(f={**guess.f, "2": np.full(2, np.nan)}, g=guess.g)
-    wrong_length = StationaryStrategyPair(f=guess.f, g={**guess.g, "3": np.array([1.0, 0.0, 0.0])})
-    not_numeric = StationaryStrategyPair(f={**guess.f, "1": {"a11": 1.0}}, g=guess.g)
-    for previous in (partial, nan, wrong_length, not_numeric):
-        warm, pair = op.apply(u, previous)
-        np.testing.assert_array_equal(warm, cold)
-        for x in investment_model.states:
-            np.testing.assert_array_equal(pair.f[x], cold_pair.f[x])
-            np.testing.assert_array_equal(pair.g[x], cold_pair.g[x])
 
 
 def small_games(rng, n_rows, n_cols) -> list[np.ndarray]:
@@ -583,7 +573,8 @@ def test_enumerated_supports_solve_every_small_game(n_rows, n_cols, simplex_call
     u = np.zeros(m.n_states)
     values, pair = op.apply(u)
     assert simplex_calls == []
-    for xi, (x, c) in enumerate(zip(m.states, op.matrices(u))):
+    for xi, x in enumerate(m.states):
+        c = payoff_matrix(m, u, x)
         np.testing.assert_array_equal(c, games[xi])
         scale = max(1.0, float(np.max(np.abs(c))))
         assert abs(values[xi] - solve_matrix_game(c).value) <= 1e-12 * scale

@@ -25,7 +25,7 @@ from smgsolve import (
     value_iterate,
 )
 
-from conftest import INVESTMENT_DOC, MODELS_DIR, random_model, sparse_doc
+from conftest import INVESTMENT_DOC, MODELS_DIR, payoff_matrix, random_model, sparse_doc
 
 
 def halving_model():
@@ -125,9 +125,10 @@ def _cold_solve(m, epsilon):
     current = np.zeros(op.n)
     applications = 0
     while True:
-        updated = np.array([solve_matrix_game(c).value for c in op.matrices(current)])
+        games = [payoff_matrix(m, current, x) for x in m.states]
+        updated = np.array([solve_matrix_game(c).value for c in games])
         applications += 1
-        if omega_norm(updated - current, op.weights) < epsilon:
+        if omega_norm(updated - current, m.table.weight) < epsilon:
             return applications, updated
         current = updated
 
@@ -144,7 +145,7 @@ def test_warm_start_keeps_the_application_count(investment_model):
         report = value_iterate(m, 1e-6, certificate=cert)
         applications, values = _cold_solve(m, 1e-6)
         assert len(report.error_trace) == applications
-        assert omega_norm(report.epsilon_value - values, m.weight_vector()) <= 1e-10
+        assert omega_norm(report.epsilon_value - values, m.table.weight) <= 1e-10
 
 
 def test_final_strategies_match_the_equalization_oracle(investment_model):
@@ -154,9 +155,8 @@ def test_final_strategies_match_the_equalization_oracle(investment_model):
 
     report = value_iterate(investment_model, 1e-4, v0=np.ones(3))
     previous = np.array(report.value_trace[-2])
-    matrices = ShapleyOperator(investment_model).matrices(previous)
     for xi, x in enumerate(investment_model.states):
-        v, fv, gv = solve_2x2_by_equalizing(matrices[xi])
+        v, fv, gv = solve_2x2_by_equalizing(payoff_matrix(investment_model, previous, x))
         assert report.epsilon_value[xi] == pytest.approx(v, abs=1e-9)
         np.testing.assert_allclose(report.equilibrium.f[x], fv, atol=1e-9)
         np.testing.assert_allclose(report.equilibrium.g[x], gv, atol=1e-9)
@@ -195,7 +195,8 @@ def test_per_state_results_do_not_depend_on_sweep_order(investment_model):
     updated, pair = op.apply(u)
     moved, moved_pair = ShapleyOperator(relabelled).apply(u[::-1])
     np.testing.assert_array_equal(moved[::-1], updated)
-    for xi, (x, c) in enumerate(zip(investment_model.states, op.matrices(u))):
+    for xi, x in enumerate(investment_model.states):
+        c = payoff_matrix(investment_model, u, x)
         np.testing.assert_array_equal(moved_pair.f[rename[x]], pair.f[x])
         np.testing.assert_array_equal(moved_pair.g[rename[x]], pair.g[x])
         scale = max(1.0, float(np.max(np.abs(c))))
@@ -257,12 +258,12 @@ def test_no_pure_stationary_deviation_gains_more_than_the_certified_radius():
         m = random_model(rng, unit_weight=len(models) % 2 == 0)
         if check_assumptions(m).passed:
             models.append(m)
-    assert any(np.any(np.asarray(m.weight_vector()) != 1.0) for m in models)
+    assert any(np.any(m.table.weight != 1.0) for m in models)
     null_deviations = 0
     for m in models:
         report = value_iterate(m, 1e-6)
         gains = np.array(list(certify_solution(m, report, tol=0.0).per_state.values()))
-        w = np.asarray(m.weight_vector())
+        w = m.table.weight
         radius = w * (gains / w).max() / (1.0 - report.certificate.eta_gamma)
         pair = report.equilibrium
         values = evaluate_stationary_pair(m, pair)
@@ -340,11 +341,12 @@ def test_value_iterate_is_apply_from_zero_by_hand(model):
     m = model()
     report = value_iterate(m, 1e-9)
     op = ShapleyOperator(m)
-    u, pair = np.zeros(m.n_states), None
+    u, strategies = np.zeros(m.n_states), None
     for row in report.value_trace:
-        u, pair = op.apply(u, pair)
+        u, strategies = op._solve(u, strategies)
         np.testing.assert_array_equal(u, row)
     np.testing.assert_array_equal(u, report.epsilon_value)
+    pair = op._pair(strategies)
     for x in m.states:
         np.testing.assert_array_equal(pair.f[x], report.equilibrium.f[x])
         np.testing.assert_array_equal(pair.g[x], report.equilibrium.g[x])

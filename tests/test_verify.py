@@ -387,10 +387,10 @@ def test_weighted_row_bound_at_every_triple():
         if not cert.passed:
             continue
         done += 1
-        w = np.asarray(m.weight_vector())
+        w = m.table.weight
         for t in m.triples():
             _, _, row = discounted_kernel_row(m, t)
-            assert float(row @ w) <= cert.eta_gamma * m.weight[t[0]] + 1e-12
+            assert float(row @ w) <= cert.eta_gamma * w[m.state_index(t[0])] + 1e-12
 
 
 def test_certificates_are_deterministic(investment_model):
