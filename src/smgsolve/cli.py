@@ -32,6 +32,7 @@ from .shapley import StationaryStrategyPair, evaluate_stationary_pair
 from .simulate import _check_run, estimate_value
 from .solver import (
     ConvergenceError,
+    _check_iteration,
     report_as_dict,
     strategy_tables,
     trace_csv,
@@ -175,14 +176,13 @@ def _cmd_check(config: RunConfig) -> int:
 
 def _cmd_solve(config: RunConfig) -> int:
     m, digest = _load_model(config)
+    _check_iteration(config.epsilon, config.max_iter)
+    v0 = _initial_values(config, m)
     cert = _certificate(config, m)
     if not cert.passed:
         _emit(_artifact(config, digest, {"certificate": cert.as_dict()}), config.report_out)
         return EXIT_CERTIFICATE
-    report = value_iterate(
-        m, config.epsilon, v0=_initial_values(config, m),
-        max_iter=config.max_iter, certificate=cert,
-    )
+    report = value_iterate(m, config.epsilon, v0=v0, max_iter=config.max_iter, certificate=cert)
     _emit(_artifact(config, digest, report_as_dict(m, report)), config.report_out)
     if config.trace_out:
         Path(config.trace_out).write_text(trace_csv(m, report))
@@ -212,6 +212,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     if config.state not in m.states:
         raise _InputError(f"unknown state {config.state!r}")
     _check_run(config.trajectories, config.seed)
+    _check_iteration(config.epsilon, None)
     if config.strategies_in:
         pair = _load_pair(config, m)
     else:

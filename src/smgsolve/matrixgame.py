@@ -1,9 +1,20 @@
-"""Exact zero-sum matrix game solver: one simplex phase, then an equalizer solve.
+"""Exact zero-sum matrix games, answered in stacks of one shape.
 
-The payoff matrix ``A`` is normalized by its largest magnitude and shifted,
-``P = A / max|A| + 2``, so every entry of ``P`` lies in ``[1, 3]``.  Optimal
-strategies are unchanged by this positive affine map, and the game on ``P``
-has the linear program (Dantzig 1951)
+A game's answer depends only on its own matrix and previous supports,
+never on the other games of its stack.  :func:`solve_games` first tries
+candidate square support pairs, and a game keeps the first whose
+equalizing strategies (Shapley and Snow 1950) are both ``>= 0`` with
+exploitability ``max(A y) - min(x A)`` at most ``WARM_START_TOL * max(1,
+max|A|)``.  The candidates are the game's previous supports, when square,
+then, for shapes of at most :data:`ENUMERATED_SIDE` rows and columns,
+every square support pair, smallest first.  Each candidate is one stacked
+solve of both players' bordered equalizer systems (:func:`equalize`).
+
+The games left over go to the simplex.  The payoff matrix ``A`` is
+normalized by its largest magnitude and shifted, ``P = A / max|A| + 2``, so
+every entry of ``P`` lies in ``[1, 3]``.  Optimal strategies are unchanged
+by this positive affine map, and the game on ``P`` has the linear program
+(Dantzig 1951)
 
     max sum(y)   subject to   P y <= 1,   y >= 0,
 
@@ -14,29 +25,35 @@ pivoting rules fall back to Bland's rule on a stall, and every rule is
 deterministic, so when the optimal face is not a single point the returned
 strategy is still reproducible across runs.
 
-The simplex runs on a stack of same-shape games in lockstep: each step
-pivots every game still in the stack once, by that game's own rules, and a
-game leaves the stack once it is optimal.  Every game's arithmetic is the
-arithmetic it would see alone, so its answer does not depend on the other
-games of its stack; :func:`solve_matrix_game` runs a stack of one.
+The simplex runs on the stack in lockstep: each step pivots every game
+still in the stack once, by that game's own rules, and a game leaves the
+stack once it is optimal.  Every game's arithmetic is the arithmetic it
+would see alone; :func:`solve_matrix_game` runs a stack of one.
 
 The final basis holds ``k`` columns of ``y`` (the support ``J``) and the
 slacks of all but ``k`` rows; the ``k`` rows whose slacks left (the support
 ``I``) are tight.  Both strategies and the value are then solved afresh
-from the bordered equalizer system on the normalized block ``A[I, J]``
-(Shapley and Snow 1950), the one :func:`equalize` that the operator's
-support candidates also use, one stacked solve per support size, so the
-rounding of the pivots does not reach the result.  The solution carries
-the exploitability ``max(A y) - min(x A)`` of the pair, which bounds how
-far either strategy is from optimal.
+from the equalizer system on the normalized block ``A[I, J]``, one stacked
+solve per support size, so the rounding of the pivots does not reach the
+result.  When that block is singular, the square supports one row or one
+column away from ``I x J`` are tried under the candidates' acceptance
+test, and the first that passes answers the game.  The solution carries
+the exploitability of the pair, which bounds how far either strategy is
+from optimal.
 
 Single-row and single-column games are solved by direct scan.
 """
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
+# a pair from a candidate support must be this exact, relative to max(1, max|A|)
+WARM_START_TOL = 1e-12
+# shapes up to this many rows and columns try every square support pair
+ENUMERATED_SIDE = 3
 # the objective is 1 / value(P), which compresses value gaps by up to value(P)^2 <= 9
 PIVOT_TOL = 1e-12
 _STALL_PIVOTS = 10  # normal pivots per (rows + columns + 10) of a tableau before Bland's rule
@@ -174,6 +191,77 @@ def equalize(sub: np.ndarray):
     return sol[0, :, k], sol[0, :, :k], sol[1, :, :k], regular
 
 
+@cache
+def _square_supports(n_rows: int, n_cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every square support pair of an ``n_rows x n_cols`` game, smallest first.
+
+    Within one size the order is that of :func:`itertools.combinations`,
+    row supports outermost: 5 pairs for 2x2, 19 for 3x3, none above
+    :data:`ENUMERATED_SIDE`.
+    """
+    if max(n_rows, n_cols) > ENUMERATED_SIDE:
+        return ()
+    return tuple(
+        (np.array(s), np.array(t))
+        for k in range(1, min(n_rows, n_cols) + 1)
+        for s in combinations(range(n_rows), k)
+        for t in combinations(range(n_cols), k)
+    )
+
+
+def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
+    """Try supports ``rs x cs`` on the games ``c[at]``; return those that fail.
+
+    ``rs`` and ``cs`` hold ``k`` row and column indices per game (one row
+    of them when every game shares its supports).  Both players' equalizer
+    systems on the ``k x k`` submatrices are one stacked solve, by
+    :func:`equalize`.  A game keeps the result, written into ``out =
+    (value, x, y)``, only when both strategies are ``>= 0`` and their
+    exploitability is at most ``scale``.
+    """
+    n = at.size
+    games = c[at]
+    sub = c[at[:, None, None], rs[:, :, None], cs[:, None, :]]
+    v, x_s, y_t, regular = equalize(sub)
+    ix = np.arange(n)[:, None]
+    x = np.zeros((n, c.shape[1]))
+    x[ix, rs] = x_s
+    y = np.zeros((n, c.shape[2]))
+    y[ix, cs] = y_t
+    # NaN from a near-singular system fails every comparison
+    ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
+    ok &= exploitability(games, x, y) <= scale[at]
+    value, x_out, y_out = out
+    keep = at[ok]
+    value[keep] = v[ok]
+    x_out[keep] = x[ok]
+    y_out[keep] = y[ok]
+    return at[~ok]
+
+
+def _nearby(payoffs, game: int, rows, cols, out) -> bool:
+    """Answer ``payoffs[game]`` on a support next to its singular one, ``rows x cols``.
+
+    The candidates swap one row of the support for one outside it (each
+    position in turn, the outside rows ascending), then one column likewise.
+    The first that passes :func:`_equalize` at ``WARM_START_TOL * max(1,
+    max|A|)`` is written into ``out``; returns whether one passed.
+    """
+    m, l = payoffs.shape[1:]
+    other_rows, other_cols = np.setdiff1d(np.arange(m), rows), np.setdiff1d(np.arange(l), cols)
+    swaps = [(np.r_[rows[:i], r, rows[i + 1 :]], cols) for i in range(rows.size) for r in other_rows]
+    swaps += [(rows, np.r_[cols[:j], c, cols[j + 1 :]]) for j in range(cols.size) for c in other_cols]
+    alone = payoffs[game : game + 1]
+    view = tuple(v[game : game + 1] for v in out)
+    scale = WARM_START_TOL * np.maximum(1.0, np.abs(alone).max(axis=(1, 2)))
+    for rs, cs in swaps:
+        if not _equalize(alone, np.zeros(1, dtype=int), rs[None], cs[None], scale, view).size:
+            for v in view:
+                v += 0.0  # no entry reads -0.0
+            return True
+    return False
+
+
 def _maximin(payoffs: np.ndarray):
     """Values and optimal mixtures of both players of each game of the stack ``payoffs``.
 
@@ -183,10 +271,14 @@ def _maximin(payoffs: np.ndarray):
     ``P y <= 1``, all the games of the stack together; each final basis
     names a support, and one :func:`equalize` per support size gives the
     answers on the normalized blocks, with the values scaled back by
-    ``max|payoff|``.  Returns ``(value, x, y, failed)``: ``failed`` maps the
+    ``max|payoff|``.  A game whose block is singular is answered instead on
+    the first nearby square support that passes the candidates' test
+    (:func:`_nearby`).  Returns ``(value, x, y, failed)``: ``failed`` maps the
     position in the stack of each game on which the simplex failed to the
-    message, and the other results of those games are meaningless.  Raises
-    ``ValueError`` when some entry is not finite.
+    message, and the other results of those games are meaningless.  It
+    carries ``simplex ended on a singular basis`` for a game only when its
+    block is singular and no support one row or one column away passes.
+    Raises ``ValueError`` when some entry is not finite.
     """
     if not np.isfinite(payoffs).all():
         raise ValueError("payoff entries must be finite")
@@ -220,16 +312,56 @@ def _maximin(payoffs: np.ndarray):
         cols = basic[games, :l].nonzero()[1].reshape(-1, k)
         rows = (~basic[games, l:]).nonzero()[1].reshape(-1, k)  # the rows whose slacks left
         v, x_s, y_t, regular = equalize(scaled[games[:, None, None], rows[:, :, None], cols[:, None, :]])
-        singular = games[~np.broadcast_to(regular, games.shape)]
-        failed.update(dict.fromkeys(singular.tolist(), "simplex ended on a singular basis"))
         value[games] = v * norm[games] + 0.0  # + 0.0: no value reads -0.0
         x[games[:, None], rows] = np.maximum(x_s, 0.0)
         y[games[:, None], cols] = np.maximum(y_t, 0.0)
+        singular = ~np.broadcast_to(regular, games.shape)
+        for g, rs, cs in zip(games[singular].tolist(), rows[singular], cols[singular]):
+            if not _nearby(payoffs, g, rs, cs, (value, x, y)):
+                failed[g] = "simplex ended on a singular basis"
     solved = np.ones(n, dtype=bool)
     solved[list(failed)] = False
     x[solved] /= x[solved].sum(axis=1, keepdims=True)
     y[solved] /= y[solved].sum(axis=1, keepdims=True)
     return value, x, y, failed
+
+
+def solve_games(payoffs: np.ndarray, previous=None):
+    """Values and both players' strategies of the stacked games ``payoffs``.
+
+    ``previous`` holds the ``(x, y)`` strategy stacks of the last answer,
+    whose square supports are the first candidates of the module docstring.
+    Each candidate is one :func:`_equalize` over the games still open, and
+    the games left over go to :func:`_maximin` as one stack.  Returns
+    ``(value, x, y, failed)`` as :func:`_maximin` does, ``failed`` keyed by
+    position in ``payoffs``.
+    """
+    size, n_rows, n_cols = payoffs.shape
+    out = (np.empty(size), np.zeros((size, n_rows)), np.zeros((size, n_cols)))
+    scale = WARM_START_TOL * np.maximum(1.0, np.abs(payoffs).max(axis=(1, 2)))
+    pending = np.arange(size)
+    if previous is not None:
+        f, g = (v != 0 for v in previous)
+        side = f.sum(axis=1)
+        side[side != g.sum(axis=1)] = 0  # not square: no candidate
+        left = [np.flatnonzero(side == 0)]
+        for k in range(1, min(n_rows, n_cols) + 1):
+            at = np.flatnonzero(side == k)
+            if at.size:
+                rs = f[at].nonzero()[1].reshape(-1, k)
+                cs = g[at].nonzero()[1].reshape(-1, k)
+                left.append(_equalize(payoffs, at, rs, cs, scale, out))
+        pending = np.sort(np.concatenate(left))
+    for s, t in _square_supports(n_rows, n_cols):
+        if not pending.size:
+            break
+        pending = _equalize(payoffs, pending, s[None], t[None], scale, out)
+    failed = {}
+    if pending.size:
+        value, x, y = out
+        value[pending], x[pending], y[pending], left = _maximin(payoffs[pending])
+        failed = {int(pending[i]): text for i, text in left.items()}
+    return (*out, failed)
 
 
 def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: np.ndarray):

@@ -25,28 +25,22 @@ point is the game value, and the per-state saddle strategies at the fixed
 point form an optimal stationary pair.
 
 All states' matrices are assembled at once from the model's triple table
-and stacked by shape.  Each stack's games are solved together: every
-candidate square support pair is one stacked linear solve of both players'
-equalizer systems, and the games no candidate solves go to the simplex in
-one lockstep stack.  A game's result depends only on its own matrix and
-previous supports, never on the other games of its stack.
+and stacked by shape.  Each stack's games are answered together, warm
+started from the previous application's supports, by
+:func:`smgsolve.matrixgame.solve_games`, which says which supports are
+tried and when the simplex runs.
 """
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .matrixgame import MatrixGameError, _maximin, equalize, exploitability
+from .matrixgame import MatrixGameError, solve_games
 from .model import GameModel, Triple
 
-SIMPLEX_TOL = 1e-10
-# a pair from a candidate support must be this exact, relative to max(1, max|C|)
-WARM_START_TOL = 1e-12
-# shapes up to this many rows and columns try every square support pair
-ENUMERATED_SIDE = 3
+# how far a strategy's entries may fall below 0, and its sum stray from 1
+STRATEGY_TOL = 1e-10
 # pair evaluation stops once its error bound is this, relative to max(1, ||v||_omega)
 EVAL_TOL = 1e-12
 # Krylov vectors in an evaluation's first GMRES cycle, and the most cycles it may take
@@ -82,7 +76,7 @@ def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
     if v.shape != (size,):
         raise ValueError(f"{what} must have length {size}, got shape {v.shape}")
     # written so that a NaN or infinite entry fails it: NaN compares False
-    if not (np.min(v) >= -SIMPLEX_TOL and abs(float(v.sum()) - 1.0) <= SIMPLEX_TOL):
+    if not (np.min(v) >= -STRATEGY_TOL and abs(float(v.sum()) - 1.0) <= STRATEGY_TOL):
         raise ValueError(f"{what} is not a probability vector: {v!r}")
     return v
 
@@ -105,7 +99,7 @@ def _pair_arrays(op: "ShapleyOperator", pair: StationaryStrategyPair):
             continue
         bad = np.zeros(len(group.states), dtype=bool)
         for v in (f, g):  # the test of _checked_distribution, row by row
-            bad |= ~((v.min(axis=1) >= -SIMPLEX_TOL) & (np.abs(v.sum(axis=1) - 1.0) <= SIMPLEX_TOL))
+            bad |= ~((v.min(axis=1) >= -STRATEGY_TOL) & (np.abs(v.sum(axis=1) - 1.0) <= STRATEGY_TOL))
         suspect.extend(group.index[bad].tolist())
         out.append((group, f, g))
     for xi in sorted(suspect):
@@ -167,24 +161,6 @@ def _shape_groups(m: GameModel) -> list[_ShapeGroup]:
     return groups
 
 
-@cache
-def _square_supports(n_rows: int, n_cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Every square support pair of an ``n_rows x n_cols`` game, smallest first.
-
-    Within one size the order is that of :func:`itertools.combinations`,
-    row supports outermost: 5 pairs for 2x2, 19 for 3x3, none above
-    :data:`ENUMERATED_SIDE`.
-    """
-    if max(n_rows, n_cols) > ENUMERATED_SIDE:
-        return ()
-    return tuple(
-        (np.array(s), np.array(t))
-        for k in range(1, min(n_rows, n_cols) + 1)
-        for s in combinations(range(n_rows), k)
-        for t in combinations(range(n_cols), k)
-    )
-
-
 def _stacked(strategies: dict, states: list[str], width: int) -> np.ndarray | None:
     """The strategies of ``states`` as rows, or None unless each has length ``width``."""
     try:
@@ -192,36 +168,6 @@ def _stacked(strategies: dict, states: list[str], width: int) -> np.ndarray | No
     except (KeyError, TypeError, ValueError):
         return None
     return rows if rows.shape == (len(states), width) else None
-
-
-def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
-    """Try supports ``rs x cs`` on the games ``c[at]``; return those that fail.
-
-    ``rs`` and ``cs`` hold ``k`` row and column indices per game (one row
-    of them when every game shares its supports).  Both players' equalizer
-    systems on the ``k x k`` submatrices are one stacked solve, by
-    :func:`~smgsolve.matrixgame.equalize`.  A game keeps the result, written
-    into ``out = (value, x, y)``, only when both strategies are ``>= 0`` and
-    their exploitability is at most ``scale``.
-    """
-    n = at.size
-    games = c[at]
-    sub = c[at[:, None, None], rs[:, :, None], cs[:, None, :]]
-    v, x_s, y_t, regular = equalize(sub)
-    ix = np.arange(n)[:, None]
-    x = np.zeros((n, c.shape[1]))
-    x[ix, rs] = x_s
-    y = np.zeros((n, c.shape[2]))
-    y[ix, cs] = y_t
-    # NaN from a near-singular system fails every comparison
-    ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
-    ok &= exploitability(games, x, y) <= scale[at]
-    value, x_out, y_out = out
-    keep = at[ok]
-    value[keep] = v[ok]
-    x_out[keep] = x[ok]
-    y_out[keep] = y[ok]
-    return at[~ok]
 
 
 class ShapleyOperator:
@@ -266,7 +212,9 @@ class ShapleyOperator:
     def apply(self, values) -> tuple[np.ndarray, StationaryStrategyPair]:
         """One operator application: per-state game values and saddle pair.
 
-        Each shape's games are solved together, as :func:`_solve_group` says.
+        Each shape's games are solved together, by
+        :func:`~smgsolve.matrixgame.solve_games`; when it fails on some of
+        them, :class:`MatrixGameError` names the first of those states.
         """
         out, strategies = self._solve(values)
         return out, self._pair(strategies)
@@ -277,7 +225,10 @@ class ShapleyOperator:
         out = np.empty(self.n)
         strategies = []
         for i, group in enumerate(self.groups):
-            value, x, y = _solve_group(group, flat[group.gather], previous and previous[i])
+            value, x, y, failed = solve_games(flat[group.gather], previous and previous[i][1:])
+            if failed:
+                first = min(failed)
+                raise MatrixGameError(f"state {group.states[first]!r}: {failed[first]}")
             out[group.index] = value
             strategies.append((group, x, y))
         return out, strategies
@@ -290,51 +241,6 @@ class ShapleyOperator:
             f=dict(zip(self.states, [f[i] for i in self.order])),
             g=dict(zip(self.states, [g[i] for i in self.order])),
         )
-
-
-def _solve_group(group: _ShapeGroup, c: np.ndarray, previous):
-    """Values and both players' strategies of the stacked games ``c``.
-
-    A game keeps the first candidate square support pair whose equalizing
-    strategies are both ``>= 0`` and whose exploitability ``max(C y) - min(x
-    C)`` is at most ``WARM_START_TOL * max(1, max|C|)``.  Each candidate is
-    one stacked ``np.linalg.solve`` over the games still unsolved (none for
-    ``1 x 1``: ``v = C[s, t]``).  The candidates are the game's supports in
-    ``previous``, the group's ``(group, f, g)`` of the last application, when
-    square; then, for shapes of at most :data:`ENUMERATED_SIDE` rows and
-    columns, every square support pair, smallest first (an optimal pair on a
-    square nonsingular submatrix exists, by Shapley and Snow).  The games
-    left over go to the simplex of :func:`solve_matrix_game` in one lockstep
-    stack, each answered as if solved alone; when it fails on some of them,
-    :class:`MatrixGameError` names the first of those states.
-    """
-    size = len(c)
-    out = (np.empty(size), np.zeros((size, group.rows)), np.zeros((size, group.cols)))
-    scale = WARM_START_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-    pending = np.arange(size)
-    if previous is not None:
-        f, g = (v != 0 for v in previous[1:])
-        side = f.sum(axis=1)
-        side[side != g.sum(axis=1)] = 0  # not square: no candidate
-        left = [np.flatnonzero(side == 0)]
-        for k in range(1, min(group.rows, group.cols) + 1):
-            at = np.flatnonzero(side == k)
-            if at.size:
-                rs = f[at].nonzero()[1].reshape(-1, k)
-                cs = g[at].nonzero()[1].reshape(-1, k)
-                left.append(_equalize(c, at, rs, cs, scale, out))
-        pending = np.sort(np.concatenate(left))
-    for s, t in _square_supports(group.rows, group.cols):
-        if not pending.size:
-            break
-        pending = _equalize(c, pending, s[None], t[None], scale, out)
-    if pending.size:
-        value, x, y = out
-        value[pending], x[pending], y[pending], failed = _maximin(c[pending])
-        if failed:
-            first = min(failed)
-            raise MatrixGameError(f"state {group.states[pending[first]]!r}: {failed[first]}")
-    return out
 
 
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:

@@ -83,6 +83,14 @@ def _nash_radius(epsilon: float, rate: float) -> float:
     return epsilon / (1.0 - rate) if rate < 1.0 else float("inf")
 
 
+def _check_iteration(epsilon, max_iter) -> None:
+    """Raise ``ValueError`` unless value iteration can stop at ``epsilon`` within ``max_iter``."""
+    if not 0.0 < epsilon < math.inf:  # also rejects NaN
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def value_iterate(
     m: GameModel,
     epsilon: float,
@@ -98,10 +106,7 @@ def value_iterate(
     Raises :class:`CertificateError` when the model's certificate fails and
     :class:`ConvergenceError` when the cap is hit first.
     """
-    if not 0.0 < epsilon < math.inf:  # also rejects NaN
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_iteration(epsilon, max_iter)
     cert = certificate if certificate is not None else check_assumptions(m)
     if not cert.passed:
         failed = [name for name, c in cert.checks.items() if not c.passed]

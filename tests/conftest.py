@@ -83,11 +83,11 @@ INVESTMENT_VALUES = (12.6054, 12.1271, 11.1653)
 @pytest.fixture()
 def simplex_calls(monkeypatch):
     """Count the per-state games ``ShapleyOperator.apply`` hands to the simplex, one entry per game."""
-    import smgsolve.shapley as shapley
+    import smgsolve.matrixgame as matrixgame
 
     calls = []
-    solve = shapley._maximin
-    monkeypatch.setattr(shapley, "_maximin", lambda c: calls.extend(c) or solve(c))
+    solve = matrixgame._maximin
+    monkeypatch.setattr(matrixgame, "_maximin", lambda c: calls.extend(c) or solve(c))
     return calls
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, and exit codes."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -263,6 +264,18 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
          "trajectories must be an integer of at least 2, got 1"),
         ({"command": "simulate", "model": AUX, "state": "s0", "seed": -1}, DRIFT_DOC,
          "seed must be a non-negative integer, got -1"),
+        ({"command": "simulate", "model": AUX, "state": "s0", "epsilon": math.nan}, DRIFT_DOC,
+         "epsilon must be positive and finite, got nan"),
+        ({"command": "solve", "model": AUX, "epsilon": math.nan}, DRIFT_DOC,
+         "epsilon must be positive and finite, got nan"),
+        ({"command": "solve", "model": AUX, "max_iter": 0}, DRIFT_DOC,
+         "max_iter must be at least 1, got 0"),
+        ({"command": "solve", "model": AUX, "v0": "nan"}, DRIFT_DOC,
+         "v0 holds a number that is not finite as a float"),
+        # the epsilon of the inner solve is checked even when a pair is given
+        ({"command": "simulate", "state": "1", "strategies_in": AUX, "epsilon": math.nan},
+         {x: {"f": {f"a{x}1": 1.0}, "g": {f"b{x}1": 1.0}} for x in ("1", "2", "3")},
+         "epsilon must be positive and finite, got nan"),
         ({"command": "game", "model": None}, None, "a matrix (inline JSON or a file path) is required"),
         ({"command": "game", "model": None, "matrix": "[]"}, None,
          "matrix must be a nonempty JSON array of arrays of numbers"),
@@ -271,6 +284,8 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         "no-model", "v0-missing-states", "v0-neither-mapping-nor-list", "no-strategies",
         "strategies-not-an-object", "strategies-without-f-g", "strategies-f-not-a-mapping",
         "simulate-without-state", "simulate-one-trajectory", "simulate-negative-seed",
+        "simulate-nan-epsilon", "solve-nan-epsilon", "solve-zero-max-iter", "solve-nan-v0",
+        "simulate-pair-nan-epsilon",
         "no-matrix", "empty-matrix",
     ],
 )
@@ -456,9 +471,9 @@ def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_pa
 
 
 def test_a_simplex_failure_exits_1_naming_the_state(tmp_path, monkeypatch, capsys):
-    import smgsolve.shapley as shapley
+    import smgsolve.matrixgame as matrixgame
 
-    monkeypatch.setattr(shapley, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
+    monkeypatch.setattr(matrixgame, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
     acts = [f"a{i}" for i in range(4)]  # 4x4 games are above the enumerated shapes
     doc = {
         "states": ["wide"],

@@ -1,5 +1,6 @@
 """Matrix-game LP solver: oracles, duality, and invariance properties."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import smgsolve.matrixgame as matrixgame
 from smgsolve import MatrixGameError, solve_matrix_game, verify_saddle_point
+from smgsolve.cli import main
 
 from conftest import solve_2x2_by_equalizing
 
@@ -252,6 +254,53 @@ def test_every_game_the_simplex_fails_is_reported(monkeypatch):
     assert failed == dict.fromkeys(range(3), "simplex ended on a singular basis")
     with pytest.raises(MatrixGameError, match="^simplex ended on a singular basis$"):
         solve_matrix_game(stack[0])
+
+
+# bounded, feasible games on which the simplex ends on a basis whose block is
+# singular; the first found by hand, the second by a seeded sweep of 40,000 games
+SINGULAR_BASIS = {
+    "9x8": [
+        [1e8, 1e8, 1, 1, 0, 0, 1, 1e8], [0, 1, 0, -1e8, 1, 1, 0, 1],
+        [1e8, 1, -1e8, 0, 1e8, 0, 1, 1], [-1e8, 1e8, 1, 1, 1e8, 1, 1e8, 1],
+        [0, 1e8, 0, 0, 1e8, -1e8, -1e8, -1e8], [1, -1e8, -1e8, 0, 0, 1e8, 1e8, 1],
+        [1e8, -1e8, 1, -1e8, 1, 1, 0, 1e8], [1, -1e8, -1e8, 1, 1e8, -1e8, 0, 1],
+        [1, 1e8, 1, 1, 0, 1e8, 0, 1],
+    ],
+    "9x3": [
+        [1, 0, -1e8], [1e8, 0, 1], [-1e8, 1, -1], [1e8, -1e8, 1], [0, -1, 1e8],
+        [1e8, -1e8, -1e8], [-1e8, -1, -1e8], [1e8, 1, 1], [-1e8, 1, 1],
+    ],
+}
+
+
+def _linprog_value(a: np.ndarray) -> float:
+    """The value by scipy's LP: max v subject to x A >= v, sum(x) = 1, x >= 0."""
+    from scipy.optimize import linprog
+
+    m, l = a.shape
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost, A_ub=np.hstack([-a.T, np.ones((l, 1))]), b_ub=np.zeros(l),
+        A_eq=np.hstack([np.ones((1, m)), [[0.0]]]), b_eq=[1.0],
+        bounds=[(0.0, None)] * m + [(None, None)],
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("name", SINGULAR_BASIS)
+def test_a_singular_final_basis_is_answered_on_a_nearby_support(name, tmp_path, monkeypatch):
+    reached = []
+    nearby = matrixgame._nearby
+    monkeypatch.setattr(matrixgame, "_nearby", lambda *args: reached.append(args[1]) or nearby(*args))
+    a = np.array(SINGULAR_BASIS[name], dtype=float)
+    out = tmp_path / "game.json"
+    assert main(["game", json.dumps(SINGULAR_BASIS[name]), "--out", str(out)]) == 0
+    assert len(reached) == 1  # the simplex's own block was singular
+    doc = json.loads(out.read_text())
+    assert doc["saddleVerified"] is True
+    assert abs(doc["value"] - _linprog_value(a)) <= 1e-12 * max(1.0, float(np.abs(a).max()))
 
 
 def test_extreme_scales_stay_accurate():

@@ -595,9 +595,9 @@ def test_value_iteration_on_2x2_states_never_reaches_the_simplex(simplex_calls):
 
 
 def test_a_simplex_failure_names_the_state(monkeypatch):
-    import smgsolve.shapley as shapley
+    import smgsolve.matrixgame as matrixgame
 
-    monkeypatch.setattr(shapley, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
+    monkeypatch.setattr(matrixgame, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
     games = [duplicated_game("rows", 2), duplicated_game("rows", 4)]
     op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
     with pytest.raises(MatrixGameError, match="state 's1': simplex failed to terminate"):
@@ -605,11 +605,11 @@ def test_a_simplex_failure_names_the_state(monkeypatch):
 
 
 def test_two_simplex_failures_in_one_stack_name_the_first_state(monkeypatch):
-    import smgsolve.shapley as shapley
+    import smgsolve.matrixgame as matrixgame
 
     # s0 is solved by enumeration; s1..s3 go to the simplex as one stack
     failures = {2: "simplex failed to terminate", 1: "linear program is unbounded"}
-    monkeypatch.setattr(shapley, "_maximin", failing_simplex(failures))
+    monkeypatch.setattr(matrixgame, "_maximin", failing_simplex(failures))
     games = [duplicated_game("rows", 2)] + [duplicated_game(d, 4) for d in ("rows", "columns", "rows")]
     op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
     with pytest.raises(MatrixGameError) as info:
