@@ -85,11 +85,11 @@ def _parse_json(text: str, what: str):
 
 
 def _finite(value, where: str) -> float:
-    """``value`` as a finite float; anything else exits 2 naming ``where``."""
+    """A JSON number ``value`` as a finite float; anything else exits 2 naming ``where``."""
+    if not _number(value):  # a string or a boolean is no number, whatever float() makes of it
+        raise _InputError(f"{where} holds a non-numeric value {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise _InputError(f"{where} holds a non-numeric value {value!r}") from exc
     except OverflowError:  # an integer too large for a float
         out = math.inf
     if not math.isfinite(out):
@@ -131,6 +131,9 @@ def _initial_values(config: RunConfig, m: GameModel) -> np.ndarray | None:
         missing = [x for x in m.states if x not in table]
         if missing:
             raise _InputError(f"v0 file missing states {missing}")
+        unknown = set(table) - set(m.states)
+        if unknown:
+            raise _InputError(f"v0 file lists unknown states {sorted(unknown)}")
         return np.array([_finite(table[x], f"v0 file at state {x!r}") for x in m.states])
     if isinstance(table, list) and len(table) == m.n_states:
         return np.array([_finite(v, f"v0 file at state {x!r}") for x, v in zip(m.states, table)])
@@ -158,6 +161,9 @@ def _load_pair(config: RunConfig, m: GameModel) -> StationaryStrategyPair:
             dest[x] = np.array(
                 [_finite(probs.get(a, 0.0), f"strategies[{x!r}].{side}[{a!r}]") for a in acts]
             )
+    unknown = set(table) - set(m.states)
+    if unknown:
+        raise _InputError(f"strategies file lists unknown states {sorted(unknown)}")
     return StationaryStrategyPair(f=f, g=g)
 
 

@@ -57,6 +57,7 @@ ENUMERATED_SIDE = 3
 # the objective is 1 / value(P), which compresses value gaps by up to value(P)^2 <= 9
 PIVOT_TOL = 1e-12
 _STALL_PIVOTS = 10  # normal pivots per (rows + columns + 10) of a tableau before Bland's rule
+_UNBOUNDED = "linear program is unbounded"
 
 
 class MatrixGameError(RuntimeError):
@@ -142,7 +143,7 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, failed: dict) -> np.ndarray:
         leaves = optimal | ~eligible.any(axis=1)
         if leaves.any():
             final[live[optimal]] = basis[optimal]
-            failed.update(dict.fromkeys(live[leaves & ~optimal].tolist(), "linear program is unbounded"))
+            failed.update(dict.fromkeys(live[leaves & ~optimal].tolist(), _UNBOUNDED))
             stay = ~leaves
             live, tab, basis, enter, coef, eligible = (
                 v[stay] for v in (live, tab, basis, enter, coef, eligible)
@@ -262,7 +263,7 @@ def _nearby(payoffs, game: int, rows, cols, out) -> bool:
     return False
 
 
-def _maximin(payoffs: np.ndarray):
+def _maximin(payoffs: np.ndarray, transposed: bool = False):
     """Values and optimal mixtures of both players of each game of the stack ``payoffs``.
 
     Games with one column (one row) are solved by scanning for the row
@@ -278,6 +279,10 @@ def _maximin(payoffs: np.ndarray):
     message, and the other results of those games are meaningless.  It
     carries ``simplex ended on a singular basis`` for a game only when its
     block is singular and no support one row or one column away passes.
+    The LP is bounded, so ``linear program is unbounded`` comes from
+    rounding alone: such a game is answered once more, unless
+    ``transposed``, as the game ``-A.T`` of the other player, whose value
+    is the negated value with the two strategies swapped.
     Raises ``ValueError`` when some entry is not finite.
     """
     if not np.isfinite(payoffs).all():
@@ -323,6 +328,11 @@ def _maximin(payoffs: np.ndarray):
     solved[list(failed)] = False
     x[solved] /= x[solved].sum(axis=1, keepdims=True)
     y[solved] /= y[solved].sum(axis=1, keepdims=True)
+    for g in [g for g, text in failed.items() if text == _UNBOUNDED and not transposed]:
+        (v,), (y_g,), (x_g,), again = _maximin(-payoffs[g].T[None], transposed=True)
+        if not again:
+            value[g], x[g], y[g] = -v + 0.0, x_g, y_g  # + 0.0: no value reads -0.0
+            del failed[g]
     return value, x, y, failed
 
 

@@ -227,7 +227,8 @@ class TripleTable:
     Row ``i``'s successors are ``succ[indptr[i]:indptr[i + 1]]`` (nonzeros
     only, in state order) with probabilities ``prob`` at the same positions.
     ``weight`` is the state weight ``omega``, one entry per state, 1.0 where
-    the document gives none.
+    the document gives none.  A pair's mixed actions at ``x`` are slots
+    ``f_ptr[x]:f_ptr[x + 1]`` and ``g_ptr[x]:g_ptr[x + 1]`` of two flat arrays.
     """
 
     def __init__(self, states, actions1, actions2):
@@ -237,6 +238,8 @@ class TripleTable:
         self.rows = np.array([len(actions1[x]) for x in states])
         self.cols = np.array([len(actions2[x]) for x in states])
         self.offset = np.concatenate(([0], np.cumsum(self.rows * self.cols)))
+        self.f_ptr = np.concatenate(([0], np.cumsum(self.rows)))
+        self.g_ptr = np.concatenate(([0], np.cumsum(self.cols)))
         self.state = np.repeat(np.arange(len(states)), self.rows * self.cols)
         self.weight = np.ones(len(states))
         size = len(self.labels)

@@ -54,7 +54,7 @@ class StationaryStrategyPair:
 
     ``f[x]`` is a probability vector over ``actions1[x]`` and ``g[x]`` over
     ``actions2[x]``, aligned with the model's action declaration order.
-    Inside the library a pair is held as per-shape-group arrays instead.
+    Inside the library a pair is two flat arrays, cut by ``f_ptr`` and ``g_ptr``.
     """
 
     f: dict[str, np.ndarray]
@@ -81,34 +81,45 @@ def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
     return v
 
 
-def _pair_arrays(op: "ShapleyOperator", pair: StationaryStrategyPair):
-    """Validated strategies of each of ``op``'s shape groups: ``[(group, f, g), ...]``.
+def _joined(strategies: dict, states, widths: np.ndarray) -> np.ndarray | None:
+    """The strategies of ``states`` as one flat array, or None unless each has its width."""
+    try:
+        parts = [strategies[x] for x in states]
+        flat = np.concatenate(parts, dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return None
+    # after a join, every part is 1-d exactly when the result is
+    sizes = np.fromiter(map(len, parts), np.intp, len(parts))
+    return flat if flat.ndim == 1 and (sizes == widths).all() else None
 
-    ``f`` and ``g`` hold the group's strategies as rows, in ``group.index``
-    order.  Each group's signs and sums are checked at once; the states that
-    fail, and every state of a group whose strategies do not stack, are
-    checked again one at a time in state order, so the first of them raises
-    naming itself.
+
+def _pair_arrays(m: GameModel, pair: StationaryStrategyPair) -> tuple[np.ndarray, np.ndarray]:
+    """The validated pair as ``(f, g)``, flat and segmented by ``f_ptr`` and ``g_ptr``.
+
+    Each player's strategies are joined at once and checked per state.  The
+    states that fail, or all when a join does not fill the segments, are
+    checked again one at a time in state order, so the first raises naming itself.
     """
-    out, suspect = [], []
-    for group in op.groups:
-        f = _stacked(pair.f, group.states, group.rows)
-        g = _stacked(pair.g, group.states, group.cols)
-        if f is None or g is None:
-            suspect.extend(group.index.tolist())
-            continue
-        bad = np.zeros(len(group.states), dtype=bool)
-        for v in (f, g):  # the test of _checked_distribution, row by row
-            bad |= ~((v.min(axis=1) >= -STRATEGY_TOL) & (np.abs(v.sum(axis=1) - 1.0) <= STRATEGY_TOL))
-        suspect.extend(group.index[bad].tolist())
-        out.append((group, f, g))
-    for xi in sorted(suspect):
-        x = op.states[xi]
+    t = m.table
+    f, g = _joined(pair.f, m.states, t.rows), _joined(pair.g, m.states, t.cols)
+    if f is None or g is None:
+        suspect = range(m.n_states)
+    else:
+        bad = np.zeros(m.n_states, dtype=bool)
+        for v, ptr in ((f, t.f_ptr), (g, t.g_ptr)):  # the test of _checked_distribution, per state
+            low, total = np.minimum.reduceat(v, ptr[:-1]), np.add.reduceat(v, ptr[:-1])
+            bad |= ~((low >= -STRATEGY_TOL) & (np.abs(total - 1.0) <= STRATEGY_TOL))
+        suspect = np.flatnonzero(bad).tolist()
+    for xi in suspect:
+        x = m.states[xi]
         if x not in pair.f or x not in pair.g:
             raise ValueError(f"strategy pair missing state {x!r}")
-        _checked_distribution(pair.f[x], int(op.table.rows[xi]), f"f[{x!r}]")
-        _checked_distribution(pair.g[x], int(op.table.cols[xi]), f"g[{x!r}]")
-    return out
+        _checked_distribution(pair.f[x], int(t.rows[xi]), f"f[{x!r}]")
+        _checked_distribution(pair.g[x], int(t.cols[xi]), f"g[{x!r}]")
+    if f is None or g is None:  # no state failed on its own, so each converts to floats
+        f, g = ([np.asarray(s[x], dtype=float) for x in m.states] for s in (pair.f, pair.g))
+        f, g = np.concatenate(f), np.concatenate(g)
+    return f, g
 
 
 def discounted_kernel_row(
@@ -131,53 +142,41 @@ def discounted_kernel_row(
 
 
 class _ShapeGroup(NamedTuple):
-    """The states whose games share one shape, and where their entries sit.
+    """The states whose games share one shape, as the operator stacks them.
 
-    ``_payoffs(u)[gather]`` stacks the group's ``rows x cols`` matrices in
-    ``index`` order.
+    ``_payoffs(u)[gather]`` stacks the group's matrices in ``index`` order,
+    and ``f[f_at]`` and ``g[g_at]`` its strategies in a flat pair ``(f, g)``.
     """
 
     index: np.ndarray
-    states: list[str]
-    rows: int
-    cols: int
     gather: np.ndarray
+    f_at: np.ndarray
+    g_at: np.ndarray
 
 
-def _shape_groups(m: GameModel) -> list[_ShapeGroup]:
-    """The model's states grouped by the shape of their games, smallest shape first."""
-    t = m.table
+def _shape_groups(t) -> list[_ShapeGroup]:
+    """The table's states grouped by the shape of their games, smallest shape first."""
     groups = []
     for n_rows, n_cols in sorted(set(zip(t.rows.tolist(), t.cols.tolist()))):
         index = np.flatnonzero((t.rows == n_rows) & (t.cols == n_cols))
         cells = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
         groups.append(_ShapeGroup(
             index=index,
-            states=[m.states[xi] for xi in index.tolist()],
-            rows=n_rows,
-            cols=n_cols,
             gather=t.offset[index][:, None, None] + cells,
+            f_at=t.f_ptr[index][:, None] + np.arange(n_rows),
+            g_at=t.g_ptr[index][:, None] + np.arange(n_cols),
         ))
     return groups
-
-
-def _stacked(strategies: dict, states: list[str], width: int) -> np.ndarray | None:
-    """The strategies of ``states`` as rows, or None unless each has length ``width``."""
-    try:
-        rows = np.array([strategies[x] for x in states], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return rows if rows.shape == (len(states), width) else None
 
 
 class ShapleyOperator:
     """Value-update operator over the model's triple table.
 
-    It keeps, per triple, the reward part ``r * d`` and, per transition
-    nonzero, the continuation weight ``lam * p``; neither changes across
-    applications.  One application gathers ``u`` at the successors, sums
-    each triple's nonzeros with one ``np.add.reduceat``, stacks the states'
-    matrices by shape and solves each stack's games together.
+    It keeps, per triple, the reward part ``r * d`` and its actions' slots
+    ``f_slot`` and ``g_slot`` in a flat pair, and, per transition nonzero,
+    the continuation weight ``lam * p``.  One application gathers ``u`` at
+    the successors, sums each triple's nonzeros with one ``np.add.reduceat``,
+    stacks the states' matrices by shape and solves each stack's games together.
     """
 
     def __init__(self, m: GameModel):
@@ -187,12 +186,12 @@ class ShapleyOperator:
         self.table = t
         self.n = m.n_states
         self.base = t.reward * t.d  # r*d per triple
+        a, b = np.divmod(np.arange(t.state.size) - t.offset[t.state], t.cols[t.state])
+        self.f_slot, self.g_slot = t.f_ptr[t.state] + a, t.g_ptr[t.state] + b  # per triple
         self.lam_prob = np.repeat(t.lam, np.diff(t.indptr)) * t.prob  # lam*p per nonzero
         self.succ = t.succ
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
-        self.groups = _shape_groups(m)
-        # the position of each state in the groups' concatenation
-        self.order = np.argsort(np.concatenate([g.index for g in self.groups])).tolist()
+        self.groups = _shape_groups(t)
 
     def _value_vector(self, values) -> np.ndarray:
         u = np.asarray(values, dtype=float)
@@ -219,28 +218,29 @@ class ShapleyOperator:
         out, strategies = self._solve(values)
         return out, self._pair(strategies)
 
-    def _solve(self, values, previous=None) -> tuple[np.ndarray, list]:
-        """:meth:`apply` on pairs as ``[(group, f, g), ...]``, warm-started from ``previous``."""
+    def _solve(self, values, previous=None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`apply` on flat pairs ``(f, g)``, warm-started from ``previous``."""
         flat = self._payoffs(values)
-        out = np.empty(self.n)
-        strategies = []
-        for i, group in enumerate(self.groups):
-            value, x, y, failed = solve_games(flat[group.gather], previous and previous[i][1:])
+        t = self.table
+        out, f, g = np.empty(self.n), np.empty(t.f_ptr[-1]), np.empty(t.g_ptr[-1])
+        for group in self.groups:
+            guess = None if previous is None else (previous[0][group.f_at], previous[1][group.g_at])
+            value, x, y, failed = solve_games(flat[group.gather], guess)
             if failed:
                 first = min(failed)
-                raise MatrixGameError(f"state {group.states[first]!r}: {failed[first]}")
+                raise MatrixGameError(f"state {self.states[group.index[first]]!r}: {failed[first]}")
             out[group.index] = value
-            strategies.append((group, x, y))
-        return out, strategies
+            f[group.f_at], g[group.g_at] = x, y
+        return out, (f, g)
 
     def _pair(self, strategies) -> StationaryStrategyPair:
-        """The per-state form of ``[(group, f, g), ...]``, in state order."""
-        f = [row for _, x, _ in strategies for row in x]
-        g = [row for _, _, y in strategies for row in y]
-        return StationaryStrategyPair(
-            f=dict(zip(self.states, [f[i] for i in self.order])),
-            g=dict(zip(self.states, [g[i] for i in self.order])),
-        )
+        """The per-state form of a flat pair ``(f, g)``, in state order."""
+        f, g = [None] * self.n, [None] * self.n
+        for group in self.groups:
+            rows = zip(group.index.tolist(), strategies[0][group.f_at], strategies[1][group.g_at])
+            for xi, x, y in rows:
+                f[xi], g[xi] = x, y
+        return StationaryStrategyPair(f=dict(zip(self.states, f)), g=dict(zip(self.states, g)))
 
 
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:
@@ -273,12 +273,11 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     both norms, naming the largest continuation factor the pair plays at the
     worst state, or when :data:`GMRES_CYCLES` cycles do not reach the bound.
     """
-    op = m._operator
-    return _evaluate_with(op, _pair_arrays(op, pair))
+    return _evaluate_with(m._operator, *_pair_arrays(m, pair))
 
 
-def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
-    """:func:`evaluate_stationary_pair` on an operator and ``_pair_arrays`` output.
+def _evaluate_with(op: ShapleyOperator, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_stationary_pair` on an operator and a flat pair ``(f, g)``.
 
     It works on the system scaled by ``w``: ``v / w`` solves
     ``(I - S) (v / w) = R / w`` with ``S[x, y] = M[x, y] w(y) / w(x)``,
@@ -292,9 +291,7 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
     t = op.table
     n = op.n
     # the probability that the pair plays each triple of its state
-    mass = np.empty(len(t.labels))
-    for group, f, g in strategies:
-        mass[group.gather] = f[:, :, None] * g[:, None, :]
+    mass = f[op.f_slot] * g[op.g_slot]
     rewards = np.bincount(t.state, weights=mass * op.base, minlength=n)
     # the transition nonzeros of the triples the pair plays, by triple
     at = np.flatnonzero(mass)
@@ -334,7 +331,7 @@ def _evaluate_with(op: ShapleyOperator, strategies) -> np.ndarray:
         system = np.bincount(rows * n + cols, weights=-scaled, minlength=n * n).reshape(n, n)
         system.flat[:: n + 1] += 1.0
         apply, start = system.__matmul__, np.linalg.solve(system, rhs)
-        terms += n + max(group.rows * group.cols for group in op.groups)
+        terms += n + int(np.diff(t.offset).max())
     v = _refined(apply, rhs, start, rate, terms)
     if v is None:
         raise ArithmeticError(

@@ -120,43 +120,43 @@ def trajectory_rng(seed: int, index: int) -> _CounterStream:
     return _CounterStream(_bases(seed, np.array([index])))
 
 
-def _cum_columns(n_states: int, width: int, parts) -> tuple[np.ndarray, ...]:
+def _cum_columns(s: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
     """Columns ``0 .. width - 2`` of the states' cumulative strategy rows, each contiguous.
 
-    ``parts`` holds ``(index, s)``: the strategies of states ``index`` as
-    rows.  Entries from a row's last positive action on, and the padding
-    past its width, are 1.0, which no uniform reaches.
+    Row ``x`` holds state ``x``'s ``size[x]`` slots of the flat ``s``, padded
+    with zeros to the widest, ``width``.  Entries from a row's last positive
+    action on, and the padding past its width, are 1.0, which no uniform reaches.
     """
-    cum = np.ones((width - 1, n_states))
-    for index, s in parts:
-        c = np.cumsum(s[:, :-1], axis=1)
-        last = s.shape[1] - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
-        c[np.arange(s.shape[1] - 1) >= last[:, None]] = 1.0
-        cum[: s.shape[1] - 1, index] = c.T
-    return tuple(cum)
+    width = int(size.max())
+    if size.min() == width:  # no padding: the rows are a view of s
+        rows = s.reshape(-1, width)
+    else:
+        rows = np.zeros((size.size, width))
+        rows[np.arange(width) < size[:, None]] = s
+    c = np.cumsum(rows[:, :-1], axis=1)
+    last = width - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+    c[np.arange(width - 1) >= last[:, None]] = 1.0
+    return tuple(c.T.copy())
 
 
 class _Sampler:
     """The model's triple table plus the cumulative sums trajectories draw from.
 
     ``f_cols``/``g_cols`` are the columns of each state's cumulative
-    strategy rows (see :func:`_cum_columns`), ``laws`` the ``(code, law)``
-    of each analytic law the table holds, and ``cum`` each transition row's
-    running sums over its nonzeros.
+    strategies in the flat pair (see :func:`_cum_columns`), ``laws`` the
+    ``(code, law)`` of each analytic law the table holds, and ``cum`` each
+    transition row's running sums over its nonzeros.
     """
 
     def __init__(self, m: GameModel, pair: StationaryStrategyPair):
         t = m.table
-        stacked = _pair_arrays(m._operator, pair)
+        f, g = _pair_arrays(m, pair)
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
         if direct.size:
             raise NotSamplableError(
                 f"triple {t.labels[direct[0]]!r} carries direct weights; simulation unavailable"
             )
-        f_rows = [(group.index, f) for group, f, _ in stacked]
-        g_rows = [(group.index, g) for group, _, g in stacked]
-        self.f_cols = _cum_columns(m.n_states, t.rows.max(), f_rows)
-        self.g_cols = _cum_columns(m.n_states, t.cols.max(), g_rows)
+        self.f_cols, self.g_cols = _cum_columns(f, t.rows), _cum_columns(g, t.cols)
         laws = enumerate(ANALYTIC_LAWS)
         self.laws = tuple((code, law) for code, law in laws if (t.kind == code).any())
         self.table = t

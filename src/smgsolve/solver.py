@@ -8,6 +8,8 @@ stopping at threshold ``epsilon`` leaves the returned pair within
 applications needed is bounded a priori (``SolveReport.n_epsilon_bound``).
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -154,29 +156,33 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
     response of each player against the pair's own value.  A positive
     violation means some deviation gains more than ``tol``.
     """
-    op = m._operator
-    strategies = _pair_arrays(op, report.equilibrium)
-    values = _evaluate_with(op, strategies)
+    op, t = m._operator, m.table
+    f, g = _pair_arrays(m, report.equilibrium)
+    values = _evaluate_with(op, f, g)
     flat = op._payoffs(values)
-    gains = np.empty(op.n)
-    for group, f, g in strategies:
-        c = flat[group.gather]
-        v = values[group.index]
-        gain_row = (c @ g[:, :, None])[:, :, 0].max(axis=1) - v
-        gain_col = v - (f[:, None, :] @ c)[:, 0, :].min(axis=1)
-        gains[group.index] = np.maximum(np.maximum(gain_row, gain_col), 0.0)
+    # each pure action's payoff against the other player's mixture, by slot
+    row_payoff = np.bincount(op.f_slot, weights=flat * g[op.g_slot], minlength=f.size)
+    col_payoff = np.bincount(op.g_slot, weights=flat * f[op.f_slot], minlength=g.size)
+    gain_row = np.maximum.reduceat(row_payoff, t.f_ptr[:-1]) - values
+    gain_col = values - np.minimum.reduceat(col_payoff, t.g_ptr[:-1])
+    gains = np.maximum(np.maximum(gain_row, gain_col), 0.0)
     per_state = dict(zip(m.states, gains.tolist()))
     worst = float(gains.max())
     return CertificationResult(passed=worst <= tol, worst_violation=worst, per_state=per_state)
 
 
 def trace_csv(m: GameModel, report: SolveReport) -> str:
-    """Per-iteration trace as CSV: ``iteration,delta,V_<state>,...``."""
-    header = "iteration,delta," + ",".join(f"V_{x}" for x in m.states)
-    lines = [header]
+    """Per-iteration trace as CSV: ``iteration,delta,V_<state>,...``.
+
+    The header goes through the ``csv`` module, which quotes a state label
+    holding a comma, a quote or a newline, so each label stays one field.
+    """
+    out = io.StringIO()
+    header = ["iteration", "delta", *(f"V_{x}" for x in m.states)]
+    csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow(header)
     for k, (delta, row) in enumerate(zip(report.error_trace, report.value_trace), start=1):
-        lines.append(f"{k},{delta!r}," + ",".join(repr(v) for v in row.tolist()))
-    return "\n".join(lines) + "\n"
+        out.write(f"{k},{delta!r}," + ",".join(repr(v) for v in row.tolist()) + "\n")
+    return out.getvalue()
 
 
 def strategy_tables(m: GameModel, pair: StationaryStrategyPair) -> dict:

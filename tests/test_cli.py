@@ -279,6 +279,24 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         ({"command": "game", "model": None}, None, "a matrix (inline JSON or a file path) is required"),
         ({"command": "game", "model": None, "matrix": "[]"}, None,
          "matrix must be a nonempty JSON array of arrays of numbers"),
+        # only JSON numbers count, whatever float() makes of a string or a boolean
+        ({"command": "eval", "strategies_in": AUX},
+         {x: {"f": {f"a{x}1": True}, "g": {f"b{x}1": 1.0}} for x in ("1", "2", "3")},
+         "strategies['1'].f['a11'] holds a non-numeric value True"),
+        ({"command": "eval", "strategies_in": AUX},
+         {x: {"f": {f"a{x}1": 1.0}, "g": {f"b{x}1": "0.5", f"b{x}2": 0.5}} for x in ("1", "2", "3")},
+         "strategies['1'].g['b11'] holds a non-numeric value '0.5'"),
+        ({"command": "solve", "v0": AUX}, {"1": "3", "2": True, "3": 0},
+         "v0 file at state '1' holds a non-numeric value '3'"),
+        ({"command": "solve", "v0": AUX}, {"1": 3, "2": True, "3": 0},
+         "v0 file at state '2' holds a non-numeric value True"),
+        ({"command": "solve", "v0": AUX}, [3, 0, False],
+         "v0 file at state '3' holds a non-numeric value False"),
+        ({"command": "solve", "v0": AUX}, {"1": 1.0, "2": 1.0, "3": 1.0, "9": 0.0, "4": 0.0},
+         "v0 file lists unknown states ['4', '9']"),
+        ({"command": "eval", "strategies_in": AUX},
+         {x: {"f": {f"a{x}1": 1.0}, "g": {f"b{x}1": 1.0}} for x in ("1", "2", "3", "7")},
+         "strategies file lists unknown states ['7']"),
     ],
     ids=[
         "no-model", "v0-missing-states", "v0-neither-mapping-nor-list", "no-strategies",
@@ -287,6 +305,8 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         "simulate-nan-epsilon", "solve-nan-epsilon", "solve-zero-max-iter", "solve-nan-v0",
         "simulate-pair-nan-epsilon",
         "no-matrix", "empty-matrix",
+        "strategies-boolean", "strategies-string", "v0-string", "v0-boolean", "v0-list-boolean",
+        "v0-unknown-states", "strategies-unknown-states",
     ],
 )
 def test_bad_inputs_exit_2_with_their_message(tmp_path, capsys, fields, aux, message):

@@ -303,6 +303,46 @@ def test_a_singular_final_basis_is_answered_on_a_nearby_support(name, tmp_path, 
     assert abs(doc["value"] - _linprog_value(a)) <= 1e-12 * max(1.0, float(np.abs(a).max()))
 
 
+# a bounded, feasible 8x9 game on which the simplex's ratio test finds no
+# leaving row: rounding alone makes its LP look unbounded
+UNBOUNDED_VERDICT = [
+    [1e8, 0, 1e8, -1, -1e8, -1, -1, -1e8, 1e8], [-1e8, -1e8, -1, -1e8, 0, -1e8, 1, 1e8, 1],
+    [1e8, 1e8, 1, -1, -1, -1, -1, 1e8, 1e8], [1e8, 0, -1, 0, 1e8, -1e8, 1, -1e8, -1],
+    [-1, -1e8, 1e8, -1, 1, 1, -1, 1, -1e8], [1e8, -1, 1e8, 0, -1e8, 0, -1e8, 0, -1e8],
+    [0, -1, 0, 1e8, -1, -1e8, 1e8, 1e8, 0], [1e8, 0, 0, -1e8, -1e8, 1e8, -1, 1, 1],
+]
+
+
+def test_an_unbounded_verdict_is_answered_as_the_other_players_game(tmp_path, monkeypatch):
+    shapes = []
+    maximin = matrixgame._maximin
+    monkeypatch.setattr(
+        matrixgame, "_maximin", lambda c, **kw: shapes.append(c.shape) or maximin(c, **kw)
+    )
+    a = np.array(UNBOUNDED_VERDICT, dtype=float)
+    out = tmp_path / "game.json"
+    assert main(["game", json.dumps(UNBOUNDED_VERDICT), "--out", str(out)]) == 0
+    assert shapes == [(1, 8, 9), (1, 9, 8)]  # the game, then -A.T once
+    doc = json.loads(out.read_text())
+    assert doc["saddleVerified"] is True
+    assert abs(doc["value"] - _linprog_value(a)) <= 1e-12 * max(1.0, float(np.abs(a).max()))
+
+
+def test_a_game_unbounded_both_ways_is_retried_once_and_reported(monkeypatch):
+    calls = []
+
+    def unbounded(tab, basis, failed):
+        calls.append(len(tab))
+        failed.update(dict.fromkeys(range(len(tab)), "linear program is unbounded"))
+        return basis.copy()
+
+    monkeypatch.setattr(matrixgame, "_simplex", unbounded)
+    stack = np.random.default_rng(4).normal(size=(3, 4, 5))
+    value, x, y, failed = matrixgame._maximin(stack)
+    assert calls == [3, 1, 1, 1]  # the stack, then each game's -A.T, never again
+    assert failed == dict.fromkeys(range(3), "linear program is unbounded")
+
+
 def test_extreme_scales_stay_accurate():
     rng = np.random.default_rng(77)
     for _ in range(60):

@@ -179,16 +179,36 @@ def test_strategy_pair_validation(investment_model):
          "g['y'] is not a probability vector: array([0.5, 0.5])"),
         ({"x": {"a": 1.0}, "y": [1.0]}, {"x": [1.0], "y": [0.5, 0.5]},
          "f['x'] is not a vector of numbers: {'a': 1.0}"),
+        # the joined length is right, each state's is not
+        ({"x": [1.0], "y": [0.5, 0.5]}, {"x": [1.0], "y": [0.5, 0.5]},
+         "f['x'] must have length 2, got shape (1,)"),
+        ({"x": [[0.5, 0.5]], "y": [1.0]}, {"x": [1.0], "y": [0.5, 0.5]},
+         "f['x'] must have length 2, got shape (1, 2)"),
+        ({"x": [0.5, 0.5], "y": [1.0]}, {"x": 1.0, "y": [0.5, 0.5]},
+         "g['x'] must have length 1, got shape ()"),
     ],
-    ids=["first-state-named", "missing", "length", "sum", "not-numeric"],
+    ids=["first-state-named", "missing", "length", "sum", "not-numeric", "lengths-cancel", "2-d", "0-d"],
 )
 def test_strategy_pair_errors_name_the_first_bad_state(f, g, message):
-    # x plays 2x1 games and y 1x2 games, so each is checked in its own group
+    # x plays 2x1 games and y 1x2 games, so each player's lengths differ by state
     m = load_model(json.dumps(MIXED_LAWS_DOC))
     pair = StationaryStrategyPair(f=f, g=g)
     with pytest.raises(ValueError) as err:
         evaluate_stationary_pair(m, pair)
     assert str(err.value) == message
+
+
+def test_object_arrays_and_lists_evaluate_as_float_arrays(investment_model):
+    # neither joins as floats under numpy's default casting; each converts on its own
+    pair = random_pair(np.random.default_rng(11), investment_model)
+    given = StationaryStrategyPair(
+        f={x: v.astype(object) for x, v in pair.f.items()},
+        g={x: v.tolist() for x, v in pair.g.items()},
+    )
+    np.testing.assert_array_equal(
+        evaluate_stationary_pair(investment_model, given),
+        evaluate_stationary_pair(investment_model, pair),
+    )
 
 
 def dense_system(m, pair) -> tuple[np.ndarray, np.ndarray]:
@@ -518,12 +538,13 @@ def duplicated_game(duplicated: str, size: int) -> list[list[float]]:
 @pytest.mark.parametrize("duplicated", ["rows", "columns"])
 def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_calls):
     # 4x4 is above the enumerated shapes, so only the guess and the simplex can solve it
-    op = ShapleyOperator(load_model(json.dumps(games_doc([duplicated_game(duplicated, 4)]))))
+    m = load_model(json.dumps(games_doc([duplicated_game(duplicated, 4)])))
+    op = ShapleyOperator(m)
     guess = StationaryStrategyPair(f={"s0": np.full(4, 0.25)}, g={"s0": np.full(4, 0.25)})
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, strategies = op._solve(u, _pair_arrays(op, guess))
+    warm, strategies = op._solve(u, _pair_arrays(m, guess))
     pair = op._pair(strategies)
     assert len(simplex_calls) == 1
     np.testing.assert_array_equal(warm, cold)
@@ -533,12 +554,13 @@ def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_
 
 @pytest.mark.parametrize("duplicated", ["rows", "columns"])
 def test_singular_guessed_support_falls_back_to_the_enumerated_supports(duplicated, simplex_calls):
-    op = ShapleyOperator(load_model(json.dumps(games_doc([duplicated_game(duplicated, 2)]))))
+    m = load_model(json.dumps(games_doc([duplicated_game(duplicated, 2)])))
+    op = ShapleyOperator(m)
     guess = StationaryStrategyPair(f={"s0": np.array([0.5, 0.5])}, g={"s0": np.array([0.5, 0.5])})
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, strategies = op._solve(u, _pair_arrays(op, guess))
+    warm, strategies = op._solve(u, _pair_arrays(m, guess))
     pair = op._pair(strategies)
     # the full 2x2 support is singular, so the result must come from a smaller one
     assert min(np.count_nonzero(pair.f["s0"]), np.count_nonzero(pair.g["s0"])) == 1

@@ -1,5 +1,7 @@
 """Value iteration: convergence, stopping analysis, and solution certification."""
 
+import csv
+import io
 import json
 import re
 
@@ -175,21 +177,26 @@ def test_unique_fixed_point_from_random_starts(investment_model):
         assert np.max(np.abs(rep.epsilon_value - reference)) <= radius
 
 
-def test_per_state_results_do_not_depend_on_sweep_order(investment_model):
-    # the same game with its states relabelled and declared, and its triples listed, in reverse
-    rename = {"1": "z", "2": "y", "3": "x"}
+def relabelled_investment(rename: dict, order=list):
+    """The investment game with state ``x`` called ``rename[x]``, states and triples in ``order``."""
     doc = json.loads(json.dumps(INVESTMENT_DOC))
-    relabelled = load_model(json.dumps({
-        "states": [rename[x] for x in reversed(doc["states"])],
+    return load_model(json.dumps({
+        "states": [rename[x] for x in order(doc["states"])],
         "actions1": {rename[x]: acts for x, acts in doc["actions1"].items()},
         "actions2": {rename[x]: acts for x, acts in doc["actions2"].items()},
         "weight": {rename[x]: w for x, w in doc["weight"].items()},
         "triples": [
             {**t, "state": rename[t["state"]],
              "transition": {rename[y]: p for y, p in t["transition"].items()}}
-            for t in reversed(doc["triples"])
+            for t in order(doc["triples"])
         ],
     }))
+
+
+def test_per_state_results_do_not_depend_on_sweep_order(investment_model):
+    # the same game with its states relabelled and declared, and its triples listed, in reverse
+    rename = {"1": "z", "2": "y", "3": "x"}
+    relabelled = relabelled_investment(rename, reversed)
     u = np.array([3.0, -2.0, 0.25])
     op = ShapleyOperator(investment_model)
     updated, pair = op.apply(u)
@@ -325,6 +332,15 @@ def test_trace_csv_layout(investment_model):
         assert int(cells[0]) == k + 1
         assert float(cells[1]) == report.error_trace[k]
         assert [float(v) for v in cells[2:]] == report.value_trace[k].tolist()
+
+
+def test_a_trace_header_holds_one_field_per_state_whatever_its_label():
+    m = relabelled_investment({"1": "a,b", "2": 'q"x', "3": "line\nbreak"})
+    report = value_iterate(m, 1e-3)
+    header, *rows = csv.reader(io.StringIO(trace_csv(m, report), newline=""))
+    assert header == ["iteration", "delta", "V_a,b", 'V_q"x', "V_line\nbreak"]
+    assert len(rows) == len(report.error_trace)
+    assert all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize(
