@@ -34,21 +34,25 @@ Sojourn kinds and their parameters: ``exponential`` (``rate``), ``uniform``
 Each kind is one law class, the one home of its serializer, parameter
 checks, closed-form continuation factor, cdf and holding-time draw.
 
-The loader makes one pass over the document's triples.  It collects each
-column (rate, reward, law, parameters, transition entries) in a plain list,
-then converts the lists to arrays once, into the model's
-:class:`TripleTable`, with each transition kept as its nonzeros; an error
-message is formatted only once its check has failed.  Validation screens
-every triple at once in numpy and runs the per-triple checks, which word the
-messages, only on the triples the screen cannot clear (see
-:func:`_suspect_rows`).  Every other layer reads the model through that
-table; no structure with one entry per pair of states is built.
+The loader screens every triple entry at once: it reads each field as one
+column across the entries, checks the whole column, and converts the
+columns to arrays once, into the model's :class:`TripleTable`, with each
+transition kept as its nonzeros (see :func:`_fill`).  Only when the screen
+fails does it walk the entries in document order with the per-entry
+checks, which word the messages, up to the first malformed entry (see
+:func:`_first_fault`).  Validation screens every triple at once in numpy
+and runs the per-triple checks, which word the messages, only on the
+triples the screen cannot clear (see :func:`_suspect_rows`).  Every other
+layer reads the model through that table; no structure with one entry per
+pair of states is built.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -413,64 +417,142 @@ def _suspect_rows(t: TripleTable) -> np.ndarray:
     return np.flatnonzero(~fine)
 
 
-def _parse_sojourn(obj, triple: Triple) -> tuple[int, float, float]:
-    """The law's kind code, its first parameter and, for direct weights, ``lam``."""
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"sojourn must be an object: triple {triple!r}")
-    kind = obj.get("kind")
-    code = _KINDS.get(kind) if isinstance(kind, str) else None
-    if code is None:
-        raise ModelFormatError(f"sojourn kind must be one of {sorted(_KINDS)}: triple {triple!r}")
-    params = LAWS[code].__match_args__  # the field names, in order
-    values = [obj.get(p) for p in params]
-    if len(obj) != len(params) + 1 or not all(type(v) is float for v in values):
-        for p in params:
-            if p not in obj:
-                raise ModelFormatError(f"sojourn {kind!r} needs parameter {p!r}: triple {triple!r}")
-            if type(obj[p]) is not float:
-                raise ModelFormatError(
-                    f"sojourn parameter {p!r} must be a number: triple {triple!r}"
-                )
-        extra = sorted(set(obj) - {"kind", *params})
-        raise ModelFormatError(
-            f"sojourn {kind!r} has unknown parameters {extra}: triple {triple!r}"
-        )
-    return code, values[0], values[1] if len(values) > 1 else math.nan
-
-
 def _parse_actions(doc, key: str, states: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     table = doc.get(key)
     if not isinstance(table, dict):
         raise ModelFormatError(f"{key!r} must be an object mapping state to action list")
-    out = {}
-    for x in states:
+    acts = list(map(table.get, states))
+    if (
+        table.keys() == set(states)
+        and set(map(type, acts)) <= {list}
+        and set(map(type, chain.from_iterable(acts))) <= {str}
+    ):
+        return dict(zip(states, map(tuple, acts)))
+    for x in states:  # the screen failed: find the first fault
         if x not in table:
             raise ModelFormatError(f"{key!r} missing state {x!r}")
-        acts = table[x]
-        if not (isinstance(acts, list) and all(isinstance(a, str) for a in acts)):
+        given = table[x]
+        if not (isinstance(given, list) and all(isinstance(a, str) for a in given)):
             raise ModelFormatError(f"{key!r} for state {x!r} must be a list of strings")
-        out[x] = tuple(acts)
     unknown = set(table) - set(states)
-    if unknown:
-        raise ModelFormatError(f"{key!r} lists unknown states {sorted(unknown)}")
-    return out
+    raise ModelFormatError(f"{key!r} lists unknown states {sorted(unknown)}")
 
 
-def _bad_label(entry: dict, index, actions1, actions2) -> str:
-    """Why an entry's (state, a, b) labels name no row of the table."""
-    for k in ("state", "a", "b"):
-        if not isinstance(entry.get(k), str):
+def _fill(table: TripleTable, entries: list, index: dict[str, int]) -> bool:
+    """Fill ``table`` from the triple entries if every one is well formed.
+
+    The screen reads each field as one column across all entries and checks
+    the column at once.  Its checks accept exactly the entries that
+    :func:`_first_fault` passes; when one fails, this returns False with
+    ``table`` untouched.  A direct-weight law's ``lam`` goes to
+    ``table.lam``, and so does every other law's one parameter, which
+    :func:`load_model` replaces by the continuation factor once the model
+    is valid.
+    """
+    if not set(map(type, entries)) <= {dict}:
+        return False
+    first = [law.__match_args__[0] for law in LAWS]
+    last = [law.__match_args__[-1] for law in LAWS]
+    size = [len(law.__match_args__) + 1 for law in LAWS]  # with "kind"
+    try:
+        # a key found in ``where`` is three strings: no other JSON value equals a string
+        rows = list(map(table.where.__getitem__, map(itemgetter("state", "a", "b"), entries)))
+        alpha = list(map(itemgetter("alpha"), entries))
+        reward = list(map(itemgetter("reward"), entries))
+        sojourn = list(map(itemgetter("sojourn"), entries))
+        trans = list(map(itemgetter("transition"), entries))
+        if not set(map(type, chain(sojourn, trans))) <= {dict}:
+            return False
+        kind = list(map(_KINDS.__getitem__, map(itemgetter("kind"), sojourn)))
+        param = list(map(dict.__getitem__, sojourn, map(first.__getitem__, kind)))
+        lam = list(map(dict.__getitem__, sojourn, map(last.__getitem__, kind)))
+        succ = list(map(index.__getitem__, chain.from_iterable(trans)))
+    except (KeyError, TypeError):  # a missing key, or an unhashable label or kind
+        return False
+    prob = list(chain.from_iterable(map(dict.values, trans)))
+    if not set(map(type, chain(alpha, reward, param, lam, prob))) <= {float}:
+        return False
+    # each sojourn holds at least "kind" and its law's parameters, so the
+    # totals agree only if no sojourn holds another key
+    if sum(map(len, sojourn)) != sum(map(size.__getitem__, kind)):
+        return False
+    at = np.array(rows, dtype=np.intp)
+    seen = np.zeros(len(table.labels), dtype=bool)
+    seen[at] = True
+    if np.count_nonzero(seen) < at.size:  # a triple listed twice
+        return False
+
+    table.alpha[at], table.reward[at], table.param[at], table.lam[at] = alpha, reward, param, lam
+    table.kind[at] = kind
+    row = np.repeat(at, list(map(len, trans)))
+    succ, prob = np.array(succ, dtype=np.intp), np.array(prob, dtype=float)
+    nonzero = prob != 0
+    row, succ, prob = row[nonzero], succ[nonzero], prob[nonzero]
+    # by triple, then by successor state (a row names each successor once)
+    order = np.argsort(row * table.weight.size + succ)  # one weight per state
+    table.indptr[1:] = np.cumsum(np.bincount(row, minlength=len(table.labels)))
+    table.succ, table.prob = succ[order], prob[order]
+    return True
+
+
+def _first_fault(entries: list, index, actions1, actions2) -> str:
+    """The message of the first malformed triple entry, in document order."""
+    seen = set()
+    for entry in entries:
+        if not isinstance(entry, dict):
+            return "each triple entry must be an object"
+        t = (entry.get("state"), entry.get("a"), entry.get("b"))
+        fault = _bad_label(t, index, actions1, actions2)
+        if fault is not None:
+            return fault
+        if t in seen:
+            return f"duplicate triple {t!r}"
+        seen.add(t)
+        for k in ("alpha", "reward"):
+            if type(entry.get(k)) is not float:
+                return f"triple {t!r} needs numeric field {k!r}"
+        fault = _bad_sojourn(entry.get("sojourn"), t) or _bad_transition(
+            entry.get("transition"), index, t
+        )
+        if fault is not None:
+            return fault
+
+
+def _bad_label(t, index, actions1, actions2) -> str | None:
+    """Why an entry's (state, a, b) labels name no row of the table, if they name none."""
+    for k, label in zip(("state", "a", "b"), t):
+        if not isinstance(label, str):
             return f"triple entry needs string field {k!r}"
-    t = (entry["state"], entry["a"], entry["b"])
     if t[0] not in index:
         return f"triple {t!r} names unknown state"
     if t[1] not in actions1[t[0]]:
         return f"triple {t!r} names unknown action for player 1"
-    return f"triple {t!r} names unknown action for player 2"
+    if t[2] not in actions2[t[0]]:
+        return f"triple {t!r} names unknown action for player 2"
 
 
-def _bad_transition(trans: dict, index, t: Triple) -> str:
-    """Why the first bad entry of ``trans``, which has one, is not a known state's number."""
+def _bad_sojourn(obj, t: Triple) -> str | None:
+    """Why ``obj`` is not a sojourn law's object, if it is not one."""
+    if not isinstance(obj, dict):
+        return f"sojourn must be an object: triple {t!r}"
+    kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        return f"sojourn kind must be one of {sorted(_KINDS)}: triple {t!r}"
+    params = LAWS[_KINDS[kind]].__match_args__  # the field names, in order
+    for p in params:
+        if p not in obj:
+            return f"sojourn {kind!r} needs parameter {p!r}: triple {t!r}"
+        if type(obj[p]) is not float:
+            return f"sojourn parameter {p!r} must be a number: triple {t!r}"
+    extra = sorted(set(obj) - {"kind", *params})
+    if extra:
+        return f"sojourn {kind!r} has unknown parameters {extra}: triple {t!r}"
+
+
+def _bad_transition(trans, index, t: Triple) -> str | None:
+    """Why ``trans`` is not an object of known states' numbers, if it is not one."""
+    if not isinstance(trans, dict):
+        return f"triple {t!r} needs a 'transition' object"
     for y, p in trans.items():
         if y not in index:
             return f"transition for triple {t!r} names unknown state {y!r}"
@@ -496,9 +578,7 @@ def load_model(text: str) -> GameModel:
         raise ModelFormatError("model document must be a JSON object")
 
     raw_states = doc.get("states")
-    if not (
-        isinstance(raw_states, list) and raw_states and all(isinstance(s, str) for s in raw_states)
-    ):
+    if not (isinstance(raw_states, list) and raw_states and set(map(type, raw_states)) <= {str}):
         raise ModelFormatError("'states' must be a nonempty array of strings")
     states: tuple[str, ...] = tuple(raw_states)
     index = {x: i for i, x in enumerate(states)}
@@ -520,51 +600,8 @@ def load_model(text: str) -> GameModel:
     raw_triples = doc.get("triples")
     if not isinstance(raw_triples, list):
         raise ModelFormatError("'triples' must be an array")
-    row_of = table.where.get  # documents may list triples in any order
-    seen = bytearray(len(table.labels))
-    rows, alpha, reward, kind, param, lam = [], [], [], [], [], []
-    nnz, succ, prob = [], [], []  # per entry, then per transition entry, in document order
-    for entry in raw_triples:
-        if not isinstance(entry, dict):
-            raise ModelFormatError("each triple entry must be an object")
-        t = (entry.get("state"), entry.get("a"), entry.get("b"))
-        i = row_of(t) if type(t[0]) is type(t[1]) is type(t[2]) is str else None
-        if i is None:
-            raise ModelFormatError(_bad_label(entry, index, actions1, actions2))
-        if seen[i]:
-            raise ModelFormatError(f"duplicate triple {t!r}")
-        seen[i] = 1
-        a, r = entry.get("alpha"), entry.get("reward")
-        if type(a) is not float:
-            raise ModelFormatError(f"triple {t!r} needs numeric field 'alpha'")
-        if type(r) is not float:
-            raise ModelFormatError(f"triple {t!r} needs numeric field 'reward'")
-        code, p, direct_lam = _parse_sojourn(entry.get("sojourn"), t)
-        trans = entry.get("transition")
-        if not isinstance(trans, dict):
-            raise ModelFormatError(f"triple {t!r} needs a 'transition' object")
-        if not (trans.keys() <= index.keys() and all(type(q) is float for q in trans.values())):
-            raise ModelFormatError(_bad_transition(trans, index, t))
-        succ.extend(map(index.__getitem__, trans))
-        prob.extend(trans.values())
-        nnz.append(len(trans))
-        rows.append(i)
-        alpha.append(a)
-        reward.append(r)
-        kind.append(code)
-        param.append(p)
-        lam.append(direct_lam)
-    at = np.array(rows, dtype=np.intp)
-    table.alpha[at], table.reward[at], table.param[at], table.lam[at] = alpha, reward, param, lam
-    table.kind[at] = kind
-    row = np.repeat(at, nnz)
-    succ, prob = np.array(succ, dtype=np.intp), np.array(prob, dtype=float)
-    nonzero = prob != 0
-    row, succ, prob = row[nonzero], succ[nonzero], prob[nonzero]
-    # by triple, then by successor state (a row names each successor once)
-    order = np.argsort(row * len(states) + succ)
-    table.indptr[1:] = np.cumsum(np.bincount(row, minlength=len(table.labels)))
-    table.succ, table.prob = succ[order], prob[order]
+    if not _fill(table, raw_triples, index):
+        raise ModelFormatError(_first_fault(raw_triples, index, actions1, actions2))
 
     model = GameModel(states, actions1, actions2, table)
     violations = validate_model(model)
@@ -573,8 +610,8 @@ def load_model(text: str) -> GameModel:
     # only a valid law and rate give a finite continuation factor; direct weights carry theirs
     for code, law in enumerate(ANALYTIC_LAWS):
         at = np.flatnonzero(table.kind == code)
-        pairs = zip(table.param[at].tolist(), table.alpha[at].tolist())
-        table.lam[at] = [law.continuation_factor(p, a) for p, a in pairs]
+        factor = map(law.continuation_factor, table.param[at].tolist(), table.alpha[at].tolist())
+        table.lam[at] = list(factor)
     table.d = (1.0 - table.lam) / table.alpha
     return model
 

@@ -175,14 +175,18 @@ def trace_csv(m: GameModel, report: SolveReport) -> str:
     """Per-iteration trace as CSV: ``iteration,delta,V_<state>,...``.
 
     The header goes through the ``csv`` module, which quotes a state label
-    holding a comma, a quote or a newline, so each label stays one field.
+    holding a comma, a quote or a line break, so each label stays one field.
     """
-    out = io.StringIO()
-    header = ["iteration", "delta", *(f"V_{x}" for x in m.states)]
-    csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow(header)
+    head = io.StringIO()
+    # the writer quotes a field holding a character of its line terminator;
+    # under "\n" alone, Python 3.11 leaves a lone "\r" unquoted
+    csv.writer(head, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerow(
+        ["iteration", "delta", *(f"V_{x}" for x in m.states)]
+    )
+    lines = [head.getvalue().removesuffix("\r\n")]
     for k, (delta, row) in enumerate(zip(report.error_trace, report.value_trace), start=1):
-        out.write(f"{k},{delta!r}," + ",".join(repr(v) for v in row.tolist()) + "\n")
-    return out.getvalue()
+        lines.append(f"{k},{delta!r}," + ",".join(repr(v) for v in row.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def strategy_tables(m: GameModel, pair: StationaryStrategyPair) -> dict:

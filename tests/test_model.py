@@ -2,10 +2,14 @@
 
 import json
 import math
+import random
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smgsolve import (
     Exponential,
@@ -26,6 +30,8 @@ from conftest import (
     law_of,
     random_model,
     reward_of,
+    ring_doc,
+    sparse_doc,
     transition_of,
 )
 
@@ -491,3 +497,112 @@ def test_a_row_of_5000_nonzeros_summing_to_one_within_rounding_is_valid():
     m = load_model(json.dumps(doc))
     assert validate_model(m) == []
     assert np.diff(m.table.indptr)[0] == n
+
+
+_DROP = object()  # stands for deleting the key
+# one JSON value of each kind, plus a string and an object that name nothing
+_VALUES = (_DROP, None, True, 1.0, "ghost", [], ["exponential"], {}, {"kind": 1.0})
+
+
+def _fault_sites(entry):
+    """Each (object, key, values) of one entry where any of ``values`` is a format fault."""
+    numbers = [v for v in _VALUES if type(v) is not float]
+    sojourn, trans = entry["sojourn"], entry["transition"]
+    sites = [(entry, k, _VALUES) for k in ("state", "a", "b", "sojourn")]
+    sites += [(entry, k, numbers) for k in ("alpha", "reward")]
+    sites += [(entry, "transition", [v for v in _VALUES if v != {}])]
+    sites += [(sojourn, "kind", _VALUES), (sojourn, "shape", [1.0])]
+    sites += [(sojourn, p, numbers) for p in sojourn if p != "kind"]
+    sites += [(trans, "ghost", _VALUES[1:])]  # an unknown state, whatever its value
+    sites += [(trans, y, numbers[1:]) for y in trans]  # dropping a successor is no fault
+    return sites
+
+
+def _put_fault(entry, site: int, value: int):
+    """Put value ``value`` of fault site ``site`` of ``_fault_sites(entry)`` into ``entry``."""
+    obj, key, values = _fault_sites(entry)[site]
+    if values[value] is _DROP:
+        del obj[key]
+    else:
+        obj[key] = deepcopy(values[value])
+
+
+def _draw_fault(data, entry):
+    sites = _fault_sites(entry)
+    site = data.draw(st.integers(0, len(sites) - 1))
+    _put_fault(entry, site, data.draw(st.integers(0, len(sites[site][2]) - 1)))
+
+
+def _fault_message(doc, at: int) -> str:
+    """The loader's message for ``doc``, checked to name entry ``at``'s triple or label field."""
+    with pytest.raises(ModelFormatError) as err:  # never a TypeError, KeyError or AttributeError
+        load_model(json.dumps(doc))
+    assert type(err.value) is ModelFormatError
+    message = str(err.value)
+    t = tuple(doc["triples"][at].get(k) for k in ("state", "a", "b"))
+    labels = [k for k, label in zip(("state", "a", "b"), t) if type(label) is not str]
+    if labels:
+        assert message == f"triple entry needs string field {labels[0]!r}"
+    else:
+        assert repr(t) in message
+    return message
+
+
+def test_every_field_fault_of_every_entry_is_a_format_error_naming_it():
+    for base in (INVESTMENT_DOC, MIXED_LAWS_DOC):  # the second holds direct weights
+        for at, entry in enumerate(base["triples"]):
+            for site, (_, _, values) in enumerate(_fault_sites(deepcopy(entry))):
+                for value in range(len(values)):
+                    doc = deepcopy(base)
+                    _put_fault(doc["triples"][at], site, value)
+                    _fault_message(doc, at)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_of_two_faulty_entries_the_first_in_document_order_is_reported(data):
+    base = data.draw(st.sampled_from([INVESTMENT_DOC, MIXED_LAWS_DOC]))
+    pick = st.integers(0, len(base["triples"]) - 1)
+    first, second = sorted(data.draw(st.lists(pick, min_size=2, max_size=2, unique=True)))
+    doc = deepcopy(base)
+    _draw_fault(data, doc["triples"][first])
+    message = _fault_message(doc, first)
+    _draw_fault(data, doc["triples"][second])
+    assert _fault_message(doc, first) == message
+
+
+def _shuffled(doc, seed):
+    """``doc`` with its entries, and the keys of each entry, sojourn and transition, shuffled."""
+    rng = random.Random(seed)
+
+    def mixed(obj):
+        keys = list(obj)
+        rng.shuffle(keys)
+        return {k: obj[k] for k in keys}
+
+    entries = [
+        mixed({**e, "sojourn": mixed(e["sojourn"]), "transition": mixed(e["transition"])})
+        for e in doc["triples"]
+    ]
+    rng.shuffle(entries)
+    return {**doc, "triples": entries}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        lambda: sparse_doc(200, successors=3),
+        lambda: ring_doc(100, 0.5),
+        lambda: json.loads(serialize(random_model(
+            np.random.default_rng(7), max_states=6,
+            kinds=("exponential", "uniform", "deterministic", "direct"), unit_weight=False))),
+    ],
+    ids=["sparse", "ring", "random"],
+)
+def test_the_table_does_not_depend_on_the_order_of_entries_or_keys(doc):
+    doc = doc()
+    m = load_model(json.dumps(doc))
+    for seed in range(3):
+        again = load_model(json.dumps(_shuffled(doc, seed)))
+        assert again.table == m.table
+        assert again == m

@@ -343,6 +343,16 @@ def test_a_trace_header_holds_one_field_per_state_whatever_its_label():
     assert all(len(row) == len(header) for row in rows)
 
 
+def test_a_carriage_return_in_a_label_stays_inside_its_header_field():
+    m = relabelled_investment({"1": "c\rd", "2": "\r", "3": "plain"})
+    report = value_iterate(m, 1e-3)
+    text = trace_csv(m, report)
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert header == ["iteration", "delta", "V_c\rd", "V_\r", "V_plain"]
+    assert len(rows) == len(report.error_trace)
+    assert text.startswith('iteration,delta,"V_c\rd","V_\r",V_plain\n')
+
+
 @pytest.mark.parametrize(
     "model",
     [
