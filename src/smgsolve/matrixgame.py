@@ -7,8 +7,11 @@ equalizing strategies (Shapley and Snow 1950) are both ``>= 0`` with
 exploitability ``max(A y) - min(x A)`` at most ``WARM_START_TOL * max(1,
 max|A|)``.  The candidates are the game's previous supports, when square,
 then, for shapes of at most :data:`ENUMERATED_SIDE` rows and columns,
-every square support pair, smallest first.  Each candidate is one stacked
-solve of both players' bordered equalizer systems (:func:`equalize`).
+every square support pair, smallest first.  The previous supports of every
+size are checked in one pass: one stacked solve of both players' bordered
+equalizer systems (:func:`equalize`) per support size, then one acceptance
+test over all the games.  Each enumerated candidate, of one size, is one
+more stacked solve and acceptance test over the games still open.
 
 The games left over go to the simplex.  The payoff matrix ``A`` is
 normalized by its largest magnitude and shifted, ``P = A / max|A| + 2``, so
@@ -184,8 +187,10 @@ def equalize(sub: np.ndarray):
     try:
         sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        # the determinant comes from the same LU, so it is 0 exactly where a pivot is
-        regular = (np.linalg.det(system) != 0.0).all(axis=0)
+        # the determinant comes from the same LU, so it is 0 exactly where a
+        # pivot is; only its sign is read, so its overflow or a log(0) is no fault
+        with np.errstate(divide="ignore", over="ignore"):
+            regular = (np.linalg.det(system) != 0.0).all(axis=0)
         system[:, ~regular] = np.eye(k + 1)
         sol = np.linalg.solve(system, rhs)
     sol = sol[..., 0]
@@ -210,57 +215,90 @@ def _square_supports(n_rows: int, n_cols: int) -> tuple[tuple[np.ndarray, np.nda
     )
 
 
-def _equalize(c, at, rs, cs, scale, out) -> np.ndarray:
-    """Try supports ``rs x cs`` on the games ``c[at]``; return those that fail.
+def _blank(games):
+    """Zeroed ``(value, x, y, regular)`` for the stack ``games``."""
+    n, m, l = games.shape
+    return np.zeros(n), np.zeros((n, m)), np.zeros((n, l)), np.zeros(n, dtype=bool)
 
-    ``rs`` and ``cs`` hold ``k`` row and column indices per game (one row
-    of them when every game shares its supports).  Both players' equalizer
-    systems on the ``k x k`` submatrices are one stacked solve, by
-    :func:`equalize`.  A game keeps the result, written into ``out =
-    (value, x, y)``, only when both strategies are ``>= 0`` and their
-    exploitability is at most ``scale``.
+
+def _on_supports(c, rows, cols):
+    """Equalizer answers of the games ``c`` on square supports of any sizes.
+
+    ``rows`` and ``cols`` are boolean masks, one row per game, with as many
+    rows as columns marked per game.  The games are grouped by support size,
+    smallest first, and each group is one :func:`_blocks` over its games in
+    stack order.  Returns dense ``(value, x, y, regular)``; a game with an
+    empty support is not solved and reads ``regular`` False.
     """
-    n = at.size
-    games = c[at]
-    sub = c[at[:, None, None], rs[:, :, None], cs[:, None, :]]
-    v, x_s, y_t, regular = equalize(sub)
-    ix = np.arange(n)[:, None]
-    x = np.zeros((n, c.shape[1]))
-    x[ix, rs] = x_s
-    y = np.zeros((n, c.shape[2]))
-    y[ix, cs] = y_t
+    answer = _blank(c)
+    side = rows.sum(axis=1)
+    for k in sorted(set(side.tolist()) - {0}):
+        at = np.flatnonzero(side == k)
+        rs, cs = rows[at].nonzero()[1].reshape(-1, k), cols[at].nonzero()[1].reshape(-1, k)
+        _blocks(c, at, rs, cs, answer)
+    return answer
+
+
+def _blocks(c, at, rs, cs, answer) -> None:
+    """One stacked :func:`equalize` on the ``k x k`` blocks ``rs x cs`` of the games ``c[at]``.
+
+    ``rs`` and ``cs`` hold each game's ``k`` row and column indices (one
+    row of them when every game shares its block), in the order the block
+    takes them.  The answers are scattered into the dense ``answer =
+    (value, x, y, regular)`` at the rows ``at``.
+    """
+    value, x, y, regular = answer
+    value[at], x_s, y_t, regular[at] = equalize(c[at[:, None, None], rs[:, :, None], cs[:, None, :]])
+    x[at[:, None], rs] = x_s
+    y[at[:, None], cs] = y_t
+
+
+def _passes(games, answer, scale) -> np.ndarray:
+    """The candidates' test: both strategies ``>= 0``, exploitability at most ``scale``."""
+    _, x, y, regular = answer
     # NaN from a near-singular system fails every comparison
     ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
-    ok &= exploitability(games, x, y) <= scale[at]
-    value, x_out, y_out = out
-    keep = at[ok]
-    value[keep] = v[ok]
-    x_out[keep] = x[ok]
-    y_out[keep] = y[ok]
+    return ok & (exploitability(games, x, y) <= scale)
+
+
+def _keep(out, at, games, answer, scale) -> np.ndarray:
+    """Write the answers of the games ``at`` that pass :func:`_passes` into ``out``; return the others.
+
+    ``games``, ``answer = (value, x, y, regular)`` and ``scale`` hold one
+    candidate per game of ``at``; ``out = (value, x, y)`` is indexed by game.
+    """
+    ok = _passes(games, answer, scale)
+    for o, a in zip(out, answer[:3]):
+        o[at[ok]] = a[ok]
     return at[~ok]
 
 
 def _nearby(payoffs, game: int, rows, cols, out) -> bool:
-    """Answer ``payoffs[game]`` on a support next to its singular one, ``rows x cols``.
+    """Answer ``payoffs[game]`` on a support next to its singular one, the masks ``rows x cols``.
 
     The candidates swap one row of the support for one outside it (each
-    position in turn, the outside rows ascending), then one column likewise.
-    The first that passes :func:`_equalize` at ``WARM_START_TOL * max(1,
-    max|A|)`` is written into ``out``; returns whether one passed.
+    position in turn, the outside rows ascending), then one column likewise;
+    the swapped index takes the place of the one it replaces in the block.
+    All are solved in one :func:`_blocks` and checked in one
+    :func:`_passes` at ``WARM_START_TOL * max(1, max|A|)``; the first that
+    passes is written into ``out``.  Returns whether one passed.
     """
-    m, l = payoffs.shape[1:]
-    other_rows, other_cols = np.setdiff1d(np.arange(m), rows), np.setdiff1d(np.arange(l), cols)
-    swaps = [(np.r_[rows[:i], r, rows[i + 1 :]], cols) for i in range(rows.size) for r in other_rows]
-    swaps += [(rows, np.r_[cols[:j], c, cols[j + 1 :]]) for j in range(cols.size) for c in other_cols]
-    alone = payoffs[game : game + 1]
-    view = tuple(v[game : game + 1] for v in out)
-    scale = WARM_START_TOL * np.maximum(1.0, np.abs(alone).max(axis=(1, 2)))
-    for rs, cs in swaps:
-        if not _equalize(alone, np.zeros(1, dtype=int), rs[None], cs[None], scale, view).size:
-            for v in view:
-                v += 0.0  # no entry reads -0.0
-            return True
-    return False
+    (r_in, r_out), (c_in, c_out) = ((np.flatnonzero(v), np.flatnonzero(~v)) for v in (rows, cols))
+    swaps = [(np.r_[r_in[:i], r, r_in[i + 1 :]], c_in) for i in range(r_in.size) for r in r_out]
+    swaps += [(r_in, np.r_[c_in[:j], c, c_in[j + 1 :]]) for j in range(c_in.size) for c in c_out]
+    if not swaps:
+        return False
+    games = np.repeat(payoffs[game : game + 1], len(swaps), axis=0)
+    answer = _blank(games)
+    _blocks(games, np.arange(len(swaps)), *map(np.array, zip(*swaps)), answer)
+    scale = WARM_START_TOL * max(1.0, float(np.abs(payoffs[game]).max()))
+    ok = _passes(games, answer, scale)
+    if not ok.any():
+        return False
+    first = ok.argmax()
+    for o, a in zip(out, answer[:3]):
+        o[game] = a[first] + 0.0  # + 0.0: no entry reads -0.0
+    return True
 
 
 def _maximin(payoffs: np.ndarray, transposed: bool = False):
@@ -270,13 +308,13 @@ def _maximin(payoffs: np.ndarray, transposed: bool = False):
     player's best row (the column player's best column).  Otherwise the
     simplex runs on ``P = payoff / max|payoff| + 2`` from the slack basis of
     ``P y <= 1``, all the games of the stack together; each final basis
-    names a support, and one :func:`equalize` per support size gives the
-    answers on the normalized blocks, with the values scaled back by
-    ``max|payoff|``.  A game whose block is singular is answered instead on
-    the first nearby square support that passes the candidates' test
-    (:func:`_nearby`).  Returns ``(value, x, y, failed)``: ``failed`` maps the
-    position in the stack of each game on which the simplex failed to the
-    message, and the other results of those games are meaningless.  It
+    names a support, and :func:`_on_supports` gives the answers on the
+    normalized blocks, with the values scaled back by ``max|payoff|``.  A
+    game whose block is singular is answered instead on the first nearby
+    square support that passes the candidates' test (:func:`_nearby`).
+    Returns ``(value, x, y, failed)``: ``failed`` maps the position in the
+    stack of each game on which the simplex failed to the message, and the
+    other results of those games are meaningless.  It
     carries ``simplex ended on a singular basis`` for a game only when its
     block is singular and no support one row or one column away passes.
     The LP is bounded, so ``linear program is unbounded`` comes from
@@ -310,20 +348,13 @@ def _maximin(payoffs: np.ndarray, transposed: bool = False):
     basic = np.zeros((n, l + m), dtype=bool)
     basic[at[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)), failed)] = True
     # a failed game keeps its slack basis, of support size 0
-    size = basic[:, :l].sum(axis=1)
-    value = np.empty(n)
-    for k in np.unique(size[size > 0]).tolist():
-        games = np.flatnonzero(size == k)
-        cols = basic[games, :l].nonzero()[1].reshape(-1, k)
-        rows = (~basic[games, l:]).nonzero()[1].reshape(-1, k)  # the rows whose slacks left
-        v, x_s, y_t, regular = equalize(scaled[games[:, None, None], rows[:, :, None], cols[:, None, :]])
-        value[games] = v * norm[games] + 0.0  # + 0.0: no value reads -0.0
-        x[games[:, None], rows] = np.maximum(x_s, 0.0)
-        y[games[:, None], cols] = np.maximum(y_t, 0.0)
-        singular = ~np.broadcast_to(regular, games.shape)
-        for g, rs, cs in zip(games[singular].tolist(), rows[singular], cols[singular]):
-            if not _nearby(payoffs, g, rs, cs, (value, x, y)):
-                failed[g] = "simplex ended on a singular basis"
+    rows, cols = ~basic[:, l:], basic[:, :l]  # the rows whose slacks left, the columns that entered
+    value, x, y, regular = _on_supports(scaled, rows, cols)
+    value = value * norm + 0.0  # + 0.0: no value reads -0.0
+    x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
+    for g in np.flatnonzero(~regular).tolist():
+        if g not in failed and not _nearby(payoffs, g, rows[g], cols[g], (value, x, y)):
+            failed[g] = "simplex ended on a singular basis"
     solved = np.ones(n, dtype=bool)
     solved[list(failed)] = False
     x[solved] /= x[solved].sum(axis=1, keepdims=True)
@@ -341,10 +372,11 @@ def solve_games(payoffs: np.ndarray, previous=None):
 
     ``previous`` holds the ``(x, y)`` strategy stacks of the last answer,
     whose square supports are the first candidates of the module docstring.
-    Each candidate is one :func:`_equalize` over the games still open, and
-    the games left over go to :func:`_maximin` as one stack.  Returns
-    ``(value, x, y, failed)`` as :func:`_maximin` does, ``failed`` keyed by
-    position in ``payoffs``.
+    They are tried in one pass, by one :func:`_on_supports` and one
+    :func:`_keep`; each enumerated candidate is one more :func:`_blocks`
+    and :func:`_keep` over the games still open.  The games left over go to
+    :func:`_maximin` as one stack.  Returns ``(value, x, y, failed)`` as
+    :func:`_maximin` does, ``failed`` keyed by position in ``payoffs``.
     """
     size, n_rows, n_cols = payoffs.shape
     out = (np.empty(size), np.zeros((size, n_rows)), np.zeros((size, n_cols)))
@@ -352,20 +384,15 @@ def solve_games(payoffs: np.ndarray, previous=None):
     pending = np.arange(size)
     if previous is not None:
         f, g = (v != 0 for v in previous)
-        side = f.sum(axis=1)
-        side[side != g.sum(axis=1)] = 0  # not square: no candidate
-        left = [np.flatnonzero(side == 0)]
-        for k in range(1, min(n_rows, n_cols) + 1):
-            at = np.flatnonzero(side == k)
-            if at.size:
-                rs = f[at].nonzero()[1].reshape(-1, k)
-                cs = g[at].nonzero()[1].reshape(-1, k)
-                left.append(_equalize(payoffs, at, rs, cs, scale, out))
-        pending = np.sort(np.concatenate(left))
+        square = (f.sum(axis=1) == g.sum(axis=1))[:, None]  # otherwise no candidate
+        pending = _keep(out, pending, payoffs, _on_supports(payoffs, f & square, g & square), scale)
     for s, t in _square_supports(n_rows, n_cols):
         if not pending.size:
             break
-        pending = _equalize(payoffs, pending, s[None], t[None], scale, out)
+        games = payoffs[pending]
+        answer = _blank(games)
+        _blocks(games, np.arange(pending.size), s[None], t[None], answer)
+        pending = _keep(out, pending, games, answer, scale[pending])
     failed = {}
     if pending.size:
         value, x, y = out

@@ -47,6 +47,7 @@ layer reads the model through that table; no structure with one entry per
 pair of states is built.
 """
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -567,6 +568,20 @@ def load_model(text: str) -> GameModel:
     :class:`ModelValidationError` (carrying the first violation) for
     well-formed documents that break an invariant.
     """
+    # the parsed document holds a container per JSON object and array, in no
+    # cycle, all freed when the loader returns; the cyclic collector would
+    # walk them over and over, so it is paused until then
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load(text: str) -> GameModel:
+    """:func:`load_model`, with the collector paused."""
     try:
         # an integer too large for a float parses as an infinity, which
         # validation rejects naming its triple or state; every JSON number

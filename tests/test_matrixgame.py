@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import smgsolve.matrixgame as matrixgame
 from smgsolve import MatrixGameError, solve_matrix_game, verify_saddle_point
@@ -256,6 +261,18 @@ def test_every_game_the_simplex_fails_is_reported(monkeypatch):
         solve_matrix_game(stack[0])
 
 
+@pytest.mark.parametrize("singular, regular", [
+    # the singular block's determinant divided by zero
+    ([[1e-300, 0.0, 1e8], [1e-300, 0.0, 1e8], [1e-300, 1e-300, 1e8]], np.eye(3)),
+    # the regular block's determinant overflowed
+    ([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 1.0]], np.eye(3) * 1e200),
+])
+def test_a_singular_block_is_flagged_without_a_floating_point_warning(singular, regular):
+    # RuntimeWarnings are errors here (pyproject.toml)
+    *_, flags = matrixgame.equalize(np.array([singular, regular]))
+    assert flags.tolist() == [False, True]
+
+
 # bounded, feasible games on which the simplex ends on a basis whose block is
 # singular; the first found by hand, the second by a seeded sweep of 40,000 games
 SINGULAR_BASIS = {
@@ -378,3 +395,109 @@ def test_subnormal_matrix_is_solved_on_its_normalized_support(rows):
     assert sol.value == 0.0
     ok, violation = verify_saddle_point(rows, sol.row_strategy, sol.col_strategy, tol=0.0)
     assert ok, violation
+
+
+def _warm_pass_per_size(payoffs, previous):
+    """The warm pass as one :func:`equalize` and one acceptance test per support size.
+
+    Returns ``(value, x, y)``, meaningful for the games that passed, and the
+    sorted positions of the games that did not.
+    """
+    n, m, l = payoffs.shape
+    out = (np.empty(n), np.zeros((n, m)), np.zeros((n, l)))
+    scale = matrixgame.WARM_START_TOL * np.maximum(1.0, np.abs(payoffs).max(axis=(1, 2)))
+    f, g = (v != 0 for v in previous)
+    side = f.sum(axis=1)
+    side[side != g.sum(axis=1)] = 0
+    left = [np.flatnonzero(side == 0)]
+    for k in range(1, min(m, l) + 1):
+        at = np.flatnonzero(side == k)
+        if not at.size:
+            continue
+        rs, cs = f[at].nonzero()[1].reshape(-1, k), g[at].nonzero()[1].reshape(-1, k)
+        v, x_s, y_t, regular = matrixgame.equalize(payoffs[at[:, None, None], rs[:, :, None], cs[:, None, :]])
+        ix = np.arange(at.size)[:, None]
+        x, y = np.zeros((at.size, m)), np.zeros((at.size, l))
+        x[ix, rs], y[ix, cs] = x_s, y_t
+        ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
+        ok &= matrixgame.exploitability(payoffs[at], x, y) <= scale[at]
+        for o, a in zip(out, (v, x, y)):
+            o[at[ok]] = a[ok]
+        left.append(at[~ok])
+    return out, np.sort(np.concatenate(left))
+
+
+ENTRY = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e8, -1e8]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def warm_stacks(draw):
+    """A stack of games and a previous pair: supports of mixed sizes, some not square, some optimal."""
+    m, l, n = draw(st.integers(2, 10)), draw(st.integers(2, 10)), draw(st.integers(1, 12))
+    payoffs = draw(arrays(np.float64, (n, m, l), elements=ENTRY, fill=st.nothing()))
+    x, y = np.zeros((n, m)), np.zeros((n, l))
+    for i in range(n):
+        if draw(st.booleans()):
+            payoffs[i, 1] = payoffs[i, 0]  # a block holding both rows is singular
+        own = None
+        if draw(st.booleans()):
+            try:  # the game's own optimal supports, so the candidate can pass
+                own = solve_matrix_game(payoffs[i])
+            except MatrixGameError:
+                pass
+        if own is not None:
+            x[i], y[i] = own.row_strategy, own.col_strategy
+            continue
+        k = draw(st.integers(1, min(m, l)))
+        k_cols = draw(st.sampled_from([k, draw(st.integers(1, l))]))  # not always square
+        x[i, draw(st.permutations(range(m)))[:k]] = 1.0 / k
+        y[i, draw(st.permutations(range(l)))[:k_cols]] = 1.0 / k_cols
+    return payoffs, (x, y)
+
+
+@given(stack=warm_stacks())
+@settings(max_examples=150, deadline=None)
+def test_the_warm_pass_answers_each_game_as_the_per_size_passes_do(stack):
+    payoffs, previous = stack
+    (value, x, y), pending = _warm_pass_per_size(payoffs, previous)
+    reached = []
+
+    def leftover(c):  # the games the warm pass leaves open
+        reached.append(c.copy())
+        n, m, l = c.shape
+        return np.full(n, np.nan), np.full((n, m), np.nan), np.full((n, l), np.nan), {}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrixgame, "_square_supports", lambda *shape: ())
+        patch.setattr(matrixgame, "_maximin", leftover)
+        got_value, got_x, got_y, _ = matrixgame.solve_games(payoffs, previous)
+    got_pending = np.flatnonzero(np.isnan(got_value))
+    np.testing.assert_array_equal(got_pending, pending)
+    if reached:
+        assert reached[0].tobytes() == payoffs[pending].tobytes()
+    kept = np.setdiff1d(np.arange(len(payoffs)), pending)
+    assert got_value[kept].tobytes() == value[kept].tobytes()
+    assert got_x[kept].tobytes() == x[kept].tobytes()
+    assert got_y[kept].tobytes() == y[kept].tobytes()
+
+
+def test_the_solver_never_imports_numpy_ma():
+    # scipy imports numpy.ma into this process, so a fresh one answers; the
+    # 10x10 stack reaches the simplex, then its warm pass, and each
+    # SINGULAR_BASIS game goes through _nearby
+    code = f"""
+import sys
+import numpy as np
+from smgsolve.matrixgame import solve_games, solve_matrix_game
+games = np.random.default_rng(5).normal(size=(20, 10, 10))
+value, x, y, failed = solve_games(games)
+solve_games(games + 1e-3, (x, y))
+solve_games(np.random.default_rng(6).normal(size=(20, 3, 3)))
+for a in {list(SINGULAR_BASIS.values())!r}:
+    solve_matrix_game(a)
+sys.exit("numpy.ma" in sys.modules or failed != {{}})
+"""
+    src = str(Path(matrixgame.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,7 @@
 """Model parsing, validation, and round-trip serialization."""
 
+import contextlib
+import gc
 import json
 import math
 import random
@@ -133,6 +135,30 @@ def test_malformed_documents_raise_format_errors(mutate, message):
 def test_not_json_raises_format_error():
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model("{'states':}")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", [json.dumps(INVESTMENT_DOC), "{'states':}"])
+def test_the_collector_is_paused_for_the_parse_and_left_as_it_was(enabled, text, monkeypatch):
+    import smgsolve.model as model
+
+    during = []
+    loads = model.json.loads
+
+    def watched(*args, **kwargs):
+        during.append(gc.isenabled())
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(model.json, "loads", watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(ModelFormatError):
+            load_model(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 def test_duplicate_state_labels_rejected():

@@ -506,6 +506,30 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
     assert 0 < warm_solved < states  # both the equalizer and the simplex ran
 
 
+def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptance_test(
+    monkeypatch, simplex_calls
+):
+    import smgsolve.matrixgame as matrixgame
+
+    rng = np.random.default_rng(61)
+    m = load_model(json.dumps(games_doc(rng.normal(size=(40, 10, 10)).tolist())))
+    op = ShapleyOperator(m)
+    _, previous = op._solve(np.zeros(m.n_states))
+    sizes = set(np.count_nonzero(previous[0].reshape(40, 10), axis=1).tolist())
+    assert len(sizes) >= 3
+    blocks, tests = [], []
+    equalize, exploitability = matrixgame.equalize, matrixgame.exploitability
+    monkeypatch.setattr(matrixgame, "equalize", lambda sub: blocks.append(sub.shape[1]) or equalize(sub))
+    monkeypatch.setattr(
+        matrixgame, "exploitability", lambda *args: tests.append(len(args[0])) or exploitability(*args)
+    )
+    simplex_calls.clear()
+    op._solve(rng.normal(size=m.n_states), previous)
+    assert simplex_calls == []  # every game kept its previous support
+    assert blocks == sorted(sizes)
+    assert tests == [40]
+
+
 def games_doc(matrices) -> dict:
     """One state per matrix, whose ``C(0, x)`` is that matrix exactly.
 
