@@ -8,11 +8,12 @@ Subcommands and exit codes:
 * ``simulate``  Monte Carlo estimate under a stationary pair
 * ``game``      solve one standalone matrix game from a JSON array of arrays
 
-Exit status: 0 success, 1 a matrix game the simplex could not solve (for a
-model, the message names the state), 2 parse or validation error, 3 certificate
-failure, 4 no convergence within the iteration cap.  Every JSON artifact embeds the
-run configuration and a content hash of the model document, and identical
-configurations produce byte-identical artifacts on one numpy build and CPU.
+Exit status: 0 success, 1 a matrix game whose exact answer failed its
+saddle-point test, which is a bug (for a model, the message names the state),
+2 parse or validation error, 3 certificate failure, 4 no convergence within
+the iteration cap.  Every JSON artifact embeds the run configuration and a
+content hash of the model document, and identical configurations produce
+byte-identical artifacts on one numpy build and CPU.
 """
 
 import argparse

@@ -23,10 +23,7 @@ by this positive affine map, and the game on ``P`` has the linear program
 
 whose optimum is ``1 / value(P)`` and whose optimal ``y``, normalized, is
 an optimal column strategy.  ``y = 0`` is feasible, so a dense primal
-simplex starts from the slack basis: there is no phase 1.  The normal
-pivoting rules fall back to Bland's rule on a stall, and every rule is
-deterministic, so when the optimal face is not a single point the returned
-strategy is still reproducible across runs.
+simplex starts from the slack basis: there is no phase 1.
 
 The simplex runs on the stack in lockstep: each step pivots every game
 still in the stack once, by that game's own rules, and a game leaves the
@@ -38,11 +35,17 @@ slacks of all but ``k`` rows; the ``k`` rows whose slacks left (the support
 ``I``) are tight.  Both strategies and the value are then solved afresh
 from the equalizer system on the normalized block ``A[I, J]``, one stacked
 solve per support size, so the rounding of the pivots does not reach the
-result.  When that block is singular, the square supports one row or one
-column away from ``I x J`` are tried under the candidates' acceptance
-test, and the first that passes answers the game.  The solution carries
-the exploitability of the pair, which bounds how far either strategy is
-from optimal.
+result.  The solution carries the exploitability of the pair, which bounds
+how far either strategy is from optimal.
+
+The answer must pass the candidates' acceptance test.  A game the float
+simplex fails (a stall on a degenerate basis, no leaving row through
+rounding, a singular block, or a wrong support when the entries span many
+magnitudes) is solved once more, alone, by :func:`_exact`: the same linear
+program in Python integers with fraction-free pivots (Edmonds 1967;
+Bareiss 1968), degenerate ones by Bland's rule (Bland 1977), so it cannot
+cycle.  Its answer is exact up to the rounding to floats; should it fail
+the acceptance test too, that is a bug.
 
 Single-row and single-column games are solved by direct scan.
 """
@@ -59,12 +62,11 @@ WARM_START_TOL = 1e-12
 ENUMERATED_SIDE = 3
 # the objective is 1 / value(P), which compresses value gaps by up to value(P)^2 <= 9
 PIVOT_TOL = 1e-12
-_STALL_PIVOTS = 10  # normal pivots per (rows + columns + 10) of a tableau before Bland's rule
-_UNBOUNDED = "linear program is unbounded"
+_STALL_PIVOTS = 10  # pivots per (rows + columns + 10) of a tableau before the exact simplex
 
 
 class MatrixGameError(RuntimeError):
-    """The simplex failed: an unbounded ratio test, no termination or a singular basis."""
+    """A game's exact answer failed the acceptance test, which is a bug in this module."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,70 +97,102 @@ def _pivot(tab: np.ndarray, at: np.ndarray, row: np.ndarray, col: np.ndarray) ->
     tab[at, row, col] = 1.0
 
 
-def _leaving_rows(tab, coef, eligible, basis, anti_cycling: bool) -> np.ndarray:
-    """Each game's minimum-ratio row for its entering column ``coef``, with deterministic ties.
-
-    ``eligible`` marks the coefficients above :data:`PIVOT_TOL`, at least
-    one per game.  Among rows at exactly the minimum ratio, normal pivoting
-    takes the largest pivot coefficient, then the lowest basis index;
-    anti-cycling takes the lowest basis index alone.  The other rows get a
-    NaN ratio, which sorts last.
-    """
-    ratio = np.divide(tab[:, :-1, -1], coef, out=np.full(coef.shape, np.nan), where=eligible)
-    keys = (basis, ratio) if anti_cycling else (basis, -coef, ratio)
-    return np.lexsort(keys, axis=1)[:, 0]
-
-
-def _simplex(tab: np.ndarray, basis: np.ndarray, failed: dict) -> np.ndarray:
-    """Run the simplex to optimality on a stack of feasible tableaux (objective rows last).
+def _simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Run the simplex on a stack of feasible tableaux (objective rows last); return the final bases.
 
     Every game of the stack takes one pivot per step, under the rules it
-    would follow alone.  Normal pivoting: most negative reduced cost enters
-    (ties at the lowest index), and the leaving row takes the minimum ratio
-    with exact ties preferring the largest pivot coefficient, then the
-    lowest basis index (pivoting on a tiny coefficient scales its row, and
-    the priced objective, up by the reciprocal, drowning later reduced costs
-    in rounding noise).  Should that stall on a degenerate basis, the rules
-    switch to Bland's lowest-index/lowest-basis-index pair, which cannot
-    cycle, so termination is guaranteed.  Every rule is deterministic, and
-    the step limits depend on the shape alone, so the stack shares them.
-
-    A game leaves the stack once it is optimal; the stack is compacted only
-    on the steps where some game leaves it.  Returns every game's final
-    basis, and records in ``failed`` the message of each game that has no
-    leaving row or does not terminate.
+    would follow alone: the most negative reduced cost enters (ties at the
+    lowest index), and the leaving row takes the minimum ratio over the
+    coefficients above :data:`PIVOT_TOL`, with exact ties preferring the
+    largest pivot coefficient, then the lowest basis index (pivoting on a
+    tiny coefficient scales its row, and the priced objective, up by the
+    reciprocal, drowning later reduced costs in rounding noise).  A game
+    leaves the stack once it is optimal; the stack is compacted only on the
+    steps where some game leaves it.  A game whose entering column has no
+    leaving row, or that is still in the stack after ``_STALL_PIVOTS *
+    (rows + columns + 10)`` pivots (a stall on a degenerate basis), gives
+    up: its final basis is the slack basis it started from.
     """
-    lines = 10 + tab.shape[1] + tab.shape[2]
     final = basis.copy()
     live = at = np.arange(len(tab))
-    for pivots in range(1000 * lines):  # the hard cap, 100 times the default stall limit
+    for _ in range(_STALL_PIVOTS * (10 + tab.shape[1] + tab.shape[2])):
         reduced = tab[:, -1, :-1]
-        anti_cycling = pivots >= _STALL_PIVOTS * lines
-        if anti_cycling:
-            improving = reduced < -PIVOT_TOL
-            enter = improving.argmax(axis=1)
-            optimal = ~improving[at, enter]
-        else:
-            enter = reduced.argmin(axis=1)
-            optimal = reduced[at, enter] >= -PIVOT_TOL
+        enter = reduced.argmin(axis=1)
+        optimal = reduced[at, enter] >= -PIVOT_TOL
         coef = tab[at, :-1, enter]
         eligible = coef > PIVOT_TOL
         leaves = optimal | ~eligible.any(axis=1)
         if leaves.any():
             final[live[optimal]] = basis[optimal]
-            failed.update(dict.fromkeys(live[leaves & ~optimal].tolist(), _UNBOUNDED))
             stay = ~leaves
             live, tab, basis, enter, coef, eligible = (
                 v[stay] for v in (live, tab, basis, enter, coef, eligible)
             )
             if not live.size:
-                return final
+                break
             at = np.arange(live.size)
-        leave = _leaving_rows(tab, coef, eligible, basis, anti_cycling)
+        # the rows off the eligible coefficients get a NaN ratio, which sorts last
+        ratio = np.divide(tab[:, :-1, -1], coef, out=np.full(coef.shape, np.nan), where=eligible)
+        leave = np.lexsort((basis, -coef, ratio), axis=1)[:, 0]
         _pivot(tab, at, leave, enter)
         basis[at, leave] = enter
-    failed.update(dict.fromkeys(live.tolist(), "simplex failed to terminate"))
     return final
+
+
+def _exact(a: np.ndarray):
+    """``(value, x, y)`` of the game ``a`` from its linear program solved in integers.
+
+    The program is ``max sum(y)`` subject to ``Q y <= 1``, ``y >= 0``, with
+    ``Q = (A - min(A) + 1) * scale`` an integer matrix: every float is ``n /
+    2**k``, and ``scale`` is the largest denominator.  The tableau holds the
+    basis inverse and the right-hand side, objective row last, each entry
+    the true one times the last pivot ``last``, so after a pivot on ``p``
+    every other row becomes ``(v * p - c * w) // last``, an exact division;
+    the columns of ``Q`` are priced from it.  The most negative reduced cost
+    enters, the lowest-index negative one after a degenerate pivot; the
+    minimum ratio leaves, ties at the lowest basis index.  A cycle would
+    pivot by Bland's rule alone, which cannot cycle, so the loop ends.
+    ``value(Q) = last / total``, the objective row's right-hand side.
+    """
+    m, l = a.shape
+    ratios = [v.as_integer_ratio() for v in a.ravel().tolist()]
+    scale = max(d for _, d in ratios)  # a power of 2, so every d divides it
+    entries = [n * (scale // d) for n, d in ratios]
+    shift = scale - min(entries)
+    q = [[v + shift for v in entries[i * l : (i + 1) * l]] for i in range(m)]
+    rows = [[int(i == k) for k in range(m)] + [1] for i in range(m)] + [[0] * (m + 1)]
+    basis = list(range(l, l + m))  # y_j is variable j, the slack of row i is l + i
+    last, degenerate = 1, False
+    while True:
+        dual = [(i, u) for i, u in enumerate(rows[-1][:m]) if u]
+        reduced = [sum(u * q[i][j] for i, u in dual) - last for j in range(l)] + rows[-1][:m]
+        cost = next((v for v in reduced if v < 0), 0) if degenerate else min(reduced)
+        if cost >= 0:
+            break
+        enter = reduced.index(cost)
+        if enter < l:
+            column = [sum(v * q[k][enter] for k, v in enumerate(row[:m]) if v) for row in rows[:m]]
+            column.append(cost)
+        else:
+            column = [row[enter - l] for row in rows]
+        leave = None
+        for i, c in enumerate(column[:m]):
+            if c > 0 and (
+                leave is None
+                or (d := rows[i][-1] * p - rows[leave][-1] * c) < 0
+                or (d == 0 and basis[i] < basis[leave])
+            ):
+                leave, p = i, c
+        pivot = rows[leave]
+        rows = [
+            row if i == leave else [(v * p - c * w) // last for v, w in zip(row, pivot)]
+            for i, (row, c) in enumerate(zip(rows, column))
+        ]
+        last, basis[leave], degenerate = p, enter, pivot[-1] == 0
+    total = rows[-1][-1]
+    y = dict.fromkeys(range(l), 0) | {j: row[-1] for row, j in zip(rows, basis) if j < l}
+    x, y = (np.array([v / total for v in u]) for u in (rows[-1][:m], y.values()))
+    return (last - total * shift) / (total * scale) + 0.0, x, y
 
 
 def equalize(sub: np.ndarray):
@@ -187,10 +221,10 @@ def equalize(sub: np.ndarray):
     try:
         sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        # the determinant comes from the same LU, so it is 0 exactly where a
-        # pivot is; only its sign is read, so its overflow or a log(0) is no fault
-        with np.errstate(divide="ignore", over="ignore"):
-            regular = (np.linalg.det(system) != 0.0).all(axis=0)
+        # the determinant's sign comes from the same LU, so it is 0 exactly
+        # where a pivot is, and cannot underflow; its log(0) is no fault
+        with np.errstate(divide="ignore"):
+            regular = (np.linalg.slogdet(system)[0] != 0.0).all(axis=0)
         system[:, ~regular] = np.eye(k + 1)
         sol = np.linalg.solve(system, rhs)
     sol = sol[..., 0]
@@ -273,35 +307,7 @@ def _keep(out, at, games, answer, scale) -> np.ndarray:
     return at[~ok]
 
 
-def _nearby(payoffs, game: int, rows, cols, out) -> bool:
-    """Answer ``payoffs[game]`` on a support next to its singular one, the masks ``rows x cols``.
-
-    The candidates swap one row of the support for one outside it (each
-    position in turn, the outside rows ascending), then one column likewise;
-    the swapped index takes the place of the one it replaces in the block.
-    All are solved in one :func:`_blocks` and checked in one
-    :func:`_passes` at ``WARM_START_TOL * max(1, max|A|)``; the first that
-    passes is written into ``out``.  Returns whether one passed.
-    """
-    (r_in, r_out), (c_in, c_out) = ((np.flatnonzero(v), np.flatnonzero(~v)) for v in (rows, cols))
-    swaps = [(np.r_[r_in[:i], r, r_in[i + 1 :]], c_in) for i in range(r_in.size) for r in r_out]
-    swaps += [(r_in, np.r_[c_in[:j], c, c_in[j + 1 :]]) for j in range(c_in.size) for c in c_out]
-    if not swaps:
-        return False
-    games = np.repeat(payoffs[game : game + 1], len(swaps), axis=0)
-    answer = _blank(games)
-    _blocks(games, np.arange(len(swaps)), *map(np.array, zip(*swaps)), answer)
-    scale = WARM_START_TOL * max(1.0, float(np.abs(payoffs[game]).max()))
-    ok = _passes(games, answer, scale)
-    if not ok.any():
-        return False
-    first = ok.argmax()
-    for o, a in zip(out, answer[:3]):
-        o[game] = a[first] + 0.0  # + 0.0: no entry reads -0.0
-    return True
-
-
-def _maximin(payoffs: np.ndarray, transposed: bool = False):
+def _maximin(payoffs: np.ndarray):
     """Values and optimal mixtures of both players of each game of the stack ``payoffs``.
 
     Games with one column (one row) are solved by scanning for the row
@@ -310,17 +316,12 @@ def _maximin(payoffs: np.ndarray, transposed: bool = False):
     ``P y <= 1``, all the games of the stack together; each final basis
     names a support, and :func:`_on_supports` gives the answers on the
     normalized blocks, with the values scaled back by ``max|payoff|``.  A
-    game whose block is singular is answered instead on the first nearby
-    square support that passes the candidates' test (:func:`_nearby`).
-    Returns ``(value, x, y, failed)``: ``failed`` maps the position in the
-    stack of each game on which the simplex failed to the message, and the
-    other results of those games are meaningless.  It
-    carries ``simplex ended on a singular basis`` for a game only when its
-    block is singular and no support one row or one column away passes.
-    The LP is bounded, so ``linear program is unbounded`` comes from
-    rounding alone: such a game is answered once more, unless
-    ``transposed``, as the game ``-A.T`` of the other player, whose value
-    is the negated value with the two strategies swapped.
+    game whose answer fails :func:`_passes` at ``WARM_START_TOL * max(1,
+    max|A|)``, as every game does whose block is singular or whose simplex
+    gave up (an empty support), is answered by :func:`_exact` under the
+    same test.  Returns ``(value, x, y, failed)``: ``failed`` maps the
+    position in the stack of each game whose exact answer failed the test
+    to the message, and the other results of those games are meaningless.
     Raises ``ValueError`` when some entry is not finite.
     """
     if not np.isfinite(payoffs).all():
@@ -344,27 +345,22 @@ def _maximin(payoffs: np.ndarray, transposed: bool = False):
     tab[:, :m, l:-1] = np.eye(m)
     tab[:, :m, -1] = 1.0
     tab[:, -1, :l] = -1.0  # minimize -sum(y)
-    failed = {}
     basic = np.zeros((n, l + m), dtype=bool)
-    basic[at[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)), failed)] = True
-    # a failed game keeps its slack basis, of support size 0
+    basic[at[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)))] = True
     rows, cols = ~basic[:, l:], basic[:, :l]  # the rows whose slacks left, the columns that entered
     value, x, y, regular = _on_supports(scaled, rows, cols)
     value = value * norm + 0.0  # + 0.0: no value reads -0.0
     x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
-    for g in np.flatnonzero(~regular).tolist():
-        if g not in failed and not _nearby(payoffs, g, rows[g], cols[g], (value, x, y)):
-            failed[g] = "simplex ended on a singular basis"
-    solved = np.ones(n, dtype=bool)
-    solved[list(failed)] = False
-    x[solved] /= x[solved].sum(axis=1, keepdims=True)
-    y[solved] /= y[solved].sum(axis=1, keepdims=True)
-    for g in [g for g, text in failed.items() if text == _UNBOUNDED and not transposed]:
-        (v,), (y_g,), (x_g,), again = _maximin(-payoffs[g].T[None], transposed=True)
-        if not again:
-            value[g], x[g], y[g] = -v + 0.0, x_g, y_g  # + 0.0: no value reads -0.0
-            del failed[g]
-    return value, x, y, failed
+    x[regular] /= x[regular].sum(axis=1, keepdims=True)
+    y[regular] /= y[regular].sum(axis=1, keepdims=True)
+    scale = WARM_START_TOL * np.maximum(1.0, norm)
+    redo = np.flatnonzero(~_passes(payoffs, (value, x, y, regular), scale))
+    if not redo.size:
+        return value, x, y, {}
+    games = payoffs[redo]
+    exact = tuple(map(np.array, zip(*map(_exact, games))))
+    left = _keep((value, x, y), redo, games, (*exact, True), scale[redo])
+    return value, x, y, dict.fromkeys(left.tolist(), "exact answer failed the acceptance test")
 
 
 def solve_games(payoffs: np.ndarray, previous=None):
@@ -418,7 +414,7 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
     support it names gives the value and both players' strategies, whose
     exploitability is reported as ``duality_gap``.  Raises ``ValueError``
     for empty or non-finite matrices and :class:`MatrixGameError` when the
-    simplex fails.
+    exact answer fails the acceptance test.
     """
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 2 or a.size == 0:

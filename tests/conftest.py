@@ -106,15 +106,26 @@ def failing_simplex(failures: dict):
 
 
 @pytest.fixture()
-def blands_rule(monkeypatch):
-    """Run the simplex under Bland's rule from its first pivot; lists each pivot's rule (True: Bland's)."""
+def exact_calls(monkeypatch):
+    """Record each game the exact simplex ``_exact`` answers, one entry per call."""
     import smgsolve.matrixgame as matrixgame
 
-    rules = []
-    leaving = matrixgame._leaving_rows
+    calls = []
+    exact = matrixgame._exact
+    monkeypatch.setattr(matrixgame, "_exact", lambda a: calls.append(a) or exact(a))
+    return calls
+
+
+@pytest.fixture()
+def exact_path(monkeypatch, exact_calls):
+    """Make the float simplex give up at once, so every game it sees goes to ``_exact``; lists those games.
+
+    The exact simplex's degenerate pivots follow Bland's rule.
+    """
+    import smgsolve.matrixgame as matrixgame
+
     monkeypatch.setattr(matrixgame, "_STALL_PIVOTS", 0)
-    monkeypatch.setattr(matrixgame, "_leaving_rows", lambda *args: rules.append(args[-1]) or leaving(*args))
-    return rules
+    return exact_calls
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import smgsolve.matrixgame as matrixgame
-from smgsolve import MatrixGameError, solve_matrix_game, verify_saddle_point
+from smgsolve import (
+    MatrixGameError,
+    certify_solution,
+    load_model,
+    solve_matrix_game,
+    value_iterate,
+    verify_saddle_point,
+)
 from smgsolve.cli import main
 
-from conftest import solve_2x2_by_equalizing
+from conftest import INVESTMENT_DOC, solve_2x2_by_equalizing, sparse_doc
 
 SADDLE_TOL = 1e-9
 
@@ -185,8 +193,7 @@ def test_tiny_entry_regressions():
         assert ok, violation
 
 
-# this matrix cycled under the stable (largest-coefficient) tie-break
-# before the stalled-pivot switch to the pure lowest-index rule
+# this matrix once cycled under the float simplex's tie-breaking rules
 TIE_CYCLING = [
     [828549.6, 484010.4, -483621.7, -680625.1, -488052.5, -780107.0, 639727.2, 225274.4],
     [-118355.2, 972918.7, -957091.1, -187683.9, 201599.2, -613801.2, 737991.4, -44150.9],
@@ -219,12 +226,14 @@ def _random_stacks():
     yield np.concatenate([[TIE_CYCLING], rng.normal(size=(3, 6, 8)) * 1e6])
 
 
-def _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch):
+def _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch) -> tuple[int, int]:
+    """Returns the number of games solved and of stacks in which some game left before the last pivot."""
     live = []  # the games in the stack at each pivot
     pivot = matrixgame._pivot
     monkeypatch.setattr(matrixgame, "_pivot", lambda tab, *rest: live.append(len(tab)) or pivot(tab, *rest))
-    finish_apart = 0
+    games = finish_apart = 0
     for stack in _random_stacks():
+        games += 3 * len(stack)  # alone, then stacked in two orders
         alone = [solve_matrix_game(a) for a in stack]
         for order in (slice(None), slice(None, None, -1)):
             live.clear()
@@ -234,30 +243,34 @@ def _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch):
                 assert np.float64(sol.value).tobytes() == v.tobytes()
                 assert sol.row_strategy.tobytes() == xi.tobytes()
                 assert sol.col_strategy.tobytes() == yi.tobytes()
-        finish_apart += live[0] > live[-1]  # some game left the stack before the last pivot
-    assert finish_apart >= 10
+        finish_apart += bool(live) and live[0] > live[-1]  # some game left before the last pivot
+    return games, finish_apart
 
 
 def test_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch):
-    _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
+    assert _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)[1] >= 10
 
 
-def test_under_blands_rule_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch, blands_rule):
-    _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
-    assert blands_rule and all(blands_rule)
+def test_under_blands_rule_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch, exact_path):
+    games, _ = _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
+    assert len(exact_path) == games  # every game went to the exact simplex
 
 
 def test_every_game_the_simplex_fails_is_reported(monkeypatch):
     equalize = matrixgame.equalize
 
-    def singular(sub):
+    def singular(sub):  # so every game goes to the exact simplex
         return *equalize(sub)[:3], np.zeros(len(sub), dtype=bool)
 
+    def uniform(a):  # an exact answer that fails the acceptance test
+        return 0.0, np.full(a.shape[0], 1.0 / a.shape[0]), np.full(a.shape[1], 1.0 / a.shape[1])
+
     monkeypatch.setattr(matrixgame, "equalize", singular)
+    monkeypatch.setattr(matrixgame, "_exact", uniform)
     stack = np.random.default_rng(3).normal(size=(3, 4, 5))
     value, x, y, failed = matrixgame._maximin(stack)
-    assert failed == dict.fromkeys(range(3), "simplex ended on a singular basis")
-    with pytest.raises(MatrixGameError, match="^simplex ended on a singular basis$"):
+    assert failed == dict.fromkeys(range(3), "exact answer failed the acceptance test")
+    with pytest.raises(MatrixGameError, match="^exact answer failed the acceptance test$"):
         solve_matrix_game(stack[0])
 
 
@@ -266,6 +279,8 @@ def test_every_game_the_simplex_fails_is_reported(monkeypatch):
     ([[1e-300, 0.0, 1e8], [1e-300, 0.0, 1e8], [1e-300, 1e-300, 1e8]], np.eye(3)),
     # the regular block's determinant overflowed
     ([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 1.0]], np.eye(3) * 1e200),
+    # the regular block's determinant underflowed
+    ([[1e-300, 0.0, 1e8], [1e-300, 0.0, 1e8], [1e-300, 1e-300, 1e8]], np.eye(3) * 1e-200),
 ])
 def test_a_singular_block_is_flagged_without_a_floating_point_warning(singular, regular):
     # RuntimeWarnings are errors here (pyproject.toml)
@@ -290,38 +305,21 @@ SINGULAR_BASIS = {
 }
 
 
-def _linprog_value(a: np.ndarray) -> float:
-    """The value by scipy's LP: max v subject to x A >= v, sum(x) = 1, x >= 0."""
-    from scipy.optimize import linprog
+def _value_bracket(a: np.ndarray, x, y) -> tuple[Fraction, Fraction]:
+    """Exact bounds on the value of ``a``: ``min(x A)`` and ``max(A y)`` over the normalized ``x`` and ``y``.
 
-    m, l = a.shape
-    cost = np.zeros(m + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost, A_ub=np.hstack([-a.T, np.ones((l, 1))]), b_ub=np.zeros(l),
-        A_eq=np.hstack([np.ones((1, m)), [[0.0]]]), b_eq=[1.0],
-        bounds=[(0.0, None)] * m + [(None, None)],
-    )
-    assert res.status == 0, res.message
-    return -res.fun
+    An LP solver's tolerances are no oracle here: on sweep game 56198, scipy's
+    HiGHS reads -0.25 for a value of -0.1667.
+    """
+    rows = [[Fraction(v) for v in row] for row in a.tolist()]
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    low = min(sum(p * row[j] for p, row in zip(x, rows)) for j in range(a.shape[1])) / sum(x)
+    high = max(sum(v * q for v, q in zip(row, y)) for row in rows) / sum(y)
+    return low, high
 
 
-@pytest.mark.parametrize("name", SINGULAR_BASIS)
-def test_a_singular_final_basis_is_answered_on_a_nearby_support(name, tmp_path, monkeypatch):
-    reached = []
-    nearby = matrixgame._nearby
-    monkeypatch.setattr(matrixgame, "_nearby", lambda *args: reached.append(args[1]) or nearby(*args))
-    a = np.array(SINGULAR_BASIS[name], dtype=float)
-    out = tmp_path / "game.json"
-    assert main(["game", json.dumps(SINGULAR_BASIS[name]), "--out", str(out)]) == 0
-    assert len(reached) == 1  # the simplex's own block was singular
-    doc = json.loads(out.read_text())
-    assert doc["saddleVerified"] is True
-    assert abs(doc["value"] - _linprog_value(a)) <= 1e-12 * max(1.0, float(np.abs(a).max()))
-
-
-# a bounded, feasible 8x9 game on which the simplex's ratio test finds no
-# leaving row: rounding alone makes its LP look unbounded
+# a bounded, feasible 8x9 game on which the float simplex's ratio test finds
+# no leaving row: rounding alone makes its LP look unbounded
 UNBOUNDED_VERDICT = [
     [1e8, 0, 1e8, -1, -1e8, -1, -1, -1e8, 1e8], [-1e8, -1e8, -1, -1e8, 0, -1e8, 1, 1e8, 1],
     [1e8, 1e8, 1, -1, -1, -1, -1, 1e8, 1e8], [1e8, 0, -1, 0, 1e8, -1e8, 1, -1e8, -1],
@@ -329,35 +327,81 @@ UNBOUNDED_VERDICT = [
     [0, -1, 0, 1e8, -1, -1e8, 1e8, 1e8, 0], [1e8, 0, 0, -1e8, -1e8, 1e8, -1, 1, 1],
 ]
 
+# games of a seeded sweep, by number: on 55584, 56198 and 85872 the float
+# simplex ends on a singular block with no passing support one row or one
+# column away; on 180 and 179414 it ends on a regular block of a wrong
+# support, whose equalizers have exploitability 1 and 2e8 (the latter with a
+# value of 1e16 on entries of at most 1e8)
+SWEEP_GAMES = {
+    "180": [
+        [1, 1, 1e8, 0, 1, 1e8, 0, 1, -1], [1e8, 1, -1, 1e8, 1, 1, 1, -1, 0],
+        [0, 0, -1, -1e8, -1e8, 1e8, 1, 0, -1], [0, -1, -1, 0, 0, 0, -1e8, -1e8, 0],
+        [1, 1e8, 1e8, 1, -1, 1e8, -1e8, 0, 0], [1e8, -1, 0, -1, 0, 1e8, 1, 0, -1e8],
+        [1, -1e8, -1, 0, -1, 0, 0, -1e8, -1],
+    ],
+    "55584": [
+        [-1, 1, -1, 0, -1e8, 0, 0, 0], [0, 1e8, 1e8, -1, 0, 1, 1e8, -1],
+        [-1, 1, 0, 1e8, 0, -1, -1e8, 1], [-1, 0, 0, -1e8, 0, -1, -1, 1],
+        [1e8, -1, 0, 1e8, 0, 1, 0, -1], [1e8, 0, 1e8, 1, -1, -1e8, 1e8, 1e8],
+        [1, -1e8, -1e8, 1e8, 1, -1e8, 1, 1],
+    ],
+    "56198": [
+        [0, 0, 1, -1e8, -1e8, 1e8, -1e8, -1e8, 0], [1, 0, 0, 0, 1e8, -1, 0, -1, -1e8],
+        [-1, 1e8, -1, 1e8, -1, 0, 0, 1e8, 0], [0, 0, 0, 0, 1e8, -1e8, 1, 0, 0],
+        [-1, 0, -1, 0, -1e8, -1e8, 0, 1, -1e8], [1e8, 0, 0, 1e8, -1, 1e8, 1, 1e8, -1],
+        [-1e8, 1e8, 1e8, 1e8, 0, 1, -1e8, 1e8, 0], [1e8, 1e8, -1e8, -1e8, 0, -1, -1e8, 0, -1],
+    ],
+    "85872": [
+        [1e8, -1, 1e8, 0, -1, -1e8, -1, -1e8, -1], [1e8, 0, 0, 1e8, 0, 1e8, 0, 0, -1],
+        [1e8, 0, -1e8, -1e8, 1, -1e8, -1, -1, -1e8], [1, -1e8, 1e8, 1e8, -1e8, 1e8, 1e8, 0, 1e8],
+        [0, 1e8, -1, 0, 1, 1e8, 0, 1, 1], [1e8, 0, 1e8, 1e8, 0, 1, -1, 0, 0],
+        [-1e8, 0, -1, -1e8, -1, -1e8, -1, 1, -1], [1e8, -1, -1e8, 0, -1, 0, -1, -1e8, 0],
+    ],
+    "179414": [
+        [1e8, -1e8, -1e8, -1e8, 0, 1, -1e8, 1e8], [-1, 0, 0, -1e8, -1e8, 1e8, -1e8, -1],
+        [-1e8, 1, 0, 1e8, 1e8, 1, 1, -1e8], [1e8, -1, -1, 1, 1, 1, -1, 1e8],
+        [0, -1, 1e8, 1e8, 0, 1e8, 1e8, 0], [1e8, 0, 1e8, -1, -1, 1, 0, 1e8],
+        [1e8, -1, 0, 1, 1, 1e8, 0, 1e8], [-1, 1, 0, -1e8, -1, -1, -1e8, 1e8],
+    ],
+}
 
-def test_an_unbounded_verdict_is_answered_as_the_other_players_game(tmp_path, monkeypatch):
-    shapes = []
-    maximin = matrixgame._maximin
-    monkeypatch.setattr(
-        matrixgame, "_maximin", lambda c, **kw: shapes.append(c.shape) or maximin(c, **kw)
-    )
-    a = np.array(UNBOUNDED_VERDICT, dtype=float)
+
+@pytest.mark.parametrize("rows", [
+    *(pytest.param(rows, id=f"singular-{name}") for name, rows in SINGULAR_BASIS.items()),
+    pytest.param(UNBOUNDED_VERDICT, id="unbounded-8x9"),
+    *(pytest.param(rows, id=f"sweep-{name}") for name, rows in SWEEP_GAMES.items()),
+])  # fmt: skip
+def test_a_game_the_float_simplex_cannot_answer_is_answered_exactly(rows, tmp_path, exact_calls):
+    a = np.array(rows, dtype=float)
     out = tmp_path / "game.json"
-    assert main(["game", json.dumps(UNBOUNDED_VERDICT), "--out", str(out)]) == 0
-    assert shapes == [(1, 8, 9), (1, 9, 8)]  # the game, then -A.T once
+    assert main(["game", json.dumps(rows), "--out", str(out)]) == 0
+    assert len(exact_calls) == 1
     doc = json.loads(out.read_text())
     assert doc["saddleVerified"] is True
-    assert abs(doc["value"] - _linprog_value(a)) <= 1e-12 * max(1.0, float(np.abs(a).max()))
+    low, high = _value_bracket(a, doc["rowStrategy"], doc["colStrategy"])
+    tol = 1e-12 * max(1.0, float(np.abs(a).max()))
+    assert doc["value"] - tol <= low <= high <= doc["value"] + tol
 
 
-def test_a_game_unbounded_both_ways_is_retried_once_and_reported(monkeypatch):
-    calls = []
-
-    def unbounded(tab, basis, failed):
-        calls.append(len(tab))
-        failed.update(dict.fromkeys(range(len(tab)), "linear program is unbounded"))
-        return basis.copy()
-
-    monkeypatch.setattr(matrixgame, "_simplex", unbounded)
+def test_a_stack_the_simplex_gives_up_on_goes_to_the_exact_simplex_once_per_game(exact_path):
     stack = np.random.default_rng(4).normal(size=(3, 4, 5))
     value, x, y, failed = matrixgame._maximin(stack)
-    assert calls == [3, 1, 1, 1]  # the stack, then each game's -A.T, never again
-    assert failed == dict.fromkeys(range(3), "linear program is unbounded")
+    assert failed == {}
+    assert [a.tobytes() for a in exact_path] == [a.tobytes() for a in stack]
+    for a, v, xi, yi in zip(stack, value, x, y):
+        v_a, x_a, y_a = matrixgame._exact(a)
+        assert (v, xi.tobytes(), yi.tobytes()) == (v_a, x_a.tobytes(), y_a.tobytes())
+
+
+def test_the_exact_simplex_stays_off_the_hot_path(exact_calls):
+    for doc in (INVESTMENT_DOC, sparse_doc(200)):
+        m = load_model(json.dumps(doc))
+        report = value_iterate(m, 1e-6)
+        certify_solution(m, report, 1e-4)
+    games = np.random.default_rng(8).normal(size=(20, 10, 10))
+    value, x, y, failed = matrixgame.solve_games(games)
+    matrixgame.solve_games(games + 1e-3, (x, y))
+    assert failed == {} and exact_calls == []
 
 
 def test_extreme_scales_stay_accurate():
@@ -484,7 +528,7 @@ def test_the_warm_pass_answers_each_game_as_the_per_size_passes_do(stack):
 def test_the_solver_never_imports_numpy_ma():
     # scipy imports numpy.ma into this process, so a fresh one answers; the
     # 10x10 stack reaches the simplex, then its warm pass, and each
-    # SINGULAR_BASIS game goes through _nearby
+    # SINGULAR_BASIS game goes through the exact simplex
     code = f"""
 import sys
 import numpy as np
