@@ -8,12 +8,13 @@ Subcommands and exit codes:
 * ``simulate``  Monte Carlo estimate under a stationary pair
 * ``game``      solve one standalone matrix game from a JSON array of arrays
 
-Exit status: 0 success, 1 a matrix game whose exact answer failed its
-saddle-point test, which is a bug (for a model, the message names the state),
-2 parse or validation error, 3 certificate failure, 4 no convergence within
-the iteration cap.  Every JSON artifact embeds the run configuration and a
-content hash of the model document, and identical configurations produce
-byte-identical artifacts on one numpy build and CPU.
+Exit status: 0 success, 1 a bug: a matrix game whose exact answer failed its
+saddle-point test (for a model, the message names the state), or any other
+exception, which propagates; 2 parse or validation error, 3 certificate
+failure, 4 no convergence within the iteration cap.  Every JSON artifact
+embeds the run configuration and a content hash of the model document, and
+identical configurations produce byte-identical artifacts on one numpy
+build and CPU.
 """
 
 import argparse
@@ -28,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .matrixgame import MatrixGameError, solve_matrix_game, verify_saddle_point
-from .model import GameModel, ModelError, _number, load_model
-from .shapley import StationaryStrategyPair, evaluate_stationary_pair
+from .model import GameModel, ModelError, NotSamplableError, _number, load_model
+from .shapley import StationaryStrategyPair, _checked_distribution, evaluate_stationary_pair
 from .simulate import _check_run, estimate_value
 from .solver import (
     ConvergenceError,
@@ -69,6 +70,14 @@ class RunConfig:
 
 class _InputError(Exception):
     pass
+
+
+def _as_input(check, *args):
+    """``check(*args)``, whose ``ValueError`` means bad input, raised as :class:`_InputError`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _read(path: str) -> str:
@@ -159,9 +168,8 @@ def _load_pair(config: RunConfig, m: GameModel) -> StationaryStrategyPair:
             unknown = set(probs) - set(acts)
             if unknown:
                 raise _InputError(f"strategies[{x!r}].{side} names unknown actions {sorted(unknown)}")
-            dest[x] = np.array(
-                [_finite(probs.get(a, 0.0), f"strategies[{x!r}].{side}[{a!r}]") for a in acts]
-            )
+            vec = [_finite(probs.get(a, 0.0), f"strategies[{x!r}].{side}[{a!r}]") for a in acts]
+            dest[x] = _as_input(_checked_distribution, vec, len(acts), f"strategies[{x!r}].{side}")
     unknown = set(table) - set(m.states)
     if unknown:
         raise _InputError(f"strategies file lists unknown states {sorted(unknown)}")
@@ -170,7 +178,7 @@ def _load_pair(config: RunConfig, m: GameModel) -> StationaryStrategyPair:
 
 def _certificate(config: RunConfig, m: GameModel):
     if config.paper_params:
-        return check_assumptions(m, regularity=regularity_from_bounds(m))
+        return check_assumptions(m, regularity=_as_input(regularity_from_bounds, m))
     return check_assumptions(m)
 
 
@@ -183,7 +191,7 @@ def _cmd_check(config: RunConfig) -> int:
 
 def _cmd_solve(config: RunConfig) -> int:
     m, digest = _load_model(config)
-    _check_iteration(config.epsilon, config.max_iter)
+    _as_input(_check_iteration, config.epsilon, config.max_iter)
     v0 = _initial_values(config, m)
     cert = _certificate(config, m)
     if not cert.passed:
@@ -218,8 +226,8 @@ def _cmd_simulate(config: RunConfig) -> int:
         raise _InputError("simulate requires --state")
     if config.state not in m.states:
         raise _InputError(f"unknown state {config.state!r}")
-    _check_run(config.trajectories, config.seed)
-    _check_iteration(config.epsilon, None)
+    _as_input(_check_run, config.trajectories, config.seed)
+    _as_input(_check_iteration, config.epsilon, None)
     if config.strategies_in:
         pair = _load_pair(config, m)
     else:
@@ -286,7 +294,7 @@ def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     try:
         return _COMMANDS[config.command](config)
-    except (_InputError, ModelError, ValueError) as exc:
+    except (_InputError, ModelError, NotSamplableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

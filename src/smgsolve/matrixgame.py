@@ -1,23 +1,25 @@
 """Exact zero-sum matrix games, answered in stacks of one shape.
 
 A game's answer depends only on its own matrix and previous supports,
-never on the other games of its stack.  :func:`solve_games` first tries
-candidate square support pairs, and a game keeps the first whose
-equalizing strategies (Shapley and Snow 1950) are both ``>= 0`` with
-exploitability ``max(A y) - min(x A)`` at most ``WARM_START_TOL * max(1,
-max|A|)``.  The candidates are the game's previous supports, when square,
-then, for shapes of at most :data:`ENUMERATED_SIDE` rows and columns,
-every square support pair, smallest first.  The previous supports of every
-size are checked in one pass: one stacked solve of both players' bordered
-equalizer systems (:func:`equalize`) per support size, then one acceptance
-test over all the games.  Each enumerated candidate, of one size, is one
-more stacked solve and acceptance test over the games still open.
+never on the other games of its stack.  :func:`solve_games` is the one
+pipeline, for the operator and for a single game alike.  Its stages each
+propose answers for the games still open: the game's previous supports,
+when square; for shapes of at most :data:`ENUMERATED_SIDE` rows and
+columns, every square support pair, smallest first; the supports the
+simplex ends on; and the exact simplex :func:`_exact`.  A game keeps the
+first answer whose strategies are both ``>= 0`` with exploitability
+``max(A y) - min(x A)`` at most ``WARM_START_TOL * max|A|`` (``max|A|``
+taken at least the smallest normal float, below which floats hold only an
+absolute precision).  A support's answer is the equalizing pair of its
+block (Shapley and Snow 1950): the previous supports of every size take
+one stacked solve of both players' bordered equalizer systems
+(:func:`equalize`) per support size and one acceptance test over all the
+games, and each enumerated candidate one more of each.
 
-The games left over go to the simplex.  The payoff matrix ``A`` is
-normalized by its largest magnitude and shifted, ``P = A / max|A| + 2``, so
-every entry of ``P`` lies in ``[1, 3]``.  Optimal strategies are unchanged
-by this positive affine map, and the game on ``P`` has the linear program
-(Dantzig 1951)
+For the simplex, the payoff matrix ``A`` is normalized by its largest
+magnitude and shifted, ``P = A / max|A| + 2``, so every entry of ``P`` lies
+in ``[1, 3]``.  Optimal strategies are unchanged by this positive affine
+map, and the game on ``P`` has the linear program (Dantzig 1951)
 
     max sum(y)   subject to   P y <= 1,   y >= 0,
 
@@ -28,26 +30,23 @@ simplex starts from the slack basis: there is no phase 1.
 The simplex runs on the stack in lockstep: each step pivots every game
 still in the stack once, by that game's own rules, and a game leaves the
 stack once it is optimal.  Every game's arithmetic is the arithmetic it
-would see alone; :func:`solve_matrix_game` runs a stack of one.
+would see alone.
 
 The final basis holds ``k`` columns of ``y`` (the support ``J``) and the
 slacks of all but ``k`` rows; the ``k`` rows whose slacks left (the support
 ``I``) are tight.  Both strategies and the value are then solved afresh
 from the equalizer system on the normalized block ``A[I, J]``, one stacked
 solve per support size, so the rounding of the pivots does not reach the
-result.  The solution carries the exploitability of the pair, which bounds
-how far either strategy is from optimal.
+result.
 
-The answer must pass the candidates' acceptance test.  A game the float
-simplex fails (a stall on a degenerate basis, no leaving row through
-rounding, a singular block, or a wrong support when the entries span many
-magnitudes) is solved once more, alone, by :func:`_exact`: the same linear
-program in Python integers with fraction-free pivots (Edmonds 1967;
-Bareiss 1968), degenerate ones by Bland's rule (Bland 1977), so it cannot
-cycle.  Its answer is exact up to the rounding to floats; should it fail
-the acceptance test too, that is a bug.
-
-Single-row and single-column games are solved by direct scan.
+A game the float simplex fails (a stall on a degenerate basis, no leaving
+row through rounding, a singular block, or a wrong support when the
+entries span many magnitudes) is solved once more, alone, by
+:func:`_exact`: the same linear program in Python integers with
+fraction-free pivots (Edmonds 1967; Bareiss 1968), degenerate ones by
+Bland's rule (Bland 1977), so it cannot cycle.  Its answer is exact up to
+the rounding to floats; should it fail the acceptance test too, that is a
+bug.
 """
 
 from dataclasses import dataclass
@@ -56,7 +55,7 @@ from itertools import combinations
 
 import numpy as np
 
-# a pair from a candidate support must be this exact, relative to max(1, max|A|)
+# a proposed pair must be this exact, relative to max|A|
 WARM_START_TOL = 1e-12
 # shapes up to this many rows and columns try every square support pair
 ENUMERATED_SIDE = 3
@@ -287,56 +286,34 @@ def _blocks(c, at, rs, cs, answer) -> None:
     y[at[:, None], cs] = y_t
 
 
-def _passes(games, answer, scale) -> np.ndarray:
-    """The candidates' test: both strategies ``>= 0``, exploitability at most ``scale``."""
-    _, x, y, regular = answer
-    # NaN from a near-singular system fails every comparison
-    ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
-    return ok & (exploitability(games, x, y) <= scale)
-
-
 def _keep(out, at, games, answer, scale) -> np.ndarray:
-    """Write the answers of the games ``at`` that pass :func:`_passes` into ``out``; return the others.
+    """Write the answers of the games ``at`` that pass the acceptance test into ``out``; return the others.
 
+    The test: both strategies ``>= 0``, exploitability at most ``scale``.
     ``games``, ``answer = (value, x, y, regular)`` and ``scale`` hold one
     candidate per game of ``at``; ``out = (value, x, y)`` is indexed by game.
     """
-    ok = _passes(games, answer, scale)
+    _, x, y, regular = answer
+    # NaN from a near-singular system fails every comparison
+    ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
+    ok &= exploitability(games, x, y) <= scale
     for o, a in zip(out, answer[:3]):
         o[at[ok]] = a[ok]
     return at[~ok]
 
 
 def _maximin(payoffs: np.ndarray):
-    """Values and optimal mixtures of both players of each game of the stack ``payoffs``.
+    """The simplex's proposal ``(value, x, y, regular)`` for each game of the stack ``payoffs``.
 
-    Games with one column (one row) are solved by scanning for the row
-    player's best row (the column player's best column).  Otherwise the
-    simplex runs on ``P = payoff / max|payoff| + 2`` from the slack basis of
-    ``P y <= 1``, all the games of the stack together; each final basis
-    names a support, and :func:`_on_supports` gives the answers on the
-    normalized blocks, with the values scaled back by ``max|payoff|``.  A
-    game whose answer fails :func:`_passes` at ``WARM_START_TOL * max(1,
-    max|A|)``, as every game does whose block is singular or whose simplex
-    gave up (an empty support), is answered by :func:`_exact` under the
-    same test.  Returns ``(value, x, y, failed)``: ``failed`` maps the
-    position in the stack of each game whose exact answer failed the test
-    to the message, and the other results of those games are meaningless.
-    Raises ``ValueError`` when some entry is not finite.
+    The simplex runs on ``P = payoff / max|payoff| + 2`` from the slack
+    basis of ``P y <= 1``, all the games of the stack together; each final
+    basis names a support, and :func:`_on_supports` gives the answers on the
+    normalized blocks, with the values scaled back by ``max|payoff|`` and
+    the strategies clipped at 0 and renormalized.  ``regular`` is False for
+    a game whose block is singular or whose simplex gave up (an empty
+    support).  Nothing here tests the answers.
     """
-    if not np.isfinite(payoffs).all():
-        raise ValueError("payoff entries must be finite")
     n, m, l = payoffs.shape
-    at = np.arange(n)
-    x, y = np.zeros((n, m)), np.zeros((n, l))
-    if l == 1:
-        best = payoffs[:, :, 0].argmax(axis=1)
-        x[at, best] = y[:, 0] = 1.0
-        return payoffs[at, best, 0] + 0.0, x, y, {}
-    if m == 1:
-        best = payoffs[:, 0].argmin(axis=1)
-        x[:, 0] = y[at, best] = 1.0
-        return payoffs[at, 0, best] + 0.0, x, y, {}
     norm = np.abs(payoffs).max(axis=(1, 2))
     norm[norm == 0.0] = 1.0
     scaled = payoffs / norm[:, None, None]
@@ -346,21 +323,13 @@ def _maximin(payoffs: np.ndarray):
     tab[:, :m, -1] = 1.0
     tab[:, -1, :l] = -1.0  # minimize -sum(y)
     basic = np.zeros((n, l + m), dtype=bool)
-    basic[at[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)))] = True
+    basic[np.arange(n)[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)))] = True
     rows, cols = ~basic[:, l:], basic[:, :l]  # the rows whose slacks left, the columns that entered
     value, x, y, regular = _on_supports(scaled, rows, cols)
-    value = value * norm + 0.0  # + 0.0: no value reads -0.0
     x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
     x[regular] /= x[regular].sum(axis=1, keepdims=True)
     y[regular] /= y[regular].sum(axis=1, keepdims=True)
-    scale = WARM_START_TOL * np.maximum(1.0, norm)
-    redo = np.flatnonzero(~_passes(payoffs, (value, x, y, regular), scale))
-    if not redo.size:
-        return value, x, y, {}
-    games = payoffs[redo]
-    exact = tuple(map(np.array, zip(*map(_exact, games))))
-    left = _keep((value, x, y), redo, games, (*exact, True), scale[redo])
-    return value, x, y, dict.fromkeys(left.tolist(), "exact answer failed the acceptance test")
+    return value * norm, x, y, regular
 
 
 def solve_games(payoffs: np.ndarray, previous=None):
@@ -371,12 +340,15 @@ def solve_games(payoffs: np.ndarray, previous=None):
     They are tried in one pass, by one :func:`_on_supports` and one
     :func:`_keep`; each enumerated candidate is one more :func:`_blocks`
     and :func:`_keep` over the games still open.  The games left over go to
-    :func:`_maximin` as one stack.  Returns ``(value, x, y, failed)`` as
-    :func:`_maximin` does, ``failed`` keyed by position in ``payoffs``.
+    :func:`_maximin` as one stack, and those it leaves open to
+    :func:`_exact` one at a time, each stage's answers through the same
+    :func:`_keep`.  Returns ``(value, x, y, failed)``: ``failed`` maps the
+    position in ``payoffs`` of each game whose exact answer failed the test
+    to the message, and the other results of those games are meaningless.
     """
     size, n_rows, n_cols = payoffs.shape
-    out = (np.empty(size), np.zeros((size, n_rows)), np.zeros((size, n_cols)))
-    scale = WARM_START_TOL * np.maximum(1.0, np.abs(payoffs).max(axis=(1, 2)))
+    out = (np.zeros(size), np.zeros((size, n_rows)), np.zeros((size, n_cols)))
+    scale = WARM_START_TOL * np.abs(payoffs).max(axis=(1, 2), initial=np.finfo(float).tiny)
     pending = np.arange(size)
     if previous is not None:
         f, g = (v != 0 for v in previous)
@@ -389,12 +361,15 @@ def solve_games(payoffs: np.ndarray, previous=None):
         answer = _blank(games)
         _blocks(games, np.arange(pending.size), s[None], t[None], answer)
         pending = _keep(out, pending, games, answer, scale[pending])
-    failed = {}
     if pending.size:
-        value, x, y = out
-        value[pending], x[pending], y[pending], left = _maximin(payoffs[pending])
-        failed = {int(pending[i]): text for i, text in left.items()}
-    return (*out, failed)
+        games = payoffs[pending]
+        pending = _keep(out, pending, games, _maximin(games), scale[pending])
+    if pending.size:
+        games = payoffs[pending]
+        exact = tuple(map(np.array, zip(*map(_exact, games))))
+        pending = _keep(out, pending, games, (*exact, True), scale[pending])
+    failed = dict.fromkeys(pending.tolist(), "exact answer failed the acceptance test")
+    return out[0] + 0.0, *out[1:], failed  # + 0.0: no value reads -0.0
 
 
 def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: np.ndarray):
@@ -410,19 +385,21 @@ def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: n
 def solve_matrix_game(payoff) -> MatrixGameSolution:
     """Solve the zero-sum game with the row player maximizing ``payoff``.
 
-    One simplex phase finds an optimal basis; the equalizer system on the
-    support it names gives the value and both players' strategies, whose
-    exploitability is reported as ``duality_gap``.  Raises ``ValueError``
-    for empty or non-finite matrices and :class:`MatrixGameError` when the
-    exact answer fails the acceptance test.
+    The game is a stack of one for :func:`solve_games`, the pipeline the
+    operator runs; the exploitability of the pair it keeps is reported as
+    ``duality_gap``.  Raises ``ValueError`` for empty or non-finite
+    matrices and :class:`MatrixGameError` when the exact answer fails the
+    acceptance test.
     """
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("payoff must be a nonempty 2-d matrix")
-    (value,), (x,), (y,), failed = _maximin(a[None])
+    if not np.isfinite(a).all():
+        raise ValueError("payoff entries must be finite")
+    (value,), (x,), (y,), failed = solve_games(a[None])
     if failed:
         raise MatrixGameError(failed[0])
-    gap = 0.0 if 1 in a.shape else float(exploitability(a, x, y))
+    gap = float(exploitability(a, x, y))
     return MatrixGameSolution(value=float(value), row_strategy=x, col_strategy=y, duality_gap=gap)
 
 

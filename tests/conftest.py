@@ -91,18 +91,27 @@ def simplex_calls(monkeypatch):
     return calls
 
 
-def failing_simplex(failures: dict):
-    """A stand-in for the stacked simplex that fails the games at the positions of ``failures``.
+def failing_simplex(monkeypatch, positions):
+    """Make the stacked simplex give up on the games at ``positions`` of its stack, and ``_exact`` fail.
 
-    ``failures`` maps a position in the stack to its message.
+    The stand-in for ``_maximin`` proposes the real answers but reads
+    ``regular`` False at ``positions``, so those games go on to ``_exact``,
+    whose stand-in answers NaN, which no acceptance test passes.
     """
+    import smgsolve.matrixgame as matrixgame
 
-    def solve(c):
-        n, rows, cols = c.shape
-        failed = {i: text for i, text in failures.items() if i < n}
-        return np.zeros(n), np.zeros((n, rows)), np.zeros((n, cols)), failed
+    propose = matrixgame._maximin
 
-    return solve
+    def give_up(c):
+        value, x, y, regular = propose(c)
+        regular[[i for i in positions if i < len(c)]] = False
+        return value, x, y, regular
+
+    def fail(a):
+        return np.nan, np.full(a.shape[0], np.nan), np.full(a.shape[1], np.nan)
+
+    monkeypatch.setattr(matrixgame, "_maximin", give_up)
+    monkeypatch.setattr(matrixgame, "_exact", fail)
 
 
 @pytest.fixture()

@@ -297,6 +297,13 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         ({"command": "eval", "strategies_in": AUX},
          {x: {"f": {f"a{x}1": 1.0}, "g": {f"b{x}1": 1.0}} for x in ("1", "2", "3", "7")},
          "strategies file lists unknown states ['7']"),
+        # the pair is checked as it is read, before any evaluation or simulation
+        ({"command": "eval", "strategies_in": AUX},
+         {x: {"f": {f"a{x}1": 0.7}, "g": {f"b{x}1": 1.0}} for x in ("1", "2", "3")},
+         "strategies['1'].f is not a probability vector: array([0.7, 0. ])"),
+        ({"command": "simulate", "state": "1", "strategies_in": AUX},
+         {x: {"f": {f"a{x}1": 1.0}, "g": {f"b{x}1": -0.5, f"b{x}2": 1.5}} for x in ("1", "2", "3")},
+         "strategies['1'].g is not a probability vector: array([-0.5,  1.5])"),
     ],
     ids=[
         "no-model", "v0-missing-states", "v0-neither-mapping-nor-list", "no-strategies",
@@ -306,7 +313,8 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         "simulate-pair-nan-epsilon",
         "no-matrix", "empty-matrix",
         "strategies-boolean", "strategies-string", "v0-string", "v0-boolean", "v0-list-boolean",
-        "v0-unknown-states", "strategies-unknown-states",
+        "v0-unknown-states", "strategies-unknown-states", "eval-pair-not-a-distribution",
+        "simulate-pair-not-a-distribution",
     ],
 )
 def test_bad_inputs_exit_2_with_their_message(tmp_path, capsys, fields, aux, message):
@@ -491,9 +499,7 @@ def test_eval_with_a_continuation_factor_of_one_exits_2_naming_the_triple(tmp_pa
 
 
 def test_a_simplex_failure_exits_1_naming_the_state(tmp_path, monkeypatch, capsys):
-    import smgsolve.matrixgame as matrixgame
-
-    monkeypatch.setattr(matrixgame, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
+    failing_simplex(monkeypatch, [0])
     acts = [f"a{i}" for i in range(4)]  # 4x4 games are above the enumerated shapes
     doc = {
         "states": ["wide"],
@@ -511,8 +517,40 @@ def test_a_simplex_failure_exits_1_naming_the_state(tmp_path, monkeypatch, capsy
     report = tmp_path / "report.json"
     assert main(["solve", str(model), "--report", str(report)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: state 'wide': simplex failed to terminate\n"
+    assert err == "error: state 'wide': exact answer failed the acceptance test\n"
     assert not report.exists()
+
+
+def test_a_state_of_value_zero_is_reported_as_a_positive_zero(tmp_path):
+    # matching pennies in one state: each application's game has value zero
+    doc = {
+        "states": ["s"],
+        "actions1": {"s": ["h", "t"]},
+        "actions2": {"s": ["h", "t"]},
+        "triples": [
+            {"state": "s", "a": a, "b": b, "alpha": 1.0, "reward": 1.0 if a == b else -1.0,
+             "sojourn": {"kind": "exponential", "rate": 1.0}, "transition": {"s": 1.0}}
+            for a in ("h", "t")
+            for b in ("h", "t")
+        ],
+    }
+    model = tmp_path / "pennies.json"
+    model.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["solve", str(model), "--report", str(report)]) == 0
+    value = json.loads(report.read_text())["values"]["s"]
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_an_unexpected_error_is_a_bug_not_bad_input(monkeypatch):
+    import smgsolve.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "value_iterate", broken)
+    with pytest.raises(ValueError, match="^an internal fault$"):  # a traceback and exit 1, not exit 2
+        main(["solve", INVESTMENT])
 
 
 def test_a_simplex_failure_in_game_exits_1(tmp_path, monkeypatch, capsys):

@@ -25,7 +25,7 @@ from smgsolve import (
 )
 from smgsolve.cli import main
 
-from conftest import INVESTMENT_DOC, solve_2x2_by_equalizing, sparse_doc
+from conftest import INVESTMENT_DOC, failing_simplex, solve_2x2_by_equalizing, sparse_doc
 
 SADDLE_TOL = 1e-9
 
@@ -52,8 +52,12 @@ def test_matching_pennies():
 
 @pytest.mark.parametrize(
     "payoff",
-    [[[1.0, -1.0], [-1.0, 1.0]], [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], [[-0.0]], [[-0.0, 0.0]]],
-    ids=["pennies", "3x3", "1x1", "1x2"],
+    [
+        [[1.0, -1.0], [-1.0, 1.0]], [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], [[-0.0]], [[-0.0, 0.0]],
+        # one row or one column, wider than the enumerated shapes: the simplex answers them
+        [[0.0, 3.0, -0.0, 1.0, 2.0]], [[-1.0], [-0.0], [-3.0], [0.0], [-2.0]],
+    ],
+    ids=["pennies", "3x3", "1x1", "1x2", "1x5", "5x1"],
 )
 def test_a_game_of_value_zero_has_a_positive_zero_value(payoff):
     value = solve_matrix_game(payoff).value
@@ -171,7 +175,7 @@ def test_negated_transpose_symmetry(rows):
 
 
 def test_zero_matrix_through_the_lp_path():
-    sol = solve_matrix_game(np.zeros((3, 2)))
+    sol = solve_matrix_game(np.zeros((4, 2)))  # above the enumerated shapes
     assert sol.value == 0.0
     assert sol.duality_gap == 0.0
     _assert_simplex(sol.row_strategy)
@@ -226,49 +230,41 @@ def _random_stacks():
     yield np.concatenate([[TIE_CYCLING], rng.normal(size=(3, 6, 8)) * 1e6])
 
 
-def _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch) -> tuple[int, int]:
-    """Returns the number of games solved and of stacks in which some game left before the last pivot."""
+def _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch) -> int:
+    """Returns the number of stacks in which some game left the simplex before the last pivot."""
     live = []  # the games in the stack at each pivot
     pivot = matrixgame._pivot
     monkeypatch.setattr(matrixgame, "_pivot", lambda tab, *rest: live.append(len(tab)) or pivot(tab, *rest))
-    games = finish_apart = 0
+    finish_apart = 0
     for stack in _random_stacks():
-        games += 3 * len(stack)  # alone, then stacked in two orders
-        alone = [solve_matrix_game(a) for a in stack]
+        alone = [matrixgame.solve_games(a[None]) for a in stack]
         for order in (slice(None), slice(None, None, -1)):
             live.clear()
-            value, x, y, failed = matrixgame._maximin(stack[order])
+            value, x, y, failed = matrixgame.solve_games(stack[order])
             assert failed == {}
-            for sol, v, xi, yi in zip(alone[order], value, x, y):
-                assert np.float64(sol.value).tobytes() == v.tobytes()
-                assert sol.row_strategy.tobytes() == xi.tobytes()
-                assert sol.col_strategy.tobytes() == yi.tobytes()
+            for (v_a, x_a, y_a, failed_a), v, xi, yi in zip(alone[order], value, x, y):
+                assert failed_a == {}
+                assert v_a.tobytes() == v.tobytes()
+                assert (x_a.tobytes(), y_a.tobytes()) == (xi.tobytes(), yi.tobytes())
         finish_apart += bool(live) and live[0] > live[-1]  # some game left before the last pivot
-    return games, finish_apart
+    return finish_apart
 
 
 def test_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch):
-    assert _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)[1] >= 10
+    assert _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch) >= 10
 
 
-def test_under_blands_rule_a_stack_solves_each_game_as_it_is_solved_alone(monkeypatch, exact_path):
-    games, _ = _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
-    assert len(exact_path) == games  # every game went to the exact simplex
+def test_under_blands_rule_a_stack_solves_each_game_as_it_is_solved_alone(
+    monkeypatch, exact_path, simplex_calls
+):
+    _assert_each_game_of_a_stack_is_solved_as_alone(monkeypatch)
+    assert len(exact_path) == len(simplex_calls) > 0  # every game the simplex saw went to _exact
 
 
 def test_every_game_the_simplex_fails_is_reported(monkeypatch):
-    equalize = matrixgame.equalize
-
-    def singular(sub):  # so every game goes to the exact simplex
-        return *equalize(sub)[:3], np.zeros(len(sub), dtype=bool)
-
-    def uniform(a):  # an exact answer that fails the acceptance test
-        return 0.0, np.full(a.shape[0], 1.0 / a.shape[0]), np.full(a.shape[1], 1.0 / a.shape[1])
-
-    monkeypatch.setattr(matrixgame, "equalize", singular)
-    monkeypatch.setattr(matrixgame, "_exact", uniform)
+    failing_simplex(monkeypatch, range(3))
     stack = np.random.default_rng(3).normal(size=(3, 4, 5))
-    value, x, y, failed = matrixgame._maximin(stack)
+    value, x, y, failed = matrixgame.solve_games(stack)
     assert failed == dict.fromkeys(range(3), "exact answer failed the acceptance test")
     with pytest.raises(MatrixGameError, match="^exact answer failed the acceptance test$"):
         solve_matrix_game(stack[0])
@@ -385,7 +381,7 @@ def test_a_game_the_float_simplex_cannot_answer_is_answered_exactly(rows, tmp_pa
 
 def test_a_stack_the_simplex_gives_up_on_goes_to_the_exact_simplex_once_per_game(exact_path):
     stack = np.random.default_rng(4).normal(size=(3, 4, 5))
-    value, x, y, failed = matrixgame._maximin(stack)
+    value, x, y, failed = matrixgame.solve_games(stack)
     assert failed == {}
     assert [a.tobytes() for a in exact_path] == [a.tobytes() for a in stack]
     for a, v, xi, yi in zip(stack, value, x, y):
@@ -402,6 +398,29 @@ def test_the_exact_simplex_stays_off_the_hot_path(exact_calls):
     value, x, y, failed = matrixgame.solve_games(games)
     matrixgame.solve_games(games + 1e-3, (x, y))
     assert failed == {} and exact_calls == []
+
+
+@pytest.mark.parametrize("power", [-60, -50, -40])
+def test_a_game_scaled_down_keeps_its_value_at_its_own_scale(power):
+    # a bound floored at an absolute 1e-12 accepts almost any answer on these games
+    c = 2.0**power
+    rng = np.random.default_rng(-power)
+    for shape in [(2, 2), (2, 3), (3, 3), (5, 4), (8, 8)]:
+        games = rng.normal(size=(20, *shape))
+        value, *_, failed = matrixgame.solve_games(games)
+        scaled, *_, failed_scaled = matrixgame.solve_games(c * games)
+        assert failed == failed_scaled == {}
+        bound = 1e-12 * c * np.abs(games).max(axis=(1, 2))
+        np.testing.assert_array_less(np.abs(scaled - c * value), bound)
+        assert [solve_matrix_game(a).value for a in c * games] == scaled.tolist()
+
+
+def test_games_of_subnormal_entries_pass_the_acceptance_test():
+    # 1e-12 * max|A| would underflow below the rounding of the exploitability
+    # itself, so below the smallest normal float the bound stops shrinking
+    games = np.random.default_rng(9).normal(size=(40, 4, 5)) * 2.0**-1060
+    value, x, y, failed = matrixgame.solve_games(games)
+    assert failed == {}
 
 
 def test_extreme_scales_stay_accurate():
@@ -445,11 +464,11 @@ def _warm_pass_per_size(payoffs, previous):
     """The warm pass as one :func:`equalize` and one acceptance test per support size.
 
     Returns ``(value, x, y)``, meaningful for the games that passed, and the
-    sorted positions of the games that did not.
+    sorted positions of the games that did not.  No value reads -0.0.
     """
     n, m, l = payoffs.shape
     out = (np.empty(n), np.zeros((n, m)), np.zeros((n, l)))
-    scale = matrixgame.WARM_START_TOL * np.maximum(1.0, np.abs(payoffs).max(axis=(1, 2)))
+    scale = matrixgame.WARM_START_TOL * np.abs(payoffs).max(axis=(1, 2), initial=np.finfo(float).tiny)
     f, g = (v != 0 for v in previous)
     side = f.sum(axis=1)
     side[side != g.sum(axis=1)] = 0
@@ -468,7 +487,7 @@ def _warm_pass_per_size(payoffs, previous):
         for o, a in zip(out, (v, x, y)):
             o[at[ok]] = a[ok]
         left.append(at[~ok])
-    return out, np.sort(np.concatenate(left))
+    return (out[0] + 0.0, *out[1:]), np.sort(np.concatenate(left))
 
 
 ENTRY = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e8, -1e8]), st.floats(-10.0, 10.0))
@@ -504,19 +523,14 @@ def warm_stacks(draw):
 def test_the_warm_pass_answers_each_game_as_the_per_size_passes_do(stack):
     payoffs, previous = stack
     (value, x, y), pending = _warm_pass_per_size(payoffs, previous)
-    reached = []
-
-    def leftover(c):  # the games the warm pass leaves open
-        reached.append(c.copy())
-        n, m, l = c.shape
-        return np.full(n, np.nan), np.full((n, m), np.nan), np.full((n, l), np.nan), {}
-
+    reached = []  # the games the warm pass leaves open
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrixgame, "_square_supports", lambda *shape: ())
-        patch.setattr(matrixgame, "_maximin", leftover)
-        got_value, got_x, got_y, _ = matrixgame.solve_games(payoffs, previous)
-    got_pending = np.flatnonzero(np.isnan(got_value))
-    np.testing.assert_array_equal(got_pending, pending)
+        failing_simplex(patch, range(len(payoffs)))
+        give_up = matrixgame._maximin
+        patch.setattr(matrixgame, "_maximin", lambda c: reached.append(c.copy()) or give_up(c))
+        got_value, got_x, got_y, failed = matrixgame.solve_games(payoffs, previous)
+    np.testing.assert_array_equal(sorted(failed), pending)
     if reached:
         assert reached[0].tobytes() == payoffs[pending].tobytes()
     kept = np.setdiff1d(np.arange(len(payoffs)), pending)

@@ -58,6 +58,6 @@ def test_exploitability_sweep_over_hard_random_games():
     _assert_exploitability_sweep_over_hard_random_games()
 
 
-def test_exploitability_sweep_under_blands_rule(exact_path):
+def test_exploitability_sweep_under_blands_rule(exact_path, simplex_calls):
     _assert_exploitability_sweep_over_hard_random_games()
-    assert len(exact_path) == 6000  # every game, none of them one row or column wide
+    assert len(exact_path) == len(simplex_calls) > 0  # every game the simplex saw

@@ -641,23 +641,18 @@ def test_value_iteration_on_2x2_states_never_reaches_the_simplex(simplex_calls):
 
 
 def test_a_simplex_failure_names_the_state(monkeypatch):
-    import smgsolve.matrixgame as matrixgame
-
-    monkeypatch.setattr(matrixgame, "_maximin", failing_simplex({0: "simplex failed to terminate"}))
+    failing_simplex(monkeypatch, [0])
     games = [duplicated_game("rows", 2), duplicated_game("rows", 4)]
     op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
-    with pytest.raises(MatrixGameError, match="state 's1': simplex failed to terminate"):
+    with pytest.raises(MatrixGameError, match="^state 's1': exact answer failed the acceptance test$"):
         op.apply(np.zeros(2))
 
 
 def test_two_simplex_failures_in_one_stack_name_the_first_state(monkeypatch):
-    import smgsolve.matrixgame as matrixgame
-
     # s0 is solved by enumeration; s1..s3 go to the simplex as one stack
-    failures = {2: "simplex failed to terminate", 1: "linear program is unbounded"}
-    monkeypatch.setattr(matrixgame, "_maximin", failing_simplex(failures))
+    failing_simplex(monkeypatch, [2, 1])
     games = [duplicated_game("rows", 2)] + [duplicated_game(d, 4) for d in ("rows", "columns", "rows")]
     op = ShapleyOperator(load_model(json.dumps(games_doc(games))))
     with pytest.raises(MatrixGameError) as info:
         op.apply(np.zeros(4))
-    assert str(info.value) == "state 's2': linear program is unbounded"
+    assert str(info.value) == "state 's2': exact answer failed the acceptance test"
