@@ -36,7 +36,6 @@ from .solver import (
     ConvergenceError,
     _check_iteration,
     report_as_dict,
-    strategy_tables,
     trace_csv,
     value_iterate,
 )
@@ -198,12 +197,13 @@ def _cmd_solve(config: RunConfig) -> int:
         _emit(_artifact(config, digest, {"certificate": cert.as_dict()}), config.report_out)
         return EXIT_CERTIFICATE
     report = value_iterate(m, config.epsilon, v0=v0, max_iter=config.max_iter, certificate=cert)
-    _emit(_artifact(config, digest, report_as_dict(m, report)), config.report_out)
+    payload = report_as_dict(m, report)
+    _emit(_artifact(config, digest, payload), config.report_out)
     if config.trace_out:
         Path(config.trace_out).write_text(trace_csv(m, report))
     if config.strategies_out:
         Path(config.strategies_out).write_text(
-            json.dumps(strategy_tables(m, report.equilibrium), indent=2, sort_keys=True) + "\n"
+            json.dumps(payload["equilibrium"], indent=2, sort_keys=True) + "\n"
         )
     return EXIT_OK
 

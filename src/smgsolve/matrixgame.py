@@ -308,10 +308,10 @@ def _maximin(payoffs: np.ndarray):
     The simplex runs on ``P = payoff / max|payoff| + 2`` from the slack
     basis of ``P y <= 1``, all the games of the stack together; each final
     basis names a support, and :func:`_on_supports` gives the answers on the
-    normalized blocks, with the values scaled back by ``max|payoff|`` and
-    the strategies clipped at 0 and renormalized.  ``regular`` is False for
-    a game whose block is singular or whose simplex gave up (an empty
-    support).  Nothing here tests the answers.
+    normalized blocks, with the strategies clipped at 0 and renormalized and
+    the values scaled back by ``max|payoff|`` (a pure pair reads its entry).
+    ``regular`` is False for a game whose block is singular or whose simplex
+    gave up (an empty support).  Nothing here tests the answers.
     """
     n, m, l = payoffs.shape
     norm = np.abs(payoffs).max(axis=(1, 2))
@@ -329,7 +329,9 @@ def _maximin(payoffs: np.ndarray):
     x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
     x[regular] /= x[regular].sum(axis=1, keepdims=True)
     y[regular] /= y[regular].sum(axis=1, keepdims=True)
-    return value * norm, x, y, regular
+    pure = regular & ((x > 0.0).sum(axis=1) == 1) & ((y > 0.0).sum(axis=1) == 1)
+    entry = payoffs[np.arange(n), x.argmax(axis=1), y.argmax(axis=1)]
+    return np.where(pure, entry, value * norm), x, y, regular
 
 
 def solve_games(payoffs: np.ndarray, previous=None):

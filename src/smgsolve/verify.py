@@ -83,11 +83,11 @@ def compute_gamma(theta: float, delta: float, alpha0: float) -> float:
     ``delta`` may touch 1 (a probe value, not certifiable by the regularity
     search); the result then degenerates to ``exp(-alpha0 * theta)``.
     """
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta!r}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    if alpha0 <= 0.0:
+    if not alpha0 > 0.0:
         raise ValueError(f"alpha0 must be positive, got {alpha0!r}")
     return 1.0 - delta + delta * math.exp(-alpha0 * theta)
 
@@ -224,7 +224,8 @@ def check_assumptions(
     """Certify the model and compute the solver constants.
 
     ``regularity`` optionally fixes ``(theta, delta, alpha0)`` instead of
-    searching (the values are still verified against the model).  Failures
+    searching (finite values, still verified against the model).  Drift and
+    the coefficient bound are skipped unless regularity passes.  Failures
     are recorded in the certificate rather than raised.
     """
     t = m.table
@@ -240,16 +241,12 @@ def check_assumptions(
     checks["compactness"] = AssumptionCheck(
         passed=True, witness="finite state and action sets"
     )
-    if alpha_min <= 0.0:
-        checks["regularity"] = AssumptionCheck(False, "skipped: no positive discount floor")
-        checks["drift"] = AssumptionCheck(False, "skipped: no positive discount floor")
-        checks["coefficient_bound"] = AssumptionCheck(False, "skipped")
-        nan = float("nan")
-        return AssumptionCertificate(nan, nan, nan, nan, nan, nan, nan, checks, False)
-
     worst = int(np.argmax(t.lam))
     lam_max, lam_arg = float(t.lam[worst]), t.labels[worst]
-    if regularity is not None:
+    if not checks["discount_floor"].passed:
+        theta, delta, alpha0 = math.nan, math.nan, alpha_min
+        checks["regularity"] = AssumptionCheck(False, "skipped: no positive discount floor")
+    elif regularity is not None:
         theta, delta, alpha0 = regularity
         problem = _regularity_violation(m, theta, delta, alpha0)
         checks["regularity"] = AssumptionCheck(
@@ -276,13 +273,9 @@ def check_assumptions(
             passed=True,
             witness="no holding-time law available; constants chosen from the coefficient bound",
         )
-    gamma = compute_gamma(theta, delta, alpha0) if checks["regularity"].passed else float("nan")
 
-    if math.isnan(gamma):
-        checks["drift"] = AssumptionCheck(False, "skipped: no continuation bound")
-        checks["coefficient_bound"] = AssumptionCheck(False, "skipped: no continuation bound")
-        eta = eta_gamma = float("nan")
-    else:
+    if checks["regularity"].passed:
+        gamma = compute_gamma(theta, delta, alpha0)
         drift = check_drift(m, gamma)
         eta = drift.eta
         eta_gamma = eta * gamma
@@ -298,6 +291,10 @@ def check_assumptions(
                 + ("" if ok else f" exceeds gamma {gamma!r}")
             ),
         )
+    else:
+        gamma = eta = eta_gamma = math.nan
+        skipped = AssumptionCheck(False, "skipped: no continuation bound")
+        checks["drift"] = checks["coefficient_bound"] = skipped
     return AssumptionCertificate(
         theta=theta,
         delta=delta,
@@ -313,9 +310,9 @@ def check_assumptions(
 
 def _regularity_violation(m: GameModel, theta: float, delta: float, alpha0: float) -> str | None:
     """First reason the supplied constants fail on this model, or None."""
-    if theta <= 0.0 or not 0.0 < delta < 1.0:
+    if not (0.0 < theta < math.inf and 0.0 < delta < 1.0):
         return f"invalid constants theta={theta!r}, delta={delta!r}"
-    if alpha0 <= 0.0 or alpha0 > m.table.alpha.min():
+    if not 0.0 < alpha0 <= m.table.alpha.min():
         return f"alpha0 {alpha0!r} is not a lower bound on the discount rates"
     for i, law in _steepest(m):
         h = law.cdf(theta)

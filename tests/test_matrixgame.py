@@ -88,6 +88,31 @@ def test_row_and_column_scans_for_degenerate_shapes():
     np.testing.assert_allclose(sol.row_strategy, [0.0, 0.0, 1.0])
 
 
+def test_a_pure_simplex_answer_reads_its_saddle_entry_exactly():
+    # wider than the enumerated shapes, so the simplex answers; a pure answer
+    # reads the entry itself, not the entry scaled down and back up. The 1x5
+    # game ends on a 1x1 block, the 4x4 game on a 3x3 block whose equalizing
+    # strategies are pure
+    row = [[-0.7583697508984092, 1.4209820223119163, 0.726093788947765, 0.843732662303268,
+            1.1648639811110282]]
+    assert solve_matrix_game(row).value == row[0][0]
+    square = [[0.0, 0.0, 1.0, -1e8], [-1e8, 1e8, 1.0, -1.0], [-1e8, 1.0, 1.0, 1e8],
+              [1e8, 1.0, 1.0, 1.0]]
+    sol = solve_matrix_game(square)
+    assert sol.row_strategy.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert sol.col_strategy.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert sol.value == 1.0
+
+
+@pytest.mark.parametrize("width", range(4, 10))
+def test_a_one_row_or_one_column_game_reads_its_saddle_entry_exactly(width):
+    rng = np.random.default_rng(width)
+    for _ in range(50):
+        row = rng.standard_normal((1, width)) * 10.0 ** rng.integers(-3, 4)
+        assert solve_matrix_game(row).value == row.min()
+        assert solve_matrix_game(row.T).value == row.max()
+
+
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError, match="finite"):
         solve_matrix_game([[1.0, np.nan]])

@@ -63,8 +63,14 @@ def test_preset_bounds_replicate_reference_constants(investment_model):
         ((0.1, 0.5, 0.71), r"alpha0 0\.71 is not a lower bound on the discount rates"),
         # rate 30 ends a sojourn within 0.1 with probability 0.95
         ((0.1, 0.5, 0.7), r"H\(theta\) = 0\.95\d* > 1 - delta at \('1', 'a11', 'b12'\)"),
+        # NaN fails every comparison, so a NaN constant must not read as a passed check
+        ((math.nan, 0.5, 0.7), r"invalid constants theta=nan, delta=0\.5"),
+        ((0.01, 0.5, math.nan), r"alpha0 nan is not a lower bound on the discount rates"),
     ],
-    ids=["invalid-constants", "alpha0-above-the-smallest-rate", "horizon-too-long"],
+    ids=[
+        "invalid-constants", "alpha0-above-the-smallest-rate", "horizon-too-long",
+        "nan-horizon", "nan-alpha0",
+    ],
 )
 def test_supplied_regularity_that_fails_skips_the_checks_it_feeds(
     investment_model, regularity, witness
@@ -77,6 +83,31 @@ def test_supplied_regularity_that_fails_skips_the_checks_it_feeds(
         assert not cert.checks[name].passed
         assert cert.checks[name].witness == "skipped: no continuation bound"
     assert math.isnan(cert.gamma) and math.isnan(cert.eta_gamma)
+
+
+@pytest.mark.parametrize("regularity", [None, (0.023, 0.1, 0.25)], ids=["searched", "supplied"])
+def test_no_positive_discount_floor_skips_regularity_and_what_it_feeds(
+    investment_model, regularity
+):
+    from copy import deepcopy
+    from dataclasses import replace
+
+    t = deepcopy(investment_model.table)
+    t.alpha[:] = 0.0
+    broken = replace(investment_model, table=t)
+    cert = check_assumptions(broken, regularity=regularity)
+    assert not cert.passed
+    failed = [name for name, check in cert.checks.items() if not check.passed]
+    assert failed == ["discount_floor", "regularity", "drift", "coefficient_bound"]
+    assert cert.checks["regularity"].witness == "skipped: no positive discount floor"
+    for name in ("drift", "coefficient_bound"):
+        assert cert.checks[name].witness == "skipped: no continuation bound"
+    assert cert.alpha0 == 0.0
+    assert cert.lambda_max == float(t.lam.max()) < 1.0
+    for nan in (cert.theta, cert.delta, cert.gamma, cert.eta, cert.eta_gamma):
+        assert math.isnan(nan)
+    with pytest.raises(ValueError, match="discount rates must be positive"):
+        find_regularity_params(broken)
 
 
 def test_preset_bounds_validated_against_the_model():
@@ -95,7 +126,8 @@ def test_compute_gamma_formula_and_probes():
     # boundary probe delta = 1 (not certifiable, but evaluable)
     alpha0 = 0.8
     assert compute_gamma(math.log(2.0) / alpha0, 1.0, alpha0) == pytest.approx(0.5, rel=1e-14)
-    for bad in ((0.0, 0.1, 0.25), (0.1, 0.0, 0.25), (0.1, 1.5, 0.25), (0.1, 0.1, 0.0)):
+    for bad in ((0.0, 0.1, 0.25), (0.1, 0.0, 0.25), (0.1, 1.5, 0.25), (0.1, 0.1, 0.0),
+                (math.nan, 0.5, 0.7), (0.1, 0.5, math.nan)):
         with pytest.raises(ValueError):
             compute_gamma(*bad)
 
