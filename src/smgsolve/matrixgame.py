@@ -46,7 +46,9 @@ entries span many magnitudes) is solved once more, alone, by
 fraction-free pivots (Edmonds 1967; Bareiss 1968), degenerate ones by
 Bland's rule (Bland 1977), so it cannot cycle.  Its answer is exact up to
 the rounding to floats; should it fail the acceptance test too, that is a
-bug.
+bug.  It stops at :data:`_EXACT_PIVOTS` pivots per variable of its linear
+program, far more than any game it has been seen to need, and the game
+then fails with a message naming that cap.
 """
 
 from dataclasses import dataclass
@@ -62,10 +64,11 @@ ENUMERATED_SIDE = 3
 # the objective is 1 / value(P), which compresses value gaps by up to value(P)^2 <= 9
 PIVOT_TOL = 1e-12
 _STALL_PIVOTS = 10  # pivots per (rows + columns + 10) of a tableau before the exact simplex
+_EXACT_PIVOTS = 10  # pivots per (rows + columns) of a game before the exact simplex gives up
 
 
 class MatrixGameError(RuntimeError):
-    """A game's exact answer failed the acceptance test, which is a bug in this module."""
+    """A game's exact answer failed the acceptance test, or its exact simplex hit the pivot cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +153,9 @@ def _exact(a: np.ndarray):
     the columns of ``Q`` are priced from it.  The most negative reduced cost
     enters, the lowest-index negative one after a degenerate pivot; the
     minimum ratio leaves, ties at the lowest basis index.  A cycle would
-    pivot by Bland's rule alone, which cannot cycle, so the loop ends.
+    pivot by Bland's rule alone, which cannot cycle, so the loop ends; it
+    raises :class:`MatrixGameError` should it need more than
+    ``_EXACT_PIVOTS * (rows + columns)`` pivots.
     ``value(Q) = last / total``, the objective row's right-hand side.
     """
     m, l = a.shape
@@ -161,13 +166,15 @@ def _exact(a: np.ndarray):
     q = [[v + shift for v in entries[i * l : (i + 1) * l]] for i in range(m)]
     rows = [[int(i == k) for k in range(m)] + [1] for i in range(m)] + [[0] * (m + 1)]
     basis = list(range(l, l + m))  # y_j is variable j, the slack of row i is l + i
-    last, degenerate = 1, False
-    while True:
+    last, degenerate, cap = 1, False, _EXACT_PIVOTS * (m + l)
+    for pivots in range(cap + 1):
         dual = [(i, u) for i, u in enumerate(rows[-1][:m]) if u]
         reduced = [sum(u * q[i][j] for i, u in dual) - last for j in range(l)] + rows[-1][:m]
         cost = next((v for v in reduced if v < 0), 0) if degenerate else min(reduced)
         if cost >= 0:
             break
+        if pivots == cap:
+            raise MatrixGameError(f"exact simplex reached its cap of {cap} pivots before an optimum")
         enter = reduced.index(cost)
         if enter < l:
             column = [sum(v * q[k][enter] for k, v in enumerate(row[:m]) if v) for row in rows[:m]]
@@ -345,8 +352,9 @@ def solve_games(payoffs: np.ndarray, previous=None):
     :func:`_maximin` as one stack, and those it leaves open to
     :func:`_exact` one at a time, each stage's answers through the same
     :func:`_keep`.  Returns ``(value, x, y, failed)``: ``failed`` maps the
-    position in ``payoffs`` of each game whose exact answer failed the test
-    to the message, and the other results of those games are meaningless.
+    position in ``payoffs`` of each game whose exact answer failed the test,
+    or that reached the exact simplex's pivot cap, to the message, and the
+    other results of those games are meaningless.
     """
     size, n_rows, n_cols = payoffs.shape
     out = (np.zeros(size), np.zeros((size, n_rows)), np.zeros((size, n_cols)))
@@ -366,11 +374,18 @@ def solve_games(payoffs: np.ndarray, previous=None):
     if pending.size:
         games = payoffs[pending]
         pending = _keep(out, pending, games, _maximin(games), scale[pending])
+    capped = {}
     if pending.size:
         games = payoffs[pending]
-        exact = tuple(map(np.array, zip(*map(_exact, games))))
-        pending = _keep(out, pending, games, (*exact, True), scale[pending])
-    failed = dict.fromkeys(pending.tolist(), "exact answer failed the acceptance test")
+        value, x, y, regular = answer = _blank(games)  # regular stays False past the cap
+        for i, a in enumerate(games):
+            try:
+                value[i], x[i], y[i] = _exact(a)
+                regular[i] = True
+            except MatrixGameError as stop:
+                capped[int(pending[i])] = str(stop)
+        pending = _keep(out, pending, games, answer, scale[pending])
+    failed = dict.fromkeys(pending.tolist(), "exact answer failed the acceptance test") | capped
     return out[0] + 0.0, *out[1:], failed  # + 0.0: no value reads -0.0
 
 
@@ -391,7 +406,7 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
     operator runs; the exploitability of the pair it keeps is reported as
     ``duality_gap``.  Raises ``ValueError`` for empty or non-finite
     matrices and :class:`MatrixGameError` when the exact answer fails the
-    acceptance test.
+    acceptance test or the exact simplex reaches its pivot cap.
     """
     a = np.asarray(payoff, dtype=float)
     if a.ndim != 2 or a.size == 0:

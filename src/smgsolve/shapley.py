@@ -265,7 +265,9 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     second term is the larger only when ``||M||_w`` is within about
     ``k * 4e-4`` of 1: float64 resolves the residual no finer, and a dense
     LU solve's error is of the same order.
-    The factor 1e-12 is :data:`EVAL_TOL`.
+    The factor 1e-12 is :data:`EVAL_TOL`.  The bound holds whatever vector
+    the refinement starts from; here, with no value at hand, a sparse
+    system starts from ``R``.
 
     Time and memory are O(the model's triples and transition nonzeros, plus
     ``states`` times the GMRES restart), by the restart rule of
@@ -276,17 +278,19 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     return _evaluate_with(m._operator, *_pair_arrays(m, pair))
 
 
-def _evaluate_with(op: ShapleyOperator, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _evaluate_with(op: ShapleyOperator, f: np.ndarray, g: np.ndarray, start=None) -> np.ndarray:
     """:func:`evaluate_stationary_pair` on an operator and a flat pair ``(f, g)``.
 
     It works on the system scaled by ``w``: ``v / w`` solves
     ``(I - S) (v / w) = R / w`` with ``S[x, y] = M[x, y] w(y) / w(x)``,
     whose sup-norm is ``||M||_w``.  When the nonzero list holds fewer than
-    ``states**2`` entries, the start is ``R / w`` and a product with ``S`` is
-    one ``np.bincount`` over the list.  Otherwise ``I - S`` is held dense, no
-    larger than the list: one ``np.linalg.solve`` gives the start and a
-    product is a matrix-vector product.  Restarted GMRES (:func:`_refined`)
-    refines the start until the bound holds.
+    ``states**2`` entries, the start is ``start / w`` (``start`` in value
+    units, such as a solver's iterate, and left unchanged), or ``R / w``
+    when ``start`` is None, and a product with ``S`` is one ``np.bincount``
+    over the list.  Otherwise ``I - S`` is held dense, no larger than the
+    list: one ``np.linalg.solve`` gives the start and a product is a
+    matrix-vector product.  Restarted GMRES (:func:`_refined`) refines the
+    start until the bound holds; only the number of cycles depends on it.
     """
     t = op.table
     n = op.n
@@ -323,7 +327,7 @@ def _evaluate_with(op: ShapleyOperator, f: np.ndarray, g: np.ndarray) -> np.ndar
         def apply(v):  # (I - S) v
             return v - np.bincount(rows, weights=scaled * v[cols], minlength=n)
 
-        start = rhs.copy()
+        start = rhs.copy() if start is None else start / omega  # either way a new array
         terms += np.bincount(t.state[at], weights=counts, minlength=n).max()
     else:
         # a row of the dense I - S sums n products, its cells each at most

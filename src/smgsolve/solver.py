@@ -154,11 +154,14 @@ def certify_solution(m: GameModel, report: SolveReport, tol: float) -> Certifica
 
     Evaluates the pair exactly, then at every state compares the best pure
     response of each player against the pair's own value.  A positive
-    violation means some deviation gains more than ``tol``.
+    violation means some deviation gains more than ``tol``.  The evaluation
+    starts from ``report.epsilon_value``, which it leaves unchanged; the
+    evaluation bound of :func:`~smgsolve.shapley.evaluate_stationary_pair`
+    does not depend on the start, only the work to reach it does.
     """
     op, t = m._operator, m.table
     f, g = _pair_arrays(m, report.equilibrium)
-    values = _evaluate_with(op, f, g)
+    values = _evaluate_with(op, f, g, report.epsilon_value)
     flat = op._payoffs(values)
     # each pure action's payoff against the other player's mixture, by slot
     row_payoff = np.bincount(op.f_slot, weights=flat * g[op.g_slot], minlength=f.size)

@@ -305,6 +305,17 @@ def random_pair(rng: np.random.Generator, m: GameModel) -> StationaryStrategyPai
     return StationaryStrategyPair(f=f, g=g)
 
 
+class SolveReportProxy:
+    """Report stand-in carrying a replaced equilibrium."""
+
+    def __init__(self, report, pair):
+        self.equilibrium = pair
+        self._report = report
+
+    def __getattr__(self, name):
+        return getattr(self._report, name)
+
+
 def solve_2x2_by_equalizing(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Independent 2x2 oracle: pure saddle scan, else the equalizing mix."""
     a = np.asarray(a, dtype=float)

@@ -414,6 +414,33 @@ def test_a_stack_the_simplex_gives_up_on_goes_to_the_exact_simplex_once_per_game
         assert (v, xi.tobytes(), yi.tobytes()) == (v_a, x_a.tobytes(), y_a.tobytes())
 
 
+# an 8x8 game whose exact simplex takes 18 pivots, more than its 16 rows and
+# columns: every game tier-1 sends to the exact simplex takes at most one per
+# row and column
+PAST_ONE_PIVOT_PER_SIDE = [
+    [1e8, 0, -1e8, 0, -1e8, 1e8, 1e8, -1], [0, 0, -1, 1, 1e8, -1e8, -1, 0],
+    [1e8, -1e8, -1, 1, 0, -1, -1, 1e8], [1, -1, 1, 1e8, -1, 1e8, 0, -1e8],
+    [1e8, 0, 0, 1, 1, -1, 1, 0], [0, 0, -1e8, -1, 1, -1e8, -1, -1e8],
+    [1e8, 0, 1e8, 1e8, 1, 1, 1, -1e8], [1e8, 1, 1, 0, -1, 1e8, 1e8, -1],
+]
+
+
+def test_a_game_past_the_exact_pivot_cap_fails_naming_the_cap(monkeypatch, exact_path, tmp_path, capsys):
+    rows = PAST_ONE_PIVOT_PER_SIDE
+    a = np.array(rows, dtype=float)
+    value, x, y, failed = matrixgame.solve_games(a[None])
+    assert failed == {} and len(exact_path) == 1  # under the default cap of 160 pivots
+    monkeypatch.setattr(matrixgame, "_EXACT_PIVOTS", 1)
+    message = "exact simplex reached its cap of 16 pivots before an optimum"
+    assert matrixgame.solve_games(a[None])[3] == {0: message}
+    with pytest.raises(MatrixGameError, match=f"^{message}$"):
+        solve_matrix_game(a)
+    capsys.readouterr()
+    assert main(["game", json.dumps(rows), "--out", str(tmp_path / "game.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "game.json").exists()
+
+
 def test_the_exact_simplex_stays_off_the_hot_path(exact_calls):
     for doc in (INVESTMENT_DOC, sparse_doc(200)):
         m = load_model(json.dumps(doc))

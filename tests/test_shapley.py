@@ -26,6 +26,7 @@ from conftest import (
     INVESTMENT_VALUES,
     MIXED_LAWS_DOC,
     SINGLE_STATE_DOC,
+    SolveReportProxy,
     alpha_of,
     failing_simplex,
     law_of,
@@ -35,7 +36,7 @@ from conftest import (
     ring_doc,
     sparse_doc,
 )
-from smgsolve.shapley import _pair_arrays
+from smgsolve.shapley import _evaluate_with, _pair_arrays
 
 
 def pure_pair(m):
@@ -387,6 +388,124 @@ def test_evaluation_raises_when_gmres_does_not_reach_the_bound(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^pair evaluation did not reach its error bound "
                        r"within 0 GMRES cycles \(\|\|M\|\| = 0\.\d+\)$"):
         evaluate_stationary_pair(m, pure_pair(m))
+
+
+def assert_within_the_bound(m, pair, values):
+    """``values`` meet the bound of ``evaluate_stationary_pair`` against a dense solve."""
+    w = m.table.weight
+    system, rewards = dense_system(m, pair)
+    exact = np.linalg.solve(system, rewards)
+    norm = continuation_norm(m, pair)
+    size = omega_norm(values, w)
+    # a row of the residual sums four terms besides the nonzeros of the triples it plays
+    f, g = _pair_arrays(m, pair)
+    played = f[m._operator.f_slot] * g[m._operator.g_slot] != 0
+    terms = 4 + np.bincount(m.table.state, weights=played * np.diff(m.table.indptr)).max()
+    rho = terms * 2.0**-53 * (omega_norm(rewards, w) + 2.0 * size)
+    error = omega_norm(values - exact, w)
+    assert error <= max(1e-12 * max(1.0, size), 2.0 * rho / (1.0 - norm))
+
+
+def spy_on_certification(monkeypatch) -> list:
+    """The start and the result of each pair evaluation ``certify_solution`` makes, in order."""
+    import smgsolve.solver as solver
+
+    evaluate, calls = solver._evaluate_with, []
+
+    def spy(op, f, g, start=None):
+        calls.append((start, evaluate(op, f, g, start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "_evaluate_with", spy)
+    return calls
+
+
+def cold_certification(monkeypatch, m, report, tol):
+    """``certify_solution`` with its evaluation started from ``R``, as ``evaluate_stationary_pair`` does."""
+    import smgsolve.solver as solver
+
+    with monkeypatch.context() as patch:
+        evaluate = solver._evaluate_with
+        patch.setattr(solver, "_evaluate_with", lambda op, f, g, start=None: evaluate(op, f, g))
+        return certify_solution(m, report, tol)
+
+
+@pytest.mark.parametrize("doc", [
+    sparse_doc(300),
+    ring_doc(500, 0.01),
+    *(sparse_doc(200, seed=seed, successors=3) for seed in (1, 2, 3)),
+], ids=["sparse-300", "ring-500", "random-1", "random-2", "random-3"])  # fmt: skip
+def test_certification_from_the_solvers_iterate_matches_a_cold_start(monkeypatch, doc):
+    m = load_model(json.dumps(doc))
+    report = value_iterate(m, 1e-6)
+    iterate = report.epsilon_value.copy()
+    tol = 2.0 * report.epsilon_nash
+    calls = spy_on_certification(monkeypatch)
+    warm = certify_solution(m, report, tol)
+    assert report.epsilon_value.tobytes() == iterate.tobytes()  # the start is read, never written
+    ((start, values),) = calls
+    assert start is report.epsilon_value
+    cold = cold_certification(monkeypatch, m, report, tol)
+    assert warm.passed == cold.passed
+    # each evaluation is within the bound of the pair's value, so the two
+    # within twice it, and a gain, which moves with u and with lam * p @ u, within 4 times
+    w = m.table.weight
+    cold_values = evaluate_stationary_pair(m, report.equilibrium)
+    size = max(1.0, omega_norm(cold_values, w))
+    assert omega_norm(values - cold_values, w) <= 2e-12 * size
+    gains = np.array(list(warm.per_state.values())) - np.array(list(cold.per_state.values()))
+    assert omega_norm(gains, w) <= 4e-12 * size
+    assert_within_the_bound(m, report.equilibrium, values)
+
+
+def count_gmres_products(monkeypatch) -> list:
+    """One entry per product a GMRES cycle takes, over every evaluation that follows."""
+    import smgsolve.shapley as shapley
+
+    cycle, products = shapley._gmres_cycle, []
+
+    def counted(apply, *args):
+        return cycle(lambda v: products.append(None) or apply(v), *args)
+
+    monkeypatch.setattr(shapley, "_gmres_cycle", counted)
+    return products
+
+
+def test_certification_from_the_iterate_takes_under_half_the_cold_products(monkeypatch):
+    # the slowly mixing ring: eta_gamma 0.9997, where GMRES from R takes hundreds of products
+    m = load_model(json.dumps(ring_doc(500, 0.01)))
+    report = value_iterate(m, 1e-6)
+    products = count_gmres_products(monkeypatch)
+    cold = cold_certification(monkeypatch, m, report, 2.0 * report.epsilon_nash)
+    cold_products = len(products)
+    products.clear()
+    warm = certify_solution(m, report, 2.0 * report.epsilon_nash)
+    assert warm.passed and cold.passed
+    assert 0 < 2 * len(products) < cold_products
+
+
+def test_evaluation_from_a_distant_start_meets_the_bound():
+    for doc in (sparse_doc(300), ring_doc(500, 0.01)):
+        m = load_model(json.dumps(doc))
+        pair = random_pair(np.random.default_rng(5), m)
+        start = 1e6 * np.ones(m.n_states)
+        values = _evaluate_with(m._operator, *_pair_arrays(m, pair), start)
+        assert np.array_equal(start, 1e6 * np.ones(m.n_states))
+        assert_within_the_bound(m, pair, values)
+
+
+def test_certification_of_a_corrupted_pair_from_the_iterate_meets_the_bound(monkeypatch):
+    # the solver's iterate is far from the value of a pair with a wrong column
+    m = load_model(json.dumps(sparse_doc(300)))
+    report = value_iterate(m, 1e-6)
+    wrong_g = {x: g[::-1].copy() for x, g in report.equilibrium.g.items()}
+    corrupted = StationaryStrategyPair(f=report.equilibrium.f, g=wrong_g)
+    calls = spy_on_certification(monkeypatch)
+    bad = certify_solution(m, SolveReportProxy(report, corrupted), 2.0 * report.epsilon_nash)
+    assert not bad.passed and bad.worst_violation > 0.1
+    ((start, values),) = calls
+    assert omega_norm(values - start, m.table.weight) > 0.1
+    assert_within_the_bound(m, corrupted, values)
 
 
 def test_the_operator_is_built_once_per_model(monkeypatch):

@@ -27,7 +27,14 @@ from smgsolve import (
     value_iterate,
 )
 
-from conftest import INVESTMENT_DOC, MODELS_DIR, payoff_matrix, random_model, sparse_doc
+from conftest import (
+    INVESTMENT_DOC,
+    MODELS_DIR,
+    SolveReportProxy,
+    payoff_matrix,
+    random_model,
+    sparse_doc,
+)
 
 
 def halving_model():
@@ -306,17 +313,6 @@ def test_non_finite_strategies_are_rejected_naming_the_state(investment_model, e
         certify_solution(investment_model, SolveReportProxy(report, pair), tol=1.0)
     with pytest.raises(ValueError, match=message):
         estimate_value(investment_model, pair, "1", trajectories=10, seed=0)
-
-
-class SolveReportProxy:
-    """Report stand-in carrying a replaced equilibrium."""
-
-    def __init__(self, report, pair):
-        self.equilibrium = pair
-        self._report = report
-
-    def __getattr__(self, name):
-        return getattr(self._report, name)
 
 
 def test_trace_csv_layout(investment_model):
