@@ -10,8 +10,9 @@ Subcommands and exit codes:
 
 Exit status: 0 success, 1 a bug: a matrix game whose exact answer failed its
 saddle-point test (for a model, the message names the state), or any other
-exception, which propagates; 2 parse or validation error, 3 certificate
-failure, 4 no convergence within the iteration cap.  Every JSON artifact
+exception, which propagates; 2 parse or validation error, or values beyond
+the float64 range (the message names the state), 3 certificate failure, 4
+no convergence within the iteration cap.  Every JSON artifact
 embeds the run configuration and a content hash of the model document, and
 identical configurations produce byte-identical artifacts on one numpy
 build and CPU.
@@ -294,7 +295,7 @@ def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     try:
         return _COMMANDS[config.command](config)
-    except (_InputError, ModelError, NotSamplableError) as exc:
+    except (_InputError, ModelError, NotSamplableError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -78,7 +78,9 @@ class MatrixGameSolution:
     ``duality_gap`` (``dualityGap`` in the CLI's output) is the
     exploitability ``max(A y) - min(x A)``: what the two players together
     could gain by switching to best pure responses.  It is zero exactly at a
-    saddle point, and the game value lies within it of ``value``.
+    saddle point, and the game value lies within it of ``value`` up to
+    rounding at the scale of ``max|A|``: on ``[[1e308, -1e308], [-1e308,
+    1e308]]`` the value reads 4.99e291 with a gap of 0.0, where the game's is 0.
     """
 
     value: float
@@ -413,10 +415,12 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
         raise ValueError("payoff must be a nonempty 2-d matrix")
     if not np.isfinite(a).all():
         raise ValueError("payoff entries must be finite")
-    (value,), (x,), (y,), failed = solve_games(a[None])
+    # near the float limit a candidate's exploitability overflows to inf, which rejects it
+    with np.errstate(over="ignore"):
+        (value,), (x,), (y,), failed = solve_games(a[None])
+        gap = float(exploitability(a, x, y))
     if failed:
         raise MatrixGameError(failed[0])
-    gap = float(exploitability(a, x, y))
     return MatrixGameSolution(value=float(value), row_strategy=x, col_strategy=y, duality_gap=gap)
 
 

@@ -269,19 +269,6 @@ class TripleTable:
         cls = LAWS[self.kind[i]]
         return cls(*(float(self.param[i]), float(self.lam[i]))[: len(cls.__match_args__)])
 
-    def row_cumsum(self, values: np.ndarray) -> np.ndarray:
-        """Running sums of per-nonzero ``values`` within each row, in state order.
-
-        Each row is added left to right, as a plain ``sum`` or ``np.cumsum``
-        over the dense row adds it (a pairwise sum would move last bits).
-        """
-        out = np.array(values, dtype=float)
-        nnz = np.diff(self.indptr)
-        for k in range(1, int(nnz.max(initial=0))):
-            at = self.indptr[:-1][nnz > k] + k
-            out[at] += out[at - 1]
-        return out
-
 
 @dataclass(frozen=True)
 class GameModel:

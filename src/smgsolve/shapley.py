@@ -31,6 +31,7 @@ started from the previous application's supports, by
 tried and when the simplex runs.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,6 +178,7 @@ class ShapleyOperator:
     the continuation weight ``lam * p``.  One application gathers ``u`` at
     the successors, sums each triple's nonzeros with one ``np.add.reduceat``,
     stacks the states' matrices by shape and solves each stack's games together.
+    Raises ``OverflowError`` when some ``r * d`` lies beyond the float64 range.
     """
 
     def __init__(self, m: GameModel):
@@ -185,7 +187,15 @@ class ShapleyOperator:
         self.states = m.states
         self.table = t
         self.n = m.n_states
-        self.base = t.reward * t.d  # r*d per triple
+        with np.errstate(over="ignore"):
+            self.base = t.reward * t.d  # r*d per triple
+        _raise_beyond_range(self.base, "the payoff rate r * d of triple", t.labels)
+        # each row's weights lam * p sum to at most 1 + TRANSITION_SUM_TOL, well below 2,
+        # so no entry of C(u, x) overflows while max|u| is at most this
+        self.room = (float(np.finfo(float).max) - float(np.abs(self.base).max())) / 2.0
+        # an evaluation with ||v / w|| at most this neither squares past the
+        # float range in GMRES nor overflows in v = (v / w) * w
+        self.reach = 2.0**480 / float(t.weight.max())
         a, b = np.divmod(np.arange(t.state.size) - t.offset[t.state], t.cols[t.state])
         self.f_slot, self.g_slot = t.f_ptr[t.state] + a, t.g_ptr[t.state] + b  # per triple
         self.lam_prob = np.repeat(t.lam, np.diff(t.indptr)) * t.prob  # lam*p per nonzero
@@ -193,20 +203,26 @@ class ShapleyOperator:
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
         self.groups = _shape_groups(t)
 
-    def _value_vector(self, values) -> np.ndarray:
+    def _payoffs(self, values) -> np.ndarray:
+        """Every triple's entry of ``C(u, x)``, in table order.
+
+        ``ValueError`` names the first state where ``u`` is not finite, and
+        ``OverflowError`` the first triple whose entry lies beyond the float64
+        range; while ``max|u| <= room`` neither can happen, and nothing is scanned.
+        """
         u = np.asarray(values, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"value vector must have length {self.n}, got {u.shape}")
+        if np.abs(u).max() <= self.room:  # False on NaN
+            return self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
         bad = np.flatnonzero(~np.isfinite(u))
         if bad.size:
             x, v = self.states[bad[0]], float(u[bad[0]])
             raise ValueError(f"value vector must be finite, got {v!r} at state {x!r}")
-        return u
-
-    def _payoffs(self, values) -> np.ndarray:
-        """Every triple's entry of ``C(u, x)``, in table order."""
-        u = self._value_vector(values)
-        return self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
+        with np.errstate(over="ignore"):
+            flat = self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
+        _raise_beyond_range(flat, "the payoff of triple", self.table.labels)
+        return flat
 
     def apply(self, values) -> tuple[np.ndarray, StationaryStrategyPair]:
         """One operator application: per-state game values and saddle pair.
@@ -243,6 +259,13 @@ class ShapleyOperator:
         return StationaryStrategyPair(f=dict(zip(self.states, f)), g=dict(zip(self.states, g)))
 
 
+def _raise_beyond_range(values: np.ndarray, what: str, names) -> None:
+    """Raise ``OverflowError`` naming the first of ``names`` whose entry of ``values`` is not finite."""
+    lost = np.flatnonzero(~np.isfinite(values))
+    if lost.size:
+        raise OverflowError(f"values beyond the float64 range: {what} {names[lost[0]]!r} overflows")
+
+
 def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.ndarray:
     """Expected discounted payoff of a stationary pair, per state, to a stated bound.
 
@@ -273,7 +296,9 @@ def evaluate_stationary_pair(m: GameModel, pair: StationaryStrategyPair) -> np.n
     ``states`` times the GMRES restart), by the restart rule of
     :func:`_refined`.  Raises ``ArithmeticError`` when ``||M|| >= 1`` in
     both norms, naming the largest continuation factor the pair plays at the
-    worst state, or when :data:`GMRES_CYCLES` cycles do not reach the bound.
+    worst state, or when :data:`GMRES_CYCLES` cycles do not reach the bound,
+    and its subclass ``OverflowError`` naming a state whose value lies
+    beyond the float64 range.
     """
     return _evaluate_with(m._operator, *_pair_arrays(m, pair))
 
@@ -319,6 +344,19 @@ def _evaluate_with(op: ShapleyOperator, f: np.ndarray, g: np.ndarray, start=None
             f"(largest: {float(t.lam[worst])!r} at triple {t.labels[worst]!r})"
         )
     rhs = rewards / omega
+    # ||v / w|| <= max|rhs| / (1 - rate), and GMRES's 2-norms square entries:
+    # where that bound passes reach, the system is solved scaled down by a power
+    # of two, which moves no bits, and each state's value is checked as it is
+    # scaled back
+    given = float(np.abs(rhs).max())
+    near = not given / (1.0 - rate) <= op.reach  # omega is at most table.weight
+    if near:
+        _raise_beyond_range(rhs, "the pair's reward at state", op.states)
+        drop = math.log2(given) - math.log2(1.0 - rate) - 480.0
+        shrink = 2.0 ** -max(0, math.ceil(drop))
+        rhs *= shrink
+        given *= shrink
+        start = None if start is None else start * shrink
     # the terms a row of the computed residual sums, at most, besides its
     # nonzeros: the omega scaling, the product and two subtractions
     terms = 4
@@ -336,19 +374,24 @@ def _evaluate_with(op: ShapleyOperator, f: np.ndarray, g: np.ndarray, start=None
         system.flat[:: n + 1] += 1.0
         apply, start = system.__matmul__, np.linalg.solve(system, rhs)
         terms += n + int(np.diff(t.offset).max())
-    v = _refined(apply, rhs, start, rate, terms)
+    v = _refined(apply, rhs, start, rate, terms, given)
     if v is None:
         raise ArithmeticError(
             f"pair evaluation did not reach its error bound within {GMRES_CYCLES} GMRES cycles "
             f"(||M|| = {rate!r})"
         )
-    return v * omega
+    if not near:
+        return v * omega
+    with np.errstate(over="ignore"):
+        v = v * omega / shrink
+    _raise_beyond_range(v, "the pair's value at state", op.states)
+    return v
 
 
-def _refined(apply, rhs, v, rate: float, terms: float) -> np.ndarray | None:
+def _refined(apply, rhs, v, rate: float, terms: float, given: float) -> np.ndarray | None:
     """``v`` refined by restarted GMRES on ``apply(v) = rhs`` until its residual is on target.
 
-    The target is the residual that proves the bound of
+    ``given`` is ``max|rhs|``.  The target is the residual that proves the bound of
     :func:`evaluate_stationary_pair`, or the residual's own rounding floor
     when that is higher.  The first cycle searches :data:`GMRES_RESTART`
     Krylov vectors; after each cycle that does not halve the residual's
@@ -356,7 +399,6 @@ def _refined(apply, rhs, v, rate: float, terms: float) -> np.ndarray | None:
     where a cycle is full GMRES.  Returns None when :data:`GMRES_CYCLES`
     cycles do not reach the target.
     """
-    given = float(np.abs(rhs).max())
     restart, last = min(GMRES_RESTART, rhs.size), np.inf
     for cycle in range(GMRES_CYCLES + 1):
         residual = rhs - apply(v)

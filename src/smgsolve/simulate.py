@@ -128,15 +128,22 @@ def _cum_columns(s: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
     action on, and the padding past its width, are 1.0, which no uniform reaches.
     """
     width = int(size.max())
-    if size.min() == width:  # no padding: the rows are a view of s
-        rows = s.reshape(-1, width)
-    else:
-        rows = np.zeros((size.size, width))
-        rows[np.arange(width) < size[:, None]] = s
+    rows = np.zeros((size.size, width))
+    rows[np.arange(width) < size[:, None]] = s
     c = np.cumsum(rows[:, :-1], axis=1)
     last = width - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
     c[np.arange(width - 1) >= last[:, None]] = 1.0
     return tuple(c.T.copy())
+
+
+def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running sums of per-nonzero ``values`` within each row of ``indptr``, added left to right."""
+    out = np.array(values, dtype=float)
+    nnz = np.diff(indptr)
+    for k in range(1, int(nnz.max(initial=0))):
+        at = indptr[:-1][nnz > k] + k
+        out[at] += out[at - 1]
+    return out
 
 
 class _Sampler:
@@ -160,7 +167,7 @@ class _Sampler:
         laws = enumerate(ANALYTIC_LAWS)
         self.laws = tuple((code, law) for code, law in laws if (t.kind == code).any())
         self.table = t
-        self.cum = t.row_cumsum(t.prob)
+        self.cum = _row_cumsum(t.indptr, t.prob)
         depth = int(np.diff(t.indptr).max() - 1).bit_length()
         self.strides = tuple(1 << k for k in reversed(range(depth)))
         self.last = t.indptr[1:] - 1  # each row's last successor
@@ -242,6 +249,14 @@ def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     return payoffs, tails
 
 
+def _check_range(x0: str, *numbers: float) -> None:
+    """Raise ``OverflowError`` unless each of ``numbers``, a run's outcome from ``x0``, is finite."""
+    if not all(map(math.isfinite, numbers)):
+        raise OverflowError(
+            f"values beyond the float64 range: the Monte Carlo estimate from state {x0!r} overflows"
+        )
+
+
 def simulate_trajectory(
     m: GameModel,
     pair: StationaryStrategyPair,
@@ -255,8 +270,11 @@ def simulate_trajectory(
     """
     sampler = _Sampler(m, pair)
     x0i = m.state_index(x0)
-    payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[:, None], 1, x0i)
-    return float(payoffs[0]), float(tails[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[:, None], 1, x0i)
+    payoff, tail = float(payoffs[0]), float(tails[0])
+    _check_range(x0, payoff, tail)
+    return payoff, tail
 
 
 def estimate_value(
@@ -277,16 +295,19 @@ def estimate_value(
     x0i = m.state_index(x0)
     payoffs = np.empty(trajectories)
     tails = np.empty(trajectories)
-    for start in range(0, trajectories, _BATCH):
-        part = slice(start, start + _BATCH)
-        batch = bases[part]
-        payoffs[part], tails[part] = _run_batch(
-            sampler, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for start in range(0, trajectories, _BATCH):
+            part = slice(start, start + _BATCH)
+            batch = bases[part]
+            payoffs[part], tails[part] = _run_batch(
+                sampler, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
+            )
+        est = MCEstimate(
+            mean=float(payoffs.mean()),
+            std_error=float(payoffs.std(ddof=1) / math.sqrt(trajectories)),
+            trajectories=trajectories,
+            truncation_bound=float(tails.mean()),
+            seed=seed,
         )
-    return MCEstimate(
-        mean=float(payoffs.mean()),
-        std_error=float(payoffs.std(ddof=1) / math.sqrt(trajectories)),
-        trajectories=trajectories,
-        truncation_bound=float(tails.mean()),
-        seed=seed,
-    )
+    _check_range(x0, est.mean, est.std_error, est.truncation_bound)
+    return est

@@ -52,7 +52,7 @@ class SolveReport:
     array: row ``k`` is the iterate after application ``k + 1``, the one
     ``error_trace[k]`` measures.  ``n_epsilon_bound`` is the a-priori bound
     on the stopping index: zero when the first residual ``delta0`` is below
-    1e-14, else ``1 + floor(log(epsilon / delta0) / log(eta_gamma))``
+    1e-14, else ``1 + floor((log(epsilon) - log(delta0)) / log(eta_gamma))``
     clamped at zero.
     """
 
@@ -77,8 +77,9 @@ class CertificationResult(NamedTuple):
 def _bound_from(delta0: float, epsilon: float, eta_gamma: float) -> int:
     if delta0 <= _ZERO_RESIDUAL:
         return 0
-    # raw formula can go negative when epsilon already exceeds delta0
-    return max(0, 1 + math.floor(math.log(epsilon / delta0) / math.log(eta_gamma)))
+    # raw formula can go negative when epsilon already exceeds delta0; the logs are
+    # taken apart, for epsilon / delta0 can underflow to 0
+    return max(0, 1 + math.floor((math.log(epsilon) - math.log(delta0)) / math.log(eta_gamma)))
 
 
 def _nash_radius(epsilon: float, rate: float) -> float:

@@ -211,7 +211,10 @@ def check_drift(m: GameModel, gamma: float) -> DriftResult:
     """
     t = m.table
     w = t.weight
-    moved = t.row_cumsum(w[t.succ] * t.prob)[t.indptr[1:] - 1]
+    nnz = np.diff(t.indptr)
+    of = np.repeat(np.arange(nnz.size), nnz)  # the row of each nonzero
+    # each row added left to right, as a plain sum over the dense row adds it
+    moved = np.bincount(of, weights=w[t.succ] * t.prob, minlength=nnz.size)
     eta_min = float(np.max(moved / w[t.state]))
     unit = bool(np.all(w == 1.0))
     eta = max(eta_min, (1.0 + gamma) / (2.0 * gamma)) if unit else eta_min

@@ -246,6 +246,25 @@ def random_model(
     return load_model(json.dumps(doc))
 
 
+def scaled_rewards_doc(factor: float) -> dict:
+    """``INVESTMENT_DOC`` with every reward times ``factor``, clipped to +-1.7e308.
+
+    At 1e308 the game's values lie beyond the float64 range; at 1e307 they
+    reach about 1.1e308, and a sum of a thousand Monte Carlo payoffs overflows.
+    """
+    doc = json.loads(json.dumps(INVESTMENT_DOC))
+    for triple in doc["triples"]:
+        triple["reward"] = max(-1.7e308, min(1.7e308, triple["reward"] * factor))
+    return doc
+
+
+def uniform_pair(m: GameModel) -> StationaryStrategyPair:
+    """Every state's actions played with equal probability, by both players."""
+    f = {x: np.full(len(m.actions1[x]), 1.0 / len(m.actions1[x])) for x in m.states}
+    g = {x: np.full(len(m.actions2[x]), 1.0 / len(m.actions2[x])) for x in m.states}
+    return StationaryStrategyPair(f=f, g=g)
+
+
 def sparse_doc(n_states: int, seed: int = 0, successors: int = 2) -> dict:
     """A fixed-seed model document: 2x2 actions, ``successors`` states per triple.
 

@@ -3,16 +3,20 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smgsolve import (
-    ModelValidationError, evaluate_stationary_pair, load_model, solve_matrix_game, value_iterate,
+    ModelValidationError, evaluate_stationary_pair, load_model, solve_matrix_game, strategy_tables,
+    value_iterate,
 )
 from smgsolve.cli import RunConfig, config_from_args, main, run
 
-from conftest import INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC, failing_simplex
+from conftest import (
+    INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC, failing_simplex, scaled_rewards_doc, uniform_pair,
+)
 
 INVESTMENT = str(MODELS_DIR / "investment.json")
 
@@ -586,3 +590,47 @@ def test_config_from_args_defaults():
     assert config.command == "solve"
     assert config.epsilon == 1e-6
     assert config.v0 is None and config.max_iter is None
+
+
+def test_solve_with_an_epsilon_whose_ratio_to_the_first_residual_underflows(tmp_path):
+    # from 100 the first residual is near 14, and 5e-324 / 14 is 0.0 in floats
+    report = tmp_path / "report.json"
+    argv = ["solve", INVESTMENT, "--epsilon", "5e-324", "--v0", "100", "--report", str(report)]
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["final_delta"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "factor, argv, named",
+    [
+        (1e308, ["solve", "--report", "out.json"], "the payoff of triple ('2', 'a22', 'b22')"),
+        (1e308, ["eval", "--strategies", "pair.json", "--out", "out.json"],
+         "the pair's value at state '1'"),
+        (1e307, ["simulate", "--state", "1", "--trajectories", "1000", "--out", "out.json"],
+         "the Monte Carlo estimate from state '1'"),
+        (1e307, ["simulate", "--state", "1", "--trajectories", "1000", "--strategies", "pair.json",
+                 "--out", "out.json"], "the Monte Carlo estimate from state '1'"),
+    ],
+    ids=["solve", "eval", "simulate", "simulate-pair"],
+)
+def test_values_beyond_the_float_range_exit_2_naming_the_state(
+    tmp_path, monkeypatch, capsys, factor, argv, named
+):
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(scaled_rewards_doc(factor))
+    Path("model.json").write_text(text)
+    m = load_model(text)
+    Path("pair.json").write_text(json.dumps(strategy_tables(m, uniform_pair(m))))
+    assert main([argv[0], "model.json", *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: values beyond the float64 range: {named} overflows\n"
+    assert not Path("out.json").exists()  # no artifact holds a number that is not finite
+
+
+def test_game_near_the_float_limit_answers_without_an_overflow_warning(capsys):
+    # a candidate's exploitability overflows to inf, which rejects it; under the
+    # test configuration the overflow warning would raise
+    matrix = "[[1.7e308,-1.7e308,0],[-1.7e308,1.7e308,1],[0,1,-1.7e308]]"
+    assert main(["game", matrix]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["saddleVerified"] is True
+    assert math.isfinite(doc["value"]) and math.isfinite(doc["dualityGap"])

@@ -1,6 +1,7 @@
 """Payoff-matrix assembly, the minimax update, and stationary evaluation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from conftest import (
     random_pair,
     payoff_matrix,
     ring_doc,
+    scaled_rewards_doc,
     sparse_doc,
+    uniform_pair,
 )
 from smgsolve.shapley import _evaluate_with, _pair_arrays
 
@@ -305,6 +308,45 @@ def test_evaluation_of_a_nearly_undiscounted_model():
     m = load_model(json.dumps(doc))
     assert check_assumptions(m).passed
     assert_matches_dense(m, ShapleyOperator(m).apply(np.zeros(m.n_states))[1])
+
+
+@pytest.mark.parametrize("doc", [INVESTMENT_DOC, sparse_doc(60)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("power", [600, 1018])
+def test_evaluation_scales_with_the_rewards_up_to_the_float_limit(doc, power):
+    # values near 1e181 square past the float range in GMRES's 2-norms, and near
+    # 1e307 the system itself nears it; scaling by a power of two moves no bits
+    m = load_model(json.dumps(doc))
+    pair = random_pair(np.random.default_rng(2), m)
+    scaled = json.loads(json.dumps(doc))
+    for triple in scaled["triples"]:
+        triple["reward"] *= 2.0**power
+    values = evaluate_stationary_pair(load_model(json.dumps(scaled)), pair)
+    np.testing.assert_array_equal(values, evaluate_stationary_pair(m, pair) * 2.0**power)
+
+
+def test_values_beyond_the_float_range_raise_naming_the_state():
+    m = load_model(json.dumps(scaled_rewards_doc(1e308)))
+    message = "values beyond the float64 range: the pair's value at state '1' overflows"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        evaluate_stationary_pair(m, uniform_pair(m))
+
+
+def test_a_payoff_rate_beyond_the_float_range_raises_naming_the_triple():
+    # d is about 9.5, so r * d is about 9.5e308
+    doc = {
+        "states": ["s"],
+        "actions1": {"s": ["a"]},
+        "actions2": {"s": ["b"]},
+        "triples": [
+            {"state": "s", "a": "a", "b": "b", "alpha": 0.01, "reward": 1e308,
+             "sojourn": {"kind": "deterministic", "duration": 10.0}, "transition": {"s": 1.0}}
+        ],
+    }
+    m = load_model(json.dumps(doc))
+    message = "values beyond the float64 range: the payoff rate r * d of triple ('s', 'a', 'b') overflows"
+    for run in (lambda: value_iterate(m, 1e-6), lambda: evaluate_stationary_pair(m, uniform_pair(m))):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            run()
 
 
 def test_evaluation_converges_where_gmres_30_stalls(monkeypatch):

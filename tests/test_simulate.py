@@ -26,7 +26,16 @@ from smgsolve import (
 
 from smgsolve.simulate import _Sampler
 
-from conftest import alpha_of, law_of, random_model, random_pair, sparse_doc, transition_of
+from conftest import (
+    alpha_of,
+    law_of,
+    random_model,
+    random_pair,
+    scaled_rewards_doc,
+    sparse_doc,
+    transition_of,
+    uniform_pair,
+)
 
 
 def holding_time(law, rng):
@@ -264,6 +273,18 @@ def test_sojourn_cap_ends_trajectories_whose_discount_never_decays():
     est = estimate_value(m, pair, "s", trajectories=2, seed=0)
     assert time.perf_counter() - started < 10.0
     assert est.truncation_bound >= 1.0 / alpha
+
+
+def test_an_estimate_beyond_the_float_range_raises_naming_the_start_state():
+    # the payoffs are near 1e308, so their sum overflows, and so does the tail coefficient
+    m = load_model(json.dumps(scaled_rewards_doc(1e307)))
+    message = "values beyond the float64 range: the Monte Carlo estimate from state '1' overflows"
+    for pair in (value_iterate(m, 1e-6).equilibrium, uniform_pair(m)):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            estimate_value(m, pair, "1", trajectories=1000, seed=0)
+    huge = load_model(json.dumps(scaled_rewards_doc(1e308)))
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        simulate_trajectory(huge, uniform_pair(huge), "1", trajectory_rng(0, 0))
 
 
 def test_serial_and_batched_runs_are_identical(investment_model):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from smgsolve import (
     trace_csv,
     value_iterate,
 )
+from smgsolve.solver import _bound_from
 
 from conftest import (
     INVESTMENT_DOC,
@@ -33,6 +35,7 @@ from conftest import (
     SolveReportProxy,
     payoff_matrix,
     random_model,
+    scaled_rewards_doc,
     sparse_doc,
 )
 
@@ -111,6 +114,42 @@ def test_iteration_bound_clamped_when_epsilon_exceeds_first_residual():
     report = value_iterate(m, 10.0, v0=[0.0], certificate=cert)
     assert report.n_epsilon_bound == 0
     assert report.iterations == 0
+
+
+def test_an_epsilon_whose_ratio_to_the_first_residual_underflows_still_has_a_bound(
+    investment_model,
+):
+    # the first residual is near 14, and 5e-324 / 14 is 0.0 in floats, whose log fails
+    report = value_iterate(investment_model, 5e-324, v0=np.full(3, 100.0))
+    delta0, eta_gamma = report.error_trace[0], report.certificate.eta_gamma
+    assert report.error_trace[-1] == 0.0
+    assert report.n_epsilon_bound == 1 + math.floor(
+        (math.log(5e-324) - math.log(delta0)) / math.log(eta_gamma)
+    )
+    assert report.iterations <= report.n_epsilon_bound
+
+
+def test_iteration_bound_matches_the_quotient_formula_where_it_has_no_underflow():
+    rng = np.random.default_rng(11)
+    epsilons, deltas = 10.0 ** rng.uniform(-12, 2, 2000), 10.0 ** rng.uniform(-10, 4, 2000)
+    for epsilon, delta0, eta_gamma in zip(epsilons, deltas, rng.uniform(0.01, 0.9999, 2000)):
+        quotient = max(0, 1 + math.floor(math.log(epsilon / delta0) / math.log(eta_gamma)))
+        assert _bound_from(delta0, epsilon, eta_gamma) == quotient
+
+
+def test_a_value_iterate_beyond_the_float_range_raises_naming_the_triple():
+    m = load_model(json.dumps(scaled_rewards_doc(1e308)))
+    message = "values beyond the float64 range: the payoff of triple ('2', 'a22', 'b22') overflows"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        value_iterate(m, 1e-6)
+
+
+def test_values_near_the_float_limit_still_solve_and_certify():
+    m = load_model(json.dumps(scaled_rewards_doc(1e307)))
+    report = value_iterate(m, 1e-6)
+    assert 9e307 < report.epsilon_value.min() and report.epsilon_value.max() < 1.1e308
+    # the pair is exact up to rounding at the values' scale
+    assert certify_solution(m, report, tol=1e-12 * report.epsilon_value.max()).passed
 
 
 def test_observed_iterations_within_bound_on_random_models():

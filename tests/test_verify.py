@@ -18,7 +18,7 @@ from smgsolve import (
 )
 from smgsolve.cli import main
 
-from conftest import MIXED_LAWS_DOC, alpha_of, law_of, random_model
+from conftest import MIXED_LAWS_DOC, alpha_of, law_of, random_model, sparse_doc
 
 
 def one_triple_model(sojourn: dict, alpha: float = 1.0, weight: dict | None = None,
@@ -282,6 +282,29 @@ def test_drift_weighted_ratio():
 def test_drift_single_state_unit():
     m = one_triple_model({"kind": "exponential", "rate": 1.0})
     assert check_drift(m, gamma=0.5).eta_min == pytest.approx(1.0, rel=1e-15)
+
+
+def test_drift_adds_each_row_left_to_right():
+    # rows of 9 to 16 nonzeros, where numpy's pairwise sum and a plain one part ways
+    differs = False
+    for seed in range(8):
+        doc = sparse_doc(30, seed=seed, successors=9 + seed)
+        rng = np.random.default_rng(seed)
+        doc["weight"] = {x: float(rng.uniform(1.0, 5.0)) for x in doc["states"]}
+        m = load_model(json.dumps(doc))
+        w = dict(zip(m.states, m.table.weight.tolist()))
+        plain, pairwise = [], []
+        for triple in doc["triples"]:
+            row = sorted(triple["transition"].items(), key=lambda e: m.state_index(e[0]))
+            terms = [w[y] * p for y, p in row]  # in state order, as the table holds a row
+            total = 0.0
+            for term in terms:
+                total += term
+            plain.append(total / w[triple["state"]])
+            pairwise.append(float(np.sum(terms)) / w[triple["state"]])
+        differs |= max(plain) != max(pairwise)
+        assert check_drift(m, gamma=0.5).eta_min == max(plain)
+    assert differs  # the rows tell the two rules apart
 
 
 def test_certificate_investment(investment_model):
