@@ -32,7 +32,8 @@ The serialized form is a single JSON object::
 Sojourn kinds and their parameters: ``exponential`` (``rate``), ``uniform``
 (``upper``), ``deterministic`` (``duration``), ``direct`` (``d``, ``lam``).
 Each kind is one law class, the one home of its serializer, parameter
-checks, closed-form continuation factor, cdf and holding-time draw.
+checks, closed-form continuation factor, cdf, holding-time draw and
+whether its parameter bounds its support.
 
 The loader screens every triple entry at once: it reads each field as one
 column across the entries, checks the whole column, and converts the
@@ -84,10 +85,17 @@ class NotSamplableError(ValueError):
 
 
 class _Law:
-    """One JSON sojourn kind: serializer, checks, closed forms, holding-time draw."""
+    """One JSON sojourn kind: serializer, checks, closed forms, holding-time draw.
+
+    A law with a ``cdf`` (one of :data:`ANALYTIC_LAWS`) sets ``bounded``:
+    True when its parameter ends the support, so ``H(theta)`` falls as it
+    grows, False for a rate.  Its survival function ``1 - H(theta)`` must be
+    log-concave in ``theta``, as ``verify.find_regularity_params`` assumes.
+    """
 
     kind: ClassVar[str]
     label: ClassVar[str]  # the parameter as validation messages name it
+    bounded: ClassVar[bool]  # left unset on a law without a cdf
 
     @property
     def param(self) -> float:  # the first field, the one TripleTable stores
@@ -112,6 +120,7 @@ class Exponential(_Law):
     rate: float
     kind: ClassVar[str] = "exponential"
     label: ClassVar[str] = "rate"
+    bounded: ClassVar[bool] = False
 
     @staticmethod
     def continuation_factor(rate, alpha):
@@ -132,6 +141,7 @@ class Uniform(_Law):
     upper: float
     kind: ClassVar[str] = "uniform"
     label: ClassVar[str] = "upper bound"
+    bounded: ClassVar[bool] = True
 
     @staticmethod
     def continuation_factor(upper, alpha):
@@ -155,6 +165,7 @@ class Deterministic(_Law):
     duration: float
     kind: ClassVar[str] = "deterministic"
     label: ClassVar[str] = "duration"
+    bounded: ClassVar[bool] = True
 
     @staticmethod
     def continuation_factor(duration, alpha):

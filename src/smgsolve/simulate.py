@@ -302,9 +302,16 @@ def estimate_value(
             payoffs[part], tails[part] = _run_batch(
                 sampler, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
             )
+        mean, spread = payoffs.mean(), payoffs.std(ddof=1)
+        if not (math.isfinite(mean) and math.isfinite(spread)) and np.isfinite(payoffs).all():
+            # the sum or the squares overflow on finite payoffs: take both on
+            # payoffs scaled by a power of two, below 1 in magnitude
+            k = math.frexp(float(np.abs(payoffs).max()))[1]
+            scaled = np.ldexp(payoffs, -k)
+            mean, spread = np.ldexp(scaled.mean(), k), np.ldexp(scaled.std(ddof=1), k)
         est = MCEstimate(
-            mean=float(payoffs.mean()),
-            std_error=float(payoffs.std(ddof=1) / math.sqrt(trajectories)),
+            mean=float(mean),
+            std_error=float(spread / math.sqrt(trajectories)),
             trajectories=trajectories,
             truncation_bound=float(tails.mean()),
             seed=seed,

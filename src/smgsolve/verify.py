@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LAWS, Deterministic, Exponential, GameModel, SojournLaw, Uniform
+from .model import ANALYTIC_LAWS, GameModel, SojournLaw
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SPAN_DOUBLINGS = 64  # the horizon search reaches theta_hi / 2**64, 1.5 evaluations a doubling
@@ -36,9 +36,6 @@ _SPAN_DOUBLINGS = 64  # the horizon search reaches theta_hi / 2**64, 1.5 evaluat
 # (CLI flag --paper-params): every exponential rate below 100, every finite
 # support above 0.1, delta fixed at 0.1, discount floor 0.25.
 RATE_BOUND, SUPPORT_FLOOR, PRESET_DELTA, PRESET_ALPHA0 = 100.0, 0.1, 0.1, 0.25
-
-_EXP, _UNI, _DET = (LAWS.index(law) for law in (Exponential, Uniform, Deterministic))
-_BOUNDED = {_EXP: "exponential rate", _UNI: "uniform support", _DET: "deterministic duration"}
 
 
 @dataclass(frozen=True)
@@ -95,17 +92,17 @@ def compute_gamma(theta: float, delta: float, alpha0: float) -> float:
 def _steepest(m: GameModel) -> list[tuple[int, SojournLaw]]:
     """``(row, law)`` of the triples whose laws reach ``max H(theta)`` at every ``theta``.
 
-    ``H(theta)`` rises with an exponential rate and falls with a uniform
-    bound or a deterministic duration, so the first triple with the largest
-    rate, the smallest bound or the smallest duration stands for its kind.
+    ``H(theta)`` falls as the parameter of a ``bounded`` law (the end of
+    its support) grows and rises with any other (a rate), so the first
+    triple with the smallest end, or the largest rate, stands for its kind.
     """
     t = m.table
     out = []
-    for code, pick in ((_EXP, np.argmax), (_UNI, np.argmin), (_DET, np.argmin)):
+    for code, law in enumerate(ANALYTIC_LAWS):
         rows = np.flatnonzero(t.kind == code)
         if rows.size:
-            i = int(rows[pick(t.param[rows])])
-            out.append((i, LAWS[code](float(t.param[i]))))
+            i = int(rows[(np.argmin if law.bounded else np.argmax)(t.param[rows])])
+            out.append((i, law(float(t.param[i]))))
     return out
 
 
@@ -121,8 +118,8 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     exp(-alpha0 theta)`` are log-concave, so the product is unimodal in
     ``theta`` and in ``log(theta)`` (Bagnoli and Bergstrom 2005): the result
     minimizes ``gamma`` over the span to 1e-12 relative in ``theta``.
-    ``theta_hi`` is the smallest uniform bound or deterministic duration,
-    else ``10 / min_rate`` or the largest float, whichever is smaller (see
+    ``theta_hi`` is the smallest end of a bounded support, else ``10 /
+    min_rate`` or the largest float, whichever is smaller (see
     :func:`_steepest`).  Direct-weight triples
     have no holding-time law and are left out; raises ``ValueError`` when
     no triple has one, or when ``delta`` is 0 at the end.
@@ -134,13 +131,11 @@ def find_regularity_params(m: GameModel) -> tuple[float, float]:
     alpha0 = float(t.alpha.min())
     if alpha0 <= 0.0:
         raise ValueError("discount rates must be positive")
-
-    supports = t.param[(t.kind == _UNI) | (t.kind == _DET)]
-    if supports.size:
-        theta_hi = float(supports.min())
-    else:
-        # at most the largest float: 10 / a subnormal rate overflows
-        theta_hi = min(10.0 / float(t.param[t.kind == _EXP].min()), sys.float_info.max)
+    ends = [law.param for law in laws if law.bounded]
+    if ends:
+        theta_hi = min(ends)
+    else:  # every analytic row is a rate; 10 / a subnormal one overflows
+        theta_hi = min(10.0 / float(t.param[t.kind < len(ANALYTIC_LAWS)].min()), sys.float_info.max)
 
     def escape(u: float) -> float:  # 1 - gamma at theta = exp(u)
         theta = math.exp(u)
@@ -187,15 +182,14 @@ def regularity_from_bounds(m: GameModel) -> tuple[float, float, float]:
             f"discount rate {float(t.alpha[low])!r} at {t.labels[low]!r} is below the preset "
             f"floor PRESET_ALPHA0 = {PRESET_ALPHA0!r}"
         )
-    fast = (t.kind == _EXP) & (t.param >= RATE_BOUND)
-    short = ((t.kind == _UNI) | (t.kind == _DET)) & (t.param <= SUPPORT_FLOOR)
-    bad = np.flatnonzero(fast | short)
-    if bad.size:
-        i = bad[0]
-        limit = f"exceeds bound {RATE_BOUND!r}" if fast[i] else f"below floor {SUPPORT_FLOOR!r}"
-        raise ValueError(
-            f"{_BOUNDED[int(t.kind[i])]} {float(t.param[i])!r} at {t.labels[i]!r} {limit}"
-        )
+    for i, law in _steepest(m):  # the steepest law of a kind breaks its bound if any does
+        if law.bounded and law.param <= SUPPORT_FLOOR:
+            limit = f"below floor {SUPPORT_FLOOR!r}"
+        elif not law.bounded and law.param >= RATE_BOUND:
+            limit = f"exceeds bound {RATE_BOUND!r}"
+        else:
+            continue
+        raise ValueError(f"{law.kind} {law.label} {law.param!r} at {t.labels[i]!r} {limit}")
     theta = min((1.0 - PRESET_DELTA) * SUPPORT_FLOOR, math.log(1.0 / PRESET_DELTA) / RATE_BOUND)
     return theta, PRESET_DELTA, PRESET_ALPHA0
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from smgsolve import (
-    ModelValidationError, evaluate_stationary_pair, load_model, solve_matrix_game, strategy_tables,
-    value_iterate,
+    Deterministic, Exponential, ModelValidationError, Uniform, evaluate_stationary_pair, load_model,
+    solve_matrix_game, strategy_tables, value_iterate,
 )
 from smgsolve.cli import RunConfig, config_from_args, main, run
 
@@ -352,6 +352,27 @@ def test_paper_params_outside_preset_bounds_exits_2(tmp_path, capsys):
     assert "exceeds bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "law, inside, outside, limit",
+    [(Exponential, 20.0, (120.0, 150.0), "exceeds bound 100.0"),
+     (Uniform, 0.5, (0.08, 0.05), "below floor 0.1"),
+     (Deterministic, 0.5, (0.08, 0.05), "below floor 0.1")],
+    ids=lambda v: getattr(v, "kind", None),
+)
+def test_paper_params_names_the_steepest_triple_out_of_bounds(
+    tmp_path, capsys, law, inside, outside, limit
+):
+    # the first triple breaks the preset bound, the second breaks it further
+    doc = json.loads(json.dumps(INVESTMENT_DOC))
+    for triple, param in zip(doc["triples"], (*outside, inside)):
+        triple["sojourn"] = law(param).to_obj()
+    path = tmp_path / "out-of-bounds.json"
+    path.write_text(json.dumps(doc))
+    assert run(RunConfig(command="check", model=str(path), paper_params=True)) == 2
+    message = f"{law.kind} {law.label} {outside[1]!r} at ('1', 'a11', 'b12') {limit}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_invalid_model_document_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = json.loads(json.dumps(INVESTMENT_DOC))
@@ -624,6 +645,21 @@ def test_values_beyond_the_float_range_exit_2_naming_the_state(
     assert main([argv[0], "model.json", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: values beyond the float64 range: {named} overflows\n"
     assert not Path("out.json").exists()  # no artifact holds a number that is not finite
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e306])
+def test_simulate_with_statistics_beyond_the_float_range_on_finite_payoffs(
+    tmp_path, monkeypatch, factor
+):
+    # the squared deviations (and at 1e306 the sum) of the payoffs overflow
+    monkeypatch.chdir(tmp_path)
+    for name, scale in (("base.json", 1.0), ("model.json", factor)):
+        Path(name).write_text(json.dumps(scaled_rewards_doc(scale)))
+        argv = ["simulate", name, "--state", "1", "--trajectories", "1000", "--out", "mc-" + name]
+        assert main(argv) == 0
+    base, doc = (json.loads(Path(f"mc-{n}.json").read_text()) for n in ("base", "model"))
+    for key in ("mean", "stdError", "truncationBound"):
+        assert doc[key] == pytest.approx(factor * base[key], rel=1e-9)
 
 
 def test_game_near_the_float_limit_answers_without_an_overflow_warning(capsys):

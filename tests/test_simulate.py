@@ -287,6 +287,21 @@ def test_an_estimate_beyond_the_float_range_raises_naming_the_start_state():
         simulate_trajectory(huge, uniform_pair(huge), "1", trajectory_rng(0, 0))
 
 
+@pytest.mark.parametrize("factor", [1e200, 1e306])
+def test_an_estimate_whose_statistics_overflow_on_finite_payoffs_is_finite(factor):
+    # at 1e200 the squared deviations overflow, at 1e306 the sum of the payoffs too;
+    # every payoff is the unscaled one times factor, so the statistics are as well
+    m = load_model(json.dumps(scaled_rewards_doc(factor)))
+    pair = value_iterate(m, 1e-6).equilibrium
+    est = estimate_value(m, pair, "1", trajectories=1000, seed=0)
+    base = estimate_value(load_model(json.dumps(scaled_rewards_doc(1.0))), pair, "1", 1000, 0)
+    assert est.mean == pytest.approx(factor * base.mean, rel=1e-12)
+    assert est.std_error == pytest.approx(factor * base.std_error, rel=1e-12)
+    assert est.truncation_bound == pytest.approx(factor * base.truncation_bound, rel=1e-12)
+    exact = evaluate_stationary_pair(m, pair)[0]
+    assert abs(est.mean - exact) < 4.0 * est.std_error
+
+
 def test_serial_and_batched_runs_are_identical(investment_model):
     pair = value_iterate(investment_model, 1e-4, v0=np.ones(3)).equilibrium
     serial = np.array(

@@ -16,7 +16,9 @@ from smgsolve import (
     load_model,
     regularity_from_bounds,
 )
+from smgsolve import verify
 from smgsolve.cli import main
+from smgsolve.model import ANALYTIC_LAWS, DirectWeights
 
 from conftest import MIXED_LAWS_DOC, alpha_of, law_of, random_model, sparse_doc
 
@@ -117,6 +119,28 @@ def test_preset_bounds_validated_against_the_model():
     m = one_triple_model({"kind": "uniform", "upper": 0.05})
     with pytest.raises(ValueError, match="below floor"):
         regularity_from_bounds(m)
+
+
+@pytest.mark.parametrize("law", ANALYTIC_LAWS, ids=lambda law: law.kind)
+def test_bounded_agrees_with_how_the_cdf_moves_with_the_parameter(law):
+    # bounded: H(theta) does not rise as the parameter grows; a rate: it does not fall
+    assert isinstance(law.bounded, bool)
+    params = np.geomspace(1e-3, 1e3, 61)
+    moved = False
+    for theta in np.geomspace(1e-4, 1e4, 81):
+        steps = np.diff([law(float(p)).cdf(float(theta)) for p in params])
+        assert np.all(steps <= 0.0) if law.bounded else np.all(steps >= 0.0)
+        moved |= bool(np.any(steps != 0.0))
+    assert moved
+
+
+def test_an_analytic_law_that_does_not_declare_bounded_fails_loudly(monkeypatch):
+    # a class without a cdf or bounded in the deterministic slot is not skipped
+    monkeypatch.setattr(verify, "ANALYTIC_LAWS", (*ANALYTIC_LAWS[:2], DirectWeights))
+    m = load_model(json.dumps(MIXED_LAWS_DOC))
+    for certify in (check_assumptions, find_regularity_params, regularity_from_bounds):
+        with pytest.raises(AttributeError, match="bounded"):
+            certify(m)
 
 
 def test_compute_gamma_formula_and_probes():
