@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrixgame import MatrixGameError, solve_matrix_game, verify_saddle_point
-from .model import GameModel, ModelError, NotSamplableError, _number, load_model
+from .model import GameModel, ModelError, NotSamplableError, load_model
 from .shapley import StationaryStrategyPair, _checked_distribution, evaluate_stationary_pair
 from .simulate import _check_run, estimate_value
 from .solver import (
@@ -92,6 +92,10 @@ def _parse_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite(value, where: str) -> float:
@@ -312,6 +316,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Solve finite zero-sum semi-Markov games with state-action discounting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    epsilon = dict(type=float, default=RunConfig.epsilon)
 
     def with_model(p, certifies=True):
         p.add_argument("model", help="path to a model JSON document")
@@ -328,7 +333,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run value iteration to an epsilon-fixed point")
     with_model(p)
-    p.add_argument("--epsilon", type=float, default=1e-6, help="stopping threshold (default 1e-6)")
+    p.add_argument("--epsilon", **epsilon, help="stopping threshold (default 1e-6)")
     p.add_argument("--v0", help="initial value: scalar broadcast to all states, or a JSON file")
     p.add_argument("--max-iter", type=int, help="cap on operator applications")
     p.add_argument("--report", dest="report_out", help="write the report JSON here")
@@ -344,9 +349,9 @@ def _parser() -> argparse.ArgumentParser:
     with_model(p)
     p.add_argument("--strategies", dest="strategies_in", help="pair JSON (default: solve first)")
     p.add_argument("--state", required=True, help="initial state label")
-    p.add_argument("--trajectories", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-6, help="threshold for the inner solve")
+    p.add_argument("--trajectories", type=int, default=RunConfig.trajectories)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--epsilon", **epsilon, help="threshold for the inner solve")
     p.add_argument("--out", help="write the estimate JSON here (default stdout)")
 
     p = sub.add_parser("game", help="solve a standalone matrix game")

@@ -108,7 +108,7 @@ class _Law:
         return self.continuation_factor(self.param, alpha)
 
     def violations(self, alpha, triple: Triple) -> list[str]:
-        if _positive_number(self.param):
+        if 0.0 < self.param < math.inf:  # False on NaN
             return []
         return [f"{self.kind} {self.label} must be positive and finite: triple {triple!r}"]
 
@@ -201,11 +201,11 @@ class DirectWeights(_Law):
 
     def violations(self, alpha, triple: Triple) -> list[str]:
         out = []
-        if not (isinstance(self.lam, (int, float)) and 0.0 < self.lam < 1.0):
+        if not 0.0 < self.lam < 1.0:
             out.append(f"direct-weight lam must lie in (0, 1): triple {triple!r}")
-        if not (_finite_number(self.d) and self.d >= 0.0):
+        if not 0.0 <= self.d < math.inf:
             out.append(f"direct-weight d must be finite and nonnegative: triple {triple!r}")
-        if not out and _positive_number(alpha):
+        if not out and 0.0 < alpha < math.inf:
             implied = (1.0 - self.lam) / alpha
             if abs(self.d - implied) > DIRECT_WEIGHT_REL_TOL * max(1.0, abs(implied)):
                 out.append(
@@ -326,18 +326,6 @@ class GameModel:
         return float(np.max(np.abs(t.reward) / t.weight[t.state]))
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite_number(value) -> bool:
-    return _number(value) and math.isfinite(value)
-
-
-def _positive_number(value) -> bool:
-    return _finite_number(value) and value > 0.0
-
-
 def validate_model(m: GameModel) -> list[str]:
     """Collect every invariant violation; an empty list means the model is valid.
 
@@ -360,7 +348,7 @@ def validate_model(m: GameModel) -> list[str]:
             elif len(set(acts)) != len(acts):
                 out.append(f"{label} for state {x!r} has duplicate labels")
                 structural = True
-        if not (_finite_number(w) and w >= 1.0):
+        if not 1.0 <= w < math.inf:  # the table holds floats, and NaN fails every comparison
             out.append(f"weight must be >= 1 and finite: state {x!r} has {w!r}")
     if structural:  # per-triple checks need well-formed action sets
         return out
@@ -372,9 +360,9 @@ def validate_model(m: GameModel) -> list[str]:
             out.append(f"triple {triple!r} missing entries: discount, payoff, sojourn, transition")
             continue
         alpha, reward = float(t.alpha[i]), float(t.reward[i])
-        if not _positive_number(alpha):
+        if not 0.0 < alpha < math.inf:
             out.append(f"discount must be positive and finite: triple {triple!r} has {alpha!r}")
-        if not _finite_number(reward):
+        if not math.isfinite(reward):
             out.append(f"payoff must be a finite real number: triple {triple!r} has {reward!r}")
         out.extend(t.law(i).violations(alpha, triple))
         row = t.prob[t.indptr[i] : t.indptr[i + 1]].tolist()

@@ -97,30 +97,25 @@ def _joined(strategies: dict, states, widths: np.ndarray) -> np.ndarray | None:
 def _pair_arrays(m: GameModel, pair: StationaryStrategyPair) -> tuple[np.ndarray, np.ndarray]:
     """The validated pair as ``(f, g)``, flat and segmented by ``f_ptr`` and ``g_ptr``.
 
-    Each player's strategies are joined at once and checked per state.  The
-    states that fail, or all when a join does not fill the segments, are
-    checked again one at a time in state order, so the first raises naming itself.
+    Each player's strategies are joined at once and checked per state.  Unless
+    all pass, the states are checked and joined one at a time in state order,
+    ``f`` before ``g``, so the first that fails raises naming itself.
     """
     t = m.table
     f, g = _joined(pair.f, m.states, t.rows), _joined(pair.g, m.states, t.cols)
-    if f is None or g is None:
-        suspect = range(m.n_states)
-    else:
-        bad = np.zeros(m.n_states, dtype=bool)
-        for v, ptr in ((f, t.f_ptr), (g, t.g_ptr)):  # the test of _checked_distribution, per state
-            low, total = np.minimum.reduceat(v, ptr[:-1]), np.add.reduceat(v, ptr[:-1])
-            bad |= ~((low >= -STRATEGY_TOL) & (np.abs(total - 1.0) <= STRATEGY_TOL))
-        suspect = np.flatnonzero(bad).tolist()
-    for xi in suspect:
-        x = m.states[xi]
+    if f is not None and g is not None and all(  # the test of _checked_distribution, per state
+        ((np.minimum.reduceat(v, ptr[:-1]) >= -STRATEGY_TOL)
+         & (np.abs(np.add.reduceat(v, ptr[:-1]) - 1.0) <= STRATEGY_TOL)).all()
+        for v, ptr in ((f, t.f_ptr), (g, t.g_ptr))
+    ):
+        return f, g
+    f, g = [], []
+    for x, rows, cols in zip(m.states, t.rows.tolist(), t.cols.tolist()):
         if x not in pair.f or x not in pair.g:
             raise ValueError(f"strategy pair missing state {x!r}")
-        _checked_distribution(pair.f[x], int(t.rows[xi]), f"f[{x!r}]")
-        _checked_distribution(pair.g[x], int(t.cols[xi]), f"g[{x!r}]")
-    if f is None or g is None:  # no state failed on its own, so each converts to floats
-        f, g = ([np.asarray(s[x], dtype=float) for x in m.states] for s in (pair.f, pair.g))
-        f, g = np.concatenate(f), np.concatenate(g)
-    return f, g
+        f.append(_checked_distribution(pair.f[x], rows, f"f[{x!r}]"))
+        g.append(_checked_distribution(pair.g[x], cols, f"g[{x!r}]"))
+    return np.concatenate(f), np.concatenate(g)
 
 
 def discounted_kernel_row(

@@ -43,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ANALYTIC_LAWS, GameModel, NotSamplableError
-from .shapley import StationaryStrategyPair, _pair_arrays
+from .shapley import StationaryStrategyPair, _pair_arrays, _raise_beyond_range
 
 DISCOUNT_FLOOR = 1e-8
 MAX_SOJOURNS = 16_384  # per-trajectory cap on sojourns
-_BATCH = 16384  # trajectories run together; bounds memory only
+_BATCH = 16384  # trajectories run together; bounds only the per-sojourn work arrays
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
@@ -249,14 +249,6 @@ def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     return payoffs, tails
 
 
-def _check_range(x0: str, *numbers: float) -> None:
-    """Raise ``OverflowError`` unless each of ``numbers``, a run's outcome from ``x0``, is finite."""
-    if not all(map(math.isfinite, numbers)):
-        raise OverflowError(
-            f"values beyond the float64 range: the Monte Carlo estimate from state {x0!r} overflows"
-        )
-
-
 def simulate_trajectory(
     m: GameModel,
     pair: StationaryStrategyPair,
@@ -272,9 +264,8 @@ def simulate_trajectory(
     x0i = m.state_index(x0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[:, None], 1, x0i)
-    payoff, tail = float(payoffs[0]), float(tails[0])
-    _check_range(x0, payoff, tail)
-    return payoff, tail
+    _raise_beyond_range(np.append(payoffs, tails), "the Monte Carlo estimate from state", [x0] * 2)
+    return float(payoffs[0]), float(tails[0])
 
 
 def estimate_value(
@@ -293,8 +284,7 @@ def estimate_value(
     bases = _bases(seed, np.arange(trajectories))
     sampler = _Sampler(m, pair)
     x0i = m.state_index(x0)
-    payoffs = np.empty(trajectories)
-    tails = np.empty(trajectories)
+    payoffs, tails = np.empty(trajectories), np.empty(trajectories)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for start in range(0, trajectories, _BATCH):
             part = slice(start, start + _BATCH)
@@ -316,5 +306,6 @@ def estimate_value(
             truncation_bound=float(tails.mean()),
             seed=seed,
         )
-    _check_range(x0, est.mean, est.std_error, est.truncation_bound)
+    outcome = np.array([est.mean, est.std_error, est.truncation_bound])
+    _raise_beyond_range(outcome, "the Monte Carlo estimate from state", [x0] * 3)
     return est

@@ -17,12 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import (
-    StationaryStrategyPair,
-    _evaluate_with,
-    _pair_arrays,
-    omega_norm,
-)
+from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -94,6 +89,19 @@ def _check_iteration(epsilon, max_iter) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
+def _change(op, updated: np.ndarray, previous: np.ndarray, reach: float) -> tuple[float, float]:
+    """``||updated - previous||_omega`` and ``max|updated|``, ``reach`` being ``max|previous|``.
+
+    ``OverflowError`` names the first state whose change lies beyond the float64 range.
+    """
+    top = float(np.abs(updated).max())
+    # no entry of the change exceeds this sum, and Python floats add to inf without a warning
+    if not top + reach < math.inf:
+        with np.errstate(over="ignore"):
+            _raise_beyond_range(updated - previous, "the change of value at state", op.states)
+    return float(np.max(np.abs(updated - previous) / op.table.weight)), top
+
+
 def value_iterate(
     m: GameModel,
     epsilon: float,
@@ -106,8 +114,9 @@ def value_iterate(
     ``v0`` defaults to all zeros; any start vector works, and all ones is a
     common choice.  ``max_iter`` caps the number of operator applications and
     defaults to ten times the a-priori bound.
-    Raises :class:`CertificateError` when the model's certificate fails and
-    :class:`ConvergenceError` when the cap is hit first.
+    Raises :class:`CertificateError` when the model's certificate fails,
+    :class:`ConvergenceError` when the cap is hit first, and ``OverflowError``
+    naming the first state whose change of value from one iterate overflows.
     """
     _check_iteration(epsilon, max_iter)
     cert = certificate if certificate is not None else check_assumptions(m)
@@ -119,7 +128,7 @@ def value_iterate(
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
     updated, pair = op._solve(start)
-    delta = omega_norm(updated - start, op.table.weight)
+    delta, top = _change(op, updated, start, float(np.abs(start).max()))
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
         max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
@@ -133,7 +142,8 @@ def value_iterate(
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
         updated, pair = op._solve(values[-1], pair)
-        trace.append(omega_norm(updated - values[-1], op.table.weight))
+        delta, top = _change(op, updated, values[-1], top)
+        trace.append(delta)
         values.append(updated)
 
     return SolveReport(

@@ -126,6 +126,17 @@ def test_a_non_finite_entry_in_a_v0_list_file_exits_2_naming_its_state(tmp_path,
     assert not report.exists()
 
 
+def test_a_v0_file_whose_change_overflows_exits_2_naming_the_state(tmp_path, capsys):
+    v0 = tmp_path / "v0.json"
+    v0.write_text(json.dumps({"1": 1e308, "2": -1e308, "3": 1e308}))
+    report = tmp_path / "r.json"
+    assert main(["solve", INVESTMENT, "--v0", str(v0), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "error: values beyond the float64 range: the change of value at state '2' overflows\n"
+    )
+    assert not report.exists()
+
+
 def test_solve_non_convergence_exits_4(model_file, tmp_path):
     config = RunConfig(command="solve", model=model_file, epsilon=1e-12,
                        max_iter=2, report_out=str(tmp_path / "r.json"))

@@ -190,8 +190,12 @@ def test_strategy_pair_validation(investment_model):
          "f['x'] must have length 2, got shape (1, 2)"),
         ({"x": [0.5, 0.5], "y": [1.0]}, {"x": 1.0, "y": [0.5, 0.5]},
          "g['x'] must have length 1, got shape ()"),
+        # state by state, f before g: g fails at x, f only at y
+        ({"x": [0.5, 0.5], "y": [0.5]}, {"x": [0.5], "y": [0.5, 0.5]},
+         "g['x'] is not a probability vector: array([0.5])"),
     ],
-    ids=["first-state-named", "missing", "length", "sum", "not-numeric", "lengths-cancel", "2-d", "0-d"],
+    ids=["first-state-named", "missing", "length", "sum", "not-numeric", "lengths-cancel", "2-d", "0-d",
+         "g-first-state-f-later"],
 )
 def test_strategy_pair_errors_name_the_first_bad_state(f, g, message):
     # x plays 2x1 games and y 1x2 games, so each player's lengths differ by state

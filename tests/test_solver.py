@@ -144,6 +144,24 @@ def test_a_value_iterate_beyond_the_float_range_raises_naming_the_triple():
         value_iterate(m, 1e-6)
 
 
+def test_a_start_whose_change_overflows_raises_naming_the_state():
+    m = load_model(json.dumps(INVESTMENT_DOC))
+    message = "values beyond the float64 range: the change of value at state '2' overflows"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        value_iterate(m, 1e-6, v0=[1e308, -1e308, 1e308])
+
+
+def test_a_start_near_the_float_limit_whose_change_is_finite_still_solves():
+    # the start's and the iterate's largest magnitudes sum past the float
+    # range, yet no state's change overflows
+    m = load_model(json.dumps(INVESTMENT_DOC))
+    start = np.full(m.n_states, 1e308)
+    report = value_iterate(m, 1e300, v0=start)
+    first = report.value_trace[0]
+    assert float(np.abs(first).max()) + float(np.abs(start).max()) == math.inf
+    assert report.error_trace[0] == omega_norm(first - start, m.table.weight)
+
+
 def test_values_near_the_float_limit_still_solve_and_certify():
     m = load_model(json.dumps(scaled_rewards_doc(1e307)))
     report = value_iterate(m, 1e-6)
