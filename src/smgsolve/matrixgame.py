@@ -14,7 +14,9 @@ absolute precision).  A support's answer is the equalizing pair of its
 block (Shapley and Snow 1950): the previous supports of every size take
 one stacked solve of both players' bordered equalizer systems
 (:func:`equalize`) per support size and one acceptance test over all the
-games, and each enumerated candidate one more of each.
+games, and each enumerated candidate one more of each.  The grouping by
+support size is a plan of flat indices, built once and carried from call
+to call while the previous supports hold.
 
 For the simplex, the payoff matrix ``A`` is normalized by its largest
 magnitude and shifted, ``P = A / max|A| + 2``, so every entry of ``P`` lies
@@ -263,36 +265,50 @@ def _blank(games):
     return np.zeros(n), np.zeros((n, m)), np.zeros((n, l)), np.zeros(n, dtype=bool)
 
 
-def _on_supports(c, rows, cols):
-    """Equalizer answers of the games ``c`` on square supports of any sizes.
+def _group(at, rs, cs, n_rows: int, n_cols: int):
+    """``(at, cells, x_slots, y_slots)``: the ``k x k`` blocks ``rs x cs`` of the games ``at``.
 
-    ``rows`` and ``cols`` are boolean masks, one row per game, with as many
-    rows as columns marked per game.  The games are grouped by support size,
-    smallest first, and each group is one :func:`_blocks` over its games in
-    stack order.  Returns dense ``(value, x, y, regular)``; a game with an
-    empty support is not solved and reads ``regular`` False.
+    ``rs`` and ``cs`` hold each game's ``k`` row and column indices, or one
+    row of them that every game shares.  ``cells``, ``x_slots`` and
+    ``y_slots`` index the raveled stack of ``n_rows x n_cols`` games and its
+    raveled strategy stacks.
     """
-    answer = _blank(c)
-    side = rows.sum(axis=1)
+    cells = (at * (n_rows * n_cols))[:, None, None] + rs[:, :, None] * n_cols + cs[:, None, :]
+    return at, cells, (at * n_rows)[:, None] + rs, (at * n_cols)[:, None] + cs
+
+
+def _plan(rows, cols) -> tuple:
+    """The plan of the supports given as masks: one :func:`_group` per size, smallest first.
+
+    A game whose support is empty or not square is in no group.
+    """
+    side, groups = rows.sum(axis=1), []
+    side[side != cols.sum(axis=1)] = 0
     for k in sorted(set(side.tolist()) - {0}):
         at = np.flatnonzero(side == k)
         rs, cs = rows[at].nonzero()[1].reshape(-1, k), cols[at].nonzero()[1].reshape(-1, k)
-        _blocks(c, at, rs, cs, answer)
-    return answer
+        groups.append(_group(at, rs, cs, rows.shape[1], cols.shape[1]))
+    return tuple(groups)
 
 
-def _blocks(c, at, rs, cs, answer) -> None:
-    """One stacked :func:`equalize` on the ``k x k`` blocks ``rs x cs`` of the games ``c[at]``.
+def _warm_plan(x, y, reuse=None) -> tuple:
+    """``(masks, plan)`` of the supports of the strategy stacks ``x``, ``y``; ``reuse`` if its masks match."""
+    rows, cols = x != 0, y != 0
+    masks = (rows.shape, cols.shape, rows.tobytes(), cols.tobytes())
+    return reuse if reuse is not None and reuse[0] == masks else (masks, _plan(rows, cols))
 
-    ``rs`` and ``cs`` hold each game's ``k`` row and column indices (one
-    row of them when every game shares its block), in the order the block
-    takes them.  The answers are scattered into the dense ``answer =
-    (value, x, y, regular)`` at the rows ``at``.
+
+def _on_plan(c, plan):
+    """Dense ``(value, x, y, regular)`` of the games ``c`` on ``plan``, one :func:`equalize` per group.
+
+    A game in no group is not solved and reads ``regular`` False.
     """
-    value, x, y, regular = answer
-    value[at], x_s, y_t, regular[at] = equalize(c[at[:, None, None], rs[:, :, None], cs[:, None, :]])
-    x[at[:, None], rs] = x_s
-    y[at[:, None], cs] = y_t
+    value, x, y, regular = answer = _blank(c)
+    for at, cells, x_slots, y_slots in plan:
+        value[at], x_s, y_t, regular[at] = equalize(c.take(cells))
+        x.put(x_slots, x_s)
+        y.put(y_slots, y_t)
+    return answer
 
 
 def _keep(out, at, games, answer, scale) -> np.ndarray:
@@ -306,8 +322,10 @@ def _keep(out, at, games, answer, scale) -> np.ndarray:
     # NaN from a near-singular system fails every comparison
     ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
     ok &= exploitability(games, x, y) <= scale
+    every = ok.all()  # the steady case: one assignment per output
+    kept = at if every else at[ok]
     for o, a in zip(out, answer[:3]):
-        o[at[ok]] = a[ok]
+        o[kept] = a if every else a[ok]
     return at[~ok]
 
 
@@ -316,7 +334,7 @@ def _maximin(payoffs: np.ndarray):
 
     The simplex runs on ``P = payoff / max|payoff| + 2`` from the slack
     basis of ``P y <= 1``, all the games of the stack together; each final
-    basis names a support, and :func:`_on_supports` gives the answers on the
+    basis names a support, and :func:`_on_plan` gives the answers on the
     normalized blocks, with the strategies clipped at 0 and renormalized and
     the values scaled back by ``max|payoff|`` (a pure pair reads its entry).
     ``regular`` is False for a game whose block is singular or whose simplex
@@ -334,7 +352,7 @@ def _maximin(payoffs: np.ndarray):
     basic = np.zeros((n, l + m), dtype=bool)
     basic[np.arange(n)[:, None], _simplex(tab, np.tile(np.arange(l, l + m), (n, 1)))] = True
     rows, cols = ~basic[:, l:], basic[:, :l]  # the rows whose slacks left, the columns that entered
-    value, x, y, regular = _on_supports(scaled, rows, cols)
+    value, x, y, regular = _on_plan(scaled, _plan(rows, cols))
     x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
     x[regular] /= x[regular].sum(axis=1, keepdims=True)
     y[regular] /= y[regular].sum(axis=1, keepdims=True)
@@ -346,11 +364,12 @@ def _maximin(payoffs: np.ndarray):
 def solve_games(payoffs: np.ndarray, previous=None):
     """Values and both players' strategies of the stacked games ``payoffs``.
 
-    ``previous`` holds the ``(x, y)`` strategy stacks of the last answer,
-    whose square supports are the first candidates of the module docstring.
-    They are tried in one pass, by one :func:`_on_supports` and one
-    :func:`_keep`; each enumerated candidate is one more :func:`_blocks`
-    and :func:`_keep` over the games still open.  The games left over go to
+    ``previous`` is :func:`_warm_plan` of the last answer's strategy stacks,
+    whose square supports are the first candidates of the module docstring;
+    a caller carries it to the next call, which rebuilds it only when a
+    support has changed.  They are tried in one pass, by one
+    :func:`_on_plan` and one :func:`_keep`; each enumerated candidate is one
+    more of each over the games still open.  The games left over go to
     :func:`_maximin` as one stack, and those it leaves open to
     :func:`_exact` one at a time, each stage's answers through the same
     :func:`_keep`.  Returns ``(value, x, y, failed)``: ``failed`` maps the
@@ -363,15 +382,12 @@ def solve_games(payoffs: np.ndarray, previous=None):
     scale = WARM_START_TOL * np.abs(payoffs).max(axis=(1, 2), initial=np.finfo(float).tiny)
     pending = np.arange(size)
     if previous is not None:
-        f, g = (v != 0 for v in previous)
-        square = (f.sum(axis=1) == g.sum(axis=1))[:, None]  # otherwise no candidate
-        pending = _keep(out, pending, payoffs, _on_supports(payoffs, f & square, g & square), scale)
+        pending = _keep(out, pending, payoffs, _on_plan(payoffs, previous[1]), scale)
     for s, t in _square_supports(n_rows, n_cols):
         if not pending.size:
             break
         games = payoffs[pending]
-        answer = _blank(games)
-        _blocks(games, np.arange(pending.size), s[None], t[None], answer)
+        answer = _on_plan(games, [_group(np.arange(pending.size), s[None], t[None], n_rows, n_cols)])
         pending = _keep(out, pending, games, answer, scale[pending])
     if pending.size:
         games = payoffs[pending]

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrixgame import MatrixGameError, solve_games
+from .matrixgame import MatrixGameError, _warm_plan, solve_games
 from .model import GameModel, Triple
 
 # how far a strategy's entries may fall below 0, and its sum stray from 1
@@ -165,6 +165,14 @@ def _shape_groups(t) -> list[_ShapeGroup]:
     return groups
 
 
+class _WarmPair(NamedTuple):
+    """A flat pair ``(f, g)`` and each shape group's warm plan in the application that made it."""
+
+    f: np.ndarray
+    g: np.ndarray
+    plans: tuple
+
+
 class ShapleyOperator:
     """Value-update operator over the model's triple table.
 
@@ -198,17 +206,18 @@ class ShapleyOperator:
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
         self.groups = _shape_groups(t)
 
-    def _payoffs(self, values) -> np.ndarray:
+    def _payoffs(self, values, top=None) -> np.ndarray:
         """Every triple's entry of ``C(u, x)``, in table order.
 
         ``ValueError`` names the first state where ``u`` is not finite, and
         ``OverflowError`` the first triple whose entry lies beyond the float64
-        range; while ``max|u| <= room`` neither can happen, and nothing is scanned.
+        range; while ``max|u| <= room`` neither can happen, and nothing is
+        scanned.  ``top`` is ``max|u|`` when the caller has it at hand.
         """
         u = np.asarray(values, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"value vector must have length {self.n}, got {u.shape}")
-        if np.abs(u).max() <= self.room:  # False on NaN
+        if (np.abs(u).max() if top is None else top) <= self.room:  # False on NaN
             return self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
         bad = np.flatnonzero(~np.isfinite(u))
         if bad.size:
@@ -229,20 +238,28 @@ class ShapleyOperator:
         out, strategies = self._solve(values)
         return out, self._pair(strategies)
 
-    def _solve(self, values, previous=None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """:meth:`apply` on flat pairs ``(f, g)``, warm-started from ``previous``."""
-        flat = self._payoffs(values)
+    def _solve(self, values, previous=None, top=None) -> tuple[np.ndarray, _WarmPair]:
+        """:meth:`apply` on flat pairs ``(f, g)``, warm-started from ``previous``.
+
+        ``top`` is as in :meth:`_payoffs`.  The pair comes back as a
+        :class:`_WarmPair`.  Handed back, each group's plan is reused while
+        the pair's supports are the ones it was built from; a plain pair
+        builds them, with the same answers.
+        """
+        flat = self._payoffs(values, top)
         t = self.table
         out, f, g = np.empty(self.n), np.empty(t.f_ptr[-1]), np.empty(t.g_ptr[-1])
-        for group in self.groups:
-            guess = None if previous is None else (previous[0][group.f_at], previous[1][group.g_at])
-            value, x, y, failed = solve_games(flat[group.gather], guess)
+        plans = list(previous.plans if isinstance(previous, _WarmPair) else [None] * len(self.groups))
+        for i, group in enumerate(self.groups):
+            if previous is not None:
+                plans[i] = _warm_plan(previous[0][group.f_at], previous[1][group.g_at], plans[i])
+            value, x, y, failed = solve_games(flat[group.gather], plans[i])
             if failed:
                 first = min(failed)
                 raise MatrixGameError(f"state {self.states[group.index[first]]!r}: {failed[first]}")
             out[group.index] = value
             f[group.f_at], g[group.g_at] = x, y
-        return out, (f, g)
+        return out, _WarmPair(f, g, tuple(plans))
 
     def _pair(self, strategies) -> StationaryStrategyPair:
         """The per-state form of a flat pair ``(f, g)``, in state order."""

@@ -127,8 +127,9 @@ def value_iterate(
     start = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
-    updated, pair = op._solve(start)
-    delta, top = _change(op, updated, start, float(np.abs(start).max()))
+    top = float(np.abs(start).max())
+    updated, pair = op._solve(start, top=top)
+    delta, top = _change(op, updated, start, top)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
         max_iter = min(10 * max(bound, 1), MAX_ITER_CAP)
@@ -141,7 +142,7 @@ def value_iterate(
                 f"no convergence within {max_iter} applications "
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
-        updated, pair = op._solve(values[-1], pair)
+        updated, pair = op._solve(values[-1], pair, top)
         delta, top = _change(op, updated, values[-1], top)
         trace.append(delta)
         values.append(updated)

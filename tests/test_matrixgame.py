@@ -448,7 +448,7 @@ def test_the_exact_simplex_stays_off_the_hot_path(exact_calls):
         certify_solution(m, report, 1e-4)
     games = np.random.default_rng(8).normal(size=(20, 10, 10))
     value, x, y, failed = matrixgame.solve_games(games)
-    matrixgame.solve_games(games + 1e-3, (x, y))
+    matrixgame.solve_games(games + 1e-3, matrixgame._warm_plan(x, y))
     assert failed == {} and exact_calls == []
 
 
@@ -581,7 +581,7 @@ def test_the_warm_pass_answers_each_game_as_the_per_size_passes_do(stack):
         failing_simplex(patch, range(len(payoffs)))
         give_up = matrixgame._maximin
         patch.setattr(matrixgame, "_maximin", lambda c: reached.append(c.copy()) or give_up(c))
-        got_value, got_x, got_y, failed = matrixgame.solve_games(payoffs, previous)
+        got_value, got_x, got_y, failed = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous))
     np.testing.assert_array_equal(sorted(failed), pending)
     if reached:
         assert reached[0].tobytes() == payoffs[pending].tobytes()
@@ -598,10 +598,10 @@ def test_the_solver_never_imports_numpy_ma():
     code = f"""
 import sys
 import numpy as np
-from smgsolve.matrixgame import solve_games, solve_matrix_game
+from smgsolve.matrixgame import _warm_plan, solve_games, solve_matrix_game
 games = np.random.default_rng(5).normal(size=(20, 10, 10))
 value, x, y, failed = solve_games(games)
-solve_games(games + 1e-3, (x, y))
+solve_games(games + 1e-3, _warm_plan(x, y))
 solve_games(np.random.default_rng(6).normal(size=(20, 3, 3)))
 for a in {list(SINGULAR_BASIS.values())!r}:
     solve_matrix_game(a)

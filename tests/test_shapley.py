@@ -39,7 +39,7 @@ from conftest import (
     sparse_doc,
     uniform_pair,
 )
-from smgsolve.shapley import _evaluate_with, _pair_arrays
+from smgsolve.shapley import _evaluate_with, _pair_arrays, _WarmPair
 
 
 def pure_pair(m):
@@ -693,6 +693,29 @@ def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptan
     assert simplex_calls == []  # every game kept its previous support
     assert blocks == sorted(sizes)
     assert tests == [40]
+
+
+@pytest.mark.parametrize("player", [0, 1])
+def test_an_exact_zero_inside_a_support_rebuilds_the_carried_plan(player, simplex_calls):
+    # diag(1, 2, 3, 4) is solved on its full support; 4x4 is above the enumerated shapes
+    m = load_model(json.dumps(games_doc([np.diag([1.0, 2.0, 3.0, 4.0]).tolist()])))
+    op = ShapleyOperator(m)
+    u = np.array([0.0])
+    _, first = op._solve(u)
+    _, carried = op._solve(u, first)
+    plan = carried.plans[0]
+    assert np.count_nonzero(carried.f) == np.count_nonzero(carried.g) == 4
+    pair = [carried.f.copy(), carried.g.copy()]
+    pair[player][0] = 0.0  # a 3-by-4 support: no warm candidate, where the stale plan would pass
+    simplex_calls.clear()
+    got, got_pair = op._solve(u, _WarmPair(*pair, carried.plans))
+    assert len(simplex_calls) == 1
+    assert got_pair.plans[0] is not plan
+    want, want_pair = op._solve(u, tuple(pair))
+    assert got.tobytes() == want.tobytes()
+    assert got_pair.f.tobytes() == want_pair.f.tobytes()
+    assert got_pair.g.tobytes() == want_pair.g.tobytes()
+    assert got_pair.plans[0][0] == want_pair.plans[0][0]  # the masks
 
 
 def games_doc(matrices) -> dict:

@@ -1,10 +1,13 @@
 """Value iteration: convergence, stopping analysis, and solution certification."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -429,6 +432,88 @@ def test_value_iterate_is_apply_from_zero_by_hand(model):
     for x in m.states:
         np.testing.assert_array_equal(pair.f[x], report.equilibrium.f[x])
         np.testing.assert_array_equal(pair.g[x], report.equilibrium.g[x])
+
+
+def bench_doc(workload: str) -> dict:
+    """The seed-1 document of a workload of ``bench/generate.py``."""
+    path = MODELS_DIR.parent / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(workload, 1)
+
+
+def shaped_doc(seed: int, shapes, copies: int = 3) -> dict:
+    """A random model with ``copies`` states of each ``(rows, columns)`` game shape."""
+    rng = np.random.default_rng(seed)
+    shapes = [shape for shape in shapes for _ in range(copies)]
+    states = [f"s{i}" for i in range(len(shapes))]
+    return {
+        "states": states,
+        "actions1": {x: [f"a{i}" for i in range(m)] for x, (m, _) in zip(states, shapes)},
+        "actions2": {x: [f"b{j}" for j in range(l)] for x, (_, l) in zip(states, shapes)},
+        "triples": [
+            {"state": x, "a": f"a{i}", "b": f"b{j}", "alpha": float(rng.uniform(0.3, 3.0)),
+             "reward": float(rng.uniform(-10.0, 10.0)),
+             "sojourn": {"kind": "exponential", "rate": float(rng.uniform(0.2, 20.0))},
+             "transition": dict(zip(states, (p := rng.uniform(0.05, 1.0, len(states))) / p.sum()))}
+            for x, (m, l) in zip(states, shapes)
+            for i in range(m)
+            for j in range(l)
+        ],
+    }
+
+
+def assert_same_report(got, want) -> None:
+    """Bit for bit: the value and error traces and both strategies of every state."""
+    assert got.value_trace.tobytes() == want.value_trace.tobytes()
+    assert got.error_trace == want.error_trace
+    for x in got.equilibrium.f:
+        assert got.equilibrium.f[x].tobytes() == want.equilibrium.f[x].tobytes()
+        assert got.equilibrium.g[x].tobytes() == want.equilibrium.g[x].tobytes()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        lambda: INVESTMENT_DOC,
+        lambda: bench_doc("many-states"),
+        lambda: bench_doc("wide-actions"),
+        lambda: shaped_doc(4, [(1, 2), (3, 1), (4, 4), (10, 10)]),
+    ],
+    ids=["investment", "many-states", "wide-actions", "shapes-1x2-3x1-4x4-10x10"],
+)
+def test_a_carried_warm_plan_answers_as_one_built_every_application(doc, monkeypatch):
+    import smgsolve.shapley as shapley
+
+    m = load_model(json.dumps(doc()))
+    build = shapley._warm_plan
+    reused = []
+
+    def carry(x, y, reuse=None):
+        plan = build(x, y, reuse)
+        reused.append(plan is reuse)
+        return plan
+
+    monkeypatch.setattr(shapley, "_warm_plan", carry)
+    carried = value_iterate(m, 1e-6)
+    monkeypatch.setattr(shapley, "_warm_plan", lambda x, y, reuse=None: build(x, y))
+    assert_same_report(carried, value_iterate(m, 1e-6))
+    assert any(reused)  # some application answered on the plan it was handed
+
+
+def test_threads_solving_one_shared_model_return_identical_reports():
+    m = load_model(json.dumps(shaped_doc(5, [(2, 2), (4, 4), (10, 10)])))
+    alone = value_iterate(m, 1e-9)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads take turns inside each other's applications
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            reports = [job.result(timeout=60) for job in [pool.submit(value_iterate, m, 1e-9) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(switch)
+    for report in reports:
+        assert_same_report(report, alone)
 
 
 def test_strategy_tables_layout(investment_model):
