@@ -287,8 +287,9 @@ class GameModel:
 
     Per-triple data and the state weight ``omega`` live only in ``table``.
     Instances are not mutated after validation and are safe to share across
-    threads; the state index and the value-update operator are cached on
-    first use and take no part in ``==``.
+    threads; the state index, the value-update operator and the sampling
+    table of :mod:`smgsolve.simulate` are cached on first use and take no
+    part in ``==``.
     """
 
     states: tuple[str, ...]
@@ -309,6 +310,12 @@ class GameModel:
         from .shapley import ShapleyOperator  # shapley imports this module
 
         return ShapleyOperator(self)
+
+    @cached_property
+    def _sampling(self):
+        from .simulate import _SamplingTable  # simulate imports this module
+
+        return _SamplingTable(self)
 
     def state_index(self, state: str) -> int:
         try:

@@ -32,7 +32,9 @@ tried and when the simplex runs.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +58,19 @@ class StationaryStrategyPair:
     ``f[x]`` is a probability vector over ``actions1[x]`` and ``g[x]`` over
     ``actions2[x]``, aligned with the model's action declaration order.
     Inside the library a pair is two flat arrays, cut by ``f_ptr`` and ``g_ptr``.
+
+    A pair that :func:`~smgsolve.solver.value_iterate` or
+    :meth:`ShapleyOperator.apply` returns keeps those flat arrays and the
+    triple table they index.  Its mappings, per-state arrays and flat arrays
+    are all read-only, so the two forms cannot drift apart, and a model whose
+    table is that one takes the flat arrays as they are.  Any other pair,
+    such as one built from a file, is joined from its mappings.
     """
 
-    f: dict[str, np.ndarray]
-    g: dict[str, np.ndarray]
+    f: Mapping[str, np.ndarray]
+    g: Mapping[str, np.ndarray]
+    # (f, g, table) for a pair the operator built, else None
+    _flat: tuple | None = field(default=None, init=False, repr=False)
 
 
 def omega_norm(values, weights) -> float:
@@ -97,12 +108,17 @@ def _joined(strategies: dict, states, widths: np.ndarray) -> np.ndarray | None:
 def _pair_arrays(m: GameModel, pair: StationaryStrategyPair) -> tuple[np.ndarray, np.ndarray]:
     """The validated pair as ``(f, g)``, flat and segmented by ``f_ptr`` and ``g_ptr``.
 
-    Each player's strategies are joined at once and checked per state.  Unless
-    all pass, the states are checked and joined one at a time in state order,
-    ``f`` before ``g``, so the first that fails raises naming itself.
+    A pair the operator built for ``m.table`` itself hands over the flat
+    arrays it keeps; for any other pair, each player's strategies are joined
+    at once.  On either route the arrays are checked per state at once.
+    Unless all pass, the states are checked and joined one at a time in state
+    order, ``f`` before ``g``, so the first that fails raises naming itself.
     """
     t = m.table
-    f, g = _joined(pair.f, m.states, t.rows), _joined(pair.g, m.states, t.cols)
+    if pair._flat is not None and pair._flat[2] is t:
+        f, g, _ = pair._flat
+    else:
+        f, g = _joined(pair.f, m.states, t.rows), _joined(pair.g, m.states, t.cols)
     if f is not None and g is not None and all(  # the test of _checked_distribution, per state
         ((np.minimum.reduceat(v, ptr[:-1]) >= -STRATEGY_TOL)
          & (np.abs(np.add.reduceat(v, ptr[:-1]) - 1.0) <= STRATEGY_TOL)).all()
@@ -262,13 +278,25 @@ class ShapleyOperator:
         return out, _WarmPair(f, g, tuple(plans))
 
     def _pair(self, strategies) -> StationaryStrategyPair:
-        """The per-state form of a flat pair ``(f, g)``, in state order."""
+        """The per-state form of a flat pair ``(f, g)``, in state order, which keeps ``(f, g)``.
+
+        ``f`` and ``g`` are made read-only, as are the per-state arrays and
+        mappings cut from them.
+        """
+        flat_f, flat_g = strategies[0], strategies[1]
         f, g = [None] * self.n, [None] * self.n
         for group in self.groups:
-            rows = zip(group.index.tolist(), strategies[0][group.f_at], strategies[1][group.g_at])
-            for xi, x, y in rows:
+            xs, ys = flat_f[group.f_at], flat_g[group.g_at]
+            xs.flags.writeable = ys.flags.writeable = False  # so are the rows cut from them
+            for xi, x, y in zip(group.index.tolist(), xs, ys):
                 f[xi], g[xi] = x, y
-        return StationaryStrategyPair(f=dict(zip(self.states, f)), g=dict(zip(self.states, g)))
+        flat_f.flags.writeable = flat_g.flags.writeable = False
+        pair = StationaryStrategyPair(
+            f=MappingProxyType(dict(zip(self.states, f))),
+            g=MappingProxyType(dict(zip(self.states, g))),
+        )
+        object.__setattr__(pair, "_flat", (flat_f, flat_g, self.table))
+        return pair
 
 
 def _raise_beyond_range(values: np.ndarray, what: str, names) -> None:

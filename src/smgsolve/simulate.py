@@ -137,33 +137,40 @@ def _cum_columns(s: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running sums of per-nonzero ``values`` within each row of ``indptr``, added left to right."""
+    """Running sums of per-nonzero ``values`` within each row of ``indptr``, added left to right.
+
+    Pass ``k`` adds each row's entry ``k - 1`` into its entry ``k``.  With the
+    rows sorted longest first, the rows longer than ``k`` are a prefix, so
+    the passes together touch each nonzero once.
+    """
     out = np.array(values, dtype=float)
     nnz = np.diff(indptr)
+    order = np.argsort(-nnz)  # longest row first
+    starts, negated = indptr[:-1][order], -nnz[order]  # negated lengths ascend
     for k in range(1, int(nnz.max(initial=0))):
-        at = indptr[:-1][nnz > k] + k
+        at = starts[: np.searchsorted(negated, -k)] + k  # the rows longer than k
         out[at] += out[at - 1]
     return out
 
 
-class _Sampler:
-    """The model's triple table plus the cumulative sums trajectories draw from.
+class _SamplingTable:
+    """What trajectories draw from that depends on the model alone, built once per model.
 
-    ``f_cols``/``g_cols`` are the columns of each state's cumulative
-    strategies in the flat pair (see :func:`_cum_columns`), ``laws`` the
-    ``(code, law)`` of each analytic law the table holds, and ``cum`` each
-    transition row's running sums over its nonzeros.
+    ``GameModel._sampling`` caches it.  ``laws`` is the ``(code, law)`` of
+    each analytic law the table holds, ``cum`` each transition row's running
+    sums over its nonzeros, ``last`` each row's last nonzero, ``strides``
+    the steps of :meth:`successor`'s search and ``tail_coef`` the truncation
+    bound per unit of discount.  Raises ``NotSamplableError`` when some
+    triple carries direct weights.
     """
 
-    def __init__(self, m: GameModel, pair: StationaryStrategyPair):
+    def __init__(self, m: GameModel):
         t = m.table
-        f, g = _pair_arrays(m, pair)
         direct = np.flatnonzero(t.kind >= len(ANALYTIC_LAWS))
         if direct.size:
             raise NotSamplableError(
                 f"triple {t.labels[direct[0]]!r} carries direct weights; simulation unavailable"
             )
-        self.f_cols, self.g_cols = _cum_columns(f, t.rows), _cum_columns(g, t.cols)
         laws = enumerate(ANALYTIC_LAWS)
         self.laws = tuple((code, law) for code, law in laws if (t.kind == code).any())
         self.table = t
@@ -172,20 +179,6 @@ class _Sampler:
         self.strides = tuple(1 << k for k in reversed(range(depth)))
         self.last = t.indptr[1:] - 1  # each row's last successor
         self.tail_coef = m.payoff_bound() * float(t.weight.max()) / float(t.alpha.min())
-
-    def triple(self, state: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        """The row of each ``state``'s action pair drawn with uniforms ``ua`` and ``ub``.
-
-        Each action counts the state's cumulative strategy entries ``<= u``,
-        one column at a time.
-        """
-        a = np.zeros(state.size, dtype=np.intp)
-        for col in self.f_cols:
-            a += col[state] <= ua
-        tid = self.table.offset[state] + a * self.table.cols[state]
-        for col in self.g_cols:
-            tid += col[state] <= ub
-        return tid
 
     def successor(self, tid: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Each row ``tid``'s first successor whose running sum exceeds ``u``.
@@ -203,6 +196,36 @@ class _Sampler:
         return self.table.succ[np.minimum(pos, last)]
 
 
+class _Sampler:
+    """A pair's cumulative strategy columns, drawn from with the model's sampling table.
+
+    ``f_cols``/``g_cols`` are the columns of each state's cumulative
+    strategies in the flat pair (see :func:`_cum_columns`), and ``sampling``
+    the model's :class:`_SamplingTable`.
+    """
+
+    def __init__(self, m: GameModel, pair: StationaryStrategyPair):
+        t = m.table
+        f, g = _pair_arrays(m, pair)
+        self.sampling = m._sampling
+        self.f_cols, self.g_cols = _cum_columns(f, t.rows), _cum_columns(g, t.cols)
+        self.table = t
+
+    def triple(self, state: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        """The row of each ``state``'s action pair drawn with uniforms ``ua`` and ``ub``.
+
+        Each action counts the state's cumulative strategy entries ``<= u``,
+        one column at a time.
+        """
+        a = np.zeros(state.size, dtype=np.intp)
+        for col in self.f_cols:
+            a += col[state] <= ua
+        tid = self.table.offset[state] + a * self.table.cols[state]
+        for col in self.g_cols:
+            tid += col[state] <= ub
+        return tid
+
+
 def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     """Drive ``total`` trajectories to truncation; returns (payoffs, tail_bounds).
 
@@ -215,14 +238,14 @@ def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     discount falls below ``DISCOUNT_FLOOR``, or stops after ``MAX_SOJOURNS``
     sojourns; its tail bound is ``tail_coef`` times that discount.
     """
-    t = sampler.table
+    t, sampling = sampler.table, sampler.sampling
     payoffs = np.empty(total)
     tails = np.empty(total)
     ids = np.arange(total)
     state = np.full(total, x0)
     discount = np.ones(total)
     acc = np.zeros(total)
-    (_, first), *rest = sampler.laws
+    (_, first), *rest = sampling.laws
     for k in range(MAX_SOJOURNS):
         u = draw(k, ids)
         tid = sampler.triple(state, u[0], u[1])
@@ -235,17 +258,17 @@ def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
         step = np.exp(-rate * tau)
         acc += discount * t.reward[tid] * (1.0 - step) / rate
         discount *= step
-        state = sampler.successor(tid, u[3])
+        state = sampling.successor(tid, u[3])
         done = discount < DISCOUNT_FLOOR
         if done.any():
             payoffs[ids[done]] = acc[done]
-            tails[ids[done]] = sampler.tail_coef * discount[done]
+            tails[ids[done]] = sampling.tail_coef * discount[done]
             keep = ~done
             ids, state, discount, acc = ids[keep], state[keep], discount[keep], acc[keep]
             if not ids.size:
                 break
     payoffs[ids] = acc  # trajectories still running at the sojourn cap
-    tails[ids] = sampler.tail_coef * discount
+    tails[ids] = sampling.tail_coef * discount
     return payoffs, tails
 
 

@@ -24,7 +24,7 @@ from smgsolve import (
     value_iterate,
 )
 
-from smgsolve.simulate import _Sampler
+from smgsolve.simulate import _Sampler, _row_cumsum
 
 from conftest import (
     alpha_of,
@@ -118,7 +118,7 @@ def test_a_zero_probability_successor_is_never_drawn(states, row, drawn):
     pair = StationaryStrategyPair(f={s: one for s in states}, g={s: one for s in states})
     sampler = _Sampler(m, pair)
     tid = np.array([m.table.where[("x", "a", "b")]])
-    assert sampler.successor(tid, np.array([u])).tolist() == [m.state_index(drawn)]
+    assert sampler.sampling.successor(tid, np.array([u])).tolist() == [m.state_index(drawn)]
     payoff, _ = simulate_trajectory(m, pair, "x", ConstantStream())
     assert payoff == 0.0  # the second sojourn at z would have earned 100 * (1 - e^-0.1) * e^-0.1
 
@@ -224,7 +224,23 @@ def test_successor_draws_match_a_search_of_the_dense_cumulative_rows():
     u[1::8] = dense[tid[1::8], -1]  # the row's total
     u[3::8] = np.nextafter(dense[tid[3::8], -1], 2.0)  # just above it
     expected = np.where(u < dense[tid, -1], (dense[tid] <= u[:, None]).sum(axis=1), last[tid])
-    np.testing.assert_array_equal(sampler.successor(tid, u), expected)
+    np.testing.assert_array_equal(sampler.sampling.successor(tid, u), expected)
+
+
+def test_row_running_sums_match_a_plain_left_to_right_sum_per_row():
+    rng = np.random.default_rng(21)
+    nnz = rng.integers(1, 7, size=400)
+    nnz[[3, 250]] = 40
+    nnz[117] = 5000  # one row far wider than the rest
+    indptr = np.concatenate(([0], np.cumsum(nnz)))
+    values = rng.random(indptr[-1])
+    want = np.empty_like(values)
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        total = 0.0
+        for i in range(lo, hi):
+            total += float(values[i])
+            want[i] = total
+    assert _row_cumsum(indptr, values).tobytes() == want.tobytes()
 
 
 def test_single_state_trajectory_telescopes(single_state_model):

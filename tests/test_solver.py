@@ -25,11 +25,13 @@ from smgsolve import (
     evaluate_stationary_pair,
     load_model,
     omega_norm,
+    serialize,
     solve_matrix_game,
     strategy_tables,
     trace_csv,
     value_iterate,
 )
+from smgsolve.shapley import _pair_arrays
 from smgsolve.solver import _bound_from
 
 from conftest import (
@@ -514,6 +516,92 @@ def test_threads_solving_one_shared_model_return_identical_reports():
         sys.setswitchinterval(switch)
     for report in reports:
         assert_same_report(report, alone)
+
+
+def plain_copy(pair) -> StationaryStrategyPair:
+    """The pair as a user would build it: plain dicts of new, writable arrays."""
+    f = {x: np.array(v) for x, v in pair.f.items()}
+    return StationaryStrategyPair(f=f, g={x: np.array(v) for x, v in pair.g.items()})
+
+
+CARRIED_DOCS = pytest.mark.parametrize(
+    "doc",
+    [lambda: INVESTMENT_DOC, lambda: shaped_doc(4, [(1, 2), (3, 1), (4, 4), (10, 10)])],
+    ids=["investment", "shapes-1x2-3x1-4x4-10x10"],
+)
+
+
+@CARRIED_DOCS
+def test_a_library_pair_hands_over_its_flat_arrays_equal_to_the_join(doc):
+    m = load_model(json.dumps(doc()))
+    u = np.random.default_rng(9).normal(size=m.n_states)
+    for pair in (value_iterate(m, 1e-6).equilibrium, ShapleyOperator(m).apply(u)[1]):
+        f, g = _pair_arrays(m, pair)
+        assert f is pair._flat[0] and g is pair._flat[1]  # no join
+        joined_f, joined_g = _pair_arrays(m, plain_copy(pair))
+        assert joined_f is not f
+        assert f.tobytes() == joined_f.tobytes() and g.tobytes() == joined_g.tobytes()
+
+
+@CARRIED_DOCS
+def test_a_library_pair_and_its_plain_copy_give_identical_results(doc):
+    m = load_model(json.dumps(doc()))
+    report = value_iterate(m, 1e-6)
+    copy = SolveReportProxy(report, plain_copy(report.equilibrium))
+    tol = 2.0 * report.epsilon_nash
+    certified = certify_solution(m, report, tol)
+    assert certified.passed and certified == certify_solution(m, copy, tol)
+    carried = evaluate_stationary_pair(m, report.equilibrium)
+    assert carried.tobytes() == evaluate_stationary_pair(m, copy.equilibrium).tobytes()
+    for x in m.states[:2]:
+        assert estimate_value(m, report.equilibrium, x, 500, 3) == estimate_value(
+            m, copy.equilibrium, x, 500, 3
+        )
+
+
+def test_a_library_pair_used_with_an_equal_model_is_joined_and_matches(investment_model):
+    report = value_iterate(investment_model, 1e-6)
+    again = load_model(serialize(investment_model))
+    assert again.table == investment_model.table and again.table is not investment_model.table
+    f, g = _pair_arrays(again, report.equilibrium)
+    assert f is not report.equilibrium._flat[0] and g is not report.equilibrium._flat[1]
+    want_f, want_g = _pair_arrays(investment_model, report.equilibrium)
+    assert f.tobytes() == want_f.tobytes() and g.tobytes() == want_g.tobytes()
+    tol = 2.0 * report.epsilon_nash
+    assert certify_solution(again, report, tol) == certify_solution(investment_model, report, tol)
+    assert estimate_value(again, report.equilibrium, "1", 500, 3) == estimate_value(
+        investment_model, report.equilibrium, "1", 500, 3
+    )
+
+
+def test_a_library_pair_is_read_only(investment_model):
+    u = np.array([1.0, -2.0, 0.5])
+    op = ShapleyOperator(investment_model)
+    for pair in (value_iterate(investment_model, 1e-6).equilibrium, op.apply(u)[1]):
+        with pytest.raises(TypeError):
+            pair.f["1"] = np.array([0.0, 1.0])
+        with pytest.raises(TypeError):
+            pair.g["1"] = np.array([0.0, 1.0])
+        for strategy in (pair.f["2"], pair.g["3"], *pair._flat[:2]):
+            with pytest.raises(ValueError, match="read-only"):
+                strategy[0] = 0.5
+        with pytest.raises(AttributeError):
+            pair.f = {}
+
+
+def test_a_library_route_pair_off_the_simplex_raises_naming_its_state(investment_model):
+    m = investment_model
+    op = ShapleyOperator(m)
+    _, strategies = op._solve(np.zeros(m.n_states))
+    f = strategies.f.copy()
+    f[m.table.f_ptr[1]] += 1e-9  # state '2' sums to 1 + 1e-9
+    pair = op._pair((f, strategies.g))
+    assert pair._flat[0] is f and pair._flat[2] is m.table  # the carried route
+    message = re.escape("f['2'] is not a probability vector")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        evaluate_stationary_pair(m, pair)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        estimate_value(m, pair, "1", 100, 0)
 
 
 def test_strategy_tables_layout(investment_model):
