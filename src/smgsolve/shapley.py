@@ -33,8 +33,7 @@ tried and when the simplex runs.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,18 +58,41 @@ class StationaryStrategyPair:
     ``actions2[x]``, aligned with the model's action declaration order.
     Inside the library a pair is two flat arrays, cut by ``f_ptr`` and ``g_ptr``.
 
-    A pair that :func:`~smgsolve.solver.value_iterate` or
-    :meth:`ShapleyOperator.apply` returns keeps those flat arrays and the
-    triple table they index.  Its mappings, per-state arrays and flat arrays
-    are all read-only, so the two forms cannot drift apart, and a model whose
-    table is that one takes the flat arrays as they are.  Any other pair,
-    such as one built from a file, is joined from its mappings.
+    In a pair that :func:`~smgsolve.solver.value_iterate` or
+    :meth:`ShapleyOperator.apply` returns, ``f`` and ``g`` are read-only
+    mappings over those flat arrays, each per-state array a read-only view,
+    and a model whose table cut them takes the flat arrays as they are.  Any
+    other pair, such as one built from a file, is joined from its mappings.
     """
 
     f: Mapping[str, np.ndarray]
     g: Mapping[str, np.ndarray]
-    # (f, g, table) for a pair the operator built, else None
-    _flat: tuple | None = field(default=None, init=False, repr=False)
+
+
+class _Slices(Mapping):
+    """Read-only ``{x: flat[ptr[index[x]]:ptr[index[x] + 1]]}`` over one player's flat strategies."""
+
+    __slots__ = ("index", "flat", "ptr")
+
+    def __init__(self, index: dict, flat: np.ndarray, ptr: np.ndarray):
+        flat.flags.writeable = False  # and so is each view of it
+        self.index, self.flat, self.ptr = index, flat, ptr
+
+    def __getitem__(self, x) -> np.ndarray:
+        i = self.index[x]
+        return self.flat[self.ptr[i]:self.ptr[i + 1]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):  # through __init__, so a copy is read-only too
+        return type(self), (self.index, self.flat, self.ptr)
 
 
 def omega_norm(values, weights) -> float:
@@ -93,8 +115,10 @@ def _checked_distribution(vec, size: int, what: str) -> np.ndarray:
     return v
 
 
-def _joined(strategies: dict, states, widths: np.ndarray) -> np.ndarray | None:
-    """The strategies of ``states`` as one flat array, or None unless each has its width."""
+def _joined(strategies: Mapping, states, ptr: np.ndarray) -> np.ndarray | None:
+    """The strategies of ``states`` as one flat array cut by ``ptr``, or None unless each has its width."""
+    if type(strategies) is _Slices and strategies.ptr is ptr:  # joined already
+        return strategies.flat
     try:
         parts = [strategies[x] for x in states]
         flat = np.concatenate(parts, dtype=float)
@@ -102,23 +126,20 @@ def _joined(strategies: dict, states, widths: np.ndarray) -> np.ndarray | None:
         return None
     # after a join, every part is 1-d exactly when the result is
     sizes = np.fromiter(map(len, parts), np.intp, len(parts))
-    return flat if flat.ndim == 1 and (sizes == widths).all() else None
+    return flat if flat.ndim == 1 and (sizes == np.diff(ptr)).all() else None
 
 
 def _pair_arrays(m: GameModel, pair: StationaryStrategyPair) -> tuple[np.ndarray, np.ndarray]:
     """The validated pair as ``(f, g)``, flat and segmented by ``f_ptr`` and ``g_ptr``.
 
-    A pair the operator built for ``m.table`` itself hands over the flat
-    arrays it keeps; for any other pair, each player's strategies are joined
-    at once.  On either route the arrays are checked per state at once.
-    Unless all pass, the states are checked and joined one at a time in state
-    order, ``f`` before ``g``, so the first that fails raises naming itself.
+    Each player's strategies are joined at once by :func:`_joined`, which
+    hands over the flat array of a pair the operator built for ``m.table``
+    itself, and the arrays are checked per state at once.  Unless all pass,
+    the states are checked and joined one at a time in state order, ``f``
+    before ``g``, so the first that fails raises naming itself.
     """
     t = m.table
-    if pair._flat is not None and pair._flat[2] is t:
-        f, g, _ = pair._flat
-    else:
-        f, g = _joined(pair.f, m.states, t.rows), _joined(pair.g, m.states, t.cols)
+    f, g = _joined(pair.f, m.states, t.f_ptr), _joined(pair.g, m.states, t.g_ptr)
     if f is not None and g is not None and all(  # the test of _checked_distribution, per state
         ((np.minimum.reduceat(v, ptr[:-1]) >= -STRATEGY_TOL)
          & (np.abs(np.add.reduceat(v, ptr[:-1]) - 1.0) <= STRATEGY_TOL)).all()
@@ -181,14 +202,6 @@ def _shape_groups(t) -> list[_ShapeGroup]:
     return groups
 
 
-class _WarmPair(NamedTuple):
-    """A flat pair ``(f, g)`` and each shape group's warm plan in the application that made it."""
-
-    f: np.ndarray
-    g: np.ndarray
-    plans: tuple
-
-
 class ShapleyOperator:
     """Value-update operator over the model's triple table.
 
@@ -204,6 +217,7 @@ class ShapleyOperator:
         t = m.table
         # the model's parts, not the model: the model caches its operator
         self.states = m.states
+        self.index = m._index
         self.table = t
         self.n = m.n_states
         with np.errstate(over="ignore"):
@@ -251,21 +265,21 @@ class ShapleyOperator:
         :func:`~smgsolve.matrixgame.solve_games`; when it fails on some of
         them, :class:`MatrixGameError` names the first of those states.
         """
-        out, strategies = self._solve(values)
-        return out, self._pair(strategies)
+        out, strategies, _ = self._solve(values)
+        return out, self._pair(*strategies)
 
-    def _solve(self, values, previous=None, top=None) -> tuple[np.ndarray, _WarmPair]:
+    def _solve(self, values, previous=None, plans=None, top=None) -> tuple[np.ndarray, tuple, tuple]:
         """:meth:`apply` on flat pairs ``(f, g)``, warm-started from ``previous``.
 
-        ``top`` is as in :meth:`_payoffs`.  The pair comes back as a
-        :class:`_WarmPair`.  Handed back, each group's plan is reused while
-        the pair's supports are the ones it was built from; a plain pair
-        builds them, with the same answers.
+        ``top`` is as in :meth:`_payoffs`.  Returns ``(values, (f, g), plans)``,
+        ``plans`` holding each shape group's warm plan.  Handed back with
+        ``(f, g)``, each plan is reused while the pair's supports are the ones
+        it was built from; without them, they are built, with the same answers.
         """
         flat = self._payoffs(values, top)
         t = self.table
         out, f, g = np.empty(self.n), np.empty(t.f_ptr[-1]), np.empty(t.g_ptr[-1])
-        plans = list(previous.plans if isinstance(previous, _WarmPair) else [None] * len(self.groups))
+        plans = [None] * len(self.groups) if plans is None else list(plans)
         for i, group in enumerate(self.groups):
             if previous is not None:
                 plans[i] = _warm_plan(previous[0][group.f_at], previous[1][group.g_at], plans[i])
@@ -275,28 +289,12 @@ class ShapleyOperator:
                 raise MatrixGameError(f"state {self.states[group.index[first]]!r}: {failed[first]}")
             out[group.index] = value
             f[group.f_at], g[group.g_at] = x, y
-        return out, _WarmPair(f, g, tuple(plans))
+        return out, (f, g), tuple(plans)
 
-    def _pair(self, strategies) -> StationaryStrategyPair:
-        """The per-state form of a flat pair ``(f, g)``, in state order, which keeps ``(f, g)``.
-
-        ``f`` and ``g`` are made read-only, as are the per-state arrays and
-        mappings cut from them.
-        """
-        flat_f, flat_g = strategies[0], strategies[1]
-        f, g = [None] * self.n, [None] * self.n
-        for group in self.groups:
-            xs, ys = flat_f[group.f_at], flat_g[group.g_at]
-            xs.flags.writeable = ys.flags.writeable = False  # so are the rows cut from them
-            for xi, x, y in zip(group.index.tolist(), xs, ys):
-                f[xi], g[xi] = x, y
-        flat_f.flags.writeable = flat_g.flags.writeable = False
-        pair = StationaryStrategyPair(
-            f=MappingProxyType(dict(zip(self.states, f))),
-            g=MappingProxyType(dict(zip(self.states, g))),
-        )
-        object.__setattr__(pair, "_flat", (flat_f, flat_g, self.table))
-        return pair
+    def _pair(self, f: np.ndarray, g: np.ndarray) -> StationaryStrategyPair:
+        """The pair whose per-state arrays are views of the flat ``f`` and ``g``, made read-only."""
+        t = self.table
+        return StationaryStrategyPair(_Slices(self.index, f, t.f_ptr), _Slices(self.index, g, t.g_ptr))
 
 
 def _raise_beyond_range(values: np.ndarray, what: str, names) -> None:

@@ -139,17 +139,16 @@ def _cum_columns(s: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
 def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Running sums of per-nonzero ``values`` within each row of ``indptr``, added left to right.
 
-    Pass ``k`` adds each row's entry ``k - 1`` into its entry ``k``.  With the
-    rows sorted longest first, the rows longer than ``k`` are a prefix, so
-    the passes together touch each nonzero once.
+    With the rows sorted by length, the rows of each length are one block,
+    summed by one ``np.cumsum`` along its rows, which adds left to right.
     """
     out = np.array(values, dtype=float)
     nnz = np.diff(indptr)
-    order = np.argsort(-nnz)  # longest row first
-    starts, negated = indptr[:-1][order], -nnz[order]  # negated lengths ascend
-    for k in range(1, int(nnz.max(initial=0))):
-        at = starts[: np.searchsorted(negated, -k)] + k  # the rows longer than k
-        out[at] += out[at - 1]
+    order = np.argsort(nnz)
+    lengths, first = np.unique(nnz[order], return_index=True)
+    for n, rows in zip(lengths.tolist(), np.split(indptr[:-1][order], first[1:])):
+        at = rows[:, None] + np.arange(n)
+        out[at] = np.cumsum(out[at], axis=1)
     return out
 
 

@@ -89,17 +89,17 @@ def _check_iteration(epsilon, max_iter) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
-def _change(op, updated: np.ndarray, previous: np.ndarray, reach: float) -> tuple[float, float]:
-    """``||updated - previous||_omega`` and ``max|updated|``, ``reach`` being ``max|previous|``.
+def _change(op, updated: np.ndarray, previous: np.ndarray, top: float) -> tuple[float, float]:
+    """``||updated - previous||_omega`` and ``max|updated|``, ``top`` being ``max|previous|``.
 
     ``OverflowError`` names the first state whose change lies beyond the float64 range.
     """
-    top = float(np.abs(updated).max())
+    peak = float(np.abs(updated).max())
     # no entry of the change exceeds this sum, and Python floats add to inf without a warning
-    if not top + reach < math.inf:
+    if not peak + top < math.inf:
         with np.errstate(over="ignore"):
             _raise_beyond_range(updated - previous, "the change of value at state", op.states)
-    return float(np.max(np.abs(updated - previous) / op.table.weight)), top
+    return float(np.max(np.abs(updated - previous) / op.table.weight)), peak
 
 
 def value_iterate(
@@ -128,7 +128,7 @@ def value_iterate(
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
     top = float(np.abs(start).max())
-    updated, pair = op._solve(start, top=top)
+    updated, pair, plans = op._solve(start, top=top)
     delta, top = _change(op, updated, start, top)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
@@ -142,14 +142,14 @@ def value_iterate(
                 f"no convergence within {max_iter} applications "
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
-        updated, pair = op._solve(values[-1], pair, top)
+        updated, pair, plans = op._solve(values[-1], pair, plans, top)
         delta, top = _change(op, updated, values[-1], top)
         trace.append(delta)
         values.append(updated)
 
     return SolveReport(
         epsilon_value=updated,
-        equilibrium=op._pair(pair),
+        equilibrium=op._pair(*pair),
         iterations=len(trace) - 1,
         error_trace=tuple(trace),
         value_trace=np.array(values),

@@ -39,7 +39,7 @@ from conftest import (
     sparse_doc,
     uniform_pair,
 )
-from smgsolve.shapley import _evaluate_with, _pair_arrays, _WarmPair
+from smgsolve.shapley import _evaluate_with, _pair_arrays
 
 
 def pure_pair(m):
@@ -653,12 +653,12 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
     for _ in range(30):
         m = random_model(rng, max_actions=5)
         op = ShapleyOperator(m)
-        _, guess = op._solve(rng.normal(size=m.n_states) * 20.0)
+        _, guess, _ = op._solve(rng.normal(size=m.n_states) * 20.0)
         u = rng.normal(size=m.n_states) * 20.0
         cold, _ = op.apply(u)
         simplex_calls.clear()
-        warm, strategies = op._solve(u, guess)
-        pair = op._pair(strategies)
+        warm, strategies, _ = op._solve(u, guess)
+        pair = op._pair(*strategies)
         states += m.n_states
         warm_solved += m.n_states - len(simplex_calls)
         for xi, x in enumerate(m.states):
@@ -679,7 +679,7 @@ def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptan
     rng = np.random.default_rng(61)
     m = load_model(json.dumps(games_doc(rng.normal(size=(40, 10, 10)).tolist())))
     op = ShapleyOperator(m)
-    _, previous = op._solve(np.zeros(m.n_states))
+    _, previous, plans = op._solve(np.zeros(m.n_states))
     sizes = set(np.count_nonzero(previous[0].reshape(40, 10), axis=1).tolist())
     assert len(sizes) >= 3
     blocks, tests = [], []
@@ -689,7 +689,7 @@ def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptan
         matrixgame, "exploitability", lambda *args: tests.append(len(args[0])) or exploitability(*args)
     )
     simplex_calls.clear()
-    op._solve(rng.normal(size=m.n_states), previous)
+    op._solve(rng.normal(size=m.n_states), previous, plans)
     assert simplex_calls == []  # every game kept its previous support
     assert blocks == sorted(sizes)
     assert tests == [40]
@@ -701,21 +701,21 @@ def test_an_exact_zero_inside_a_support_rebuilds_the_carried_plan(player, simple
     m = load_model(json.dumps(games_doc([np.diag([1.0, 2.0, 3.0, 4.0]).tolist()])))
     op = ShapleyOperator(m)
     u = np.array([0.0])
-    _, first = op._solve(u)
-    _, carried = op._solve(u, first)
-    plan = carried.plans[0]
-    assert np.count_nonzero(carried.f) == np.count_nonzero(carried.g) == 4
-    pair = [carried.f.copy(), carried.g.copy()]
+    _, first, plans = op._solve(u)
+    _, carried, plans = op._solve(u, first, plans)
+    plan = plans[0]
+    assert np.count_nonzero(carried[0]) == np.count_nonzero(carried[1]) == 4
+    pair = [carried[0].copy(), carried[1].copy()]
     pair[player][0] = 0.0  # a 3-by-4 support: no warm candidate, where the stale plan would pass
     simplex_calls.clear()
-    got, got_pair = op._solve(u, _WarmPair(*pair, carried.plans))
+    got, got_pair, got_plans = op._solve(u, tuple(pair), plans)
     assert len(simplex_calls) == 1
-    assert got_pair.plans[0] is not plan
-    want, want_pair = op._solve(u, tuple(pair))
+    assert got_plans[0] is not plan
+    want, want_pair, want_plans = op._solve(u, tuple(pair))
     assert got.tobytes() == want.tobytes()
-    assert got_pair.f.tobytes() == want_pair.f.tobytes()
-    assert got_pair.g.tobytes() == want_pair.g.tobytes()
-    assert got_pair.plans[0][0] == want_pair.plans[0][0]  # the masks
+    assert got_pair[0].tobytes() == want_pair[0].tobytes()
+    assert got_pair[1].tobytes() == want_pair[1].tobytes()
+    assert got_plans[0][0] == want_plans[0][0]  # the masks
 
 
 def games_doc(matrices) -> dict:
@@ -756,8 +756,8 @@ def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, strategies = op._solve(u, _pair_arrays(m, guess))
-    pair = op._pair(strategies)
+    warm, strategies, _ = op._solve(u, _pair_arrays(m, guess))
+    pair = op._pair(*strategies)
     assert len(simplex_calls) == 1
     np.testing.assert_array_equal(warm, cold)
     np.testing.assert_array_equal(pair.f["s0"], cold_pair.f["s0"])
@@ -772,8 +772,8 @@ def test_singular_guessed_support_falls_back_to_the_enumerated_supports(duplicat
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, strategies = op._solve(u, _pair_arrays(m, guess))
-    pair = op._pair(strategies)
+    warm, strategies, _ = op._solve(u, _pair_arrays(m, guess))
+    pair = op._pair(*strategies)
     # the full 2x2 support is singular, so the result must come from a smaller one
     assert min(np.count_nonzero(pair.f["s0"]), np.count_nonzero(pair.g["s0"])) == 1
     assert simplex_calls == []

@@ -231,7 +231,8 @@ def test_row_running_sums_match_a_plain_left_to_right_sum_per_row():
     rng = np.random.default_rng(21)
     nnz = rng.integers(1, 7, size=400)
     nnz[[3, 250]] = 40
-    nnz[117] = 5000  # one row far wider than the rest
+    nnz[117] = 5000  # rows far wider than the rest
+    nnz[301] = 30000
     indptr = np.concatenate(([0], np.cumsum(nnz)))
     values = rng.random(indptr[-1])
     want = np.empty_like(values)

@@ -1,13 +1,17 @@
 """Value iteration: convergence, stopping analysis, and solution certification."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
 import math
+import pickle
 import re
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from smgsolve import (
     trace_csv,
     value_iterate,
 )
-from smgsolve.shapley import _pair_arrays
+from smgsolve.shapley import _joined, _pair_arrays
 from smgsolve.solver import _bound_from
 
 from conftest import (
@@ -425,12 +429,12 @@ def test_value_iterate_is_apply_from_zero_by_hand(model):
     m = model()
     report = value_iterate(m, 1e-9)
     op = ShapleyOperator(m)
-    u, strategies = np.zeros(m.n_states), None
+    u, strategies, plans = np.zeros(m.n_states), None, None
     for row in report.value_trace:
-        u, strategies = op._solve(u, strategies)
+        u, strategies, plans = op._solve(u, strategies, plans)
         np.testing.assert_array_equal(u, row)
     np.testing.assert_array_equal(u, report.epsilon_value)
-    pair = op._pair(strategies)
+    pair = op._pair(*strategies)
     for x in m.states:
         np.testing.assert_array_equal(pair.f[x], report.equilibrium.f[x])
         np.testing.assert_array_equal(pair.g[x], report.equilibrium.g[x])
@@ -537,7 +541,7 @@ def test_a_library_pair_hands_over_its_flat_arrays_equal_to_the_join(doc):
     u = np.random.default_rng(9).normal(size=m.n_states)
     for pair in (value_iterate(m, 1e-6).equilibrium, ShapleyOperator(m).apply(u)[1]):
         f, g = _pair_arrays(m, pair)
-        assert f is pair._flat[0] and g is pair._flat[1]  # no join
+        assert f is pair.f.flat and g is pair.g.flat  # no join
         joined_f, joined_g = _pair_arrays(m, plain_copy(pair))
         assert joined_f is not f
         assert f.tobytes() == joined_f.tobytes() and g.tobytes() == joined_g.tobytes()
@@ -564,7 +568,7 @@ def test_a_library_pair_used_with_an_equal_model_is_joined_and_matches(investmen
     again = load_model(serialize(investment_model))
     assert again.table == investment_model.table and again.table is not investment_model.table
     f, g = _pair_arrays(again, report.equilibrium)
-    assert f is not report.equilibrium._flat[0] and g is not report.equilibrium._flat[1]
+    assert f is not report.equilibrium.f.flat and g is not report.equilibrium.g.flat
     want_f, want_g = _pair_arrays(investment_model, report.equilibrium)
     assert f.tobytes() == want_f.tobytes() and g.tobytes() == want_g.tobytes()
     tol = 2.0 * report.epsilon_nash
@@ -582,21 +586,89 @@ def test_a_library_pair_is_read_only(investment_model):
             pair.f["1"] = np.array([0.0, 1.0])
         with pytest.raises(TypeError):
             pair.g["1"] = np.array([0.0, 1.0])
-        for strategy in (pair.f["2"], pair.g["3"], *pair._flat[:2]):
+        for strategy in (pair.f["2"], pair.g["3"], pair.f.flat, pair.g.flat):
             with pytest.raises(ValueError, match="read-only"):
                 strategy[0] = 0.5
         with pytest.raises(AttributeError):
             pair.f = {}
 
 
+@CARRIED_DOCS
+def test_a_solved_pairs_state_arrays_are_read_only_views_of_its_flat_arrays(doc):
+    m = load_model(json.dumps(doc()))
+    u = np.random.default_rng(9).normal(size=m.n_states)
+    for pair in (value_iterate(m, 1e-6).equilibrium, ShapleyOperator(m).apply(u)[1]):
+        for strategies in (pair.f, pair.g):
+            assert list(strategies) == list(m.states) and len(strategies) == m.n_states
+            assert repr(strategies) == repr({x: strategies[x] for x in m.states})
+            for x in m.states:
+                assert np.shares_memory(strategies[x], strategies.flat)
+                with pytest.raises(ValueError, match="read-only"):
+                    strategies[x][0] = 0.5
+
+
+@CARRIED_DOCS
+def test_a_solve_report_pickles_and_copies_and_gives_identical_results_through_the_join(doc):
+    m = load_model(json.dumps(doc()))
+    report = value_iterate(m, 1e-6)
+    tol = 2.0 * report.epsilon_nash
+    certified = certify_solution(m, report, tol)
+    values = evaluate_stationary_pair(m, report.equilibrium)
+    x = m.states[0]
+    estimate = estimate_value(m, report.equilibrium, x, 500, 3)
+    as_dict = StationaryStrategyPair(**dataclasses.asdict(report.equilibrium))
+    for copied in (
+        pickle.loads(pickle.dumps(report)),
+        deepcopy(report),
+        SolveReportProxy(report, as_dict),
+    ):
+        pair = copied.equilibrium
+        assert _pair_arrays(m, pair)[0] is not report.equilibrium.f.flat  # joined
+        for y in m.states:
+            assert pair.f[y].tobytes() == report.equilibrium.f[y].tobytes()
+            assert pair.g[y].tobytes() == report.equilibrium.g[y].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                pair.f[y][0] = 0.5
+        assert certify_solution(m, copied, tol) == certified
+        assert evaluate_stationary_pair(m, pair).tobytes() == values.tobytes()
+        assert estimate_value(m, pair, x, 500, 3) == estimate
+
+
+def test_a_kept_solve_report_does_not_keep_its_models_table():
+    m = load_model(json.dumps(INVESTMENT_DOC))
+    report = value_iterate(m, 1e-6)
+    estimate_value(m, report.equilibrium, "1", 10, 0)  # the model caches its sampling table
+    table = weakref.ref(m.table)
+    del m
+    assert table() is None
+    again = load_model(json.dumps(INVESTMENT_DOC))
+    assert certify_solution(again, report, 2.0 * report.epsilon_nash).passed
+
+
+@CARRIED_DOCS
+def test_a_library_f_with_a_user_built_g_gives_the_results_of_its_plain_copy(doc):
+    m = load_model(json.dumps(doc()))
+    report = value_iterate(m, 1e-6)
+    plain = plain_copy(report.equilibrium)
+    mixed = StationaryStrategyPair(f=report.equilibrium.f, g=plain.g)
+    f, g = _pair_arrays(m, mixed)
+    assert f is report.equilibrium.f.flat and g.tobytes() == report.equilibrium.g.flat.tobytes()
+    tol = 2.0 * report.epsilon_nash
+    certified = certify_solution(m, SolveReportProxy(report, mixed), tol)
+    assert certified.passed and certified == certify_solution(m, SolveReportProxy(report, plain), tol)
+    values = evaluate_stationary_pair(m, mixed)
+    assert values.tobytes() == evaluate_stationary_pair(m, plain).tobytes()
+    for x in m.states[:2]:
+        assert estimate_value(m, mixed, x, 500, 3) == estimate_value(m, plain, x, 500, 3)
+
+
 def test_a_library_route_pair_off_the_simplex_raises_naming_its_state(investment_model):
     m = investment_model
     op = ShapleyOperator(m)
-    _, strategies = op._solve(np.zeros(m.n_states))
-    f = strategies.f.copy()
+    _, (f, g), _ = op._solve(np.zeros(m.n_states))
     f[m.table.f_ptr[1]] += 1e-9  # state '2' sums to 1 + 1e-9
-    pair = op._pair((f, strategies.g))
-    assert pair._flat[0] is f and pair._flat[2] is m.table  # the carried route
+    pair = op._pair(f, g)
+    assert _joined(pair.f, m.states, m.table.f_ptr) is f  # the carried route, no join
     message = re.escape("f['2'] is not a probability vector")
     with pytest.raises(ValueError, match=f"^{message}"):
         evaluate_stationary_pair(m, pair)
