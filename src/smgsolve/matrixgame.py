@@ -10,13 +10,13 @@ simplex ends on; and the exact simplex :func:`_exact`.  A game keeps the
 first answer whose strategies are both ``>= 0`` with exploitability
 ``max(A y) - min(x A)`` at most ``WARM_START_TOL * max|A|`` (``max|A|``
 taken at least the smallest normal float, below which floats hold only an
-absolute precision).  A support's answer is the equalizing pair of its
-block (Shapley and Snow 1950): the previous supports of every size take
-one stacked solve of both players' bordered equalizer systems
-(:func:`equalize`) per support size and one acceptance test over all the
-games, and each enumerated candidate one more of each.  The grouping by
-support size is a plan of flat indices, built once and carried from call
-to call while the previous supports hold.
+absolute precision), each minimum and maximum taken across the games.
+A support's answer is the equalizing pair of its block (Shapley and Snow
+1950): the previous supports of every size take one stacked solve of both
+players' bordered equalizer systems (:func:`equalize`) per support size
+and one acceptance test over all the games, and each enumerated candidate
+one more of each.  The grouping by support size is a plan of flat
+indices, built once and carried from call to call while supports hold.
 
 For the simplex, the payoff matrix ``A`` is normalized by its largest
 magnitude and shifted, ``P = A / max|A| + 2``, so every entry of ``P`` lies
@@ -67,6 +67,7 @@ ENUMERATED_SIDE = 3
 PIVOT_TOL = 1e-12
 _STALL_PIVOTS = 10  # pivots per (rows + columns + 10) of a tableau before the exact simplex
 _EXACT_PIVOTS = 10  # pivots per (rows + columns) of a game before the exact simplex gives up
+_TINY = np.finfo(float).tiny
 
 
 class MatrixGameError(RuntimeError):
@@ -311,21 +312,31 @@ def _on_plan(c, plan):
     return answer
 
 
-def _keep(out, at, games, answer, scale) -> np.ndarray:
-    """Write the answers of the games ``at`` that pass the acceptance test into ``out``; return the others.
+def _across(ufunc, a: np.ndarray, **reduce) -> np.ndarray:
+    """``ufunc`` over the last axis of ``a``, reduced across the games, not one short row at a time."""
+    if a.ndim > 2:  # .T would reverse the leading axes too
+        return _across(ufunc, a.reshape(-1, a.shape[-1]), **reduce).reshape(a.shape[:-1])
+    return ufunc.reduce(np.ascontiguousarray(a.T), axis=0, **reduce)
 
-    The test: both strategies ``>= 0``, exploitability at most ``scale``.
-    ``games``, ``answer = (value, x, y, regular)`` and ``scale`` hold one
-    candidate per game of ``at``; ``out = (value, x, y)`` is indexed by game.
-    """
+
+def _passes(games, answer, scale) -> np.ndarray:
+    """Which games of ``answer = (value, x, y, regular)`` are regular, ``x, y >= 0``, gain ``<= scale``."""
     _, x, y, regular = answer
     # NaN from a near-singular system fails every comparison
-    ok = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
-    ok &= exploitability(games, x, y) <= scale
-    every = ok.all()  # the steady case: one assignment per output
-    kept = at if every else at[ok]
+    ok = regular & (_across(np.minimum, x) >= 0.0) & (_across(np.minimum, y) >= 0.0)
+    return ok & (exploitability(games, x, y) <= scale)
+
+
+def _keep(out, at, games, answer, scale) -> np.ndarray:
+    """Write the answers of the games ``at`` that pass :func:`_passes` into ``out``; return the others.
+
+    ``games``, ``answer`` and ``scale`` hold one candidate per game of
+    ``at``; ``out = (value, x, y)`` is indexed by game.
+    """
+    ok = _passes(games, answer, scale)
+    kept = at[ok]
     for o, a in zip(out, answer[:3]):
-        o[kept] = a if every else a[ok]
+        o[kept] = a[ok]
     return at[~ok]
 
 
@@ -368,21 +379,24 @@ def solve_games(payoffs: np.ndarray, previous=None):
     whose square supports are the first candidates of the module docstring;
     a caller carries it to the next call, which rebuilds it only when a
     support has changed.  They are tried in one pass, by one
-    :func:`_on_plan` and one :func:`_keep`; each enumerated candidate is one
-    more of each over the games still open.  The games left over go to
-    :func:`_maximin` as one stack, and those it leaves open to
-    :func:`_exact` one at a time, each stage's answers through the same
+    :func:`_on_plan` and one :func:`_passes`, whose arrays are the results,
+    uncopied, for the games that pass; each enumerated candidate is one more
+    :func:`_on_plan` and :func:`_keep` over the games still open.  The games
+    left over go to :func:`_maximin` as one stack, and those it leaves open
+    to :func:`_exact` one at a time, each stage's answers through the same
     :func:`_keep`.  Returns ``(value, x, y, failed)``: ``failed`` maps the
     position in ``payoffs`` of each game whose exact answer failed the test,
     or that reached the exact simplex's pivot cap, to the message, and the
     other results of those games are meaningless.
     """
     size, n_rows, n_cols = payoffs.shape
-    out = (np.zeros(size), np.zeros((size, n_rows)), np.zeros((size, n_cols)))
-    scale = WARM_START_TOL * np.abs(payoffs).max(axis=(1, 2), initial=np.finfo(float).tiny)
-    pending = np.arange(size)
-    if previous is not None:
-        pending = _keep(out, pending, payoffs, _on_plan(payoffs, previous[1]), scale)
+    magnitudes = np.abs(payoffs).reshape(size, n_rows * n_cols)
+    scale = WARM_START_TOL * _across(np.maximum, magnitudes, initial=_TINY)
+    if previous is None:
+        out, pending = _blank(payoffs)[:3], np.arange(size)
+    else:  # a later stage overwrites the warm answer of each game that fails
+        answer = _on_plan(payoffs, previous[1])
+        out, pending = answer[:3], np.flatnonzero(~_passes(payoffs, answer, scale))
     for s, t in _square_supports(n_rows, n_cols):
         if not pending.size:
             break
@@ -412,8 +426,8 @@ def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: n
 
     Takes one game or a stack of equally shaped games along leading axes.
     """
-    best_row = np.einsum("...ij,...j->...i", payoff, col_strategy).max(axis=-1)
-    best_col = np.einsum("...i,...ij->...j", row_strategy, payoff).min(axis=-1)
+    best_row = _across(np.maximum, np.einsum("...ij,...j->...i", payoff, col_strategy))
+    best_col = _across(np.minimum, np.einsum("...i,...ij->...j", row_strategy, payoff))
     return np.maximum(best_row - best_col, 0.0)
 
 

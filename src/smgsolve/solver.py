@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range
+from .shapley import StationaryStrategyPair, _Slices, _evaluate_with, _pair_arrays, _raise_beyond_range
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -204,14 +204,20 @@ def trace_csv(m: GameModel, report: SolveReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows(m: GameModel, strategies, ptr):
+    """Each state's strategy as floats, in state order; one ``tolist`` when ``ptr`` cuts ``strategies``."""
+    if type(strategies) is _Slices and strategies.ptr is ptr:
+        flat, cuts = strategies.flat.tolist(), ptr.tolist()
+        return [flat[i:j] for i, j in zip(cuts, cuts[1:])]
+    return (map(float, strategies[x]) for x in m.states)
+
+
 def strategy_tables(m: GameModel, pair: StationaryStrategyPair) -> dict:
     """JSON-ready ``{state: {"f": {action: prob}, "g": {action: prob}}}``."""
+    f, g = _rows(m, pair.f, m.table.f_ptr), _rows(m, pair.g, m.table.g_ptr)
     return {
-        x: {
-            "f": {a: float(p) for a, p in zip(m.actions1[x], pair.f[x])},
-            "g": {b: float(p) for b, p in zip(m.actions2[x], pair.g[x])},
-        }
-        for x in m.states
+        x: {"f": dict(zip(m.actions1[x], p)), "g": dict(zip(m.actions2[x], q))}
+        for x, p, q in zip(m.states, f, g)
     }
 
 

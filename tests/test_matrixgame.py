@@ -25,7 +25,7 @@ from smgsolve import (
 )
 from smgsolve.cli import main
 
-from conftest import INVESTMENT_DOC, failing_simplex, solve_2x2_by_equalizing, sparse_doc
+from conftest import INVESTMENT_DOC, failing_simplex, random_model, solve_2x2_by_equalizing, sparse_doc
 
 SADDLE_TOL = 1e-9
 
@@ -589,6 +589,121 @@ def test_the_warm_pass_answers_each_game_as_the_per_size_passes_do(stack):
     assert got_value[kept].tobytes() == value[kept].tobytes()
     assert got_x[kept].tobytes() == x[kept].tobytes()
     assert got_y[kept].tobytes() == y[kept].tobytes()
+
+
+def _per_row_exploitability(payoffs, x, y):
+    """``exploitability`` with each game's maximum and minimum taken along its own row."""
+    best_row = np.einsum("...ij,...j->...i", payoffs, y).max(axis=-1)
+    best_col = np.einsum("...i,...ij->...j", x, payoffs).min(axis=-1)
+    return np.maximum(best_row - best_col, 0.0)
+
+
+def _assert_same_bits(got, want):
+    """Bit for bit, but any NaN for a NaN: which NaN a max or min returns depends on its order."""
+    lost = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), lost)
+    assert got[~lost].tobytes() == want[~lost].tobytes()
+
+
+def _odd_stack(rng, size, m, l):
+    """Payoffs and candidate strategies holding NaN, negative entries, -0.0 and +-inf."""
+    payoffs = rng.normal(size=(size, m, l))
+    x, y = rng.dirichlet(np.ones(m), size), rng.dirichlet(np.ones(l), size)
+    for a in (payoffs, x, y):
+        odd = rng.random(a.shape)
+        a[odd < 0.04] = -0.0
+        a[(0.04 <= odd) & (odd < 0.06)] = -0.25
+        a[(0.06 <= odd) & (odd < 0.07)] = np.nan
+        if a is payoffs:
+            a[(0.07 <= odd) & (odd < 0.08)] = np.inf
+            a[(0.08 <= odd) & (odd < 0.09)] = -np.inf
+    return payoffs, x, y
+
+
+@pytest.mark.parametrize("size", [1, 3, 191, 600])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (10, 10)])
+def test_the_acceptance_test_matches_the_per_row_reference_game_by_game(size, shape):
+    rng = np.random.default_rng(size * 100 + shape[0] * 10 + shape[1])
+    payoffs, x, y = _odd_stack(rng, size, *shape)
+    regular = rng.random(size) < 0.9
+    # max|A| across the games, as solve_games takes it for the scale
+    top = matrixgame._across(np.maximum, np.abs(payoffs).reshape(size, -1), initial=matrixgame._TINY)
+    _assert_same_bits(top, np.abs(payoffs).max(axis=(1, 2), initial=np.finfo(float).tiny))
+    with np.errstate(invalid="ignore"):  # inf - inf, and inf times a zero weight
+        gap = _per_row_exploitability(payoffs, x, y)
+        _assert_same_bits(matrixgame.exploitability(payoffs, x, y), gap)
+        # a third of the games sit exactly at their scale, a third just below it
+        scale = matrixgame.WARM_START_TOL * top
+        at, below = rng.random(size) < 1 / 3, rng.random(size) < 1 / 2
+        scale[at] = gap[at]
+        scale[~at & below] = np.nextafter(gap[~at & below], -np.inf)
+        signs = regular & (x.min(axis=1) >= 0.0) & (y.min(axis=1) >= 0.0)
+        got = matrixgame._passes(payoffs, (np.zeros(size), x, y, regular), scale)
+    np.testing.assert_array_equal(got, signs & (gap <= scale))
+    assert got[signs & at & ~np.isnan(gap)].all()
+
+
+def test_exploitability_takes_one_game_and_a_stack_along_two_leading_axes():
+    rng = np.random.default_rng(33)
+    payoffs, x, y = _odd_stack(rng, 12, 4, 3)
+    with np.errstate(invalid="ignore"):
+        gap = _per_row_exploitability(payoffs, x, y)
+        for i in range(12):
+            one = matrixgame.exploitability(payoffs[i], x[i], y[i])
+            assert np.ndim(one) == 0
+            _assert_same_bits(np.asarray(one), gap[i])
+        grid = matrixgame.exploitability(payoffs.reshape(3, 4, 4, 3), x.reshape(3, 4, 4), y.reshape(3, 4, 3))
+    assert grid.shape == (3, 4)
+    _assert_same_bits(grid.ravel(), gap)
+
+
+def _steady_stack(rng):
+    """600 2x2 games and their answers, then the games nudged so that every previous support still holds."""
+    payoffs = rng.normal(size=(600, 2, 2))
+    value, x, y, failed = matrixgame.solve_games(payoffs)
+    assert failed == {}
+    return payoffs + 1e-9 * rng.normal(size=payoffs.shape), (x, y)
+
+
+def test_a_steady_warm_stack_hands_over_the_copy_paths_answers_sharing_no_memory(simplex_calls):
+    payoffs, previous = _steady_stack(np.random.default_rng(34))
+    (value, x, y), pending = _warm_pass_per_size(payoffs, previous)
+    assert pending.size == 0  # every game passes on its previous supports
+    got = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous))
+    assert simplex_calls == [] and got[3] == {}
+    for a, b in zip(got[:3], (value, x, y)):
+        assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(a, payoffs)
+    none = np.zeros((0, 2))
+    empty = matrixgame.solve_games(np.zeros((0, 2, 2)), matrixgame._warm_plan(none, none))
+    assert [a.shape for a in empty[:3]] == [(0,), (0, 2), (0, 2)] and empty[3] == {}
+
+
+def test_a_warm_stack_with_one_failing_game_keeps_the_others_and_solves_that_one_afresh():
+    rng = np.random.default_rng(35)
+    payoffs, previous = _steady_stack(rng)
+    # the row its previous support leaves out, or the other one, strictly dominates
+    payoffs[417] = [[3.0, 2.0], [0.0, 1.0]] if previous[0][417, 0] == 0.0 else [[0.0, 1.0], [3.0, 2.0]]
+    (value, x, y), pending = _warm_pass_per_size(payoffs, previous)
+    assert pending.tolist() == [417]
+    value[417], x[417], y[417] = (a[0] for a in matrixgame.solve_games(payoffs[417:418])[:3])
+    got = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous))
+    assert got[3] == {}
+    for a, b in zip(got[:3], (value, x, y)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_the_across_games_reductions_change_no_bit_of_value_iteration(monkeypatch):
+    rng = np.random.default_rng(36)
+    models = [random_model(rng, max_states=6, max_actions=6) for _ in range(150)]
+    across = [value_iterate(m, 1e-6) for m in models]
+    # the per-row reductions the acceptance test used to take
+    monkeypatch.setattr(matrixgame, "_across", lambda ufunc, a, **kw: ufunc.reduce(a, axis=-1, **kw))
+    for m, want in zip(models, across):
+        got = value_iterate(m, 1e-6)
+        assert got.value_trace.tobytes() == want.value_trace.tobytes()
+        assert got.equilibrium.f.flat.tobytes() == want.equilibrium.f.flat.tobytes()
+        assert got.equilibrium.g.flat.tobytes() == want.equilibrium.g.flat.tobytes()
 
 
 def test_the_solver_never_imports_numpy_ma():

@@ -685,6 +685,25 @@ def test_strategy_tables_layout(investment_model):
     assert tables["3"]["f"]["a31"] == pytest.approx(1.0, abs=1e-10)
 
 
+@CARRIED_DOCS
+def test_strategy_tables_cut_a_library_pairs_flat_arrays_as_a_per_state_read(doc, monkeypatch):
+    m = load_model(json.dumps(doc()))
+    pair = value_iterate(m, 1e-6).equilibrium
+    per_state = {  # the tables as read state by state
+        x: {
+            "f": {a: float(p) for a, p in zip(m.actions1[x], pair.f[x])},
+            "g": {b: float(p) for b, p in zip(m.actions2[x], pair.g[x])},
+        }
+        for x in m.states
+    }
+    want = json.dumps(per_state)
+    other = load_model(json.dumps(doc()))  # its table cuts another ptr, so its pair is read per state
+    for model, strategies in ((m, pair), (m, plain_copy(pair)), (other, pair)):
+        assert json.dumps(strategy_tables(model, strategies)) == want
+    monkeypatch.setattr(type(pair.f), "__getitem__", lambda *_: pytest.fail("read per state"))
+    assert json.dumps(strategy_tables(m, pair)) == want
+
+
 def test_epsilon_nash_radii(investment_model):
     report = value_iterate(investment_model, 1e-4, v0=np.ones(3))
     cert = report.certificate
