@@ -378,7 +378,9 @@ def solve_games(payoffs: np.ndarray, previous=None):
     ``previous`` is :func:`_warm_plan` of the last answer's strategy stacks,
     whose square supports are the first candidates of the module docstring;
     a caller carries it to the next call, which rebuilds it only when a
-    support has changed.  They are tried in one pass, by one
+    support has changed.  A missing ``previous`` is the empty plan ``()``,
+    which solves no game, so a cold stack takes the same warm pass with
+    every game still open.  The supports are tried in one pass, by one
     :func:`_on_plan` and one :func:`_passes`, whose arrays are the results,
     uncopied, for the games that pass; each enumerated candidate is one more
     :func:`_on_plan` and :func:`_keep` over the games still open.  The games
@@ -392,11 +394,9 @@ def solve_games(payoffs: np.ndarray, previous=None):
     size, n_rows, n_cols = payoffs.shape
     magnitudes = np.abs(payoffs).reshape(size, n_rows * n_cols)
     scale = WARM_START_TOL * _across(np.maximum, magnitudes, initial=_TINY)
-    if previous is None:
-        out, pending = _blank(payoffs)[:3], np.arange(size)
-    else:  # a later stage overwrites the warm answer of each game that fails
-        answer = _on_plan(payoffs, previous[1])
-        out, pending = answer[:3], np.flatnonzero(~_passes(payoffs, answer, scale))
+    # a later stage overwrites the warm answer of each game that fails
+    answer = _on_plan(payoffs, () if previous is None else previous[1])
+    out, pending = answer[:3], np.flatnonzero(~_passes(payoffs, answer, scale))
     for s, t in _square_supports(n_rows, n_cols):
         if not pending.size:
             break

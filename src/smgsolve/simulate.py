@@ -194,50 +194,42 @@ class _SamplingTable:
             pos += (self.cum[np.minimum(pos + (stride - 1), last)] <= u) * stride
         return self.table.succ[np.minimum(pos, last)]
 
-
-class _Sampler:
-    """A pair's cumulative strategy columns, drawn from with the model's sampling table.
-
-    ``f_cols``/``g_cols`` are the columns of each state's cumulative
-    strategies in the flat pair (see :func:`_cum_columns`), and ``sampling``
-    the model's :class:`_SamplingTable`.
-    """
-
-    def __init__(self, m: GameModel, pair: StationaryStrategyPair):
-        t = m.table
-        f, g = _pair_arrays(m, pair)
-        self.sampling = m._sampling
-        self.f_cols, self.g_cols = _cum_columns(f, t.rows), _cum_columns(g, t.cols)
-        self.table = t
-
-    def triple(self, state: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    def triple(self, cols, state: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         """The row of each ``state``'s action pair drawn with uniforms ``ua`` and ``ub``.
 
-        Each action counts the state's cumulative strategy entries ``<= u``,
-        one column at a time.
+        ``cols`` is :func:`_columns` of the pair played; each action counts
+        the state's cumulative strategy entries ``<= u``, one column at a time.
         """
-        a = np.zeros(state.size, dtype=np.intp)
-        for col in self.f_cols:
+        t, a = self.table, np.zeros(state.size, dtype=np.intp)
+        for col in cols[0]:
             a += col[state] <= ua
-        tid = self.table.offset[state] + a * self.table.cols[state]
-        for col in self.g_cols:
+        tid = t.offset[state] + a * t.cols[state]
+        for col in cols[1]:
             tid += col[state] <= ub
         return tid
 
 
-def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
+def _columns(m: GameModel, pair: StationaryStrategyPair) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``(f_cols, g_cols)``, the :func:`_cum_columns` of the checked ``pair``'s two flat arrays."""
+    f, g = _pair_arrays(m, pair)
+    return _cum_columns(f, m.table.rows), _cum_columns(g, m.table.cols)
+
+
+def _run_batch(sampling: _SamplingTable, cols, draw, total: int, x0: int):
     """Drive ``total`` trajectories to truncation; returns (payoffs, tail_bounds).
 
     ``draw(k, ids)`` gives the four uniforms of sojourn ``k`` for each live
     trajectory in ``ids``, one row per slot and one column per trajectory,
     identically however many trajectories run together.  Actions are drawn
-    by :meth:`_Sampler.triple` (one count per cumulative strategy column,
-    ending at the last positive action) and holding times only from the
+    straight from the model's sampling table by :meth:`_SamplingTable.triple`
+    with the pair's columns ``cols`` (one count per cumulative strategy
+    column, ending at the last positive action), successors by
+    :meth:`_SamplingTable.successor`, and holding times only from the
     laws the table holds.  A trajectory leaves the arrays on the sojourn its
     discount falls below ``DISCOUNT_FLOOR``, or stops after ``MAX_SOJOURNS``
     sojourns; its tail bound is ``tail_coef`` times that discount.
     """
-    t, sampling = sampler.table, sampler.sampling
+    t = sampling.table
     payoffs = np.empty(total)
     tails = np.empty(total)
     ids = np.arange(total)
@@ -247,7 +239,7 @@ def _run_batch(sampler: _Sampler, draw, total: int, x0: int):
     (_, first), *rest = sampling.laws
     for k in range(MAX_SOJOURNS):
         u = draw(k, ids)
-        tid = sampler.triple(state, u[0], u[1])
+        tid = sampling.triple(cols, state, u[0], u[1])
         par = t.param[tid]
         tau = first.holding_time(u[2], par)
         kind = t.kind[tid]
@@ -282,10 +274,9 @@ def simulate_trajectory(
     ``rng`` is any object whose ``random(n)`` returns the next ``n``
     uniforms, such as ``trajectory_rng(seed, index)``.
     """
-    sampler = _Sampler(m, pair)
-    x0i = m.state_index(x0)
+    cols, sampling, x0i = _columns(m, pair), m._sampling, m.state_index(x0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        payoffs, tails = _run_batch(sampler, lambda k, ids: rng.random(4)[:, None], 1, x0i)
+        payoffs, tails = _run_batch(sampling, cols, lambda k, ids: rng.random(4)[:, None], 1, x0i)
     _raise_beyond_range(np.append(payoffs, tails), "the Monte Carlo estimate from state", [x0] * 2)
     return float(payoffs[0]), float(tails[0])
 
@@ -304,15 +295,14 @@ def estimate_value(
     """
     _check_run(trajectories, seed)
     bases = _bases(seed, np.arange(trajectories))
-    sampler = _Sampler(m, pair)
-    x0i = m.state_index(x0)
+    cols, sampling, x0i = _columns(m, pair), m._sampling, m.state_index(x0)
     payoffs, tails = np.empty(trajectories), np.empty(trajectories)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for start in range(0, trajectories, _BATCH):
             part = slice(start, start + _BATCH)
             batch = bases[part]
             payoffs[part], tails[part] = _run_batch(
-                sampler, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
+                sampling, cols, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
             )
         mean, spread = payoffs.mean(), payoffs.std(ddof=1)
         if not (math.isfinite(mean) and math.isfinite(spread)) and np.isfinite(payoffs).all():

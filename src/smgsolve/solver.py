@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import StationaryStrategyPair, _Slices, _evaluate_with, _pair_arrays, _raise_beyond_range
+from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range, omega_norm
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -99,7 +99,7 @@ def _change(op, updated: np.ndarray, previous: np.ndarray, top: float) -> tuple[
     if not peak + top < math.inf:
         with np.errstate(over="ignore"):
             _raise_beyond_range(updated - previous, "the change of value at state", op.states)
-    return float(np.max(np.abs(updated - previous) / op.table.weight)), peak
+    return omega_norm(updated - previous, op.table.weight), peak
 
 
 def value_iterate(
@@ -204,20 +204,22 @@ def trace_csv(m: GameModel, report: SolveReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows(m: GameModel, strategies, ptr):
-    """Each state's strategy as floats, in state order; one ``tolist`` when ``ptr`` cuts ``strategies``."""
-    if type(strategies) is _Slices and strategies.ptr is ptr:
-        flat, cuts = strategies.flat.tolist(), ptr.tolist()
-        return [flat[i:j] for i, j in zip(cuts, cuts[1:])]
-    return (map(float, strategies[x]) for x in m.states)
+def _rows(flat: np.ndarray, ptr: np.ndarray) -> list[list[float]]:
+    """The segments of ``flat`` that ``ptr`` cuts, as lists of floats, from one ``tolist``."""
+    flat, cuts = flat.tolist(), ptr.tolist()
+    return [flat[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 def strategy_tables(m: GameModel, pair: StationaryStrategyPair) -> dict:
-    """JSON-ready ``{state: {"f": {action: prob}, "g": {action: prob}}}``."""
-    f, g = _rows(m, pair.f, m.table.f_ptr), _rows(m, pair.g, m.table.g_ptr)
+    """JSON-ready ``{state: {"f": {action: prob}, "g": {action: prob}}}``.
+
+    The pair is read by :func:`~smgsolve.shapley._pair_arrays`, so a malformed pair
+    raises ``ValueError`` naming its first bad state; :func:`_rows` cuts its rows.
+    """
+    f, g = _pair_arrays(m, pair)
     return {
         x: {"f": dict(zip(m.actions1[x], p)), "g": dict(zip(m.actions2[x], q))}
-        for x, p, q in zip(m.states, f, g)
+        for x, p, q in zip(m.states, _rows(f, m.table.f_ptr), _rows(g, m.table.g_ptr))
     }
 
 

@@ -726,3 +726,36 @@ sys.exit("numpy.ma" in sys.modules or failed != {{}})
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _cold_and_empty_plan(payoffs):
+    """``solve_games(payoffs)`` and the same stack on the plan of all-zero strategy stacks."""
+    size, n_rows, n_cols = payoffs.shape
+    empty = matrixgame._warm_plan(np.zeros((size, n_rows)), np.zeros((size, n_cols)))
+    assert empty[1] == ()
+    return matrixgame.solve_games(payoffs), matrixgame.solve_games(payoffs, empty)
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (4, 4), (10, 10)])
+def test_a_cold_stack_answers_as_the_warm_pass_on_the_empty_plan(n_rows, n_cols):
+    rng = np.random.default_rng(37 + 10 * n_rows + n_cols)
+    games = [rng.normal(size=(n_rows, n_cols)) * 10.0 for _ in range(12)]
+    games += [rng.integers(-2, 3, size=(n_rows, n_cols)).astype(float) for _ in range(12)]
+    games.append(np.full((n_rows, n_cols), 1.5))  # every square block above 1x1 is singular
+    games.append(np.outer(rng.normal(size=n_rows), rng.normal(size=n_cols)))  # rank one
+    for stack in (np.array(games), np.array(games[-2:]), np.zeros((0, n_rows, n_cols))):
+        cold, empty = _cold_and_empty_plan(stack)
+        assert cold[3] == empty[3] == {}
+        for a, b in zip(cold[:3], empty[:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(SINGULAR_BASIS))
+def test_a_cold_stack_whose_simplex_ends_on_a_singular_block_answers_as_the_empty_plan(name, exact_calls):
+    a = np.array(SINGULAR_BASIS[name], dtype=float)
+    stack = np.concatenate([a[None], np.random.default_rng(38).normal(size=(5, *a.shape))])
+    cold, empty = _cold_and_empty_plan(stack)
+    assert [c.tobytes() for c in exact_calls] == [a.tobytes()] * 2  # the singular game, both times
+    assert cold[3] == empty[3] == {}
+    for got, want in zip(cold[:3], empty[:3]):
+        assert got.tobytes() == want.tobytes()

@@ -24,7 +24,7 @@ from smgsolve import (
     value_iterate,
 )
 
-from smgsolve.simulate import _Sampler, _row_cumsum
+from smgsolve.simulate import _columns, _row_cumsum
 
 from conftest import (
     alpha_of,
@@ -82,6 +82,13 @@ def test_direct_weights_not_samplable(single_state_model):
         simulate_trajectory(m, pair, "s", rng)
     with pytest.raises(NotSamplableError):
         estimate_value(m, pair, "s", trajectories=10, seed=0)
+    # a malformed pair raises first, then the model, then an unknown start state
+    bad = StationaryStrategyPair(f={"s": np.array([0.5])}, g=pair.g)
+    for run in (simulate_trajectory, lambda *args: estimate_value(*args[:3], 10, 0)):
+        with pytest.raises(ValueError, match=r"^f\['s'\] is not a probability vector"):
+            run(m, bad, "nowhere", rng)
+        with pytest.raises(NotSamplableError):
+            run(m, pair, "nowhere", rng)
 
 
 @pytest.mark.parametrize(
@@ -116,9 +123,8 @@ def test_a_zero_probability_successor_is_never_drawn(states, row, drawn):
     m = load_model(json.dumps(doc))
     one = np.ones(1)
     pair = StationaryStrategyPair(f={s: one for s in states}, g={s: one for s in states})
-    sampler = _Sampler(m, pair)
     tid = np.array([m.table.where[("x", "a", "b")]])
-    assert sampler.sampling.successor(tid, np.array([u])).tolist() == [m.state_index(drawn)]
+    assert m._sampling.successor(tid, np.array([u])).tolist() == [m.state_index(drawn)]
     payoff, _ = simulate_trajectory(m, pair, "x", ConstantStream())
     assert payoff == 0.0  # the second sojourn at z would have earned 100 * (1 - e^-0.1) * e^-0.1
 
@@ -147,8 +153,8 @@ def test_a_zero_probability_action_is_never_drawn():
     one = np.ones(1)
     f = {"x": np.array([0.7, 0.2, 0.1, 0.0]), "y": one}
     pair = StationaryStrategyPair(f=f, g={"x": one, "y": one})
-    sampler = _Sampler(m, pair)
-    tid = sampler.triple(np.array([m.state_index("x")]), np.array([u]), np.array([u]))
+    cols = _columns(m, pair)
+    tid = m._sampling.triple(cols, np.array([m.state_index("x")]), np.array([u]), np.array([u]))
     assert [m.table.labels[i] for i in tid] == [("x", "a2", "b")]
     payoff, _ = simulate_trajectory(m, pair, "x", ConstantStream())
     assert payoff == 0.0  # a3 would have earned 100 * (1 - e^-0.1) in the first sojourn
@@ -184,7 +190,7 @@ def test_action_draws_match_a_search_of_the_dense_cumulative_rows():
     g = {x: strategy(k) for x, (_, k) in widths.items()}
     f["w10"] = np.array([0.7, 0.2, 0.1] + [0.0] * 7)  # sums to just below 1 before its zeros
     g["w1"] = np.array([0.5, 0.0, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    sampler = _Sampler(m, StationaryStrategyPair(f=f, g=g))
+    cols = _columns(m, StationaryStrategyPair(f=f, g=g))
 
     top = np.nextafter(1.0, 0.0)
 
@@ -205,7 +211,7 @@ def test_action_draws_match_a_search_of_the_dense_cumulative_rows():
                 ub.append(pb)
                 a, b = reference(f[x], pa), reference(g[x], pb)
                 expected.append(m.table.where[(x, f"a{a}", f"b{b}")])
-    tid = sampler.triple(np.array(state), np.array(ua), np.array(ub))
+    tid = m._sampling.triple(cols, np.array(state), np.array(ua), np.array(ub))
     np.testing.assert_array_equal(tid, expected)
 
 
@@ -214,7 +220,7 @@ def test_successor_draws_match_a_search_of_the_dense_cumulative_rows():
     # at or above a row's total the draw is the row's last nonzero
     m = load_model(json.dumps(sparse_doc(60, seed=5, successors=11)))  # 4 search steps
     rng = np.random.default_rng(8)
-    sampler = _Sampler(m, random_pair(rng, m))
+    _columns(m, random_pair(rng, m))  # the pair takes its draws from rng before the probes do
     rows = np.array([transition_of(m, t) for t in m.triples()])
     dense = np.cumsum(rows, axis=1)
     last = np.array([np.flatnonzero(row)[-1] for row in rows])
@@ -224,7 +230,7 @@ def test_successor_draws_match_a_search_of_the_dense_cumulative_rows():
     u[1::8] = dense[tid[1::8], -1]  # the row's total
     u[3::8] = np.nextafter(dense[tid[3::8], -1], 2.0)  # just above it
     expected = np.where(u < dense[tid, -1], (dense[tid] <= u[:, None]).sum(axis=1), last[tid])
-    np.testing.assert_array_equal(sampler.sampling.successor(tid, u), expected)
+    np.testing.assert_array_equal(m._sampling.successor(tid, u), expected)
 
 
 def test_row_running_sums_match_a_plain_left_to_right_sum_per_row():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -685,7 +686,11 @@ def test_strategy_tables_layout(investment_model):
     assert tables["3"]["f"]["a31"] == pytest.approx(1.0, abs=1e-10)
 
 
-@CARRIED_DOCS
+@pytest.mark.parametrize(
+    "doc",
+    [*CARRIED_DOCS.args[1], lambda: bench_doc("wide-actions")],
+    ids=[*CARRIED_DOCS.kwargs["ids"], "wide-actions"],
+)
 def test_strategy_tables_cut_a_library_pairs_flat_arrays_as_a_per_state_read(doc, monkeypatch):
     m = load_model(json.dumps(doc()))
     pair = value_iterate(m, 1e-6).equilibrium
@@ -702,6 +707,64 @@ def test_strategy_tables_cut_a_library_pairs_flat_arrays_as_a_per_state_read(doc
         assert json.dumps(strategy_tables(model, strategies)) == want
     monkeypatch.setattr(type(pair.f), "__getitem__", lambda *_: pytest.fail("read per state"))
     assert json.dumps(strategy_tables(m, pair)) == want
+
+
+# (player, row at state "2") of a malformed pair, and the message naming it;
+# state "3" of f is malformed too, but "2" comes first
+MALFORMED_ROWS = {
+    "short row": ("f", [1.0], r"f\['2'\] must have length 2"),
+    "long row": ("g", [0.5, 0.25, 0.25], r"g\['2'\] must have length 2"),
+    "NaN row": ("g", [math.nan, math.nan], r"g\['2'\] is not a probability vector"),
+    "row summing to 1.4": ("f", [0.7, 0.7], r"f\['2'\] is not a probability vector"),
+    "missing state": ("g", None, r"strategy pair missing state '2'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ROWS))
+def test_strategy_tables_raise_naming_the_first_malformed_state(investment_model, case):
+    player, row, message = MALFORMED_ROWS[case]
+    pair = plain_copy(value_iterate(investment_model, 1e-6).equilibrium)
+    strategies = getattr(pair, player)
+    if row is None:
+        del strategies["2"]
+    else:
+        strategies["2"] = np.array(row)
+    pair.f["3"] = np.array([1.0])
+    with pytest.raises(ValueError, match=f"^{message}"):
+        strategy_tables(investment_model, pair)
+
+
+# sha256 of value_iterate(m, 1e-6)'s error trace, value trace and pair on the
+# 150 models of the test below, recorded at commit 3846861
+SOLVES_SHA256 = "513b812f98ec4f46"
+# the kernels those solves round through, on fixed inputs, where the pin was
+# recorded: stacked np.linalg.solve, einsum, and the loader's math.exp/expm1
+SOLVE_KERNELS_SHA256 = "a84d3aa7b24af783"
+
+
+def solve_kernels_sha256() -> str:
+    rng = np.random.default_rng(40)
+    systems = [rng.normal(size=(64, k, k)) for k in range(2, 8)]
+    kernels = b"".join(np.linalg.solve(a, np.ones((a.shape[1], 1))).tobytes() for a in systems)
+    a, y = rng.normal(size=(64, 6, 6)), rng.random((64, 6))
+    kernels += np.einsum("...ij,...j->...i", a, y).tobytes() + np.einsum("...i,...ij->...j", y, a).tobytes()
+    grid = (np.arange(4096) * 2.0**-8).tolist()
+    kernels += np.array([(math.exp(-t), math.expm1(-t)) for t in grid]).tobytes()
+    return hashlib.sha256(kernels).hexdigest()[:16]
+
+
+def test_value_iteration_is_pinned_bit_for_bit_on_random_models():
+    if solve_kernels_sha256() != SOLVE_KERNELS_SHA256:
+        pytest.skip("the solves' kernels round differently here than where the pin was recorded")
+    rng = np.random.default_rng(39)
+    digest = hashlib.sha256()
+    for i in range(150):
+        m = random_model(rng, max_states=6, max_actions=5, unit_weight=i % 2 == 0)
+        report = value_iterate(m, 1e-6)
+        digest.update(np.array(report.error_trace).tobytes() + report.value_trace.tobytes())
+        f, g = _pair_arrays(m, report.equilibrium)
+        digest.update(f.tobytes() + g.tobytes())
+    assert digest.hexdigest()[:16] == SOLVES_SHA256
 
 
 def test_epsilon_nash_radii(investment_model):
