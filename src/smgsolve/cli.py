@@ -145,7 +145,7 @@ def _initial_values(config: RunConfig, m: GameModel) -> np.ndarray | None:
         missing = [x for x in m.states if x not in table]
         if missing:
             raise _InputError(f"v0 file missing states {missing}")
-        unknown = set(table) - set(m.states)
+        unknown = set(table) - m.table.index.keys()
         if unknown:
             raise _InputError(f"v0 file lists unknown states {sorted(unknown)}")
         return np.array([_finite(table[x], f"v0 file at state {x!r}") for x in m.states])
@@ -174,7 +174,7 @@ def _load_pair(config: RunConfig, m: GameModel) -> StationaryStrategyPair:
                 raise _InputError(f"strategies[{x!r}].{side} names unknown actions {sorted(unknown)}")
             vec = [_finite(probs.get(a, 0.0), f"strategies[{x!r}].{side}[{a!r}]") for a in acts]
             dest[x] = _as_input(_checked_distribution, vec, len(acts), f"strategies[{x!r}].{side}")
-    unknown = set(table) - set(m.states)
+    unknown = set(table) - m.table.index.keys()
     if unknown:
         raise _InputError(f"strategies file lists unknown states {sorted(unknown)}")
     return StationaryStrategyPair(f=f, g=g)
@@ -229,7 +229,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     m, digest = _load_model(config)
     if config.state is None:
         raise _InputError("simulate requires --state")
-    if config.state not in m.states:
+    if config.state not in m.table.index:
         raise _InputError(f"unknown state {config.state!r}")
     _as_input(_check_run, config.trajectories, config.seed)
     _as_input(_check_iteration, config.epsilon, None)

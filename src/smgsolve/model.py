@@ -241,16 +241,19 @@ class TripleTable:
     ``d`` in ``param`` and their ``lam`` in ``lam``).  :func:`load_model`
     fills ``lam`` and ``d`` of the other laws once the model is valid.
     Row ``i``'s successors are ``succ[indptr[i]:indptr[i + 1]]`` (nonzeros
-    only, in state order) with probabilities ``prob`` at the same positions.
-    ``weight`` is the state weight ``omega``, one entry per state, 1.0 where
-    the document gives none.  A pair's mixed actions at ``x`` are slots
-    ``f_ptr[x]:f_ptr[x + 1]`` and ``g_ptr[x]:g_ptr[x + 1]`` of two flat arrays.
+    only, in state order) with probabilities ``prob`` at the same positions;
+    ``row_of[k]`` is the row that owns nonzero ``k``.  ``index`` maps each
+    state to its position.  ``weight`` is the state weight ``omega``, one
+    entry per state, 1.0 where the document gives none.  A pair's mixed
+    actions at ``x`` are slots ``f_ptr[x]:f_ptr[x + 1]`` and
+    ``g_ptr[x]:g_ptr[x + 1]`` of two flat arrays.
     """
 
     def __init__(self, states, actions1, actions2):
         """The rows of every admissible triple, all of them still empty."""
         self.labels = tuple((x, a, b) for x in states for a in actions1[x] for b in actions2[x])
         self.where = {t: i for i, t in enumerate(self.labels)}
+        self.index = {x: i for i, x in enumerate(states)}
         self.rows = np.array([len(actions1[x]) for x in states])
         self.cols = np.array([len(actions2[x]) for x in states])
         self.offset = np.concatenate(([0], np.cumsum(self.rows * self.cols)))
@@ -262,7 +265,7 @@ class TripleTable:
         self.alpha, self.reward, self.param, self.lam, self.d = np.full((5, size), np.nan)
         self.kind = np.full(size, -1, dtype=np.int8)
         self.indptr = np.zeros(size + 1, dtype=np.intp)
-        self.succ = np.zeros(0, dtype=np.intp)
+        self.succ = self.row_of = np.zeros(0, dtype=np.intp)
         self.prob = np.zeros(0)
 
     def __eq__(self, other):
@@ -287,9 +290,9 @@ class GameModel:
 
     Per-triple data and the state weight ``omega`` live only in ``table``.
     Instances are not mutated after validation and are safe to share across
-    threads; the state index, the value-update operator and the sampling
-    table of :mod:`smgsolve.simulate` are cached on first use and take no
-    part in ``==``.
+    threads; the value-update operator and the sampling table of
+    :mod:`smgsolve.simulate` are cached on first use and take no part in
+    ``==``.
     """
 
     states: tuple[str, ...]
@@ -300,10 +303,6 @@ class GameModel:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.states)}
 
     @cached_property
     def _operator(self):
@@ -319,7 +318,7 @@ class GameModel:
 
     def state_index(self, state: str) -> int:
         try:
-            return self._index[state]
+            return self.table.index[state]
         except KeyError:
             raise KeyError(f"unknown state {state!r}") from None
 
@@ -342,11 +341,12 @@ def validate_model(m: GameModel) -> list[str]:
     out: list[str] = []
     if not m.states:
         return ["model must declare at least one state"]
+    t = m.table
     structural = False
-    if len(set(m.states)) != len(m.states):
+    if len(t.index) != len(m.states):
         out.append("state labels must be unique")
         structural = True
-    for x, w in zip(m.states, m.table.weight.tolist()):
+    for x, w in zip(m.states, t.weight.tolist()):
         for label, table in (("actions1", m.actions1), ("actions2", m.actions2)):
             acts = table.get(x)
             if not acts:
@@ -360,7 +360,6 @@ def validate_model(m: GameModel) -> list[str]:
     if structural:  # per-triple checks need well-formed action sets
         return out
 
-    t = m.table
     for i in _suspect_rows(t).tolist():
         triple = t.labels[i]
         if t.kind[i] < 0:
@@ -401,13 +400,12 @@ def _suspect_rows(t: TripleTable) -> np.ndarray:
     is returned, for its checks involve the rate.
     """
     nnz = np.diff(t.indptr)
-    of = np.repeat(np.arange(nnz.size), nnz)  # the row of each nonzero
-    total = np.bincount(of, weights=t.prob, minlength=nnz.size)
+    total = np.bincount(t.row_of, weights=t.prob, minlength=nnz.size)
     fine = (t.kind >= 0) & (t.kind < len(ANALYTIC_LAWS))
     fine &= (t.alpha > 0.0) & (t.alpha < math.inf) & np.isfinite(t.reward)
     fine &= (t.param > 0.0) & (t.param < math.inf)
     fine &= np.abs(total - 1.0) + (nnz + 2) * 2.0**-53 * total <= TRANSITION_SUM_TOL
-    fine[of[t.prob < 0.0]] = False
+    fine[t.row_of[t.prob < 0.0]] = False
     return np.flatnonzero(~fine)
 
 
@@ -432,7 +430,7 @@ def _parse_actions(doc, key: str, states: tuple[str, ...]) -> dict[str, tuple[st
     raise ModelFormatError(f"{key!r} lists unknown states {sorted(unknown)}")
 
 
-def _fill(table: TripleTable, entries: list, index: dict[str, int]) -> bool:
+def _fill(table: TripleTable, entries: list) -> bool:
     """Fill ``table`` from the triple entries if every one is well formed.
 
     The screen reads each field as one column across all entries and checks
@@ -460,7 +458,7 @@ def _fill(table: TripleTable, entries: list, index: dict[str, int]) -> bool:
         kind = list(map(_KINDS.__getitem__, map(itemgetter("kind"), sojourn)))
         param = list(map(dict.__getitem__, sojourn, map(first.__getitem__, kind)))
         lam = list(map(dict.__getitem__, sojourn, map(last.__getitem__, kind)))
-        succ = list(map(index.__getitem__, chain.from_iterable(trans)))
+        succ = list(map(table.index.__getitem__, chain.from_iterable(trans)))
     except (KeyError, TypeError):  # a missing key, or an unhashable label or kind
         return False
     prob = list(chain.from_iterable(map(dict.values, trans)))
@@ -485,7 +483,7 @@ def _fill(table: TripleTable, entries: list, index: dict[str, int]) -> bool:
     # by triple, then by successor state (a row names each successor once)
     order = np.argsort(row * table.weight.size + succ)  # one weight per state
     table.indptr[1:] = np.cumsum(np.bincount(row, minlength=len(table.labels)))
-    table.succ, table.prob = succ[order], prob[order]
+    table.row_of, table.succ, table.prob = row[order], succ[order], prob[order]
     return True
 
 
@@ -589,7 +587,6 @@ def _load(text: str) -> GameModel:
     if not (isinstance(raw_states, list) and raw_states and set(map(type, raw_states)) <= {str}):
         raise ModelFormatError("'states' must be a nonempty array of strings")
     states: tuple[str, ...] = tuple(raw_states)
-    index = {x: i for i, x in enumerate(states)}
     actions1 = _parse_actions(doc, "actions1", states)
     actions2 = _parse_actions(doc, "actions2", states)
 
@@ -599,17 +596,17 @@ def _load(text: str) -> GameModel:
         if not isinstance(given, dict):
             raise ModelFormatError("'weight' must be an object mapping state to number")
         for x, w in given.items():
-            if x not in index:
+            if x not in table.index:
                 raise ModelFormatError(f"'weight' lists unknown state {x!r}")
             if type(w) is not float:
                 raise ModelFormatError(f"weight for state {x!r} must be a number")
-            table.weight[index[x]] = w
+            table.weight[table.index[x]] = w
 
     raw_triples = doc.get("triples")
     if not isinstance(raw_triples, list):
         raise ModelFormatError("'triples' must be an array")
-    if not _fill(table, raw_triples, index):
-        raise ModelFormatError(_first_fault(raw_triples, index, actions1, actions2))
+    if not _fill(table, raw_triples):
+        raise ModelFormatError(_first_fault(raw_triples, table.index, actions1, actions2))
 
     model = GameModel(states, actions1, actions2, table)
     violations = validate_model(model)

@@ -217,7 +217,6 @@ class ShapleyOperator:
         t = m.table
         # the model's parts, not the model: the model caches its operator
         self.states = m.states
-        self.index = m._index
         self.table = t
         self.n = m.n_states
         with np.errstate(over="ignore"):
@@ -294,7 +293,7 @@ class ShapleyOperator:
     def _pair(self, f: np.ndarray, g: np.ndarray) -> StationaryStrategyPair:
         """The pair whose per-state arrays are views of the flat ``f`` and ``g``, made read-only."""
         t = self.table
-        return StationaryStrategyPair(_Slices(self.index, f, t.f_ptr), _Slices(self.index, g, t.g_ptr))
+        return StationaryStrategyPair(_Slices(t.index, f, t.f_ptr), _Slices(t.index, g, t.g_ptr))
 
 
 def _raise_beyond_range(values: np.ndarray, what: str, names) -> None:

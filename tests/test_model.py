@@ -234,6 +234,12 @@ def _reverse_triples(doc):
     doc["triples"].reverse()
 
 
+def _zeros_listed_out_of_order(doc):
+    """Each transition lists every state, its own with probability 0, last state first."""
+    for e in doc["triples"]:
+        e["transition"] = {y: e["transition"].get(y, 0.0) for y in reversed(doc["states"])}
+
+
 ONLY = "('only', 'stay', 'stay')"
 FIRST = "('1', 'a11', 'b11')"
 
@@ -375,6 +381,11 @@ PINNED_MESSAGES = {
         INVESTMENT_DOC, lambda d: (d["triples"].pop(7), d["triples"][9].update(alpha=-1)),
         ModelValidationError,
         "triple ('2', 'a22', 'b22') missing entries: discount, payoff, sojourn, transition"),
+    # the missing row owns no nonzero, so every later nonzero's row shifts
+    "triple-missing-among-explicit-zeros": (
+        INVESTMENT_DOC, lambda d: (_zeros_listed_out_of_order(d), d["triples"].pop(7)),
+        ModelValidationError,
+        "triple ('2', 'a22', 'b22') missing entries: discount, payoff, sojourn, transition"),
     "alpha-zero": (
         SINGLE_STATE_DOC, lambda d: d["triples"][0].update(alpha=0), ModelValidationError,
         f"discount must be positive and finite: triple {ONLY} has 0.0"),
@@ -421,6 +432,12 @@ PINNED_MESSAGES = {
     "transition-negative": (
         INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"1": 0, "2": -0.5, "3": 1.5}),
         ModelValidationError, f"transition probabilities must be nonnegative: triple {FIRST}"),
+    "transition-negative-among-explicit-zeros": (
+        INVESTMENT_DOC,
+        lambda d: (_zeros_listed_out_of_order(d),
+                   d["triples"][11].update(transition={"3": 0.0, "2": 1.5, "1": -0.5})),
+        ModelValidationError,
+        "transition probabilities must be nonnegative: triple ('3', 'a32', 'b32')"),
     "transition-sum": (
         SINGLE_STATE_DOC, lambda d: d["triples"][0]["transition"].update(only=0.9),
         ModelValidationError, f"transition row must sum to 1 (got 0.9): triple {ONLY}"),
@@ -632,3 +649,45 @@ def test_the_table_does_not_depend_on_the_order_of_entries_or_keys(doc):
         again = load_model(json.dumps(_shuffled(doc, seed)))
         assert again.table == m.table
         assert again == m
+
+
+ZEROS_OUT_OF_ORDER_DOC = json.loads(_mutated(INVESTMENT_DOC, _zeros_listed_out_of_order))
+
+
+@pytest.mark.parametrize(
+    "models",
+    [
+        lambda: [load_model(json.dumps(INVESTMENT_DOC))],
+        lambda: [load_model(json.dumps(SINGLE_STATE_DOC))],
+        lambda: (random_model(np.random.default_rng(seed)) for seed in range(50)),
+        lambda: [load_model(json.dumps(sparse_doc(2000)))],
+        lambda: [load_model(json.dumps(ring_doc(500, 0.01)))],
+        lambda: [load_model(json.dumps(ZEROS_OUT_OF_ORDER_DOC))],
+    ],
+    ids=["investment", "single-state", "random", "sparse", "ring", "zeros-out-of-order"],
+)
+def test_each_nonzero_records_the_row_that_owns_it(models):
+    for m in models():
+        t = m.table
+        assert t.row_of.dtype == np.intp
+        assert t.row_of.size == t.succ.size
+        assert np.array_equal(t.row_of, np.repeat(np.arange(t.state.size), np.diff(t.indptr)))
+
+
+def test_explicit_zeros_out_of_state_order_load_as_the_document_without_them(investment_model):
+    assert 0.0 in ZEROS_OUT_OF_ORDER_DOC["triples"][0]["transition"].values()
+    assert load_model(json.dumps(ZEROS_OUT_OF_ORDER_DOC)).table == investment_model.table
+
+
+@pytest.mark.parametrize("doc", [INVESTMENT_DOC, SINGLE_STATE_DOC, sparse_doc(50)])
+def test_the_table_indexes_the_states_in_declaration_order(doc):
+    m = load_model(json.dumps(doc))
+    assert list(m.table.index.items()) == [(x, i) for i, x in enumerate(m.states)]
+    assert not hasattr(m, "_index")
+    assert not hasattr(m._operator, "index")
+
+
+def test_an_unknown_state_lookup_names_the_state(single_state_model):
+    with pytest.raises(KeyError) as err:
+        single_state_model.state_index("nope")
+    assert err.value.args == ("unknown state 'nope'",)

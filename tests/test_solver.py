@@ -238,6 +238,12 @@ def test_final_strategies_match_the_equalization_oracle(investment_model):
         np.testing.assert_allclose(report.equilibrium.g[x], gv, atol=1e-9)
 
 
+def test_a_solved_pair_finds_its_states_through_the_tables_index(investment_model):
+    report = value_iterate(investment_model, 1e-6)
+    assert report.equilibrium.f.index is investment_model.table.index
+    assert report.equilibrium.g.index is investment_model.table.index
+
+
 def test_unique_fixed_point_from_random_starts(investment_model):
     epsilon = 1e-6
     reports = []
