@@ -11,7 +11,6 @@ from .matrixgame import (
     MatrixGameError,
     MatrixGameSolution,
     solve_matrix_game,
-    verify_saddle_point,
 )
 from .model import (
     Deterministic,
@@ -106,5 +105,4 @@ __all__ = [
     "trajectory_rng",
     "validate_model",
     "value_iterate",
-    "verify_saddle_point",
 ]

@@ -9,7 +9,7 @@ Subcommands and exit codes:
 * ``game``      solve one standalone matrix game from a JSON array of arrays
 
 Exit status: 0 success, 1 a bug: a matrix game whose exact answer failed its
-saddle-point test (for a model, the message names the state), or any other
+acceptance test (for a model, the message names the state), or any other
 exception, which propagates; 2 parse or validation error, or values beyond
 the float64 range (the message names the state), 3 certificate failure, 4
 no convergence within the iteration cap.  Every JSON artifact
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrixgame import MatrixGameError, solve_matrix_game, verify_saddle_point
+from .matrixgame import MatrixGameError, solve_matrix_game
 from .model import GameModel, ModelError, NotSamplableError, load_model
 from .shapley import StationaryStrategyPair, _checked_distribution, evaluate_stationary_pair
 from .simulate import _check_run, estimate_value
@@ -270,17 +270,12 @@ def _cmd_game(config: RunConfig) -> int:
         for v in row:
             _finite(v, f"matrix row {i}")
     sol = solve_matrix_game(rows)
-    # checked at the payoff scale: a value near 0 says nothing of the rounding
-    scale = max(1.0, float(np.abs(np.asarray(rows, dtype=float)).max()))
-    ok, violation = verify_saddle_point(rows, sol.row_strategy, sol.col_strategy, tol=1e-9 * scale)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     payload = {
         "value": sol.value,
         "rowStrategy": [float(p) for p in sol.row_strategy],
         "colStrategy": [float(p) for p in sol.col_strategy],
         "dualityGap": sol.duality_gap,
-        "saddleVerified": bool(ok),
-        "worstDeviationGain": violation,
     }
     _emit(_artifact(config, digest, payload), config.out)
     return EXIT_OK

@@ -233,8 +233,9 @@ def equalize(sub: np.ndarray):
         sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         # the determinant's sign comes from the same LU, so it is 0 exactly
-        # where a pivot is, and cannot underflow; its log(0) is no fault
-        with np.errstate(divide="ignore"):
+        # where a pivot is, and cannot underflow; its log(0), and the log of
+        # an LU that overflows near the float limit, is no fault
+        with np.errstate(divide="ignore", invalid="ignore"):
             regular = (np.linalg.slogdet(system)[0] != 0.0).all(axis=0)
         system[:, ~regular] = np.eye(k + 1)
         sol = np.linalg.solve(system, rhs)
@@ -313,9 +314,7 @@ def _on_plan(c, plan):
 
 
 def _across(ufunc, a: np.ndarray, **reduce) -> np.ndarray:
-    """``ufunc`` over the last axis of ``a``, reduced across the games, not one short row at a time."""
-    if a.ndim > 2:  # .T would reverse the leading axes too
-        return _across(ufunc, a.reshape(-1, a.shape[-1]), **reduce).reshape(a.shape[:-1])
+    """``ufunc`` along each row of the 2-d ``a``, reduced across the games, not one short row at a time."""
     return ufunc.reduce(np.ascontiguousarray(a.T), axis=0, **reduce)
 
 
@@ -422,12 +421,9 @@ def solve_games(payoffs: np.ndarray, previous=None):
 
 
 def exploitability(payoff: np.ndarray, row_strategy: np.ndarray, col_strategy: np.ndarray):
-    """``max(A y) - min(x A)``, clipped at 0: the pair's total best-response gain.
-
-    Takes one game or a stack of equally shaped games along leading axes.
-    """
-    best_row = _across(np.maximum, np.einsum("...ij,...j->...i", payoff, col_strategy))
-    best_col = _across(np.minimum, np.einsum("...i,...ij->...j", row_strategy, payoff))
+    """``max(A y) - min(x A)``, clipped at 0, per game of a stack: the pair's total best-response gain."""
+    best_row = _across(np.maximum, np.einsum("nij,nj->ni", payoff, col_strategy))
+    best_col = _across(np.minimum, np.einsum("ni,nij->nj", row_strategy, payoff))
     return np.maximum(best_row - best_col, 0.0)
 
 
@@ -447,28 +443,9 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
         raise ValueError("payoff entries must be finite")
     # near the float limit a candidate's exploitability overflows to inf, which rejects it
     with np.errstate(over="ignore"):
-        (value,), (x,), (y,), failed = solve_games(a[None])
-        gap = float(exploitability(a, x, y))
+        value, x, y, failed = solve_games(a[None])
+        (gap,) = exploitability(a[None], x, y)
     if failed:
         raise MatrixGameError(failed[0])
-    return MatrixGameSolution(value=float(value), row_strategy=x, col_strategy=y, duality_gap=gap)
+    return MatrixGameSolution(float(value[0]), row_strategy=x[0], col_strategy=y[0], duality_gap=float(gap))
 
-
-def verify_saddle_point(payoff, row_strategy, col_strategy, tol: float) -> tuple[bool, float]:
-    """Check that no pure deviation beats the mixed pair by more than ``tol``.
-
-    Returns ``(ok, worst_violation)`` where the violation is the largest gain
-    available to either player from a single pure-strategy deviation.
-    """
-    a = np.asarray(payoff, dtype=float)
-    x = np.asarray(row_strategy, dtype=float)
-    y = np.asarray(col_strategy, dtype=float)
-    if a.ndim != 2 or x.shape != (a.shape[0],) or y.shape != (a.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: payoff {a.shape}, row {x.shape}, col {y.shape}"
-        )
-    value = float(x @ a @ y)
-    gain_row = float(np.max(a @ y)) - value
-    gain_col = value - float(np.min(x @ a))
-    violation = max(gain_row, gain_col, 0.0)
-    return violation <= tol, violation

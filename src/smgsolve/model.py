@@ -372,12 +372,13 @@ def validate_model(m: GameModel) -> list[str]:
             out.append(f"payoff must be a finite real number: triple {triple!r} has {reward!r}")
         out.extend(t.law(i).violations(alpha, triple))
         row = t.prob[t.indptr[i] : t.indptr[i + 1]].tolist()
+        if not all(map(math.isfinite, row)):
+            out.append(f"transition probabilities must be finite: triple {triple!r}")
+            continue
         try:
             total = math.fsum(row)
-        except (OverflowError, ValueError):  # raised for inf - inf and on overflow
-            total = math.nan
-        if not math.isfinite(total):
-            out.append(f"transition probabilities must be finite: triple {triple!r}")
+        except OverflowError:  # finite entries whose sum does not fit a float
+            out.append(f"transition probabilities sum beyond the float64 range: triple {triple!r}")
             continue
         if row and min(row) < 0.0:
             out.append(f"transition probabilities must be nonnegative: triple {triple!r}")
@@ -392,7 +393,7 @@ def _suspect_rows(t: TripleTable) -> np.ndarray:
     A row not returned is valid: its law is analytic with a positive finite
     parameter, its rate is positive and finite, its reward finite, its
     probabilities nonnegative, and its plain sum ``s`` over ``nnz``
-    nonzeros passes ``|s - 1| + (nnz + 2) * 2**-53 * s <= TRANSITION_SUM_TOL``.
+    nonzeros passes ``|s - 1| + (nnz + 2) * 2**-53 * |s| <= TRANSITION_SUM_TOL``.
     That term bounds the rounding of ``s`` (at most ``(nnz - 1) * 2**-53 *
     s`` to first order) plus that of the exact sum ``math.fsum`` returns,
     so the row's ``fsum`` passes the real test too.  NaN fails every
@@ -404,7 +405,7 @@ def _suspect_rows(t: TripleTable) -> np.ndarray:
     fine = (t.kind >= 0) & (t.kind < len(ANALYTIC_LAWS))
     fine &= (t.alpha > 0.0) & (t.alpha < math.inf) & np.isfinite(t.reward)
     fine &= (t.param > 0.0) & (t.param < math.inf)
-    fine &= np.abs(total - 1.0) + (nnz + 2) * 2.0**-53 * total <= TRANSITION_SUM_TOL
+    fine &= np.abs(total - 1.0) + (nnz + 2) * 2.0**-53 * np.abs(total) <= TRANSITION_SUM_TOL
     fine[t.row_of[t.prob < 0.0]] = False
     return np.flatnonzero(~fine)
 

@@ -351,3 +351,30 @@ def solve_2x2_by_equalizing(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarra
     q = (a[1, 1] - a[0, 1]) / denom
     value = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) / denom
     return float(value), np.array([p, 1.0 - p]), np.array([q, 1.0 - q])
+
+
+def verify_saddle_point(payoff, row_strategy, col_strategy, tol: float) -> tuple[bool, float]:
+    """Check that no pure deviation beats the mixed pair by more than ``tol``.
+
+    Returns ``(ok, worst_violation)`` where the violation is the largest gain
+    available to either player from a single pure-strategy deviation.
+    """
+    a = np.asarray(payoff, dtype=float)
+    x = np.asarray(row_strategy, dtype=float)
+    y = np.asarray(col_strategy, dtype=float)
+    if a.ndim != 2 or x.shape != (a.shape[0],) or y.shape != (a.shape[1],):
+        raise ValueError(
+            f"dimension mismatch: payoff {a.shape}, row {x.shape}, col {y.shape}"
+        )
+    value = float(x @ a @ y)
+    gain_row = float(np.max(a @ y)) - value
+    gain_col = value - float(np.min(x @ a))
+    violation = max(gain_row, gain_col, 0.0)
+    return violation <= tol, violation
+
+
+def strict_json(text):
+    """``text`` parsed as JSON that holds no ``NaN`` or ``Infinity``."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=refuse)

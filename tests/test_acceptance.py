@@ -24,7 +24,6 @@ from smgsolve import (
     omega_norm,
     solve_matrix_game,
     value_iterate,
-    verify_saddle_point,
 )
 from smgsolve.cli import RunConfig, run
 
@@ -36,6 +35,7 @@ from conftest import (
     random_model,
     reward_of,
     solve_2x2_by_equalizing,
+    verify_saddle_point,
 )
 from test_discounting import quad_continuation, quad_reward_weight
 

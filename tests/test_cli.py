@@ -16,9 +16,18 @@ from smgsolve.cli import RunConfig, config_from_args, main, run
 
 from conftest import (
     INVESTMENT_DOC, MODELS_DIR, SINGLE_STATE_DOC, failing_simplex, scaled_rewards_doc, uniform_pair,
+    strict_json, verify_saddle_point,
 )
 
 INVESTMENT = str(MODELS_DIR / "investment.json")
+GAME_KEYS = {"config", "model_sha256", "value", "rowStrategy", "colStrategy", "dualityGap"}
+
+
+def _assert_game_answer(matrix, doc):
+    """``doc`` is ``game``'s artifact: its one check, ``dualityGap``, is the pipeline's bound, and it holds."""
+    a = np.asarray(matrix, dtype=float)
+    assert set(doc) == GAME_KEYS
+    assert doc["dualityGap"] <= 1e-12 * np.abs(a).max()
 
 
 @pytest.fixture()
@@ -220,11 +229,13 @@ def test_simulate_rejects_an_unknown_state_before_the_certificate(tmp_path, caps
 def test_game_inline_matrix(capsys):
     assert run(RunConfig(command="game", matrix="[[1, -1], [-1, 1]]")) == 0
     out = capsys.readouterr().out
-    assert '"value": 0.0,' in out  # not -0.0
+    assert '"value": 0.0\n' in out  # not -0.0; the last key
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(0.0, abs=1e-12)
     assert doc["rowStrategy"] == [0.5, 0.5]
-    assert doc["saddleVerified"] is True
+    _assert_game_answer([[1, -1], [-1, 1]], doc)
+    ok, _ = verify_saddle_point([[1, -1], [-1, 1]], doc["rowStrategy"], doc["colStrategy"], tol=1e-9)
+    assert ok
 
 
 def test_game_from_file(tmp_path, capsys):
@@ -469,7 +480,10 @@ def test_game_verifies_a_large_game_of_value_zero_at_its_payoff_scale(capsys):
     assert run(RunConfig(command="game", matrix=json.dumps(a.tolist()))) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["value"]) <= 1e-6
-    assert doc["saddleVerified"] is True
+    _assert_game_answer(a, doc)
+    scale = max(1.0, float(np.abs(a).max()))
+    ok, _ = verify_saddle_point(a, doc["rowStrategy"], doc["colStrategy"], tol=1e-9 * scale)
+    assert ok
 
 
 def test_game_hashes_an_integer_matrix_as_written(capsys):
@@ -678,6 +692,34 @@ def test_game_near_the_float_limit_answers_without_an_overflow_warning(capsys):
     # test configuration the overflow warning would raise
     matrix = "[[1.7e308,-1.7e308,0],[-1.7e308,1.7e308,1],[0,1,-1.7e308]]"
     assert main(["game", matrix]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["saddleVerified"] is True
+    doc = strict_json(capsys.readouterr().out)
+    a = np.array(json.loads(matrix))
+    _assert_game_answer(a, doc)
+    ok, _ = verify_saddle_point(a, doc["rowStrategy"], doc["colStrategy"], tol=1e-9 * np.abs(a).max())
+    assert ok
     assert math.isfinite(doc["value"]) and math.isfinite(doc["dualityGap"])
+
+
+# in game A a mixed payoff x A y overflows, though the answer's exploitability
+# fits the float range; in game B the singular fallback's slogdet meets an LU
+# that overflows
+GAME_A = (
+    "[[1.0,8.9e307,8.9e307],[8.9e307,-1.7e308,1.7976931348623157e308],[0.0,1.7e308,1.7e308],"
+    "[1.7976931348623157e308,1.7976931348623157e308,1.7e308],"
+    "[1.7976931348623157e308,1.0,1.7976931348623157e308]]"
+)
+GAME_B = (
+    "[[1.7e308,-1.7e308,1.7976931348623157e308],[1.7976931348623157e308,1.7e308,"
+    "-1.7976931348623157e308],[0.0,-1.7976931348623157e308,1.7e308]]"
+)
+
+
+@pytest.mark.parametrize("matrix", [GAME_A, GAME_B], ids=["A", "B"])
+def test_game_at_the_float_limit_writes_strict_json_and_nothing_to_stderr(matrix, capsys):
+    assert main(["game", matrix]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = strict_json(out)
+    _assert_game_answer(json.loads(matrix), doc)
+    if matrix == GAME_A:
+        assert doc["dualityGap"] == 0.0

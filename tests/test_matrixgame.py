@@ -21,11 +21,17 @@ from smgsolve import (
     load_model,
     solve_matrix_game,
     value_iterate,
-    verify_saddle_point,
 )
 from smgsolve.cli import main
 
-from conftest import INVESTMENT_DOC, failing_simplex, random_model, solve_2x2_by_equalizing, sparse_doc
+from conftest import (
+    INVESTMENT_DOC,
+    failing_simplex,
+    random_model,
+    solve_2x2_by_equalizing,
+    sparse_doc,
+    verify_saddle_point,
+)
 
 SADDLE_TOL = 1e-9
 
@@ -398,9 +404,11 @@ def test_a_game_the_float_simplex_cannot_answer_is_answered_exactly(rows, tmp_pa
     assert main(["game", json.dumps(rows), "--out", str(out)]) == 0
     assert len(exact_calls) == 1
     doc = json.loads(out.read_text())
-    assert doc["saddleVerified"] is True
+    scale = max(1.0, float(np.abs(a).max()))
+    ok, _ = verify_saddle_point(a, doc["rowStrategy"], doc["colStrategy"], tol=1e-9 * scale)
+    assert ok and doc["dualityGap"] <= 1e-12 * scale
     low, high = _value_bracket(a, doc["rowStrategy"], doc["colStrategy"])
-    tol = 1e-12 * max(1.0, float(np.abs(a).max()))
+    tol = 1e-12 * scale
     assert doc["value"] - tol <= low <= high <= doc["value"] + tol
 
 
@@ -643,18 +651,21 @@ def test_the_acceptance_test_matches_the_per_row_reference_game_by_game(size, sh
     assert got[signs & at & ~np.isnan(gap)].all()
 
 
-def test_exploitability_takes_one_game_and_a_stack_along_two_leading_axes():
+def test_exploitability_takes_a_stack_and_solve_matrix_game_reports_it_for_one_game():
     rng = np.random.default_rng(33)
     payoffs, x, y = _odd_stack(rng, 12, 4, 3)
     with np.errstate(invalid="ignore"):
         gap = _per_row_exploitability(payoffs, x, y)
-        for i in range(12):
-            one = matrixgame.exploitability(payoffs[i], x[i], y[i])
-            assert np.ndim(one) == 0
-            _assert_same_bits(np.asarray(one), gap[i])
-        grid = matrixgame.exploitability(payoffs.reshape(3, 4, 4, 3), x.reshape(3, 4, 4), y.reshape(3, 4, 3))
-    assert grid.shape == (3, 4)
-    _assert_same_bits(grid.ravel(), gap)
+        _assert_same_bits(matrixgame.exploitability(payoffs, x, y), gap)
+        for i in range(12):  # a stack of one
+            one = matrixgame.exploitability(payoffs[i : i + 1], x[i : i + 1], y[i : i + 1])
+            assert one.shape == (1,)
+            _assert_same_bits(one, gap[i : i + 1])
+    for a in rng.normal(size=(12, 4, 3)):
+        sol = solve_matrix_game(a)
+        one = _per_row_exploitability(a, sol.row_strategy, sol.col_strategy)
+        assert np.ndim(one) == 0
+        assert np.float64(sol.duality_gap).tobytes() == one.tobytes()
 
 
 def _steady_stack(rng):

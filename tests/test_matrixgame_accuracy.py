@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from smgsolve import solve_matrix_game, verify_saddle_point
+from smgsolve import solve_matrix_game
 from smgsolve.matrixgame import exploitability
+
+from conftest import verify_saddle_point
 
 
 def test_forced_tiny_pivot_keeps_the_exact_value():
@@ -50,7 +52,8 @@ def _assert_exploitability_sweep_over_hard_random_games():
         assert x.min() >= 0.0 and y.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
         assert y.sum() == pytest.approx(1.0, abs=1e-12)
-        gap = exploitability(a, x, y)
+        (gap,) = exploitability(a[None], x[None], y[None])
+        assert sol.duality_gap == gap
         assert gap <= 1e-12 * max(1.0, np.abs(a).max()), f"game {n}: {gap} on {a!r}"
 
 

@@ -428,7 +428,16 @@ PINNED_MESSAGES = {
         ModelValidationError, f"transition probabilities must be finite: triple {FIRST}"),
     "transition-overflow": (
         INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": 1e308, "3": 1e308}),
+        ModelValidationError,
+        f"transition probabilities sum beyond the float64 range: triple {FIRST}"),
+    # the screen's rounding term once formed inf + -inf from these rows' totals
+    "transition-minus-infinity": (
+        INVESTMENT_DOC, lambda d: d["triples"][0]["transition"].update({"2": -math.inf}),
         ModelValidationError, f"transition probabilities must be finite: triple {FIRST}"),
+    "transition-minus-overflow": (
+        INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": -1e308, "3": -1e308}),
+        ModelValidationError,
+        f"transition probabilities sum beyond the float64 range: triple {FIRST}"),
     "transition-negative": (
         INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"1": 0, "2": -0.5, "3": 1.5}),
         ModelValidationError, f"transition probabilities must be nonnegative: triple {FIRST}"),

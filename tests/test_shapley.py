@@ -19,7 +19,6 @@ from smgsolve import (
     omega_norm,
     solve_matrix_game,
     value_iterate,
-    verify_saddle_point,
 )
 
 from conftest import (
@@ -38,6 +37,7 @@ from conftest import (
     scaled_rewards_doc,
     sparse_doc,
     uniform_pair,
+    verify_saddle_point,
 )
 from smgsolve.shapley import _evaluate_with, _pair_arrays
 

@@ -12,13 +12,13 @@ PUBLIC = [
     "estimate_value", "evaluate_stationary_pair", "find_regularity_params", "load_model",
     "omega_norm", "regularity_from_bounds", "serialize", "simulate_trajectory",
     "solve_matrix_game", "strategy_tables", "trace_csv", "trajectory_rng", "validate_model",
-    "value_iterate", "verify_saddle_point",
+    "value_iterate",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
     # a new public name, or a deleted wrapper coming back, shows up here
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 41
     assert sorted(smgsolve.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(smgsolve, name) is not None, name
