@@ -15,8 +15,9 @@ A support's answer is the equalizing pair of its block (Shapley and Snow
 1950): the previous supports of every size take one stacked solve of both
 players' bordered equalizer systems (:func:`equalize`) per support size
 and one acceptance test over all the games, and each enumerated candidate
-one more of each.  The grouping by support size is a plan of flat
-indices, built once and carried from call to call while supports hold.
+one more of each.  The grouping by support size is a plan of flat indices
+and of each size's bordered systems, their border written once per plan,
+carried from call to call while supports hold; a stack passing whole ends there.
 
 For the simplex, the payoff matrix ``A`` is normalized by its largest
 magnitude and shifted, ``P = A / max|A| + 2``, so every entry of ``P`` lies
@@ -206,7 +207,23 @@ def _exact(a: np.ndarray):
     return (last - total * shift) / (total * scale) + 0.0, x, y
 
 
-def equalize(sub: np.ndarray):
+def _bordered(n: int, k: int) -> np.ndarray:
+    """``n`` pairs of systems in ``(x, v)``, ``(y, v)``: blank blocks, a ``-1`` column, a ``1`` row."""
+    system = np.zeros((2, n, k + 1, k + 1))
+    system[:, :, :k, k] = -1.0
+    system[:, :, k, :k] = 1.0
+    return system
+
+
+@cache
+def _rhs(k: int) -> np.ndarray:
+    """The right-hand side of a bordered ``k x k`` system, read-only: a column, so NumPy 1.x broadcasts it."""
+    rhs = np.eye(k + 1)[:, k:].copy()
+    rhs.flags.writeable = False  # each call of one size shares it
+    return rhs
+
+
+def equalize(sub: np.ndarray, system: np.ndarray | None = None):
     """Both players' equalizer solutions on a stack of ``k x k`` blocks.
 
     For each block ``C`` of ``sub`` (shape ``(n, k, k)``) it solves the
@@ -215,19 +232,18 @@ def equalize(sub: np.ndarray):
     ``k == 1`` the answer is ``v = C[0, 0]`` and both mixtures the scalar
     1, with no solve.  ``regular`` is True, or False for the blocks whose
     system is singular, whose ``v``, ``x`` and ``y`` are then meaningless.
-    Nothing here checks signs or optimality.
+    Nothing here checks signs or optimality.  Only the blocks of ``system``,
+    the :func:`_bordered` buffer a plan carries, are written here; a
+    singular block is replaced in a copy, never in the buffer.
     """
     n, k = sub.shape[0], sub.shape[1]
     if k == 1:
         return sub[:, 0, 0], 1.0, 1.0, True
-    # unknowns (x, v) and (y, v): x C = v, C y = v, each mixture sums to 1
-    system = np.zeros((2, n, k + 1, k + 1))
+    if system is None:
+        system = _bordered(n, k)
     system[0, :, :k, :k] = sub.transpose(0, 2, 1)
     system[1, :, :k, :k] = sub
-    system[:, :, :k, k] = -1.0
-    system[:, :, k, :k] = 1.0
-    rhs = np.zeros((k + 1, 1))  # a column, so NumPy 1.x broadcasts it too
-    rhs[k] = 1.0
+    rhs = _rhs(k)
     regular = True
     try:
         sol = np.linalg.solve(system, rhs)
@@ -237,6 +253,7 @@ def equalize(sub: np.ndarray):
         # an LU that overflows near the float limit, is no fault
         with np.errstate(divide="ignore", invalid="ignore"):
             regular = (np.linalg.slogdet(system)[0] != 0.0).all(axis=0)
+        system = system.copy()
         system[:, ~regular] = np.eye(k + 1)
         sol = np.linalg.solve(system, rhs)
     sol = sol[..., 0]
@@ -268,15 +285,17 @@ def _blank(games):
 
 
 def _group(at, rs, cs, n_rows: int, n_cols: int):
-    """``(at, cells, x_slots, y_slots)``: the ``k x k`` blocks ``rs x cs`` of the games ``at``.
+    """``(at, cells, x_slots, y_slots, system)``: the ``k x k`` blocks ``rs x cs`` of the games ``at``.
 
     ``rs`` and ``cs`` hold each game's ``k`` row and column indices, or one
     row of them that every game shares.  ``cells``, ``x_slots`` and
     ``y_slots`` index the raveled stack of ``n_rows x n_cols`` games and its
-    raveled strategy stacks.
+    raveled strategy stacks; ``system`` is the games' :func:`_bordered`
+    buffer for :func:`equalize`, or None for ``k == 1``, which solves nothing.
     """
     cells = (at * (n_rows * n_cols))[:, None, None] + rs[:, :, None] * n_cols + cs[:, None, :]
-    return at, cells, (at * n_rows)[:, None] + rs, (at * n_cols)[:, None] + cs
+    system = _bordered(at.size, rs.shape[1]) if rs.shape[1] > 1 else None
+    return at, cells, (at * n_rows)[:, None] + rs, (at * n_cols)[:, None] + cs, system
 
 
 def _plan(rows, cols) -> tuple:
@@ -306,8 +325,8 @@ def _on_plan(c, plan):
     A game in no group is not solved and reads ``regular`` False.
     """
     value, x, y, regular = answer = _blank(c)
-    for at, cells, x_slots, y_slots in plan:
-        value[at], x_s, y_t, regular[at] = equalize(c.take(cells))
+    for at, cells, x_slots, y_slots, system in plan:
+        value[at], x_s, y_t, regular[at] = equalize(c.take(cells), system)
         x.put(x_slots, x_s)
         y.put(y_slots, y_t)
     return answer
@@ -381,7 +400,8 @@ def solve_games(payoffs: np.ndarray, previous=None):
     which solves no game, so a cold stack takes the same warm pass with
     every game still open.  The supports are tried in one pass, by one
     :func:`_on_plan` and one :func:`_passes`, whose arrays are the results,
-    uncopied, for the games that pass; each enumerated candidate is one more
+    uncopied, for the games that pass, and the whole answer when all of them
+    do; each enumerated candidate is one more
     :func:`_on_plan` and :func:`_keep` over the games still open.  The games
     left over go to :func:`_maximin` as one stack, and those it leaves open
     to :func:`_exact` one at a time, each stage's answers through the same
@@ -395,7 +415,10 @@ def solve_games(payoffs: np.ndarray, previous=None):
     scale = WARM_START_TOL * _across(np.maximum, magnitudes, initial=_TINY)
     # a later stage overwrites the warm answer of each game that fails
     answer = _on_plan(payoffs, () if previous is None else previous[1])
-    out, pending = answer[:3], np.flatnonzero(~_passes(payoffs, answer, scale))
+    ok = _passes(payoffs, answer, scale)
+    if ok.all():
+        return answer[0] + 0.0, answer[1], answer[2], {}
+    out, pending = answer[:3], np.flatnonzero(~ok)
     for s, t in _square_supports(n_rows, n_cols):
         if not pending.size:
             break

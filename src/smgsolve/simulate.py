@@ -86,9 +86,13 @@ def _check_run(trajectories, seed) -> None:
     _check_seed(seed)
 
 
-def _bases(seed: int, indices: np.ndarray) -> np.ndarray:
-    """The stream origin of each trajectory in ``indices`` of a run at a checked ``seed``."""
-    key = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)
+def _key(seed: int) -> np.ndarray:
+    """The key of a run at a checked ``seed``, which every stream origin of the run mixes in."""
+    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)
+
+
+def _bases(key: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The stream origin of each trajectory in ``indices`` of the run keyed ``key``."""
     return _mix(key ^ indices.astype(np.uint64) * _GOLDEN)
 
 
@@ -117,7 +121,7 @@ class _CounterStream:
 def trajectory_rng(seed: int, index: int) -> _CounterStream:
     """The stream driving trajectory ``index`` of a run at ``seed``."""
     _check_seed(seed)
-    return _CounterStream(_bases(seed, np.array([index])))
+    return _CounterStream(_bases(_key(seed), np.array([index])))
 
 
 def _cum_columns(s: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -292,15 +296,16 @@ def estimate_value(
 
     Trajectory ``i`` always reads the slots of ``trajectory_rng(seed, i)``,
     so the estimate depends only on the arguments, not on batch sizes.
+    Memory is 16 bytes per trajectory (payoff and tail) plus O(batch).
     """
     _check_run(trajectories, seed)
-    bases = _bases(seed, np.arange(trajectories))
+    key = _key(seed)
     cols, sampling, x0i = _columns(m, pair), m._sampling, m.state_index(x0)
     payoffs, tails = np.empty(trajectories), np.empty(trajectories)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for start in range(0, trajectories, _BATCH):
-            part = slice(start, start + _BATCH)
-            batch = bases[part]
+            batch = _bases(key, np.arange(start, min(start + _BATCH, trajectories)))
+            part = slice(start, start + batch.size)
             payoffs[part], tails[part] = _run_batch(
                 sampling, cols, lambda k, ids: _uniforms(batch[ids], 4 * k, 4), batch.size, x0i
             )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range, omega_norm
+from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -40,15 +40,12 @@ class SolveReport:
     which the stopping rule fired, so ``n + 1`` operator applications were
     made and ``error_trace`` has ``n + 1`` entries (the weighted sup-norm of
     each successive difference).  ``epsilon_nash`` is the certified distance
-    bound ``epsilon / (1 - eta_gamma)``; ``epsilon_nash_tight`` is a sharper
-    diagnostic using the largest continuation factor as the per-step rate,
-    meaningful when all state weights are 1 and not backed by the
-    certificate.  ``value_trace`` is an ``(applications, states)`` float
-    array: row ``k`` is the iterate after application ``k + 1``, the one
-    ``error_trace[k]`` measures.  ``n_epsilon_bound`` is the a-priori bound
-    on the stopping index: zero when the first residual ``delta0`` is below
-    1e-14, else ``1 + floor((log(epsilon) - log(delta0)) / log(eta_gamma))``
-    clamped at zero.
+    bound ``epsilon / (1 - eta_gamma)``.  ``value_trace`` is an
+    ``(applications, states)`` float array: row ``k`` is the iterate after
+    application ``k + 1``, the one ``error_trace[k]`` measures.
+    ``n_epsilon_bound`` is the a-priori bound on the stopping index: zero
+    when the first residual ``delta0`` is below 1e-14, else ``1 +
+    floor((log(epsilon) - log(delta0)) / log(eta_gamma))`` clamped at zero.
     """
 
     epsilon_value: np.ndarray
@@ -58,7 +55,6 @@ class SolveReport:
     value_trace: np.ndarray
     epsilon_target: float
     epsilon_nash: float
-    epsilon_nash_tight: float
     certificate: AssumptionCertificate
     n_epsilon_bound: int
 
@@ -75,10 +71,6 @@ def _bound_from(delta0: float, epsilon: float, eta_gamma: float) -> int:
     # raw formula can go negative when epsilon already exceeds delta0; the logs are
     # taken apart, for epsilon / delta0 can underflow to 0
     return max(0, 1 + math.floor((math.log(epsilon) - math.log(delta0)) / math.log(eta_gamma)))
-
-
-def _nash_radius(epsilon: float, rate: float) -> float:
-    return epsilon / (1.0 - rate) if rate < 1.0 else float("inf")
 
 
 def _check_iteration(epsilon, max_iter) -> None:
@@ -99,7 +91,7 @@ def _change(op, updated: np.ndarray, previous: np.ndarray, top: float) -> tuple[
     if not peak + top < math.inf:
         with np.errstate(over="ignore"):
             _raise_beyond_range(updated - previous, "the change of value at state", op.states)
-    return omega_norm(updated - previous, op.table.weight), peak
+    return float((np.abs(updated - previous) / op.table.weight).max()), peak
 
 
 def value_iterate(
@@ -154,8 +146,7 @@ def value_iterate(
         error_trace=tuple(trace),
         value_trace=np.array(values),
         epsilon_target=epsilon,
-        epsilon_nash=_nash_radius(epsilon, cert.eta_gamma),
-        epsilon_nash_tight=_nash_radius(epsilon, cert.lambda_max),
+        epsilon_nash=epsilon / (1.0 - cert.eta_gamma) if cert.eta_gamma < 1.0 else math.inf,
         certificate=cert,
         n_epsilon_bound=bound,
     )
@@ -233,7 +224,6 @@ def report_as_dict(m: GameModel, report: SolveReport) -> dict:
         "final_delta": report.error_trace[-1],
         "epsilon_target": report.epsilon_target,
         "epsilon_nash": report.epsilon_nash,
-        "epsilon_nash_tight": report.epsilon_nash_tight,
         "n_epsilon_bound": report.n_epsilon_bound,
         "certificate": report.certificate.as_dict(),
     }

@@ -51,7 +51,11 @@ class AssumptionCertificate:
     ``passed`` is the conjunction of every check; the solver refuses to run
     on a failed certificate.  ``eta_gamma`` is the contraction modulus the
     stopping rule and iteration bound use, and ``lambda_max`` the largest
-    continuation factor (a sharper per-step factor when all weights are 1).
+    continuation factor.  ``modulus``, NaN like ``eta`` when drift is skipped,
+    is the model's own: the largest ``lam * sum_y p(y|x,a,b) omega(y) /
+    omega(x)`` over triples, rounded up.  The update contracts by it, by
+    Shapley's (1953) argument weighted, and it is at most ``eta_min *
+    lambda_max``, so on a passed certificate at most ``eta_gamma``.
     """
 
     theta: float
@@ -61,6 +65,7 @@ class AssumptionCertificate:
     eta: float
     eta_gamma: float
     lambda_max: float
+    modulus: float
     checks: dict[str, AssumptionCheck]
     passed: bool
 
@@ -72,6 +77,7 @@ class DriftResult(NamedTuple):
     eta_min: float
     eta: float
     passed: bool
+    modulus: float
 
 
 def compute_gamma(theta: float, delta: float, alpha0: float) -> float:
@@ -202,15 +208,19 @@ def check_drift(m: GameModel, gamma: float) -> DriftResult:
     weights that is exactly 1, and the reported ``eta`` is lifted to
     ``(1 + gamma) / (2 gamma)`` so the product ``eta * gamma = (1 + gamma)/2``
     stays strictly below 1; with nonconstant weights ``eta = eta_min``.
+    ``modulus`` is the largest ``lam`` times that ratio over triples, rounded
+    up by twice the rounding of the row's sum, its quotient and its product.
     """
     t = m.table
     w = t.weight
     # each row added left to right, as a plain sum over the dense row adds it
-    moved = np.bincount(t.row_of, weights=w[t.succ] * t.prob, minlength=t.state.size)
-    eta_min = float(np.max(moved / w[t.state]))
+    ratio = np.bincount(t.row_of, weights=w[t.succ] * t.prob, minlength=t.state.size) / w[t.state]
+    eta_min = float(np.max(ratio))
     unit = bool(np.all(w == 1.0))
     eta = max(eta_min, (1.0 + gamma) / (2.0 * gamma)) if unit else eta_min
-    return DriftResult(eta_min=eta_min, eta=eta, passed=eta * gamma < 1.0)
+    terms = 4 + int(np.diff(t.indptr).max())  # Higham's gamma_terms, at twice the unit roundoff
+    modulus = float(np.max(t.lam * ratio)) * (1.0 + terms * 2.0**-52)
+    return DriftResult(eta_min=eta_min, eta=eta, passed=eta * gamma < 1.0, modulus=modulus)
 
 
 def check_assumptions(
@@ -272,7 +282,7 @@ def check_assumptions(
     if checks["regularity"].passed:
         gamma = compute_gamma(theta, delta, alpha0)
         drift = check_drift(m, gamma)
-        eta = drift.eta
+        eta, modulus = drift.eta, drift.modulus
         eta_gamma = eta * gamma
         checks["drift"] = AssumptionCheck(
             passed=drift.passed,
@@ -287,7 +297,7 @@ def check_assumptions(
             ),
         )
     else:
-        gamma = eta = eta_gamma = math.nan
+        gamma = eta = eta_gamma = modulus = math.nan
         skipped = AssumptionCheck(False, "skipped: no continuation bound")
         checks["drift"] = checks["coefficient_bound"] = skipped
     return AssumptionCertificate(
@@ -298,6 +308,7 @@ def check_assumptions(
         eta=eta,
         eta_gamma=eta_gamma,
         lambda_max=lam_max,
+        modulus=modulus,
         checks=checks,
         passed=all(c.passed for c in checks.values()),
     )

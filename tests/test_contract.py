@@ -11,6 +11,9 @@ strategies file, a ``--v0`` file or a ``game`` matrix) and calls
 * every JSON artifact of exit 0 parses as strict JSON, with no ``NaN`` or
   ``Infinity``;
 * the same argv twice gives the same exit code, streams and files.
+
+The generated cases reach exit 3 (a base model that fails its drift check)
+and exit 4 (a ``solve`` capped at two applications) as well as 0 and 2.
 """
 
 import copy
@@ -30,15 +33,17 @@ from smgsolve import load_model, strategy_tables
 from smgsolve.cli import main
 
 from conftest import INVESTMENT_DOC, MIXED_LAWS_DOC, SINGLE_STATE_DOC, strict_json, uniform_pair
-from test_cli import GAME_A, GAME_B
+from test_cli import DRIFT_DOC, GAME_A, GAME_B
 
 # every command reads model.json, except game, which reads matrix.json; the
-# --trajectories of simulate is small, for the default is 100,000
+# --trajectories of simulate is small, for the default is 100,000, and no base
+# model converges within the two applications of solve-capped
 COMMANDS = {
     "check": ["check", "model.json", "--out", "out.json"],
     "check-paper": ["check", "model.json", "--paper-params", "--out", "out.json"],
     "solve": ["solve", "model.json", "--v0", "v0.json", "--report", "report.json",
               "--trace", "trace.csv", "--strategies", "strategies.json"],
+    "solve-capped": ["solve", "model.json", "--max-iter", "2", "--report", "report.json"],
     "eval": ["eval", "model.json", "--strategies", "pair.json", "--out", "out.json"],
     "simulate": ["simulate", "model.json", "--state", "STATE", "--trajectories", "20",
                  "--out", "out.json"],
@@ -79,7 +84,11 @@ def _inputs(doc: dict) -> dict[str, str]:
     }
 
 
-BASES = [(_inputs(doc), doc["states"][0]) for doc in (INVESTMENT_DOC, SINGLE_STATE_DOC, MIXED_LAWS_DOC)]
+# DRIFT_DOC fails its drift check, which most of its mutations keep failing
+BASES = [
+    (_inputs(doc), doc["states"][0])
+    for doc in (INVESTMENT_DOC, SINGLE_STATE_DOC, MIXED_LAWS_DOC, DRIFT_DOC)
+]
 
 
 def _nodes(doc, path=()):
@@ -167,20 +176,8 @@ def _run(case: Case, where: Path):
     return code, out.getvalue(), err.getvalue(), written
 
 
-@settings(max_examples=1000, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=cases())
-@example(case=_model_case(
-    "check", INVESTMENT_DOC, lambda d: d["triples"][0]["transition"].update({"2": -math.inf}),
-    _first_triple_fault("transition probabilities must be finite")))
-@example(case=_model_case(
-    "solve", INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": 1e308, "3": 1e308}),
-    _first_triple_fault("transition probabilities sum beyond the float64 range")))
-@example(case=_model_case(  # drift fails toward the state of weight 10
-    "simulate", MIXED_LAWS_DOC, lambda d: d.update(weight={"x": 1.0, "y": 10.0}), (3, "")))
-@example(case=_game_case(GAME_A))
-@example(case=_game_case(GAME_B))
-def test_every_command_keeps_the_contract_on_mutated_inputs(case):
+def _keeps_the_contract(case: Case) -> int:
+    """Run ``case`` twice, check the contract of the module docstring, and return its exit code."""
     with tempfile.TemporaryDirectory() as where:
         code, out, err, written = first = _run(case, Path(where))
         assert _run(case, Path(where)) == first
@@ -199,3 +196,29 @@ def test_every_command_keeps_the_contract_on_mutated_inputs(case):
     if code == 3:
         artifact = written.get("report.json", written.get("out.json"))
         assert artifact is not None and "certificate" in json.loads(artifact)
+    return code
+
+
+def test_every_command_keeps_the_contract_on_mutated_inputs():
+    reached = set()  # the exit codes of the generated cases
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cases())
+    @example(case=_model_case(
+        "check", INVESTMENT_DOC, lambda d: d["triples"][0]["transition"].update({"2": -math.inf}),
+        _first_triple_fault("transition probabilities must be finite")))
+    @example(case=_model_case(
+        "solve", INVESTMENT_DOC, lambda d: d["triples"][0].update(transition={"2": 1e308, "3": 1e308}),
+        _first_triple_fault("transition probabilities sum beyond the float64 range")))
+    @example(case=_model_case(  # drift fails toward the state of weight 10
+        "simulate", MIXED_LAWS_DOC, lambda d: d.update(weight={"x": 1.0, "y": 10.0}), (3, "")))
+    @example(case=_game_case(GAME_A))
+    @example(case=_game_case(GAME_B))
+    def search(case):
+        code = _keeps_the_contract(case)
+        if case.expect is None:  # not a pinned example
+            reached.add(code)
+
+    search()
+    assert {0, 2, 3, 4} <= reached, sorted(reached)

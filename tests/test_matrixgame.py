@@ -704,6 +704,41 @@ def test_a_warm_stack_with_one_failing_game_keeps_the_others_and_solves_that_one
         assert a.tobytes() == b.tobytes()
 
 
+def test_a_stack_that_passes_whole_answers_as_one_that_takes_the_later_stages(simplex_calls):
+    payoffs, (x, y) = _steady_stack(np.random.default_rng(39))
+    payoffs[7] = [[1.0, -1.0], [-1.0, 1.0]]  # value 0, which must not read -0.0
+    x[7] = y[7] = 0.5
+    whole = matrixgame.solve_games(payoffs, matrixgame._warm_plan(x, y))
+    assert whole[3] == {} and simplex_calls == []
+    # one more game on an empty support keeps the stack past the warm pass
+    more = np.concatenate([payoffs, [[[2.0, 0.0], [0.0, 1.0]]]])
+    x, y = (np.concatenate([v, np.zeros((1, 2))]) for v in (x, y))
+    staged = matrixgame.solve_games(more, matrixgame._warm_plan(x, y))
+    assert staged[3] == {} and simplex_calls == []  # the enumerated supports answer it
+    for a, b in zip(whole[:3], staged[:3]):
+        assert a.tobytes() == b[:-1].tobytes()
+        assert not np.shares_memory(a, payoffs)
+    assert whole[0][7] == 0.0 and not np.signbit(whole[0][7])
+
+
+def test_a_carried_plan_solves_a_singular_block_in_a_copy_and_keeps_its_border():
+    # both games keep their full 2x2 supports; in the first stack game 0's block is singular
+    x = y = np.full((2, 2), 0.5)
+    carried = matrixgame._warm_plan(x, y)
+    ((*_, system),) = carried[1]
+    regular = np.array([[[3.0, 1.0], [0.0, 2.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+    singular = regular.copy()
+    singular[0] = 1.0
+    for stack in (singular, regular, singular, regular):
+        got = matrixgame.solve_games(stack, carried)
+        want = matrixgame.solve_games(stack, matrixgame._warm_plan(x, y))
+        assert got[3] == want[3] == {}
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(system[:, :, :2, 2], -1.0)
+        np.testing.assert_array_equal(system[:, :, 2], [[[1.0, 1.0, 0.0]] * 2] * 2)
+
+
 def test_the_across_games_reductions_change_no_bit_of_value_iteration(monkeypatch):
     rng = np.random.default_rng(36)
     models = [random_model(rng, max_states=6, max_actions=6) for _ in range(150)]

@@ -14,6 +14,8 @@ from smgsolve import (
     value_iterate,
 )
 
+from smgsolve.simulate import _BATCH
+
 from conftest import sparse_doc
 
 
@@ -67,3 +69,26 @@ def test_monte_carlo_memory_does_not_grow_with_trajectory_length(investment_mode
         tracemalloc.stop()
     assert est.trajectories == 20_000
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_monte_carlo_memory_grows_by_a_payoff_and_a_tail_per_trajectory():
+    # every trajectory ends on its first sojourn, at discount exp(-100), so
+    # what grows with the run is only what is held per trajectory
+    doc = {
+        "states": ["s"], "actions1": {"s": ["a"]}, "actions2": {"s": ["b"]},
+        "triples": [{"state": "s", "a": "a", "b": "b", "alpha": 100.0, "reward": 1.0,
+                     "sojourn": {"kind": "deterministic", "duration": 1.0}, "transition": {"s": 1.0}}],
+    }
+    m = load_model(json.dumps(doc))
+    pair = value_iterate(m, 1e-6).equilibrium
+    peaks = []
+    for batches in (4, 16):
+        tracemalloc.start()
+        try:
+            est = estimate_value(m, pair, "s", trajectories=batches * _BATCH, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert est.trajectories == batches * _BATCH
+    per_trajectory = (peaks[1] - peaks[0]) / (12 * _BATCH)
+    assert per_trajectory <= 17.0, f"{per_trajectory:.1f} bytes per trajectory"

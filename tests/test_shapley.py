@@ -610,6 +610,31 @@ def test_contraction_in_the_certified_modulus():
             assert lhs <= cert.lambda_max * omega_norm(u - v, w) + 1e-12
 
 
+def test_contraction_in_the_models_own_modulus():
+    rng = np.random.default_rng(24)
+    done = reached = 0
+    while done < 40:
+        # one action each on some models, where a shift by omega reaches the modulus
+        m = random_model(rng, max_actions=int(rng.integers(1, 5)), unit_weight=False)
+        cert = check_assumptions(m)
+        if not cert.passed:
+            continue
+        done += 1
+        w, op = m.table.weight, ShapleyOperator(m)
+        u = rng.normal(size=m.n_states) * 10.0
+        tu, _ = op.apply(u)
+        alone = (m.table.rows == 1).all() and (m.table.cols == 1).all()
+        for shift, v in ((False, rng.normal(size=m.n_states) * 10.0), (True, u + w), (True, u - 3.0 * w)):
+            tv, _ = op.apply(v)
+            lhs = omega_norm(tu - tv, w)
+            rhs = cert.modulus * omega_norm(u - v, w)
+            assert lhs <= rhs + 1e-12 * max(1.0, rhs)
+            if alone and shift:
+                assert lhs == pytest.approx(rhs, rel=1e-12)
+            reached += alone and shift
+    assert reached >= 4
+
+
 def test_operator_monotonicity():
     rng = np.random.default_rng(29)
     for _ in range(30):
@@ -684,7 +709,9 @@ def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptan
     assert len(sizes) >= 3
     blocks, tests = [], []
     equalize, exploitability = matrixgame.equalize, matrixgame.exploitability
-    monkeypatch.setattr(matrixgame, "equalize", lambda sub: blocks.append(sub.shape[1]) or equalize(sub))
+    monkeypatch.setattr(
+        matrixgame, "equalize", lambda sub, system: blocks.append(sub.shape[1]) or equalize(sub, system)
+    )
     monkeypatch.setattr(
         matrixgame, "exploitability", lambda *args: tests.append(len(args[0])) or exploitability(*args)
     )

@@ -37,7 +37,7 @@ from smgsolve import (
     value_iterate,
 )
 from smgsolve.shapley import _joined, _pair_arrays
-from smgsolve.solver import _bound_from
+from smgsolve.solver import _bound_from, report_as_dict
 
 from conftest import (
     INVESTMENT_DOC,
@@ -69,7 +69,7 @@ def exact_half_certificate(m) -> AssumptionCertificate:
     base = check_assumptions(m)
     return AssumptionCertificate(
         theta=base.theta, delta=base.delta, alpha0=base.alpha0, gamma=base.gamma,
-        eta=0.5 / base.gamma, eta_gamma=0.5, lambda_max=base.lambda_max,
+        eta=0.5 / base.gamma, eta_gamma=0.5, lambda_max=base.lambda_max, modulus=base.modulus,
         checks=base.checks, passed=True,
     )
 
@@ -777,8 +777,11 @@ def test_epsilon_nash_radii(investment_model):
     report = value_iterate(investment_model, 1e-4, v0=np.ones(3))
     cert = report.certificate
     assert report.epsilon_nash == pytest.approx(1e-4 / (1.0 - cert.eta_gamma), rel=1e-14)
-    assert report.epsilon_nash_tight == pytest.approx(1e-4 / (1.0 - cert.lambda_max), rel=1e-14)
-    assert report.epsilon_nash_tight < report.epsilon_nash
+    # the model's own modulus is the largest continuation factor on unit weights, and
+    # its radius is 7.3 times smaller than the certified one
+    assert cert.modulus == pytest.approx(cert.lambda_max, rel=1e-14)
+    assert report.epsilon_nash / (1e-4 / (1.0 - cert.modulus)) == pytest.approx(7.31, abs=0.01)
+    assert "epsilon_nash_tight" not in report_as_dict(investment_model, report)
 
 
 @pytest.mark.parametrize(

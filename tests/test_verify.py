@@ -1,5 +1,6 @@
 """Certification: regularity search, drift, constants, and consistency flags."""
 
+import copy
 import json
 import math
 import re
@@ -20,7 +21,15 @@ from smgsolve import verify
 from smgsolve.cli import main
 from smgsolve.model import ANALYTIC_LAWS, DirectWeights
 
-from conftest import MIXED_LAWS_DOC, alpha_of, law_of, random_model, sparse_doc
+from conftest import (
+    INVESTMENT_DOC,
+    MIXED_LAWS_DOC,
+    SINGLE_STATE_DOC,
+    alpha_of,
+    law_of,
+    random_model,
+    sparse_doc,
+)
 
 
 def one_triple_model(sojourn: dict, alpha: float = 1.0, weight: dict | None = None,
@@ -329,6 +338,42 @@ def test_drift_adds_each_row_left_to_right():
         differs |= max(plain) != max(pairwise)
         assert check_drift(m, gamma=0.5).eta_min == max(plain)
     assert differs  # the rows tell the two rules apart
+
+
+def _certificates():
+    """Certificates of models of every weight kind, law mix and outcome, each with its model."""
+    rng = np.random.default_rng(71)
+    models = [random_model(rng, unit_weight=i % 2 == 0) for i in range(40)]
+    models += [random_model(rng, kinds=("direct",), unit_weight=i % 2 == 0) for i in range(10)]
+    models += [load_model(json.dumps(doc)) for doc in (INVESTMENT_DOC, SINGLE_STATE_DOC, MIXED_LAWS_DOC)]
+    models.append(load_model(json.dumps(sparse_doc(40, seed=3, successors=5))))
+    weighted = copy.deepcopy(MIXED_LAWS_DOC) | {"weight": {"x": 1.0, "y": 10.0}}  # drift fails
+    models.append(load_model(json.dumps(weighted)))
+    for m in models:
+        yield m, check_assumptions(m)
+    yield models[-5], check_assumptions(models[-5], regularity=regularity_from_bounds(models[-5]))
+
+
+def test_the_models_own_modulus_never_exceeds_eta_gamma():
+    outcomes = set()
+    for m, cert in _certificates():
+        outcomes.add(cert.passed)
+        if math.isnan(cert.eta_gamma):
+            assert math.isnan(cert.modulus)
+        else:
+            assert cert.modulus <= cert.eta_gamma
+            assert cert.modulus <= cert.lambda_max * check_drift(m, cert.gamma).eta_min * (1.0 + 1e-14)
+    assert outcomes == {True, False}
+
+
+def test_the_models_own_modulus_is_lambda_max_on_unit_weights_up_to_its_rounding():
+    for m, cert in _certificates():
+        if m.table.weight.max() == 1.0 == m.table.weight.min() and cert.checks["drift"].passed:
+            allowance = (4 + int(np.diff(m.table.indptr).max())) * 2.0**-52
+            assert abs(cert.modulus - cert.lambda_max) <= 2.0 * allowance * cert.lambda_max
+    investment = check_assumptions(load_model(json.dumps(INVESTMENT_DOC)))
+    assert investment.lambda_max < investment.modulus == pytest.approx(0.968992, abs=5e-7)
+    assert investment.eta_gamma == pytest.approx(0.995757, abs=5e-7)
 
 
 def test_certificate_investment(investment_model):
