@@ -223,7 +223,7 @@ def _rhs(k: int) -> np.ndarray:
     return rhs
 
 
-def equalize(sub: np.ndarray, system: np.ndarray | None = None):
+def equalize(sub: np.ndarray, system: np.ndarray):
     """Both players' equalizer solutions on a stack of ``k x k`` blocks.
 
     For each block ``C`` of ``sub`` (shape ``(n, k, k)``) it solves the
@@ -233,14 +233,12 @@ def equalize(sub: np.ndarray, system: np.ndarray | None = None):
     1, with no solve.  ``regular`` is True, or False for the blocks whose
     system is singular, whose ``v``, ``x`` and ``y`` are then meaningless.
     Nothing here checks signs or optimality.  Only the blocks of ``system``,
-    the :func:`_bordered` buffer a plan carries, are written here; a
-    singular block is replaced in a copy, never in the buffer.
+    the :func:`_bordered` buffer a plan carries (unread for ``k == 1``), are
+    written here; a singular block is replaced in a copy, never in the buffer.
     """
-    n, k = sub.shape[0], sub.shape[1]
+    k = sub.shape[1]
     if k == 1:
         return sub[:, 0, 0], 1.0, 1.0, True
-    if system is None:
-        system = _bordered(n, k)
     system[0, :, :k, :k] = sub.transpose(0, 2, 1)
     system[1, :, :k, :k] = sub
     rhs = _rhs(k)

@@ -97,9 +97,8 @@ class _Slices(Mapping):
 
 def omega_norm(values, weights) -> float:
     """Weighted sup-norm ``max_x |u(x)| / omega(x)``."""
-    u = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    return float(np.max(np.abs(u) / w))
+    # the method, not np.max, whose dispatch outweighs the arithmetic on a few states
+    return float((np.abs(values) / weights).max())
 
 
 def _checked_distribution(vec, size: int, what: str) -> np.ndarray:

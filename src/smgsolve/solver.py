@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameModel
-from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range
+from .shapley import StationaryStrategyPair, _evaluate_with, _pair_arrays, _raise_beyond_range, omega_norm
 from .verify import AssumptionCertificate, check_assumptions
 
 MAX_ITER_CAP = 10**6
@@ -91,7 +91,7 @@ def _change(op, updated: np.ndarray, previous: np.ndarray, top: float) -> tuple[
     if not peak + top < math.inf:
         with np.errstate(over="ignore"):
             _raise_beyond_range(updated - previous, "the change of value at state", op.states)
-    return float((np.abs(updated - previous) / op.table.weight).max()), peak
+    return omega_norm(updated - previous, op.table.weight), peak
 
 
 def value_iterate(

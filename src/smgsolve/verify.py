@@ -54,8 +54,10 @@ class AssumptionCertificate:
     continuation factor.  ``modulus``, NaN like ``eta`` when drift is skipped,
     is the model's own: the largest ``lam * sum_y p(y|x,a,b) omega(y) /
     omega(x)`` over triples, rounded up.  The update contracts by it, by
-    Shapley's (1953) argument weighted, and it is at most ``eta_min *
-    lambda_max``, so on a passed certificate at most ``eta_gamma``.
+    Shapley's (1953) argument weighted.  It is at most ``eta_min *
+    lambda_max`` up to its rounding allowance, and a passed certificate
+    allows ``lambda_max`` up to ``gamma + 1e-12``, so there it exceeds
+    ``eta_gamma`` by at most ``1e-12 * eta_min`` and that allowance.
     """
 
     theta: float
@@ -215,11 +217,11 @@ def check_drift(m: GameModel, gamma: float) -> DriftResult:
     w = t.weight
     # each row added left to right, as a plain sum over the dense row adds it
     ratio = np.bincount(t.row_of, weights=w[t.succ] * t.prob, minlength=t.state.size) / w[t.state]
-    eta_min = float(np.max(ratio))
+    eta_min = float(ratio.max())
     unit = bool(np.all(w == 1.0))
     eta = max(eta_min, (1.0 + gamma) / (2.0 * gamma)) if unit else eta_min
-    terms = 4 + int(np.diff(t.indptr).max())  # Higham's gamma_terms, at twice the unit roundoff
-    modulus = float(np.max(t.lam * ratio)) * (1.0 + terms * 2.0**-52)
+    terms = 4 + int((t.indptr[1:] - t.indptr[:-1]).max())  # Higham's gamma_terms, at twice the unit roundoff
+    modulus = float((t.lam * ratio).max()) * (1.0 + terms * 2.0**-52)
     return DriftResult(eta_min=eta_min, eta=eta, passed=eta * gamma < 1.0, modulus=modulus)
 
 

@@ -311,7 +311,7 @@ def test_every_game_the_simplex_fails_is_reported(monkeypatch):
 ])
 def test_a_singular_block_is_flagged_without_a_floating_point_warning(singular, regular):
     # RuntimeWarnings are errors here (pyproject.toml)
-    *_, flags = matrixgame.equalize(np.array([singular, regular]))
+    *_, flags = matrixgame.equalize(np.array([singular, regular]), matrixgame._bordered(2, 3))
     assert flags.tolist() == [False, True]
 
 
@@ -538,7 +538,8 @@ def _warm_pass_per_size(payoffs, previous):
         if not at.size:
             continue
         rs, cs = f[at].nonzero()[1].reshape(-1, k), g[at].nonzero()[1].reshape(-1, k)
-        v, x_s, y_t, regular = matrixgame.equalize(payoffs[at[:, None, None], rs[:, :, None], cs[:, None, :]])
+        sub = payoffs[at[:, None, None], rs[:, :, None], cs[:, None, :]]
+        v, x_s, y_t, regular = matrixgame.equalize(sub, matrixgame._bordered(at.size, k))
         ix = np.arange(at.size)[:, None]
         x, y = np.zeros((at.size, m)), np.zeros((at.size, l))
         x[ix, rs], y[ix, cs] = x_s, y_t

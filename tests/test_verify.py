@@ -354,7 +354,7 @@ def _certificates():
     yield models[-5], check_assumptions(models[-5], regularity=regularity_from_bounds(models[-5]))
 
 
-def test_the_models_own_modulus_never_exceeds_eta_gamma():
+def test_the_models_own_modulus_stays_within_eta_gamma_on_sampled_certificates():
     outcomes = set()
     for m, cert in _certificates():
         outcomes.add(cert.passed)
@@ -364,6 +364,38 @@ def test_the_models_own_modulus_never_exceeds_eta_gamma():
             assert cert.modulus <= cert.eta_gamma
             assert cert.modulus <= cert.lambda_max * check_drift(m, cert.gamma).eta_min * (1.0 + 1e-14)
     assert outcomes == {True, False}
+
+
+def two_state_direct_model(lam: float):
+    """``s0`` moves to ``s1``, of weight 1.25, at continuation ``lam``; ``s1`` loops at 0.5."""
+    doc = {
+        "states": ["s0", "s1"],
+        "actions1": {"s0": ["a"], "s1": ["a"]},
+        "actions2": {"s0": ["b"], "s1": ["b"]},
+        "weight": {"s0": 1.0, "s1": 1.25},
+        "triples": [
+            {"state": "s0", "a": "a", "b": "b", "alpha": 1.0, "reward": 1.0,
+             "sojourn": {"kind": "direct", "d": 1.0 - lam, "lam": lam}, "transition": {"s1": 1.0}},
+            {"state": "s1", "a": "a", "b": "b", "alpha": 1.0, "reward": 0.0,
+             "sojourn": {"kind": "direct", "d": 0.5, "lam": 0.5}, "transition": {"s1": 1.0}},
+        ],
+    }
+    return load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("above", [0.0, 0.9e-12])
+def test_the_models_own_modulus_exceeds_eta_gamma_by_at_most_the_coefficient_tolerance(above):
+    # supplied constants put gamma at 0.75 exactly; the triple of the largest
+    # ratio, 1.25, carries lambda_max at gamma or within the 1e-12 the
+    # coefficient bound allows above it, so the certificate passes
+    regularity = (math.log(2.0), 0.5, 1.0)
+    gamma = compute_gamma(*regularity)
+    assert gamma == 0.75
+    cert = check_assumptions(two_state_direct_model(gamma + above), regularity=regularity)
+    assert cert.passed and cert.eta_gamma == 1.25 * 0.75
+    allowance = 5 * 2.0**-52  # 4 + the longest row, as check_drift rounds up
+    assert cert.eta_gamma < cert.modulus <= (cert.eta_gamma + 1.25 * 1e-12) * (1.0 + 2.0 * allowance)
+    assert cert.modulus == pytest.approx(1.25 * cert.lambda_max, rel=allowance)
 
 
 def test_the_models_own_modulus_is_lambda_max_on_unit_weights_up_to_its_rounding():
