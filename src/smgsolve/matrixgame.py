@@ -310,8 +310,8 @@ def _plan(rows, cols) -> tuple:
     return tuple(groups)
 
 
-def _warm_plan(x, y, reuse=None) -> tuple:
-    """``(masks, plan)`` of the supports of the strategy stacks ``x``, ``y``; ``reuse`` if its masks match."""
+def _warm_plan(x, y, reuse) -> tuple:
+    """``(masks, plan)`` of the supports of the strategy stacks ``x``, ``y``; ``reuse`` (a plan or None) if its masks match."""
     rows, cols = x != 0, y != 0
     masks = (rows.shape, cols.shape, rows.tobytes(), cols.tobytes())
     return reuse if reuse is not None and reuse[0] == masks else (masks, _plan(rows, cols))
@@ -392,28 +392,27 @@ def solve_games(payoffs: np.ndarray, previous=None):
     """Values and both players' strategies of the stacked games ``payoffs``.
 
     ``previous`` is :func:`_warm_plan` of the last answer's strategy stacks,
-    whose square supports are the first candidates of the module docstring;
-    a caller carries it to the next call, which rebuilds it only when a
-    support has changed.  A missing ``previous`` is the empty plan ``()``,
-    which solves no game, so a cold stack takes the same warm pass with
-    every game still open.  The supports are tried in one pass, by one
-    :func:`_on_plan` and one :func:`_passes`, whose arrays are the results,
-    uncopied, for the games that pass, and the whole answer when all of them
-    do; each enumerated candidate is one more
-    :func:`_on_plan` and :func:`_keep` over the games still open.  The games
-    left over go to :func:`_maximin` as one stack, and those it leaves open
-    to :func:`_exact` one at a time, each stage's answers through the same
-    :func:`_keep`.  Returns ``(value, x, y, failed)``: ``failed`` maps the
-    position in ``payoffs`` of each game whose exact answer failed the test,
-    or that reached the exact simplex's pivot cap, to the message, and the
-    other results of those games are meaningless.
+    built by the operator, whose square supports are the first candidates of
+    the module docstring; the operator rebuilds it only when a support has
+    changed.  The supports are tried in one pass, by one :func:`_on_plan`
+    and one :func:`_passes`, whose arrays are the results, uncopied, for the
+    games that pass, and the whole answer when all of them do.  A missing
+    ``previous``, or a plan with no group, proposes nothing: every game
+    stays open and no acceptance test is made.  Each enumerated candidate is
+    one more :func:`_on_plan` and :func:`_keep` over the games still open.
+    The games left over go to :func:`_maximin` as one stack, and those it
+    leaves open to :func:`_exact` one at a time, each stage's answers
+    through the same :func:`_keep`.  Returns ``(value, x, y, failed)``:
+    ``failed`` maps the position in ``payoffs`` of each game whose exact
+    answer failed the test, or that reached the exact simplex's pivot cap,
+    to the message, and the other results of those games are meaningless.
     """
     size, n_rows, n_cols = payoffs.shape
     magnitudes = np.abs(payoffs).reshape(size, n_rows * n_cols)
     scale = WARM_START_TOL * _across(np.maximum, magnitudes, initial=_TINY)
     # a later stage overwrites the warm answer of each game that fails
     answer = _on_plan(payoffs, () if previous is None else previous[1])
-    ok = _passes(payoffs, answer, scale)
+    ok = _passes(payoffs, answer, scale) if previous and previous[1] else answer[3]
     if ok.all():
         return answer[0] + 0.0, answer[1], answer[2], {}
     out, pending = answer[:3], np.flatnonzero(~ok)

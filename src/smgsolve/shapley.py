@@ -25,10 +25,10 @@ point is the game value, and the per-state saddle strategies at the fixed
 point form an optimal stationary pair.
 
 All states' matrices are assembled at once from the model's triple table
-and stacked by shape.  Each stack's games are answered together, warm
-started from the previous application's supports, by
+and stacked by shape.  Each stack's games are answered together by
 :func:`smgsolve.matrixgame.solve_games`, which says which supports are
-tried and when the simplex runs.
+tried and when the simplex runs; the operator warm-starts them from its
+own last token, the strategy stacks and plans it returned.
 """
 
 import math
@@ -229,7 +229,7 @@ class ShapleyOperator:
         self.reach = 2.0**480 / float(t.weight.max())
         a, b = np.divmod(np.arange(t.state.size) - t.offset[t.state], t.cols[t.state])
         self.f_slot, self.g_slot = t.f_ptr[t.state] + a, t.g_ptr[t.state] + b  # per triple
-        self.lam_prob = np.repeat(t.lam, np.diff(t.indptr)) * t.prob  # lam*p per nonzero
+        self.lam_prob = t.lam[t.row_of] * t.prob  # lam*p per nonzero
         self.succ = t.succ
         self.starts = t.indptr[:-1]  # every row has a nonzero: each sums to 1
         self.groups = _shape_groups(t)
@@ -266,28 +266,28 @@ class ShapleyOperator:
         out, strategies, _ = self._solve(values)
         return out, self._pair(*strategies)
 
-    def _solve(self, values, previous=None, plans=None, top=None) -> tuple[np.ndarray, tuple, tuple]:
-        """:meth:`apply` on flat pairs ``(f, g)``, warm-started from ``previous``.
+    def _solve(self, values, warm=None, top=None) -> tuple[np.ndarray, tuple, tuple]:
+        """:meth:`apply` on flat pairs ``(f, g)``, warm-started from the token ``warm``.
 
-        ``top`` is as in :meth:`_payoffs`.  Returns ``(values, (f, g), plans)``,
-        ``plans`` holding each shape group's warm plan.  Handed back with
-        ``(f, g)``, each plan is reused while the pair's supports are the ones
-        it was built from; without them, they are built, with the same answers.
+        ``top`` is as in :meth:`_payoffs`.  Returns ``(values, (f, g), warm)``,
+        the token holding per shape group ``(x, y, plan)``: the stacks that
+        :func:`solve_games` returned and the plan they were solved on.  Handed
+        back, each plan is built from those stacks by :func:`_warm_plan`, or reused.
         """
         flat = self._payoffs(values, top)
         t = self.table
         out, f, g = np.empty(self.n), np.empty(t.f_ptr[-1]), np.empty(t.g_ptr[-1])
-        plans = [None] * len(self.groups) if plans is None else list(plans)
+        token = []
         for i, group in enumerate(self.groups):
-            if previous is not None:
-                plans[i] = _warm_plan(previous[0][group.f_at], previous[1][group.g_at], plans[i])
-            value, x, y, failed = solve_games(flat[group.gather], plans[i])
+            plan = None if warm is None else _warm_plan(*warm[i])
+            value, x, y, failed = solve_games(flat[group.gather], plan)
             if failed:
                 first = min(failed)
                 raise MatrixGameError(f"state {self.states[group.index[first]]!r}: {failed[first]}")
             out[group.index] = value
             f[group.f_at], g[group.g_at] = x, y
-        return out, (f, g), tuple(plans)
+            token.append((x, y, plan))
+        return out, (f, g), tuple(token)
 
     def _pair(self, f: np.ndarray, g: np.ndarray) -> StationaryStrategyPair:
         """The pair whose per-state arrays are views of the flat ``f`` and ``g``, made read-only."""

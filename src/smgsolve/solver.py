@@ -120,7 +120,7 @@ def value_iterate(
     if start.shape != (op.n,):
         raise ValueError(f"v0 must have length {op.n}")
     top = float(np.abs(start).max())
-    updated, pair, plans = op._solve(start, top=top)
+    updated, pair, warm = op._solve(start, top=top)
     delta, top = _change(op, updated, start, top)
     bound = _bound_from(delta, epsilon, cert.eta_gamma)
     if max_iter is None:
@@ -134,7 +134,7 @@ def value_iterate(
                 f"no convergence within {max_iter} applications "
                 f"(last delta {trace[-1]!r}, epsilon {epsilon!r})"
             )
-        updated, pair, plans = op._solve(values[-1], pair, plans, top)
+        updated, pair, warm = op._solve(values[-1], warm, top)
         delta, top = _change(op, updated, values[-1], top)
         trace.append(delta)
         values.append(updated)

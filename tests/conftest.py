@@ -324,6 +324,11 @@ def random_pair(rng: np.random.Generator, m: GameModel) -> StationaryStrategyPai
     return StationaryStrategyPair(f=f, g=g)
 
 
+def warm_token(op, f: np.ndarray, g: np.ndarray) -> tuple:
+    """The warm token ``op._solve`` takes, holding the flat pair ``(f, g)``'s group stacks and no plan."""
+    return tuple((f[group.f_at], g[group.g_at], None) for group in op.groups)
+
+
 class SolveReportProxy:
     """Report stand-in carrying a replaced equilibrium."""
 

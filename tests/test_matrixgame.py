@@ -456,7 +456,7 @@ def test_the_exact_simplex_stays_off_the_hot_path(exact_calls):
         certify_solution(m, report, 1e-4)
     games = np.random.default_rng(8).normal(size=(20, 10, 10))
     value, x, y, failed = matrixgame.solve_games(games)
-    matrixgame.solve_games(games + 1e-3, matrixgame._warm_plan(x, y))
+    matrixgame.solve_games(games + 1e-3, matrixgame._warm_plan(x, y, None))
     assert failed == {} and exact_calls == []
 
 
@@ -590,7 +590,7 @@ def test_the_warm_pass_answers_each_game_as_the_per_size_passes_do(stack):
         failing_simplex(patch, range(len(payoffs)))
         give_up = matrixgame._maximin
         patch.setattr(matrixgame, "_maximin", lambda c: reached.append(c.copy()) or give_up(c))
-        got_value, got_x, got_y, failed = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous))
+        got_value, got_x, got_y, failed = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous, None))
     np.testing.assert_array_equal(sorted(failed), pending)
     if reached:
         assert reached[0].tobytes() == payoffs[pending].tobytes()
@@ -681,13 +681,13 @@ def test_a_steady_warm_stack_hands_over_the_copy_paths_answers_sharing_no_memory
     payoffs, previous = _steady_stack(np.random.default_rng(34))
     (value, x, y), pending = _warm_pass_per_size(payoffs, previous)
     assert pending.size == 0  # every game passes on its previous supports
-    got = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous))
+    got = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous, None))
     assert simplex_calls == [] and got[3] == {}
     for a, b in zip(got[:3], (value, x, y)):
         assert a.tobytes() == b.tobytes()
         assert not np.shares_memory(a, payoffs)
     none = np.zeros((0, 2))
-    empty = matrixgame.solve_games(np.zeros((0, 2, 2)), matrixgame._warm_plan(none, none))
+    empty = matrixgame.solve_games(np.zeros((0, 2, 2)), matrixgame._warm_plan(none, none, None))
     assert [a.shape for a in empty[:3]] == [(0,), (0, 2), (0, 2)] and empty[3] == {}
 
 
@@ -699,22 +699,44 @@ def test_a_warm_stack_with_one_failing_game_keeps_the_others_and_solves_that_one
     (value, x, y), pending = _warm_pass_per_size(payoffs, previous)
     assert pending.tolist() == [417]
     value[417], x[417], y[417] = (a[0] for a in matrixgame.solve_games(payoffs[417:418])[:3])
-    got = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous))
+    got = matrixgame.solve_games(payoffs, matrixgame._warm_plan(*previous, None))
     assert got[3] == {}
     for a, b in zip(got[:3], (value, x, y)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_stack_with_no_proposed_support_tests_nothing_before_the_enumerated_ones(monkeypatch):
+    payoffs = np.random.default_rng(38).normal(size=(50, 2, 2))
+    # a plan proposing the first enumerated candidate, rows and columns {0}, to
+    # every game: it answers as a cold stack whose blank answer is tested first
+    first = np.zeros((50, 2))
+    first[:, 0] = 1.0
+    want = matrixgame.solve_games(payoffs, matrixgame._warm_plan(first, first, None))
+    assert 0 < np.count_nonzero((want[1][:, 0] == 1.0) & (want[2][:, 0] == 1.0)) < 50  # some pass it
+    calls = []
+    on_plan, exploitability = matrixgame._on_plan, matrixgame.exploitability
+    monkeypatch.setattr(matrixgame, "_on_plan", lambda c, plan: calls.append("plan") or on_plan(c, plan))
+    monkeypatch.setattr(matrixgame, "exploitability", lambda *args: calls.append("test") or exploitability(*args))
+    none = np.zeros((50, 2))  # no square support, so a plan with no group
+    for previous in (None, matrixgame._warm_plan(none, none, None)):
+        calls.clear()
+        got = matrixgame.solve_games(payoffs, previous)
+        assert calls[:3] == ["plan", "plan", "test"]  # the blank answer, untested, then the first candidate
+        assert got[3] == want[3] == {}
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_a_stack_that_passes_whole_answers_as_one_that_takes_the_later_stages(simplex_calls):
     payoffs, (x, y) = _steady_stack(np.random.default_rng(39))
     payoffs[7] = [[1.0, -1.0], [-1.0, 1.0]]  # value 0, which must not read -0.0
     x[7] = y[7] = 0.5
-    whole = matrixgame.solve_games(payoffs, matrixgame._warm_plan(x, y))
+    whole = matrixgame.solve_games(payoffs, matrixgame._warm_plan(x, y, None))
     assert whole[3] == {} and simplex_calls == []
     # one more game on an empty support keeps the stack past the warm pass
     more = np.concatenate([payoffs, [[[2.0, 0.0], [0.0, 1.0]]]])
     x, y = (np.concatenate([v, np.zeros((1, 2))]) for v in (x, y))
-    staged = matrixgame.solve_games(more, matrixgame._warm_plan(x, y))
+    staged = matrixgame.solve_games(more, matrixgame._warm_plan(x, y, None))
     assert staged[3] == {} and simplex_calls == []  # the enumerated supports answer it
     for a, b in zip(whole[:3], staged[:3]):
         assert a.tobytes() == b[:-1].tobytes()
@@ -725,14 +747,14 @@ def test_a_stack_that_passes_whole_answers_as_one_that_takes_the_later_stages(si
 def test_a_carried_plan_solves_a_singular_block_in_a_copy_and_keeps_its_border():
     # both games keep their full 2x2 supports; in the first stack game 0's block is singular
     x = y = np.full((2, 2), 0.5)
-    carried = matrixgame._warm_plan(x, y)
+    carried = matrixgame._warm_plan(x, y, None)
     ((*_, system),) = carried[1]
     regular = np.array([[[3.0, 1.0], [0.0, 2.0]], [[1.0, -1.0], [-1.0, 1.0]]])
     singular = regular.copy()
     singular[0] = 1.0
     for stack in (singular, regular, singular, regular):
         got = matrixgame.solve_games(stack, carried)
-        want = matrixgame.solve_games(stack, matrixgame._warm_plan(x, y))
+        want = matrixgame.solve_games(stack, matrixgame._warm_plan(x, y, None))
         assert got[3] == want[3] == {}
         for a, b in zip(got[:3], want[:3]):
             assert a.tobytes() == b.tobytes()
@@ -763,7 +785,7 @@ import numpy as np
 from smgsolve.matrixgame import _warm_plan, solve_games, solve_matrix_game
 games = np.random.default_rng(5).normal(size=(20, 10, 10))
 value, x, y, failed = solve_games(games)
-solve_games(games + 1e-3, _warm_plan(x, y))
+solve_games(games + 1e-3, _warm_plan(x, y, None))
 solve_games(np.random.default_rng(6).normal(size=(20, 3, 3)))
 for a in {list(SINGULAR_BASIS.values())!r}:
     solve_matrix_game(a)
@@ -778,7 +800,7 @@ sys.exit("numpy.ma" in sys.modules or failed != {{}})
 def _cold_and_empty_plan(payoffs):
     """``solve_games(payoffs)`` and the same stack on the plan of all-zero strategy stacks."""
     size, n_rows, n_cols = payoffs.shape
-    empty = matrixgame._warm_plan(np.zeros((size, n_rows)), np.zeros((size, n_cols)))
+    empty = matrixgame._warm_plan(np.zeros((size, n_rows)), np.zeros((size, n_cols)), None)
     assert empty[1] == ()
     return matrixgame.solve_games(payoffs), matrixgame.solve_games(payoffs, empty)
 

@@ -38,6 +38,7 @@ from conftest import (
     sparse_doc,
     uniform_pair,
     verify_saddle_point,
+    warm_token,
 )
 from smgsolve.shapley import _evaluate_with, _pair_arrays
 
@@ -678,7 +679,7 @@ def test_warm_start_from_a_distant_pair_matches_the_cold_apply(simplex_calls):
     for _ in range(30):
         m = random_model(rng, max_actions=5)
         op = ShapleyOperator(m)
-        _, guess, _ = op._solve(rng.normal(size=m.n_states) * 20.0)
+        _, _, guess = op._solve(rng.normal(size=m.n_states) * 20.0)
         u = rng.normal(size=m.n_states) * 20.0
         cold, _ = op.apply(u)
         simplex_calls.clear()
@@ -704,8 +705,8 @@ def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptan
     rng = np.random.default_rng(61)
     m = load_model(json.dumps(games_doc(rng.normal(size=(40, 10, 10)).tolist())))
     op = ShapleyOperator(m)
-    _, previous, plans = op._solve(np.zeros(m.n_states))
-    sizes = set(np.count_nonzero(previous[0].reshape(40, 10), axis=1).tolist())
+    _, (f, _), warm = op._solve(np.zeros(m.n_states))
+    sizes = set(np.count_nonzero(f.reshape(40, 10), axis=1).tolist())
     assert len(sizes) >= 3
     blocks, tests = [], []
     equalize, exploitability = matrixgame.equalize, matrixgame.exploitability
@@ -716,7 +717,7 @@ def test_a_warm_application_makes_one_equalize_per_support_size_and_one_acceptan
         matrixgame, "exploitability", lambda *args: tests.append(len(args[0])) or exploitability(*args)
     )
     simplex_calls.clear()
-    op._solve(rng.normal(size=m.n_states), previous, plans)
+    op._solve(rng.normal(size=m.n_states), warm)
     assert simplex_calls == []  # every game kept its previous support
     assert blocks == sorted(sizes)
     assert tests == [40]
@@ -728,21 +729,20 @@ def test_an_exact_zero_inside_a_support_rebuilds_the_carried_plan(player, simple
     m = load_model(json.dumps(games_doc([np.diag([1.0, 2.0, 3.0, 4.0]).tolist()])))
     op = ShapleyOperator(m)
     u = np.array([0.0])
-    _, first, plans = op._solve(u)
-    _, carried, plans = op._solve(u, first, plans)
-    plan = plans[0]
-    assert np.count_nonzero(carried[0]) == np.count_nonzero(carried[1]) == 4
-    pair = [carried[0].copy(), carried[1].copy()]
-    pair[player][0] = 0.0  # a 3-by-4 support: no warm candidate, where the stale plan would pass
+    _, _, warm = op._solve(u)
+    _, _, warm = op._solve(u, warm)
+    x, y, plan = warm[0]
+    assert plan is not None and np.count_nonzero(x) == np.count_nonzero(y) == 4
+    (x, y)[player][0, 0] = 0.0  # a 3-by-4 support: no warm candidate, where the stale plan would pass
     simplex_calls.clear()
-    got, got_pair, got_plans = op._solve(u, tuple(pair), plans)
+    got, got_pair, got_warm = op._solve(u, warm)
     assert len(simplex_calls) == 1
-    assert got_plans[0] is not plan
-    want, want_pair, want_plans = op._solve(u, tuple(pair))
+    assert got_warm[0][2] is not plan
+    want, want_pair, want_warm = op._solve(u, ((x, y, None),))  # a fresh token of the same stacks
     assert got.tobytes() == want.tobytes()
     assert got_pair[0].tobytes() == want_pair[0].tobytes()
     assert got_pair[1].tobytes() == want_pair[1].tobytes()
-    assert got_plans[0][0] == want_plans[0][0]  # the masks
+    assert got_warm[0][2][0] == want_warm[0][2][0]  # the masks
 
 
 def games_doc(matrices) -> dict:
@@ -783,7 +783,7 @@ def test_singular_guessed_support_falls_back_to_the_simplex(duplicated, simplex_
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, strategies, _ = op._solve(u, _pair_arrays(m, guess))
+    warm, strategies, _ = op._solve(u, warm_token(op, *_pair_arrays(m, guess)))
     pair = op._pair(*strategies)
     assert len(simplex_calls) == 1
     np.testing.assert_array_equal(warm, cold)
@@ -799,7 +799,7 @@ def test_singular_guessed_support_falls_back_to_the_enumerated_supports(duplicat
     u = np.array([0.0])
     cold, cold_pair = op.apply(u)
     simplex_calls.clear()
-    warm, strategies, _ = op._solve(u, _pair_arrays(m, guess))
+    warm, strategies, _ = op._solve(u, warm_token(op, *_pair_arrays(m, guess)))
     pair = op._pair(*strategies)
     # the full 2x2 support is singular, so the result must come from a smaller one
     assert min(np.count_nonzero(pair.f["s0"]), np.count_nonzero(pair.g["s0"])) == 1

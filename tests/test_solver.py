@@ -436,9 +436,9 @@ def test_value_iterate_is_apply_from_zero_by_hand(model):
     m = model()
     report = value_iterate(m, 1e-9)
     op = ShapleyOperator(m)
-    u, strategies, plans = np.zeros(m.n_states), None, None
+    u, strategies, warm = np.zeros(m.n_states), None, None
     for row in report.value_trace:
-        u, strategies, plans = op._solve(u, strategies, plans)
+        u, strategies, warm = op._solve(u, warm)
         np.testing.assert_array_equal(u, row)
     np.testing.assert_array_equal(u, report.epsilon_value)
     pair = op._pair(*strategies)
@@ -503,14 +503,14 @@ def test_a_carried_warm_plan_answers_as_one_built_every_application(doc, monkeyp
     build = shapley._warm_plan
     reused = []
 
-    def carry(x, y, reuse=None):
+    def carry(x, y, reuse):
         plan = build(x, y, reuse)
         reused.append(plan is reuse)
         return plan
 
     monkeypatch.setattr(shapley, "_warm_plan", carry)
     carried = value_iterate(m, 1e-6)
-    monkeypatch.setattr(shapley, "_warm_plan", lambda x, y, reuse=None: build(x, y))
+    monkeypatch.setattr(shapley, "_warm_plan", lambda x, y, reuse: build(x, y, None))
     assert_same_report(carried, value_iterate(m, 1e-6))
     assert any(reused)  # some application answered on the plan it was handed
 
