@@ -14,10 +14,12 @@ absolute precision), each minimum and maximum taken across the games.
 A support's answer is the equalizing pair of its block (Shapley and Snow
 1950): the previous supports of every size take one stacked solve of both
 players' bordered equalizer systems (:func:`equalize`) per support size
-and one acceptance test over all the games, and each enumerated candidate
-one more of each.  The grouping by support size is a plan of flat indices
-and of each size's bordered systems, their border written once per plan,
-carried from call to call while supports hold; a stack passing whole ends there.
+and one acceptance test over all the games, and each mixed candidate one
+more of each.  The pure pairs take one pass: a pair's exploitability is its
+column's maximum less its row's minimum, and a game keeps its first passing
+pair in row-major order.  The grouping by support size is a plan of flat
+indices and of each size's bordered systems, their border written once per
+plan, carried from call to call while supports hold; a stack passing whole ends there.
 
 For the simplex, the payoff matrix ``A`` is normalized by its largest
 magnitude and shifted, ``P = A / max|A| + 2``, so every entry of ``P`` lies
@@ -398,8 +400,9 @@ def solve_games(payoffs: np.ndarray, previous=None):
     and one :func:`_passes`, whose arrays are the results, uncopied, for the
     games that pass, and the whole answer when all of them do.  A missing
     ``previous``, or a plan with no group, proposes nothing: every game
-    stays open and no acceptance test is made.  Each enumerated candidate is
-    one more :func:`_on_plan` and :func:`_keep` over the games still open.
+    stays open and no acceptance test is made.  The games still open take
+    one pass over their row minima and column maxima for the pure pairs,
+    then one :func:`_on_plan` and :func:`_keep` per mixed candidate.
     The games left over go to :func:`_maximin` as one stack, and those it
     leaves open to :func:`_exact` one at a time, each stage's answers
     through the same :func:`_keep`.  Returns ``(value, x, y, failed)``:
@@ -416,7 +419,19 @@ def solve_games(payoffs: np.ndarray, previous=None):
     if ok.all():
         return answer[0] + 0.0, answer[1], answer[2], {}
     out, pending = answer[:3], np.flatnonzero(~ok)
-    for s, t in _square_supports(n_rows, n_cols):
+    candidates = _square_supports(n_rows, n_cols)
+    if candidates:  # some game is open: the stack did not pass whole
+        games = payoffs[pending]
+        col_max = _across(np.maximum, games.transpose(0, 2, 1).reshape(-1, n_rows)).reshape(-1, 1, n_cols)
+        row_min = _across(np.minimum, games.reshape(-1, n_cols)).reshape(-1, n_rows, 1)
+        with np.errstate(over="ignore"):  # each pair's gain, unclipped as scale > 0; inf rejects it
+            ok = (col_max - row_min <= scale[pending, None, None]).reshape(pending.size, -1)
+        first = ok.argmax(axis=1)  # row-major: the order of the size-1 candidates
+        kept = np.flatnonzero(ok[np.arange(pending.size), first])
+        (i, j), at = np.divmod(first[kept], n_cols), pending[kept]
+        out[0][at], out[1][at], out[2][at] = games[kept, i, j], np.eye(n_rows)[i], np.eye(n_cols)[j]
+        pending = np.delete(pending, kept)
+    for s, t in candidates[n_rows * n_cols :]:
         if not pending.size:
             break
         games = payoffs[pending]

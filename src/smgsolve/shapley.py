@@ -245,15 +245,19 @@ class ShapleyOperator:
         u = np.asarray(values, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"value vector must have length {self.n}, got {u.shape}")
-        if (np.abs(u).max() if top is None else top) <= self.room:  # False on NaN
-            return self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
-        bad = np.flatnonzero(~np.isfinite(u))
-        if bad.size:
-            x, v = self.states[bad[0]], float(u[bad[0]])
-            raise ValueError(f"value vector must be finite, got {v!r} at state {x!r}")
-        with np.errstate(over="ignore"):
-            flat = self.base + np.add.reduceat(self.lam_prob * u[self.succ], self.starts)
-        _raise_beyond_range(flat, "the payoff of triple", self.table.labels)
+        if not (np.abs(u).max() if top is None else top) <= self.room:  # True on NaN
+            bad = np.flatnonzero(~np.isfinite(u))
+            if bad.size:
+                x, v = self.states[bad[0]], float(u[bad[0]])
+                raise ValueError(f"value vector must be finite, got {v!r} at state {x!r}")
+            with np.errstate(over="ignore"):
+                flat = self._payoffs(u, self.room)  # the sum below, scanned here
+            _raise_beyond_range(flat, "the payoff of triple", self.table.labels)
+            return flat
+        w = u.take(self.succ)
+        w *= self.lam_prob
+        flat = np.add.reduceat(w, self.starts)
+        flat += self.base
         return flat
 
     def apply(self, values) -> tuple[np.ndarray, StationaryStrategyPair]:

@@ -77,8 +77,9 @@ def _check_iteration(epsilon, max_iter) -> None:
     """Raise ``ValueError`` unless value iteration can stop at ``epsilon`` within ``max_iter``."""
     if not 0.0 < epsilon < math.inf:  # also rejects NaN
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+    if max_iter is not None and (not integral or max_iter < 1):  # NaN would lift the cap
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
 def _change(op, updated: np.ndarray, previous: np.ndarray, top: float) -> tuple[float, float]:

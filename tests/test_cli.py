@@ -295,7 +295,7 @@ AUX = object()  # stands for the path of the case's auxiliary JSON file
         ({"command": "solve", "model": AUX, "epsilon": math.nan}, DRIFT_DOC,
          "epsilon must be positive and finite, got nan"),
         ({"command": "solve", "model": AUX, "max_iter": 0}, DRIFT_DOC,
-         "max_iter must be at least 1, got 0"),
+         "max_iter must be an integer of at least 1, got 0"),
         ({"command": "solve", "model": AUX, "v0": "nan"}, DRIFT_DOC,
          "v0 holds a number that is not finite as a float"),
         # the epsilon of the inner solve is checked even when a pair is given

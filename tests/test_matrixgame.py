@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -721,10 +721,98 @@ def test_a_stack_with_no_proposed_support_tests_nothing_before_the_enumerated_on
     for previous in (None, matrixgame._warm_plan(none, none, None)):
         calls.clear()
         got = matrixgame.solve_games(payoffs, previous)
-        assert calls[:3] == ["plan", "plan", "test"]  # the blank answer, untested, then the first candidate
+        # the blank answer, untested, then the first mixed candidate: the pure pairs take neither
+        assert calls[:3] == ["plan", "plan", "test"]
         assert got[3] == want[3] == {}
         for a, b in zip(got[:3], want[:3]):
             assert a.tobytes() == b.tobytes()
+
+
+def _one_candidate_at_a_time(payoffs):
+    """A cold stack's enumerated candidates as one ``_on_plan`` and ``_keep`` each, over the games still open.
+
+    Returns ``(value, x, y)``, meaningful for the games some candidate
+    answered, and the positions of the games none did.
+    """
+    size, m, l = payoffs.shape
+    scale = matrixgame.WARM_START_TOL * np.abs(payoffs).max(axis=(1, 2), initial=np.finfo(float).tiny)
+    out, pending = matrixgame._blank(payoffs)[:3], np.arange(size)
+    for s, t in matrixgame._square_supports(m, l):
+        if not pending.size:
+            break
+        games = payoffs[pending]
+        group = matrixgame._group(np.arange(pending.size), s[None], t[None], m, l)
+        pending = matrixgame._keep(out, pending, games, matrixgame._on_plan(games, [group]), scale[pending])
+    return out, pending
+
+
+LIMIT = np.finfo(float).max
+PURE_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e8, -1e8, 1.7e308, -1.7e308, LIMIT, -LIMIT]),
+    st.sampled_from([1.0 + k * 5e-13 for k in range(-3, 4)]),  # gains near the acceptance tolerance
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def small_stacks(draw):
+    """Stacks of 1x1 to 3x3 games, some with a row or column repeated, some constant."""
+    m, l, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    payoffs = draw(arrays(np.float64, (n, m, l), elements=PURE_ENTRY, fill=st.nothing()))
+    for a in payoffs:
+        kind = draw(st.sampled_from(["drawn", "row", "column", "constant"]))
+        if kind == "row":
+            a[-1] = a[0]
+        elif kind == "column":
+            a[:, -1] = a[:, 0]
+        elif kind == "constant":
+            a[...] = a[0, 0]
+    return payoffs
+
+
+# pairs (0, 1) and (1, 0) pass and (0, 0) does not: row-major order keeps (0, 1)
+@example(payoffs=np.array([[[1.0, 1.0 + 0.9e-12], [1.0 + 1.5e-12, 1.0 + 0.6e-12]]]))
+@given(payoffs=small_stacks())
+@settings(max_examples=200, deadline=None)
+def test_the_pure_pass_answers_as_the_candidates_one_at_a_time(payoffs):
+    reached = []
+    # near the float limit a pair's exploitability overflows to inf, which rejects it
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as patch:
+        (value, x, y), pending = _one_candidate_at_a_time(payoffs)
+        maximin = matrixgame._maximin
+        patch.setattr(matrixgame, "_maximin", lambda c: reached.append(c.copy()) or maximin(c))
+        got = matrixgame.solve_games(payoffs)
+        # the games no candidate answers take the later stages, the same with or without enumeration
+        patch.setattr(matrixgame, "_square_supports", lambda *shape: ())
+        rest = matrixgame.solve_games(payoffs[pending])
+    assert [c.tobytes() for c in reached[:1]] == [payoffs[pending].tobytes()] * bool(pending.size)
+    for a, r in zip((value, x, y), rest[:3]):
+        a[pending] = r
+    for a, b in zip(got[:3], (value + 0.0, x, y)):
+        assert a.tobytes() == b.tobytes()
+    assert got[3] == {int(pending[i]): message for i, message in rest[3].items()}
+
+
+@pytest.mark.parametrize("side", [2, 3])
+def test_a_cold_stack_answers_its_pure_pairs_with_no_stacked_solve_or_acceptance_test(side, monkeypatch):
+    payoffs = np.random.default_rng(39 + side).normal(size=(300, side, side))
+    calls = []
+    on_plan, exploitability = matrixgame._on_plan, matrixgame.exploitability
+    monkeypatch.setattr(matrixgame, "_on_plan", lambda c, plan: calls.append(plan) or on_plan(c, plan))
+    monkeypatch.setattr(matrixgame, "exploitability", lambda *args: calls.append("test") or exploitability(*args))
+    monkeypatch.setattr(matrixgame, "_maximin", lambda c: pytest.fail("the simplex is not needed here"))
+    value, x, y, failed = matrixgame.solve_games(payoffs)
+    assert failed == {}
+    plans = [c for c in calls if not isinstance(c, str)]
+    assert plans[0] == ()  # the blank answer, untested
+    assert all(system is not None for plan in plans[1:] for *_, system in plan)  # no 1x1 block
+    kinds = ["test" if isinstance(c, str) else "plan" for c in calls]
+    assert kinds == ["plan"] + ["plan", "test"] * (len(plans) - 1)  # one test per candidate
+    if side == 2:  # the one mixed candidate, over exactly the games with no pure saddle point
+        mixed = np.flatnonzero((x > 0.0).sum(axis=1) == 2)
+        assert len(plans) == 2 and 0 < mixed.size < 300
+        ((at, *_),) = plans[1]
+        assert at.size == mixed.size
 
 
 def test_a_stack_that_passes_whole_answers_as_one_that_takes_the_later_stages(simplex_calls):

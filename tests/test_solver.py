@@ -821,6 +821,25 @@ def test_non_finite_epsilon_rejected(single_state_model, epsilon):
 @pytest.mark.parametrize("max_iter", [0, -3])
 def test_max_iter_below_one_rejected(single_state_model, max_iter):
     # from the fixed point one application would stop at once; a cap below one must not
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
         value_iterate(single_state_model, 1e-8, v0=[4.0], max_iter=max_iter)
     assert value_iterate(single_state_model, 1e-8, v0=[4.0], max_iter=1).iterations == 0
+
+
+@pytest.mark.parametrize(
+    "max_iter",
+    [float("nan"), 2.5, True, "5"],
+    ids=["nan-would-lift-the-cap", "float", "bool", "str"],
+)
+def test_a_max_iter_that_is_not_an_integer_is_rejected(single_state_model, max_iter):
+    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer of at least 1, got {max_iter!r}")):
+        value_iterate(single_state_model, 1e-8, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_a_numpy_integer_max_iter_caps_as_an_int_does(single_state_model, kind):
+    want = value_iterate(single_state_model, 1e-6)
+    got = value_iterate(single_state_model, 1e-6, max_iter=kind(want.iterations + 1))
+    assert got.value_trace.tobytes() == want.value_trace.tobytes()
+    with pytest.raises(ConvergenceError, match=f"no convergence within {want.iterations} applications"):
+        value_iterate(single_state_model, 1e-6, max_iter=kind(want.iterations))
